@@ -1,8 +1,6 @@
 """cavshield: multi-vehicle driving simulation with a measurement-robust
 CBF safety shield and a safe-robust multi-agent PPO trainer."""
 
-from .kernels import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
 
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

@@ -8,7 +8,7 @@
     cavshield replay --log FILE
     cavshield table  REPORT.json [REPORT.json ...] [--csv FILE]
     cavshield qp-debug [--problem FILE | --demo]
-    cavshield bench  [--repeat N]
+    cavshield --version
 """
 
 import argparse
@@ -16,7 +16,6 @@ import json
 import os
 import sys
 
-from .. import kernels
 from .config import Config
 
 
@@ -131,16 +130,9 @@ def cmd_qp_debug(args):
     return 0
 
 
-def cmd_bench(args):
-    from ..bench import run_benchmark
-
-    print(run_benchmark(repeat=args.repeat))
-    return 0
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="cavshield", description=__doc__)
-    p.add_argument("--version", action="store_true", help="print version and backend")
+    p.add_argument("--version", action="store_true", help="print the version")
     sub = p.add_subparsers(dest="command")
 
     t = sub.add_parser("train", help="train policies on a scenario")
@@ -179,10 +171,6 @@ def build_parser():
     q.add_argument("--problem", default=None, help="JSON problem file")
     q.add_argument("--demo", action="store_true")
     q.set_defaults(func=cmd_qp_debug)
-
-    b = sub.add_parser("bench", help="compare kernel backends")
-    b.add_argument("--repeat", type=int, default=20000)
-    b.set_defaults(func=cmd_bench)
     return p
 
 
@@ -192,7 +180,7 @@ def main(argv=None):
     if args.version:
         from .. import __version__
 
-        print(f"cavshield {__version__} (kernel backend: {kernels.BACKEND})")
+        print(f"cavshield {__version__}")
         return 0
     if not getattr(args, "command", None):
         parser.print_help()

@@ -163,7 +163,6 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
         "wheelbase_frac": dyn.wheelbase_frac,
         "lengths": {vid: v.length for vid, v in world.vehicles.items()},
         "comm_range": cfg.world.comm_range,
-        "kernel_backend": kernels.BACKEND,
     }
     log = EpisodeLog(meta=meta)
 

@@ -1,13 +1,14 @@
-"""Pure-Python kernels: 2-D projection QP, bicycle step, rectangle overlap.
+"""Hot kernels: 2-D projection QP, bicycle step, rectangle overlap.
 
-These are the hot per-step inner loops (called agents x actions x steps
-during rollouts).  cavshield.kernels._speedups is a Cython transliteration
-with identical operation order, so both backends produce identical floats.
-Keep the two files in sync.
+These are the per-step inner loops (called agents x actions x steps during
+rollouts).  Callers call them through the module (``kernels.solve_qp_2d``),
+not by imported name, so a tracer that replaces the module attributes
+(perfbench/spans.py) sees every call.
 """
 
 import math
 
+# The only implementation; perfbench records it with each run.
 BACKEND = "python"
 
 # Feasibility slack on unit-normalized constraint rows.

@@ -123,8 +123,3 @@ def softmax(logits):
 def log_softmax(logits):
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def policy_forward(actor, x):
-    """Action distribution(s); rows sum to 1."""
-    return softmax(actor.forward(x))

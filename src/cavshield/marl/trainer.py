@@ -23,7 +23,7 @@ from .nets import MLP, Adam, log_softmax
 ALGO_SRMAPPO = "srmappo"
 ALGO_MAPPO = "mappo"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(Exception):
@@ -34,6 +34,10 @@ class ChecksumMismatch(Exception):
     """Checkpoint payload does not match its recorded digest."""
 
 
+class UnsupportedCheckpointVersion(Exception):
+    """Checkpoint header carries a version this code cannot read."""
+
+
 @dataclass
 class ParameterSet:
     """Flat numeric parameters of one agent (plus its loss weights)."""
@@ -41,7 +45,6 @@ class ParameterSet:
     theta: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
-    lambda_w: float = 0.0  # retained from the training recipe; logged only
     kappa_wst: float = 0.0
     kappa_reg: float = 0.0
 
@@ -60,7 +63,6 @@ class AgentRuntime:
     opt_actor: Adam
     opt_value: Adam
     opt_worst_q: Adam
-    lambda_w: float = 0.0
 
 
 @dataclass
@@ -351,7 +353,6 @@ def _runtime_params(agent, kappa_wst, kappa_reg):
         theta=agent.actor.get_flat(),
         phi=agent.value.get_flat(),
         omega=agent.worst_q.get_flat(),
-        lambda_w=agent.lambda_w,
         kappa_wst=kappa_wst,
         kappa_reg=kappa_reg,
     )
@@ -380,7 +381,6 @@ def save_checkpoint(path, result, settings):
         "kappa_wst": cfg.marl.kappa_wst if settings.algo == ALGO_SRMAPPO else 0.0,
         "kappa_reg": cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0,
         "layouts": {},
-        "lambda_w": {},
     }
     arrays = {}
     for aid, agent in result.agents.items():
@@ -392,7 +392,6 @@ def save_checkpoint(path, result, settings):
             "value": agent.value.sizes,
             "worst_q": agent.worst_q.sizes,
         }
-        header["lambda_w"][aid] = agent.lambda_w
     header_bytes = json.dumps(header, sort_keys=True).encode()
     digest = _digest(header_bytes, arrays)
     np.savez(
@@ -413,7 +412,11 @@ def _digest(header_bytes, arrays):
 
 
 def load_checkpoint(path):
-    """(header, {agent: ParameterSet}); raises ChecksumMismatch if corrupt."""
+    """(header, {agent: ParameterSet}).
+
+    Raises ChecksumMismatch if corrupt and UnsupportedCheckpointVersion if
+    the header's version is not CHECKPOINT_VERSION.
+    """
     with np.load(path) as data:
         header_bytes = bytes(data["header"].tobytes())
         recorded = data["checksum"].tobytes().decode()
@@ -425,13 +428,18 @@ def load_checkpoint(path):
     if _digest(header_bytes, arrays) != recorded:
         raise ChecksumMismatch(f"corrupt checkpoint {path}")
     header = json.loads(header_bytes.decode())
+    version = header.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise UnsupportedCheckpointVersion(
+            f"checkpoint {path} has version {version!r}; this cavshield "
+            f"reads version {CHECKPOINT_VERSION} only"
+        )
     params = {}
     for aid in header["agent_ids"]:
         params[aid] = ParameterSet(
             theta=arrays[f"{aid}__theta"],
             phi=arrays[f"{aid}__phi"],
             omega=arrays[f"{aid}__omega"],
-            lambda_w=header["lambda_w"][aid],
             kappa_wst=header["kappa_wst"],
             kappa_reg=header["kappa_reg"],
         )

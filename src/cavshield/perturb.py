@@ -55,7 +55,10 @@ class PerturbationSchedule:
     targets: frozenset = frozenset()  # vehicle ids for KIND_VEH
     base_error: Optional[float] = None  # e0 of the consistent strategies
     constant: Optional[tuple] = None  # fixed (e_l, e_v) for every target
-    violations: list = field(default_factory=list)
+    violations: list = field(default_factory=list)  # (t, vid, e), once each
+    _violated: set = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     def error(self, t, vehicle_id):
         """(e_l, e_v) for observations of vehicle_id at step t, or None."""
@@ -63,7 +66,10 @@ class PerturbationSchedule:
         if e is None:
             return None
         if math.sqrt(e[0] * e[0] + e[1] * e[1]) > self.epsilon_bound + 1e-12:
-            self.violations.append((t, vehicle_id, e))
+            key = (t, vehicle_id)
+            if key not in self._violated:
+                self._violated.add(key)
+                self.violations.append((t, vehicle_id, e))
         return e
 
     def _raw_error(self, t, vehicle_id):

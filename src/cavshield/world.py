@@ -109,11 +109,6 @@ class Path:
         return i, f
 
 
-def project_to_path(state, path, corridor=CORRIDOR_RADIUS):
-    """Arc-length and signed lateral offset of a vehicle on a path."""
-    return path.project(state.x, state.y, corridor=corridor)
-
-
 def detect_collisions(states):
     """Unordered id pairs whose oriented footprints overlap (SAT)."""
     pairs = set()

@@ -254,6 +254,20 @@ class TestEpisode:
                     assert ly == pytest.approx(true_ly, abs=1e-12)
                     assert vy == 0.0
 
+    def test_each_bound_violation_recorded_once(self):
+        # The joint-state build and the log snapshot both query every
+        # (t, vid); the schedule must still hold one record per pair.
+        spec = scen.build_scenario("highway", mode="test", cfg=CFG)
+        spec.episode_len = 10
+        schedule = make_constant(2.0, 1.0, epsilon_bound=1.0)
+        log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(),
+                             schedule=schedule, seed=4)
+        logged = {(rec["t"], vid) for rec in log.steps for vid in rec["errors"]}
+        recorded = [(t, vid) for t, vid, _ in schedule.violations]
+        assert logged
+        assert len(recorded) == len(set(recorded))
+        assert logged <= set(recorded)
+
 
 class TestTrainer:
     def quick_settings(self, **kw):
@@ -329,6 +343,30 @@ class TestTrainer:
             checksum = data["checksum"]
         np.savez(str(path), header=header_b, checksum=checksum, **arrays)
         with pytest.raises(trainer.ChecksumMismatch):
+            trainer.load_checkpoint(str(path))
+
+    def test_old_checkpoint_version_rejected(self, tmp_path):
+        settings = self.quick_settings(episodes=0)
+        result = trainer.train(settings)
+        path = tmp_path / "ckpt.npz"
+        trainer.save_checkpoint(str(path), result, settings)
+        with np.load(str(path)) as data:
+            header = json.loads(data["header"].tobytes().decode())
+            arrays = {
+                name: data[name]
+                for name in data.files
+                if name not in ("header", "checksum")
+            }
+        header["version"] = 1
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        digest = trainer._digest(header_bytes, arrays)
+        np.savez(
+            str(path),
+            header=np.frombuffer(header_bytes, dtype=np.uint8),
+            checksum=np.frombuffer(digest.encode(), dtype=np.uint8),
+            **arrays,
+        )
+        with pytest.raises(trainer.UnsupportedCheckpointVersion, match="version 1"):
             trainer.load_checkpoint(str(path))
 
 

@@ -1,91 +1,18 @@
-"""Backend agreement: the compiled extension and the pure-Python kernels
-must produce identical floats (same arithmetic, same order)."""
+"""Kernel properties that callers rely on."""
 
 import math
 
 import numpy as np
-import pytest
 
-from cavshield.kernels import available_backends, get_backend
-
-pure = get_backend("python")
-HAVE_COMPILED = "compiled" in available_backends()
-
-needs_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled extension not built"
-)
-
-
-@needs_compiled
-class TestBackendAgreement:
-    def setup_method(self):
-        self.compiled = get_backend("compiled")
-
-    def test_qp_bitwise_identical(self):
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            u0 = rng.uniform(-5, 5, 2)
-            rows = [
-                (
-                    float(rng.uniform(-2, 2)),
-                    float(rng.uniform(-2, 2)),
-                    float(rng.uniform(-3, 3)),
-                )
-                for _ in range(rng.integers(0, 8))
-            ]
-            lo = rng.uniform(-4, 0, 2)
-            hi = lo + rng.uniform(0.1, 4, 2)
-            a = pure.solve_qp_2d(u0[0], u0[1], rows, lo[0], hi[0], lo[1], hi[1])
-            b = self.compiled.solve_qp_2d(u0[0], u0[1], rows, lo[0], hi[0], lo[1], hi[1])
-            assert a == b  # exact, including floats
-
-    def test_bicycle_bitwise_identical(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5000):
-            args = (
-                rng.uniform(-100, 100), rng.uniform(-100, 100),
-                rng.uniform(0, 20), rng.uniform(-math.pi, math.pi),
-                rng.uniform(-6, 4), rng.uniform(-0.5, 0.5),
-                0.05, 1.35, 2.7,
-            )
-            assert pure.step_bicycle(*args) == self.compiled.step_bicycle(*args)
-
-    def test_overlap_identical(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5000):
-            args = (
-                rng.uniform(-6, 6), rng.uniform(-6, 6),
-                rng.uniform(-math.pi, math.pi), 4.5, 2.0,
-                rng.uniform(-6, 6), rng.uniform(-6, 6),
-                rng.uniform(-math.pi, math.pi), 4.5, 2.0,
-            )
-            assert pure.rect_overlap(*args) == self.compiled.rect_overlap(*args)
-
-    def test_wrap_angle_identical(self):
-        rng = np.random.default_rng(3)
-        for a in rng.uniform(-50, 50, 2000):
-            assert pure.wrap_angle(a) == self.compiled.wrap_angle(a)
-        for special in (math.pi, -math.pi, 0.0, 2 * math.pi):
-            assert pure.wrap_angle(special) == self.compiled.wrap_angle(special)
+from cavshield import kernels
 
 
 class TestWrapAngleRange:
     def test_half_open_interval(self):
         rng = np.random.default_rng(4)
         for a in rng.uniform(-50, 50, 1000):
-            w = pure.wrap_angle(a)
+            w = kernels.wrap_angle(a)
             assert -math.pi < w <= math.pi
-        assert pure.wrap_angle(math.pi) == math.pi
-        assert pure.wrap_angle(-math.pi) == math.pi
-        assert pure.wrap_angle(0.0) == 0.0
-
-
-class TestBench:
-    def test_benchmark_runs(self):
-        from cavshield.bench import run_benchmark
-
-        out = run_benchmark(repeat=200)
-        assert "python" in out
-        if HAVE_COMPILED:
-            assert "compiled" in out
-            assert "speedup" in out
+        assert kernels.wrap_angle(math.pi) == math.pi
+        assert kernels.wrap_angle(-math.pi) == math.pi
+        assert kernels.wrap_angle(0.0) == 0.0

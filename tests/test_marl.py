@@ -8,7 +8,7 @@ import pytest
 
 from cavshield.marl import algo
 from cavshield.marl.encode import Encoder, EncoderSpec, perturb_features, perturbation_samples
-from cavshield.marl.nets import MLP, Adam, log_softmax, policy_forward, softmax
+from cavshield.marl.nets import MLP, Adam, log_softmax, softmax
 from cavshield.world import AgentView, Observation
 
 
@@ -42,13 +42,13 @@ def fd_check(net, value_fn, grad, rng, n_dirs=20, h=1e-6, tol=1e-4):
 class TestMLP:
     def test_zero_final_layer_gives_uniform_policy(self):
         net = MLP([10, 64, 64, 7], np.random.default_rng(0), zero_final=True)
-        dist = policy_forward(net, np.random.default_rng(1).normal(size=(5, 10)))
+        dist = softmax(net.forward(np.random.default_rng(1).normal(size=(5, 10))))
         assert np.allclose(dist, 1.0 / 7.0)
 
     def test_probabilities_sum_to_one(self):
         net = make_net([10, 32, 32, 7], seed=3)
         x = np.random.default_rng(4).normal(size=(1000, 10))
-        dist = policy_forward(net, x)
+        dist = softmax(net.forward(x))
         assert np.all(dist >= 0)
         assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-9)
 
@@ -446,6 +446,6 @@ class TestEncoder:
         pairs = [(0.0, 0.0)] * spec.n_slots
         pairs[2] = (2.0, 1.0)  # the present UCV slot
         out = perturb_features(spec, vec, present, pairs)
-        d1 = policy_forward(actor, vec)
-        d2 = policy_forward(actor, out)
+        d1 = softmax(actor.forward(vec))
+        d2 = softmax(actor.forward(out))
         assert not np.allclose(d1, d2)

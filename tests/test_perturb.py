@@ -131,6 +131,12 @@ class TestBoundRecording:
         assert e == (3.0, 0.0)  # never clipped
         assert s.violations == [(0, "a", (3.0, 0.0))]
 
+    def test_repeated_query_recorded_once(self):
+        s = make_constant(3.0, 0.0, epsilon_bound=2.0)
+        assert s.error(0, "a") == s.error(0, "a")
+        s.error(1, "a")
+        assert s.violations == [(0, "a", (3.0, 0.0)), (1, "a", (3.0, 0.0))]
+
     def test_within_bound_not_recorded(self):
         s = make_constant(1.0, 1.0, epsilon_bound=2.0)
         s.error(0, "a")

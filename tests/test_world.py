@@ -16,7 +16,6 @@ from cavshield.world import (
     World,
     build_joint_state,
     detect_collisions,
-    project_to_path,
 )
 
 
@@ -39,7 +38,7 @@ class TestPath:
     def test_straight_projection_hand_geometry(self):
         path = Path([[0.0, 0.0], [100.0, 0.0]])
         veh = vehicle("a", 10.0, 2.0)
-        s, d = project_to_path(veh, path)
+        s, d = path.project(veh.x, veh.y)
         assert s == pytest.approx(10.0)
         assert d == pytest.approx(+2.0)  # left of +X travel is +Y
 
