@@ -108,6 +108,17 @@ class LaneContext:
     right: Optional[Path] = None
 
 
+def lane_context(road, lane_id):
+    """LaneContext of a road lane; a side is None at a road edge."""
+    left = road.adjacent(lane_id, "left")
+    right = road.adjacent(lane_id, "right")
+    return LaneContext(
+        current=road.path(lane_id),
+        left=road.path(left) if left is not None else None,
+        right=road.path(right) if right is not None else None,
+    )
+
+
 def step_bicycle(state, u, dt, params):
     """One explicit-Euler kinematic-bicycle step; input clamped to the box."""
     u = params.clamp(u)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from ..dynamics import ActionSpace, ControlInput, LaneContext, NoAdjacentLane, nominal_control, emergency_control, speed_tracking_control
+from ..dynamics import ActionSpace, ControlInput, NoAdjacentLane, lane_context, nominal_control, emergency_control, speed_tracking_control
 from ..perturb import identity_schedule
 from ..shield import EgoView, open_shield, resolve_lipschitz, safety_shield
 from ..world import build_joint_state
@@ -119,19 +119,11 @@ def _shield_outcome(mode, joint, road, shield_cfg, plain_cfg, dyn, space):
 def _nominal_for(view, road, action, dyn, space):
     """Nominal input when the shield did not supply a filtered one."""
     ego = EgoView(view.self_obs, road)
-    lane_ctx = LaneContext(
-        current=road.path(ego.lane),
-        left=_path_or_none(road, road.adjacent(ego.lane, "left")),
-        right=_path_or_none(road, road.adjacent(ego.lane, "right")),
-    )
+    lane_ctx = lane_context(road, ego.lane)
     try:
         return nominal_control(ego, action, lane_ctx, dyn, space)
     except NoAdjacentLane:
         return nominal_control(ego, ActionSpace.KEEP, lane_ctx, dyn, space)
-
-
-def _path_or_none(road, lane_id):
-    return road.path(lane_id) if lane_id is not None else None
 
 
 def run_episode(spec, cfg, team_policy, schedule=None, seed=0,

@@ -21,18 +21,25 @@ class QpProblem:
     bounds: tuple = ((-math.inf, math.inf), (-math.inf, math.inf))
 
     def validate(self):
-        u0 = np.asarray(self.u0, dtype=float)
-        if u0.shape != (2,) or not np.all(np.isfinite(u0)):
+        if not _finite_pair(self.u0):
             raise ValueError("u0 must be a finite length-2 vector")
         for a, b in self.constraints:
-            row = np.asarray(a, dtype=float)
-            if row.shape != (2,) or not np.all(np.isfinite(row)):
+            if not _finite_pair(a):
                 raise ValueError("constraint rows must be finite length-2")
-            if not np.isfinite(b):
+            if not math.isfinite(b):
                 raise ValueError("constraint rhs must be finite")
         for lo, hi in self.bounds:
             if lo > hi:
                 raise ValueError(f"bound lo {lo} exceeds hi {hi}")
+
+
+def _finite_pair(v):
+    """True when v unpacks into exactly two finite reals."""
+    try:
+        a, b = v
+        return math.isfinite(a) and math.isfinite(b)
+    except (TypeError, ValueError):
+        return False
 
 
 class QpResult(NamedTuple):

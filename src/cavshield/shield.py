@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, qp
-from .dynamics import ActionSpace, LaneContext, NoAdjacentLane, action_accel_bounds, emergency_control, nominal_control
+from .dynamics import ActionSpace, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_control
 from .world import OutOfCorridor
 
 FRONT = "front"
@@ -207,10 +207,7 @@ def pseudo_car_transform(ego_path, ego_s, target_pos, target_psi, target_speed,
     px, py = target_pos
     dx, dy = math.cos(target_psi), math.sin(target_psi)
     best = None  # (s_c, d_t)
-    wps = ego_path.waypoints
-    for i in range(len(wps) - 1):
-        ax, ay = wps[i]
-        sx, sy = ego_path._seg[i]
+    for ax, ay, sx, sy, seg_len, s_start in ego_path.segments:
         denom = dx * sy - dy * sx
         if abs(denom) < 1e-12:
             continue
@@ -219,7 +216,7 @@ def pseudo_car_transform(ego_path, ego_s, target_pos, target_psi, target_speed,
         u = (rx * dy - ry * dx) / denom
         if not 0.0 <= u <= 1.0:
             continue
-        s_c = float(ego_path._cum[i] + u * ego_path._seg_len[i])
+        s_c = s_start + u * seg_len
         if not (ego_s - back_margin <= s_c <= ego_s + cfg.horizon):
             continue
         if best is None or s_c < best[0]:
@@ -357,11 +354,7 @@ def agent_safe_set(view, road, cfg, dyn, space):
     """Loop all actions through the CBF-QP for one agent."""
     ego = EgoView(view.self_obs, road)
     ego_path, ego_s, by_lane, pseudo = classify_targets(view, road, ego, cfg)
-    lane_ctx = LaneContext(
-        current=ego_path,
-        left=_maybe_path(road, road.adjacent(ego.lane, "left")),
-        right=_maybe_path(road, road.adjacent(ego.lane, "right")),
-    )
+    lane_ctx = lane_context(road, ego.lane)
     current_targets = lane_barrier_targets(
         ego, ego_path, by_lane.get(ego.lane, []), cfg
     ) + pseudo_barrier_targets(ego, ego_s, pseudo)
@@ -396,10 +389,6 @@ def agent_safe_set(view, road, cfg, dyn, space):
         safe = [ActionSpace.EMERGENCY]
         controls[ActionSpace.EMERGENCY] = emergency_control(dyn)
     return safe, verdicts, controls, emergency
-
-
-def _maybe_path(road, lane_id):
-    return road.path(lane_id) if lane_id is not None else None
 
 
 def safety_shield(joint, road, cfg, dyn, space):

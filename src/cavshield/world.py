@@ -5,6 +5,7 @@ Observations are expressed in the observed vehicle's travel-aligned frame
 (x along its heading), which is the axis measurement errors act on.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,64 +50,83 @@ class VehicleState:
 
 
 class Path:
-    """Polyline lane centerline with arc-length parameterization."""
+    """Polyline lane centerline with arc-length parameterization.
+
+    The geometry runs on plain floats: each segment is cached as
+    (ax, ay, sx, sy, seg_len, s_start), i.e. its start point, direction
+    vector, length and the arc length where it begins.  Polylines have one
+    or two segments, where numpy's per-call overhead would dominate.
+    """
 
     def __init__(self, waypoints, lane_id=None, signal=None):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError("waypoints must be an (N>=2, 2) array")
-        seg = np.diff(pts, axis=0)
-        seg_len = np.sqrt((seg**2).sum(axis=1))
-        if np.any(seg_len <= 0):
-            raise ValueError("consecutive waypoints must be distinct")
+        segments = []
+        s_start = 0.0
+        coords = pts.tolist()
+        for (ax, ay), (bx, by) in zip(coords, coords[1:]):
+            sx, sy = bx - ax, by - ay
+            seg_len = math.sqrt(sx * sx + sy * sy)
+            if seg_len <= 0:
+                raise ValueError("consecutive waypoints must be distinct")
+            segments.append((ax, ay, sx, sy, seg_len, s_start))
+            s_start += seg_len
+        if not math.isfinite(s_start):
+            raise ValueError("waypoints must be finite")
         self.waypoints = pts
         self.lane_id = lane_id
         self.signal = signal
-        self._seg = seg
-        self._seg_len = seg_len
-        self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-
-    @property
-    def length(self):
-        return float(self._cum[-1])
+        self.segments = tuple(segments)
+        self.length = s_start
+        self._starts = tuple(seg[5] for seg in segments)
 
     def project(self, x, y, corridor=CORRIDOR_RADIUS):
-        """Nearest-point projection -> (s, d); d > 0 left of travel."""
-        p = np.array([x, y])
-        rel = p - self.waypoints[:-1]
-        t = (rel * self._seg).sum(axis=1) / (self._seg_len**2)
-        t = np.clip(t, 0.0, 1.0)
-        closest = self.waypoints[:-1] + t[:, None] * self._seg
-        d2 = ((p - closest) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        dist = math.sqrt(d2[i])
+        """Nearest-point projection -> (s, d); d > 0 left of travel.
+
+        The first segment wins a distance tie.
+        """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"cannot project non-finite point ({x}, {y})")
+        best_d2 = math.inf
+        for seg in self.segments:
+            ax, ay, sx, sy, seg_len, _ = seg
+            # The leading 0.0 makes a (-0.0) + (-0.0) dot product +0.0, as
+            # numpy's sum gives, so signed zeros match the array version.
+            t = (0.0 + (x - ax) * sx + (y - ay) * sy) / (seg_len * seg_len)
+            t = min(max(t, 0.0), 1.0)
+            rx = x - (ax + t * sx)
+            ry = y - (ay + t * sy)
+            d2 = rx * rx + ry * ry
+            if d2 < best_d2:
+                best_d2, best, best_t, best_rx, best_ry = d2, seg, t, rx, ry
+        dist = math.sqrt(best_d2)
         if dist > corridor:
             raise OutOfCorridor(
                 f"point ({x:.1f}, {y:.1f}) is {dist:.1f} m from path "
                 f"{self.lane_id!r} (corridor {corridor} m)"
             )
-        s = float(self._cum[i] + t[i] * self._seg_len[i])
-        ux, uy = self._seg[i] / self._seg_len[i]
-        rx, ry = p - closest[i]
-        d = ux * ry - uy * rx
-        return s, float(d)
+        _, _, sx, sy, seg_len, s_start = best
+        s = s_start + best_t * seg_len
+        d = (sx / seg_len) * best_ry - (sy / seg_len) * best_rx
+        return s, d
 
     def point_at(self, s):
         """World point at arc length s (clamped to the path ends)."""
         i, f = self._locate(s)
-        return tuple(self.waypoints[i] + f * self._seg[i])
+        ax, ay, sx, sy, _, _ = self.segments[i]
+        return (ax + f * sx, ay + f * sy)
 
     def heading_at(self, s):
         i, _ = self._locate(s)
-        ux, uy = self._seg[i] / self._seg_len[i]
-        return math.atan2(uy, ux)
+        _, _, sx, sy, seg_len, _ = self.segments[i]
+        return math.atan2(sy / seg_len, sx / seg_len)
 
     def _locate(self, s):
         s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self._cum, s, side="right") - 1)
-        i = min(i, len(self._seg) - 1)
-        f = (s - self._cum[i]) / self._seg_len[i]
-        return i, f
+        i = bisect.bisect_right(self._starts, s) - 1
+        _, _, _, _, seg_len, s_start = self.segments[i]
+        return i, (s - s_start) / seg_len
 
 
 def detect_collisions(states):

@@ -179,16 +179,19 @@ class TestAnalyticCases:
                 assert r1.objective == r2.objective
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            solve(QpProblem(u0=(np.nan, 0.0), bounds=WIDE))
-        with pytest.raises(ValueError):
-            solve(QpProblem(u0=(0.0, 0.0), bounds=((1.0, -1.0), (0.0, 1.0))))
-        with pytest.raises(ValueError):
-            solve(
-                QpProblem(
-                    u0=(0.0, 0.0), constraints=[((math.inf, 0.0), 0.0)], bounds=WIDE
-                )
-            )
+        cases = [
+            ((0.0, 0.0, 0.0), [], WIDE, "u0 must be"),
+            ((np.nan, 0.0), [], WIDE, "u0 must be"),
+            (np.array([0.0, math.inf]), [], WIDE, "u0 must be"),
+            ((0.0, 0.0), [((1.0,), 0.0)], WIDE, "constraint rows"),
+            ((0.0, 0.0), [((math.inf, 0.0), 0.0)], WIDE, "constraint rows"),
+            ((0.0, 0.0), [((1.0, 0.0), np.nan)], WIDE, "constraint rhs"),
+            ((0.0, 0.0), [], ((1.0, -1.0), (0.0, 1.0)),
+             "bound lo 1.0 exceeds hi -1.0"),
+        ]
+        for u0, constraints, bounds, message in cases:
+            with pytest.raises(ValueError, match=message):
+                solve(QpProblem(u0=u0, constraints=constraints, bounds=bounds))
 
 
 class TestOracles:

@@ -1,10 +1,13 @@
 """World-core tests: path projection, SAT collision detection against a
 point-sampling oracle, and joint-state assembly under perturbation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavshield.perturb import identity_schedule, make_constant, make_rand
 from cavshield.world import (
@@ -65,6 +68,163 @@ class TestPath:
     def test_duplicate_waypoints_rejected(self):
         with pytest.raises(ValueError):
             Path([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_waypoints_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Path([[0.0, 0.0], [10.0, bad], [20.0, 0.0]])
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_nonfinite_point_rejected(self, x, y):
+        path = Path([[0.0, 0.0], [100.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite point"):
+            path.project(x, y)
+
+    def test_geometry_returns_python_floats(self):
+        path = Path([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        values = [*path.project(9.0, 3.0), *path.point_at(12.0),
+                  path.heading_at(12.0), path.length]
+        assert all(type(v) is float for v in values)
+
+
+class NumpyPath:
+    """Array implementation of the Path geometry, kept as the reference the
+    scalar Path must match bit for bit."""
+
+    def __init__(self, waypoints):
+        self.waypoints = np.asarray(waypoints, dtype=float)
+        self._seg = np.diff(self.waypoints, axis=0)
+        self._seg_len = np.sqrt((self._seg**2).sum(axis=1))
+        self._cum = np.concatenate([[0.0], np.cumsum(self._seg_len)])
+
+    @property
+    def length(self):
+        return float(self._cum[-1])
+
+    def project(self, x, y, corridor=50.0):
+        p = np.array([x, y])
+        rel = p - self.waypoints[:-1]
+        t = (rel * self._seg).sum(axis=1) / (self._seg_len**2)
+        t = np.clip(t, 0.0, 1.0)
+        closest = self.waypoints[:-1] + t[:, None] * self._seg
+        d2 = ((p - closest) ** 2).sum(axis=1)
+        i = int(np.argmin(d2))
+        dist = math.sqrt(d2[i])
+        if dist > corridor:
+            raise OutOfCorridor
+        s = float(self._cum[i] + t[i] * self._seg_len[i])
+        ux, uy = self._seg[i] / self._seg_len[i]
+        rx, ry = p - closest[i]
+        d = ux * ry - uy * rx
+        return s, float(d)
+
+    def point_at(self, s):
+        i, f = self._locate(s)
+        return tuple(self.waypoints[i] + f * self._seg[i])
+
+    def heading_at(self, s):
+        i, _ = self._locate(s)
+        ux, uy = self._seg[i] / self._seg_len[i]
+        return math.atan2(uy, ux)
+
+    def _locate(self, s):
+        s = min(max(s, 0.0), self.length)
+        i = int(np.searchsorted(self._cum, s, side="right") - 1)
+        i = min(i, len(self._seg) - 1)
+        f = (s - self._cum[i]) / self._seg_len[i]
+        return i, f
+
+
+def bits(*values):
+    """Exact bit patterns (signed zeros included) of float results."""
+    return tuple(float(v).hex() for v in values)
+
+
+def projection(path, x, y):
+    try:
+        return bits(*path.project(x, y))
+    except OutOfCorridor:
+        return "out of corridor"
+
+
+# Grid coordinates make vertex ties exact; free floats cover the rest.
+COORD = st.one_of(st.integers(-60, 60).map(float),
+                  st.floats(-60.0, 60.0, allow_nan=False))
+# Offsets of length exactly CORRIDOR_RADIUS (50 m) and just beyond it.
+EDGE = [(50.0, 0.0), (0.0, 50.0), (30.0, 40.0), (40.0, 30.0), (14.0, 48.0),
+        (48.0, 14.0), (50.0, 1e-9), (30.0, 40.000001)]
+
+
+@st.composite
+def polylines(draw):
+    pts = draw(st.lists(st.tuples(COORD, COORD), min_size=2, max_size=5))
+    # Segments shorter than half a metre are dropped: lanes have none, and
+    # below ~1e-154 m the squared length underflows and Path rejects them.
+    kept = [pts[0]]
+    for p in pts[1:]:
+        if math.dist(p, kept[-1]) >= 0.5:
+            kept.append(p)
+    if len(kept) < 2:
+        kept.append((kept[0][0] + 1.0, kept[0][1]))
+    return kept
+
+
+@st.composite
+def query_points(draw, pts):
+    kind = draw(st.sampled_from(["free", "vertex", "past_end", "edge"]))
+    if kind == "free":
+        return draw(COORD) * 2.0, draw(COORD) * 2.0
+    vx, vy = draw(st.sampled_from(pts))
+    if kind == "vertex":
+        # Small integer offsets around a vertex: outside a bend both
+        # neighbouring segments clamp to the vertex, an exact tie.
+        ox = draw(st.integers(-6, 6))
+        oy = draw(st.integers(-6, 6))
+        return vx + ox, vy + oy
+    if kind == "past_end":
+        (ax, ay), (bx, by) = draw(st.sampled_from(
+            [(pts[1], pts[0]), (pts[-2], pts[-1])]
+        ))
+        k = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 20.0, 60.0]))
+        return bx + k * (bx - ax), by + k * (by - ay)
+    ex, ey = draw(st.sampled_from(EDGE))
+    sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    return vx + sx * ex, vy + sy * ey
+
+
+def test_signed_zeros_match_numpy_reference():
+    # Exhaustive over signed zeros and unit steps: numpy sums a (-0.0) +
+    # (-0.0) dot product to +0.0, which decides the sign of a zero offset.
+    vals = (0.0, -0.0, 1.0, -1.0)
+    grid = list(itertools.product(vals, repeat=2))
+    for n in (2, 3):
+        for pts in itertools.product(grid, repeat=n):
+            if any(a == b for a, b in zip(pts, pts[1:])):
+                continue
+            path, ref = Path(pts), NumpyPath(pts)
+            for x, y in grid:
+                assert projection(path, x, y) == projection(ref, x, y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_scalar_path_matches_numpy_reference(data):
+    pts = data.draw(polylines(), label="waypoints")
+    path, ref = Path(pts), NumpyPath(pts)
+    assert bits(path.length) == bits(ref.length)
+    for _ in range(4):
+        x, y = data.draw(query_points(pts), label="point")
+        got = projection(path, x, y)
+        assert got == projection(ref, x, y)
+        s_values = [-5.0, 0.0, ref.length, ref.length + 5.0,
+                    *ref._cum[1:-1].tolist()]
+        if got != "out of corridor":
+            s_values.append(float.fromhex(got[0]))
+        for s in s_values:
+            (i, f), (ref_i, ref_f) = path._locate(s), ref._locate(s)
+            assert (i, bits(f)) == (ref_i, bits(ref_f))
+            assert bits(*path.point_at(s)) == bits(*ref.point_at(s))
+            assert bits(path.heading_at(s)) == bits(ref.heading_at(s))
 
 
 def sampling_oracle(a, b, pitch=0.02):
