@@ -19,6 +19,7 @@ Top-level YAML keys mirror the dataclass fields:
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import yaml
@@ -57,6 +58,15 @@ class MarlConfig:
     n_cav_slots: int = 2
     n_ucv_slots: int = 3
     max_lanes: int = 4
+
+    def __post_init__(self):
+        n_adv = self.n_adv
+        is_int = isinstance(n_adv, numbers.Integral) and not isinstance(n_adv, bool)
+        if not (is_int and n_adv >= 0):
+            raise ValueError("n_adv must be an int >= 0")
+        eps = self.epsilon_ball
+        if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0):
+            raise ValueError("epsilon_ball must be finite and >= 0")
 
 
 @dataclass

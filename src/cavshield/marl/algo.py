@@ -123,28 +123,24 @@ def worst_q_loss_grad(q_net, states, actions, targets):
     return loss, q_net.backward(cache, dout)
 
 
-def kl_rows(p, logp, logq):
-    """KL(p || q) per row from precomputed log-probabilities."""
-    return np.sum(p * (logp - logq), axis=-1)
-
-
 def reg_loss(actor, obs, pert_samples, weights):
     """Importance-weighted max policy divergence over the perturbation
     candidates (to minimize); pert_samples has shape (B, K, F)."""
-    val, _, _ = _reg_max_kl(actor, obs, pert_samples)
+    val, _, _, _ = _reg_max_kl(actor, actor.forward(obs), pert_samples)
     return float(np.mean(np.asarray(weights, dtype=float) * val))
 
 
-def _reg_max_kl(actor, obs, pert_samples):
+def _reg_max_kl(actor, logits_p, pert_samples):
+    """Per-row max KL(pi(s) || pi(s')) over the candidates s', given the
+    actor's logits at s."""
     b, k, f = pert_samples.shape
-    logits_p = actor.forward(obs)
     p = softmax(logits_p)
     logp = log_softmax(logits_p)
     logits_q = actor.forward(pert_samples.reshape(b * k, f))
     logq = log_softmax(logits_q).reshape(b, k, -1)
     kls = np.sum(p[:, None, :] * (logp[:, None, :] - logq), axis=-1)
     best = np.argmax(kls, axis=1)
-    return kls[np.arange(b), best], best, (p, logp, logq)
+    return kls[np.arange(b), best], best, p, logp
 
 
 def reg_loss_grad(actor, obs, pert_samples, weights):
@@ -152,14 +148,12 @@ def reg_loss_grad(actor, obs, pert_samples, weights):
     through both KL arguments at the argmax candidate."""
     weights = np.asarray(weights, dtype=float)
     b = len(weights)
-    max_kl, best, (p, logp, logq) = _reg_max_kl(actor, obs, pert_samples)
+    logits_p, cache_p = actor.forward_cache(obs)
+    max_kl, best, p, logp = _reg_max_kl(actor, logits_p, pert_samples)
     loss = float(np.mean(weights * max_kl))
 
     sel = pert_samples[np.arange(b), best]
-    logits_p, cache_p = actor.forward_cache(obs)
     logits_q, cache_q = actor.forward_cache(sel)
-    p = softmax(logits_p)
-    logp = log_softmax(logits_p)
     q = softmax(logits_q)
     logq = log_softmax(logits_q)
     diff = logp - logq

@@ -141,40 +141,41 @@ class Encoder:
         return vecs, masks, central
 
 
-def perturb_features(spec, vec, present, e_pairs):
-    """Apply raw-unit errors (e_l, e_v) per present slot to a feature copy."""
-    out = vec.copy()
-    for slot, (e_l, e_v) in zip(range(spec.n_slots), e_pairs):
-        if not present[slot]:
-            continue
-        i_l, i_v = spec.slot_feature_indices(slot)
-        out[i_l] += e_l / spec.pos_scale
-        out[i_v] += e_v / spec.speed_scale
-    return out
-
-
-def perturbation_samples(spec, vec, present, epsilon, n_random, rng):
+def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     """Candidate perturbed states for the inner KL maximization.
 
+    obs (T, F) and present-slot masks (T, S) give candidates (T, K, F).
     Random draws perturb every present slot within the epsilon 2-norm
     ball; the axis-extreme corners move one perturbable feature by
-    +/- epsilon at a time.  The candidate count is fixed at
-    n_random + 4 * n_slots (absent-slot corners degenerate to copies) so
-    batches stack rectangularly.
+    +/- epsilon at a time.  K is fixed at max(1, n_random + 4 * n_slots)
+    (absent-slot corners degenerate to copies) so batches stack
+    rectangularly.  The uniforms are consumed step, then sample, then
+    slot, then (angle, radius): the order of one scalar draw per value.
     """
-    samples = []
-    for _ in range(n_random):
-        pairs = []
-        for _ in range(spec.n_slots):
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            r = epsilon * math.sqrt(rng.uniform(0.0, 1.0))
-            pairs.append((r * math.cos(ang), r * math.sin(ang)))
-        samples.append(perturb_features(spec, vec, present, pairs))
-    for slot in range(spec.n_slots):
-        for e_l, e_v in ((epsilon, 0.0), (-epsilon, 0.0), (0.0, epsilon), (0.0, -epsilon)):
-            pairs = [(0.0, 0.0)] * spec.n_slots
-            pairs[slot] = (e_l, e_v)
-            samples.append(perturb_features(spec, vec, present, pairs))
-    if not samples:
-        samples.append(vec.copy())
-    return np.stack(samples)
+    obs = np.asarray(obs, dtype=float)
+    masks = np.asarray(masks, dtype=bool)
+    n_slots = spec.n_slots
+    if n_slots == 0:
+        return np.repeat(obs[:, None, :], max(1, n_random), axis=1)
+    n_steps = len(obs)
+    u = rng.random((n_steps, n_random, n_slots, 2))
+    ang = 2.0 * math.pi * u[..., 0]
+    r = epsilon * np.sqrt(u[..., 1])
+    err = np.zeros((n_steps, n_random + 4 * n_slots, n_slots, 2))  # (e_l, e_v)
+    err[:, :n_random, :, 0] = r * np.cos(ang)
+    err[:, :n_random, :, 1] = r * np.sin(ang)
+    corners = np.zeros((n_slots, 4, n_slots, 2))
+    for slot in range(n_slots):
+        corners[slot, :, slot] = (
+            (epsilon, 0.0), (-epsilon, 0.0), (0.0, epsilon), (0.0, -epsilon)
+        )
+    err[:, n_random:] = corners.reshape(4 * n_slots, n_slots, 2)
+
+    # Only present slots move, so absent slots and -0.0 features keep their bits.
+    cols = np.array([spec.slot_feature_indices(s) for s in range(n_slots)]).ravel()
+    scale = np.tile((spec.pos_scale, spec.speed_scale), n_slots)
+    base = obs[:, None, cols]
+    moved = base + err.reshape(n_steps, -1, 2 * n_slots) / scale
+    out = np.repeat(obs[:, None, :], moved.shape[1], axis=1)
+    out[:, :, cols] = np.where(np.repeat(masks, 2, axis=1)[:, None, :], moved, base)
+    return out

@@ -302,14 +302,9 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
         pert = None
         weights = None
         if kappa_reg != 0.0:
-            pert = np.stack(
-                [
-                    perturbation_samples(
-                        policy.encoder.spec, obs[i], masks[i],
-                        marl.epsilon_ball, marl.n_adv, rng,
-                    )
-                    for i in range(T)
-                ]
+            pert = perturbation_samples(
+                policy.encoder.spec, obs, masks, marl.epsilon_ball,
+                marl.n_adv, rng,
             )
             weights = algo.state_importance(agent.value, agent.worst_q, central)
 

@@ -29,7 +29,7 @@ class QpProblem:
             if not math.isfinite(b):
                 raise ValueError("constraint rhs must be finite")
         for lo, hi in self.bounds:
-            if lo > hi:
+            if not lo <= hi:  # also rejects NaN
                 raise ValueError(f"bound lo {lo} exceeds hi {hi}")
 
 

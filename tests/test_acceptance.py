@@ -134,10 +134,7 @@ def test_c2_gradient_correctness():
         actor = make_net([spec.dim, 32, 32, 7], seed=7300 + seed)
         obs = rng.normal(size=(6, spec.dim)) * 0.3
         masks = rng.uniform(size=(6, spec.n_slots)) < 0.7
-        pert = np.stack([
-            perturbation_samples(spec, obs[i], masks[i], 2.0, 4, rng)
-            for i in range(6)
-        ])
+        pert = perturbation_samples(spec, obs, masks, 2.0, 4, rng)
         weights = rng.uniform(0.1, 1.0, size=6)
         _, grad = algo.reg_loss_grad(actor, obs, pert, weights)
         err = fd_rel_error(

@@ -35,6 +35,20 @@ class TestConfig:
         assert cfg.shield.epsilon == 3.0
         assert cfg.marl.lr == 1e-3
 
+    @pytest.mark.parametrize("marl", [
+        {"n_adv": -3}, {"n_adv": 2.5}, {"n_adv": "8"}, {"n_adv": True},
+        {"epsilon_ball": -1.0}, {"epsilon_ball": math.nan},
+        {"epsilon_ball": math.inf}, {"epsilon_ball": "2.0"},
+    ])
+    def test_marl_regularizer_rejected(self, marl):
+        with pytest.raises(ValueError, match=next(iter(marl))):
+            Config.from_dict({"marl": marl})
+
+    def test_marl_regularizer_accepted(self):
+        cfg = Config.from_dict({"marl": {"n_adv": 0, "epsilon_ball": 0.0}})
+        assert (cfg.marl.n_adv, cfg.marl.epsilon_ball) == (0, 0.0)
+        assert Config.from_dict({"marl": {"epsilon_ball": 3}}).marl.epsilon_ball == 3
+
 
 class TestScenario:
     @pytest.mark.parametrize("name", ["highway", "intersection"])

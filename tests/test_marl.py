@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cavshield.marl import algo
-from cavshield.marl.encode import Encoder, EncoderSpec, perturb_features, perturbation_samples
+from cavshield.marl.encode import Encoder, EncoderSpec, perturbation_samples
 from cavshield.marl.nets import MLP, Adam, log_softmax, softmax
 from cavshield.world import AgentView, Observation
 
@@ -278,12 +278,7 @@ class TestRegLoss:
         actor = make_net([spec.dim, 32, 32, 7], seed=seed)
         obs = rng.normal(size=(6, spec.dim)) * 0.3
         masks = rng.uniform(size=(6, spec.n_slots)) < 0.7
-        pert = np.stack(
-            [
-                perturbation_samples(spec, obs[i], masks[i], epsilon, 4, rng)
-                for i in range(6)
-            ]
-        )
+        pert = perturbation_samples(spec, obs, masks, epsilon, 4, rng)
         weights = rng.uniform(0.1, 1.0, size=6)
         return actor, obs, pert, weights
 
@@ -317,10 +312,7 @@ class TestRegLoss:
         rng = np.random.default_rng(84)
         obs = rng.normal(size=(4, spec.dim))
         masks = np.ones((4, spec.n_slots), dtype=bool)
-        pert = np.stack(
-            [perturbation_samples(spec, obs[i], masks[i], 5.0, 6, rng)
-             for i in range(4)]
-        )
+        pert = perturbation_samples(spec, obs, masks, 5.0, 6, rng)
         loss = algo.reg_loss(actor, obs, pert, np.ones(4))
         assert loss == pytest.approx(0.0, abs=1e-15)
         del flat
@@ -416,36 +408,118 @@ class TestEncoder:
         base = spec.ego_dim
         assert vec[base] == pytest.approx(20.0 / spec.pos_scale)
 
-    def test_perturb_features_moves_exactly_two_entries(self):
+    def corner_rows(self, spec, vec, present, epsilon=2.0):
+        """The 4 * n_slots corner candidates (no random draws)."""
+        return perturbation_samples(
+            spec, vec[None, :], present[None, :], epsilon, 0,
+            np.random.default_rng(0),
+        )[0]
+
+    def test_present_slot_moves_exactly_two_entries(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
         vec, present = enc.encode_view(self.make_view())
-        pairs = [(0.0, 0.0)] * spec.n_slots
-        pairs[0] = (2.0, 1.0)
-        out = perturb_features(spec, vec, present, pairs)
-        diff = np.nonzero(out != vec)[0]
+        rows = self.corner_rows(spec, vec, present)
         i_l, i_v = spec.slot_feature_indices(0)
-        assert sorted(diff.tolist()) == sorted([i_l, i_v])
-        assert out[i_l] - vec[i_l] == pytest.approx(2.0 / spec.pos_scale)
-        assert out[i_v] - vec[i_v] == pytest.approx(1.0 / spec.speed_scale)
+        moved = set()
+        for row, (e_l, e_v) in zip(rows[:4], [(2.0, 0.0), (-2.0, 0.0),
+                                              (0.0, 2.0), (0.0, -2.0)]):
+            moved.update(np.nonzero(row != vec)[0].tolist())
+            assert row[i_l] - vec[i_l] == pytest.approx(e_l / spec.pos_scale)
+            assert row[i_v] - vec[i_v] == pytest.approx(e_v / spec.speed_scale)
+        assert moved == {i_l, i_v}
+        # Random draws move both features of every present slot, inside
+        # the epsilon ball in raw units, and nothing else.
+        pert = perturbation_samples(
+            spec, vec[None, :], present[None, :], 2.0, 8,
+            np.random.default_rng(1),
+        )[0]
+        cols = [spec.slot_feature_indices(s) for s in range(spec.n_slots)]
+        perturbable = {i for s in range(spec.n_slots) if present[s] for i in cols[s]}
+        for row in pert[:8]:
+            assert set(np.nonzero(row != vec)[0].tolist()) == perturbable
+            for s in np.nonzero(present)[0]:
+                e_l = (row[cols[s][0]] - vec[cols[s][0]]) * spec.pos_scale
+                e_v = (row[cols[s][1]] - vec[cols[s][1]]) * spec.speed_scale
+                assert math.hypot(e_l, e_v) <= 2.0 + 1e-9
 
     def test_absent_slot_not_perturbed(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
         vec, present = enc.encode_view(self.make_view())
-        pairs = [(0.0, 0.0)] * spec.n_slots
-        pairs[4] = (3.0, 3.0)  # absent UCV slot
-        out = perturb_features(spec, vec, present, pairs)
-        assert np.array_equal(out, vec)
+        pert = perturbation_samples(
+            spec, vec[None, :], present[None, :], 3.0, 8,
+            np.random.default_rng(2),
+        )[0]
+        for slot in (3, 4):  # absent UCV slots
+            assert not present[slot]
+            cols = list(spec.slot_feature_indices(slot))
+            assert np.array_equal(pert[:, cols], np.broadcast_to(vec[cols], (len(pert), 2)))
+            corners = pert[8 + 4 * slot : 8 + 4 * slot + 4]
+            assert np.array_equal(corners, np.broadcast_to(vec, corners.shape))
 
     def test_sensitivity_to_perturbed_feature(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
         vec, present = enc.encode_view(self.make_view())
         actor = make_net([spec.dim, 32, 32, 7], seed=90)
-        pairs = [(0.0, 0.0)] * spec.n_slots
-        pairs[2] = (2.0, 1.0)  # the present UCV slot
-        out = perturb_features(spec, vec, present, pairs)
+        out = self.corner_rows(spec, vec, present)[4 * 2]  # the present UCV slot
         d1 = softmax(actor.forward(vec))
         d2 = softmax(actor.forward(out))
         assert not np.allclose(d1, d2)
+
+
+def reference_perturbation_samples(spec, vec, present, epsilon, n_random, rng):
+    """One observation at a time, one scalar draw per value: the sampler
+    before batching, kept as the bit-exact reference."""
+
+    def perturb(pairs):
+        out = vec.copy()
+        for slot, (e_l, e_v) in zip(range(spec.n_slots), pairs):
+            if not present[slot]:
+                continue
+            i_l, i_v = spec.slot_feature_indices(slot)
+            out[i_l] += e_l / spec.pos_scale
+            out[i_v] += e_v / spec.speed_scale
+        return out
+
+    samples = []
+    for _ in range(n_random):
+        pairs = []
+        for _ in range(spec.n_slots):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            r = epsilon * math.sqrt(rng.uniform(0.0, 1.0))
+            pairs.append((r * math.cos(ang), r * math.sin(ang)))
+        samples.append(perturb(pairs))
+    for slot in range(spec.n_slots):
+        for e_l, e_v in ((epsilon, 0.0), (-epsilon, 0.0), (0.0, epsilon), (0.0, -epsilon)):
+            pairs = [(0.0, 0.0)] * spec.n_slots
+            pairs[slot] = (e_l, e_v)
+            samples.append(perturb(pairs))
+    if not samples:
+        samples.append(vec.copy())
+    return np.stack(samples)
+
+
+class TestPerturbationSamples:
+    @pytest.mark.parametrize("n_random", [0, 1, 8])
+    @pytest.mark.parametrize("epsilon", [0.0, 2.0])
+    @pytest.mark.parametrize("slots", [(2, 3), (1, 0), (0, 0)])
+    def test_bit_identical_to_per_row_reference(self, n_random, epsilon, slots):
+        spec = EncoderSpec(n_cav_slots=slots[0], n_ucv_slots=slots[1])
+        data = np.random.default_rng(11)
+        obs = data.normal(size=(12, spec.dim))
+        masks = data.uniform(size=(12, spec.n_slots)) < 0.7
+        masks[:2] = True  # every slot present
+        masks[2:4] = False  # every slot absent
+        obs[[0, 2]] = -0.0  # the sign of zero must survive both cases
+        rng_ref = np.random.default_rng(12)
+        rng = np.random.default_rng(12)
+        ref = np.stack([
+            reference_perturbation_samples(spec, obs[i], masks[i], epsilon, n_random, rng_ref)
+            for i in range(len(obs))
+        ])
+        got = perturbation_samples(spec, obs, masks, epsilon, n_random, rng)
+        assert got.shape == ref.shape == (12, max(1, n_random + 4 * spec.n_slots), spec.dim)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state

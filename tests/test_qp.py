@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cavshield.qp import QpProblem, solve
+from cavshield.qp import QpProblem, load_problem, solve
 
 WIDE = ((-100.0, 100.0), (-100.0, 100.0))
 
@@ -188,10 +188,25 @@ class TestAnalyticCases:
             ((0.0, 0.0), [((1.0, 0.0), np.nan)], WIDE, "constraint rhs"),
             ((0.0, 0.0), [], ((1.0, -1.0), (0.0, 1.0)),
              "bound lo 1.0 exceeds hi -1.0"),
+            # NaN compares False both ways; it must not pass as a bound.
+            ((0.0, 0.0), [((1.0, 0.0), 0.5)], ((math.nan, 1.0), (0.0, 1.0)),
+             "bound lo nan exceeds hi 1.0"),
+            ((0.0, 0.0), [], ((-1.0, 1.0), (0.0, math.nan)),
+             "bound lo 0.0 exceeds hi nan"),
         ]
         for u0, constraints, bounds, message in cases:
             with pytest.raises(ValueError, match=message):
                 solve(QpProblem(u0=u0, constraints=constraints, bounds=bounds))
+        text = (
+            '{"u0": [0.0, 0.0], "constraints": [{"a": [1.0, 0.0], "b": 0.5}],'
+            ' "bounds": [[NaN, 1.0], [0.0, 1.0]]}'
+        )
+        with pytest.raises(ValueError, match="bound lo nan"):
+            solve(load_problem(text))
+        # Infinite bounds are still a valid box.
+        inf_box = ((-math.inf, math.inf), (-math.inf, 0.0))
+        res = solve(QpProblem(u0=(1.0, 2.0), constraints=[], bounds=inf_box))
+        assert res.feasible and res.u.tolist() == [1.0, 0.0]
 
 
 class TestOracles:
