@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    cavshield train  --scenario {highway|intersection} --algo {srmappo|mappo}
+    cavshield train  --scenario NAME --algo {srmappo|mappo}
                      --shield {robust|plain|off} --seed N [--config FILE]
                      [--episodes N] [--quick] --out DIR
     cavshield eval   --checkpoint FILE --ptb {none|rand|time|veh}
@@ -9,6 +9,9 @@
     cavshield table  REPORT.json [REPORT.json ...] [--csv FILE]
     cavshield qp-debug [--problem FILE | --demo]
     cavshield --version
+
+NAME is a scenario shipped under cavshield/harness/data (`train -h` lists
+them).
 """
 
 import argparse
@@ -17,6 +20,7 @@ import os
 import sys
 
 from .config import Config
+from .scenario import scenario_names
 
 
 def _load_config(path):
@@ -136,7 +140,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command")
 
     t = sub.add_parser("train", help="train policies on a scenario")
-    t.add_argument("--scenario", choices=["highway", "intersection"], required=True)
+    t.add_argument("--scenario", choices=scenario_names(), required=True)
     t.add_argument("--algo", choices=["srmappo", "mappo"], default="srmappo")
     t.add_argument("--shield", choices=["robust", "plain", "off"], default="robust")
     t.add_argument("--seed", type=int, default=0)

@@ -3,7 +3,8 @@ the YAML config file.
 
 Top-level YAML keys mirror the dataclass fields:
 
-    world:    comm_range, lane_width, vehicle_length, vehicle_width
+    world:    comm_range (lane geometry and vehicle sizes are scenario
+              data: see harness/scenario.py)
     dynamics: dt, accel_min, accel_max, steer_min, steer_max, k_lat,
               k_head, lookahead, brake_value, wheelbase_frac
     shield:   c1, c2, c3, gamma_cbf, epsilon, lipschitz_sum (null = audit
@@ -31,9 +32,6 @@ from ..shield import ShieldConfig
 @dataclass
 class WorldConfig:
     comm_range: float = 200.0
-    lane_width: float = 3.5
-    vehicle_length: float = 4.5
-    vehicle_width: float = 2.0
 
 
 @dataclass

@@ -1,22 +1,52 @@
-"""Scenario definitions: Highway and Intersection builders plus a YAML
-geometry file interface.
+"""Scenarios: the YAML files under ``harness/data/`` define them.
 
-Geometry file keys: name, episode_len, mode, lane_width, lanes (id,
-waypoints, signal), adjacency (lane -> {left, right}), spawns (id, lane,
-s, speed range, connected), behaviors (per UCV: kind, brake_window,
-brake_speed), destinations (id -> [x, y]).
+Each shipped file ``data/<name>.yaml`` is the scenario ``<name>``;
+scenario_names() lists them. Keys of a file:
+
+    vehicle_length, vehicle_width   footprint of every vehicle [m]
+    lanes         list of {id, waypoints: [[x, y], ...], signal (optional)};
+                  the order is the order in which lane lookups break ties
+    adjacency     lane id -> {left, right}: neighbour lane id or null
+                  (optional; a lane without an entry has no neighbours)
+    spawns        list of {id, lane, s, speed: [lo, hi], connected}; CAVs
+                  (connected: true) are the agents, in this order
+    behaviors     UCV id -> {kind, brake_window, brake_speed} (optional);
+                  kind is "constant" (hold the spawn speed, the default) or
+                  "sudden_brake" (at a step drawn from brake_window, switch
+                  to a reference speed drawn from brake_speed)
+    destinations  vehicle id -> [x, y], one for every vehicle
+    test          optional {spawns, behaviors} applied in test mode only:
+                  each test spawn names an existing vehicle id and replaces
+                  the keys it gives, and each test behavior is merged key by
+                  key over that vehicle's behavior
+
+A key left out of a spawn or behavior entry takes its default from
+SpawnSpec or UcvBehavior; a field without a default is required. The
+episode length comes from ``cfg.harness.episode_len`` and the mode from the
+caller. A file is rejected with ValueError, naming the key or id, if it has
+an unknown key at any level, a spawn, adjacency or override lane that is
+not in ``lanes``, a vehicle without a destination (or a destination for an
+unknown vehicle), a duplicate lane or vehicle id, an unknown behavior
+kind, a behavior for a vehicle that is not a UCV, or an override for an
+unknown vehicle. Both modes are checked whichever one is built.
 """
 
+import dataclasses
+import functools
+import importlib.resources
 from dataclasses import dataclass, field
 from typing import Optional
 
 import yaml
 
 from ..world import Path, RoadMap, VehicleState, World
+from .config import Config
 
 BEHAVIOR_CONSTANT = "constant"
 BEHAVIOR_SUDDEN_BRAKE = "sudden_brake"
-BEHAVIOR_CROSSING = "crossing"
+MODES = ("train", "test")
+
+_DATA = importlib.resources.files(__package__) / "data"
 
 
 @dataclass
@@ -41,12 +71,12 @@ class ScenarioSpec:
     road: RoadMap
     cav_spawns: list
     ucv_spawns: list
-    behaviors: dict  # ucv id -> UcvBehavior
+    behaviors: dict  # ucv id -> UcvBehavior; absent means constant speed
     destinations: dict  # vehicle id -> (x, y)
-    episode_len: int = 200
-    mode: str = "train"
-    vehicle_length: float = 4.5
-    vehicle_width: float = 2.0
+    episode_len: int
+    mode: str
+    vehicle_length: float
+    vehicle_width: float
 
     @property
     def agent_ids(self):
@@ -107,201 +137,158 @@ def materialize(spec, rng, dt=0.05):
     return EpisodeSetup(world=world, plans=plans)
 
 
-def _straight(p0, p1):
-    return [list(p0), list(p1)]
-
-
-def build_highway(mode="train", cfg=None):
-    """Three straight lanes; three CAVs spawned behind three UCVs.
-
-    In test mode the middle UCV mimics a broken-down vehicle by suddenly
-    braking to a low random speed.
-    """
-    from .config import Config
-
-    cfg = cfg or Config()
-    w = cfg.world.lane_width
-    lanes = {}
-    adjacency = {}
-    names = ["hwy0", "hwy1", "hwy2"]
-    for i, name in enumerate(names):
-        lanes[name] = Path(_straight((-50.0, i * w), (600.0, i * w)),
-                           lane_id=name, signal="green")
-    adjacency["hwy0"] = {"left": "hwy1", "right": None}
-    adjacency["hwy1"] = {"left": "hwy2", "right": "hwy0"}
-    adjacency["hwy2"] = {"left": None, "right": "hwy1"}
-    road = RoadMap(lanes, adjacency, lane_width=w)
-
-    cav_spawns = [
-        SpawnSpec(f"cav{i}", names[i], 60.0, (8.0, 10.0), True) for i in range(3)
-    ]
-    ucv_spawns = [
-        SpawnSpec(f"ucv{i}", names[i], 100.0, (8.0, 10.0), False) for i in range(3)
-    ]
-    behaviors = {s.vehicle_id: UcvBehavior(BEHAVIOR_CONSTANT) for s in ucv_spawns}
-    if mode == "test":
-        behaviors["ucv1"] = UcvBehavior(
-            BEHAVIOR_SUDDEN_BRAKE, brake_window=(40, 80), brake_speed=(3.0, 4.0)
-        )
-    destinations = {}
-    for spawn in cav_spawns + ucv_spawns:
-        path = road.path(spawn.lane)
-        destinations[spawn.vehicle_id] = tuple(path.point_at(460.0))
-    return ScenarioSpec(
-        name="highway", road=road, cav_spawns=cav_spawns, ucv_spawns=ucv_spawns,
-        behaviors=behaviors, destinations=destinations,
-        episode_len=cfg.harness.episode_len, mode=mode,
-        vehicle_length=cfg.world.vehicle_length,
-        vehicle_width=cfg.world.vehicle_width,
-    )
-
-
-def build_intersection(mode="train", cfg=None):
-    """Two perpendicular 2-lane roads; three CAVs pass on green while two
-    UCVs cross against the red from both sides."""
-    from .config import Config
-
-    cfg = cfg or Config()
-    w = cfg.world.lane_width
-    lanes = {
-        # Eastbound CAV road (green).
-        "ew0": Path(_straight((-120.0, 0.0), (250.0, 0.0)), "ew0", signal="green"),
-        "ew1": Path(_straight((-120.0, w), (250.0, w)), "ew1", signal="green"),
-        # Crossing road (red): one lane southbound, one northbound.
-        "ns0": Path(_straight((w, 150.0), (w, -150.0)), "ns0", signal="red"),
-        "ns1": Path(_straight((2.0 * w, -150.0), (2.0 * w, 150.0)), "ns1", signal="red"),
-    }
-    adjacency = {
-        "ew0": {"left": "ew1", "right": None},
-        "ew1": {"left": None, "right": "ew0"},
-        "ns0": {"left": None, "right": None},
-        "ns1": {"left": None, "right": None},
-    }
-    road = RoadMap(lanes, adjacency, lane_width=w)
-
-    cav_spawns = [
-        SpawnSpec("cav0", "ew0", 55.0, (8.0, 10.0), True),
-        SpawnSpec("cav1", "ew1", 45.0, (8.0, 10.0), True),
-        SpawnSpec("cav2", "ew0", 30.0, (8.0, 10.0), True),
-    ]
-    cross_speed = (9.0, 11.0) if mode == "train" else (7.5, 12.5)
-    ucv_spawns = [
-        SpawnSpec("ucv0", "ns0", 95.0, cross_speed, False),
-        SpawnSpec("ucv1", "ns1", 105.0, cross_speed, False),
-    ]
-    behaviors = {s.vehicle_id: UcvBehavior(BEHAVIOR_CROSSING) for s in ucv_spawns}
-    destinations = {
-        "cav0": tuple(road.path("ew0").point_at(320.0)),
-        "cav1": tuple(road.path("ew1").point_at(320.0)),
-        "cav2": tuple(road.path("ew0").point_at(320.0)),
-        "ucv0": tuple(road.path("ns0").point_at(290.0)),
-        "ucv1": tuple(road.path("ns1").point_at(290.0)),
-    }
-    return ScenarioSpec(
-        name="intersection", road=road, cav_spawns=cav_spawns,
-        ucv_spawns=ucv_spawns, behaviors=behaviors, destinations=destinations,
-        episode_len=cfg.harness.episode_len, mode=mode,
-        vehicle_length=cfg.world.vehicle_length,
-        vehicle_width=cfg.world.vehicle_width,
-    )
-
-
-_BUILDERS = {"highway": build_highway, "intersection": build_intersection}
+@functools.cache
+def scenario_names():
+    """Names of the shipped scenarios, sorted."""
+    return tuple(sorted(
+        entry.name.removesuffix(".yaml")
+        for entry in _DATA.iterdir() if entry.name.endswith(".yaml")
+    ))
 
 
 def build_scenario(name, mode="train", cfg=None):
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}") from None
-    return builder(mode=mode, cfg=cfg)
+    """The shipped scenario `name` (one of scenario_names()) in `mode`."""
+    if name not in scenario_names():
+        raise ValueError(f"unknown scenario {name!r}; one of {scenario_names()}")
+    return _spec(name, _document(name), mode, cfg)
 
 
-def dump_scenario(spec):
-    """Serialize a scenario to the YAML geometry format."""
-    doc = {
-        "name": spec.name,
-        "episode_len": spec.episode_len,
-        "mode": spec.mode,
-        "lane_width": spec.road.lane_width,
-        "vehicle_length": spec.vehicle_length,
-        "vehicle_width": spec.vehicle_width,
-        "lanes": [
-            {
-                "id": lane_id,
-                "waypoints": [[float(x), float(y)] for x, y in path.waypoints],
-                "signal": path.signal,
-            }
-            for lane_id, path in sorted(spec.road.lanes.items())
-        ],
-        "adjacency": {
-            lane: {k: v for k, v in sides.items()}
-            for lane, sides in sorted(spec.road.adjacency.items())
-        },
-        "spawns": [
-            {
-                "id": s.vehicle_id,
-                "lane": s.lane,
-                "s": s.s,
-                "speed": list(s.speed),
-                "connected": s.connected,
-            }
-            for s in spec.cav_spawns + spec.ucv_spawns
-        ],
-        "behaviors": {
-            vid: {
-                "kind": b.kind,
-                "brake_window": list(b.brake_window),
-                "brake_speed": list(b.brake_speed),
-            }
-            for vid, b in sorted(spec.behaviors.items())
-        },
-        "destinations": {
-            vid: [float(x), float(y)]
-            for vid, (x, y) in sorted(spec.destinations.items())
-        },
-    }
-    return yaml.safe_dump(doc, sort_keys=True)
+def load_scenario(text, name, mode="train", cfg=None):
+    """A scenario from YAML text in the file format above."""
+    return _spec(name, yaml.safe_load(text), mode, cfg)
 
 
-def load_scenario(text_or_path):
-    """Parse the YAML geometry format (path or literal text)."""
-    text = text_or_path
-    if "\n" not in str(text_or_path):
-        with open(text_or_path) as fh:
-            text = fh.read()
-    doc = yaml.safe_load(text)
-    lanes = {
-        entry["id"]: Path(entry["waypoints"], lane_id=entry["id"],
-                          signal=entry.get("signal"))
-        for entry in doc["lanes"]
-    }
-    road = RoadMap(lanes, doc.get("adjacency", {}),
-                   lane_width=doc.get("lane_width", 3.5))
-    cav_spawns = []
-    ucv_spawns = []
-    for entry in doc["spawns"]:
-        spawn = SpawnSpec(
-            vehicle_id=entry["id"], lane=entry["lane"], s=float(entry["s"]),
-            speed=tuple(entry["speed"]), connected=bool(entry["connected"]),
-        )
-        (cav_spawns if spawn.connected else ucv_spawns).append(spawn)
-    behaviors = {
-        vid: UcvBehavior(
-            kind=b.get("kind", BEHAVIOR_CONSTANT),
-            brake_window=tuple(b.get("brake_window", (40, 80))),
-            brake_speed=tuple(b.get("brake_speed", (3.0, 4.0))),
-        )
-        for vid, b in (doc.get("behaviors") or {}).items()
-    }
-    destinations = {
-        vid: tuple(xy) for vid, xy in (doc.get("destinations") or {}).items()
-    }
-    return ScenarioSpec(
-        name=doc["name"], road=road, cav_spawns=cav_spawns,
-        ucv_spawns=ucv_spawns, behaviors=behaviors, destinations=destinations,
-        episode_len=int(doc.get("episode_len", 200)),
-        mode=doc.get("mode", "train"),
-        vehicle_length=float(doc.get("vehicle_length", 4.5)),
-        vehicle_width=float(doc.get("vehicle_width", 2.0)),
+@functools.cache
+def _document(name):
+    # Parsing takes about 10 ms against well under 1 ms to build a spec from
+    # the document, so each file is parsed once per process; _spec never
+    # mutates the document.
+    return yaml.safe_load((_DATA / f"{name}.yaml").read_text())
+
+
+def _spec(name, doc, mode, cfg):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    where = f"scenario {name!r}"
+    _check_keys(
+        doc, ("vehicle_length", "vehicle_width", "lanes", "adjacency",
+              "spawns", "behaviors", "destinations", "test"),
+        where, required=("vehicle_length", "vehicle_width", "lanes", "spawns",
+                         "destinations"),
     )
+    road = _road(doc["lanes"], doc.get("adjacency") or {}, where)
+    spawns = _by_id(doc["spawns"], f"{where} spawns")
+    behaviors = doc.get("behaviors") or {}
+    test = doc.get("test") or {}
+    _check_keys(test, ("spawns", "behaviors"), f"{where} test")
+    variants = {
+        "train": (spawns, behaviors),
+        "test": (
+            _merge(spawns, _by_id(test.get("spawns") or [], f"{where} test spawns"),
+                   spawns, f"{where} test spawns"),
+            _merge(behaviors, test.get("behaviors") or {}, spawns,
+                   f"{where} test behaviors"),
+        ),
+    }
+    # Both modes are built so that a bad entry fails whichever mode is asked.
+    built = {
+        m: _vehicles(m_spawns, m_behaviors, road, f"{where} ({m})")
+        for m, (m_spawns, m_behaviors) in variants.items()
+    }
+    cav_spawns, ucv_spawns, behaviors = built[mode]
+    destinations = doc["destinations"]
+    _check_keys(destinations, spawns, f"{where} destinations",
+                required=spawns, what="vehicle")
+    cfg = cfg or Config()
+    return ScenarioSpec(
+        name=name, road=road, cav_spawns=cav_spawns, ucv_spawns=ucv_spawns,
+        behaviors=behaviors,
+        destinations={vid: tuple(xy) for vid, xy in destinations.items()},
+        episode_len=cfg.harness.episode_len, mode=mode,
+        vehicle_length=doc["vehicle_length"],
+        vehicle_width=doc["vehicle_width"],
+    )
+
+
+def _check_keys(entry, allowed, where, required=(), what="key"):
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected a mapping, got {entry!r}")
+    for key in entry:
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown {what} {key!r}")
+    for key in required:
+        if key not in entry:
+            raise ValueError(f"{where}: missing {what} {key!r}")
+
+
+def _by_id(entries, where):
+    """id -> entry of a list of mappings that each carry a unique `id`."""
+    out = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ValueError(f"{where}: entry without an id: {entry!r}")
+        if entry["id"] in out:
+            raise ValueError(f"{where}: duplicate id {entry['id']!r}")
+        out[entry["id"]] = entry
+    return out
+
+
+def _merge(base, overrides, vehicle_ids, where):
+    """base with each override merged key by key over its vehicle's entry."""
+    _check_keys(overrides, vehicle_ids, where, what="vehicle")
+    merged = dict(base)
+    for vid, entry in overrides.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected a mapping for {vid!r}")
+        merged[vid] = {**base.get(vid, {}), **entry}
+    return merged
+
+
+def _road(lane_entries, adjacency, where):
+    lanes = {}
+    for lane_id, entry in _by_id(lane_entries, f"{where} lanes").items():
+        _check_keys(entry, ("id", "waypoints", "signal"),
+                    f"{where} lane {lane_id!r}", required=("waypoints",))
+        lanes[lane_id] = Path(entry["waypoints"], lane_id=lane_id,
+                              signal=entry.get("signal"))
+    _check_keys(adjacency, lanes, f"{where} adjacency", what="lane")
+    for lane_id, sides in adjacency.items():
+        _check_keys(sides, ("left", "right"), f"{where} adjacency {lane_id!r}")
+        _check_lanes(sides.values(), lanes, f"{where} adjacency {lane_id!r}")
+    return RoadMap(lanes, {lane: dict(sides) for lane, sides in adjacency.items()})
+
+
+def _check_lanes(lane_ids, lanes, where):
+    for lane_id in lane_ids:
+        if lane_id is not None and lane_id not in lanes:
+            raise ValueError(f"{where}: unknown lane {lane_id!r}")
+
+
+def _record(cls, entry, where, **given):
+    """cls(**given, **entry): the entry's keys are cls's other fields, a
+    field without a dataclass default is required, and lists become tuples."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_keys(entry, [f.name for f in fields], where, required=[
+        f.name for f in fields if f.default is dataclasses.MISSING
+    ])
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()}
+    return cls(**given, **values)
+
+
+def _vehicles(spawns, behaviors, road, where):
+    """(CAV spawns, UCV spawns, behaviors) of one mode's merged entries."""
+    cav_spawns, ucv_spawns = [], []
+    for vid, entry in spawns.items():
+        fields = {k: v for k, v in entry.items() if k != "id"}
+        spawn = _record(SpawnSpec, fields, f"{where} spawn {vid!r}", vehicle_id=vid)
+        _check_lanes([spawn.lane], road.lanes, f"{where} spawn {vid!r}")
+        (cav_spawns if spawn.connected else ucv_spawns).append(spawn)
+    _check_keys(behaviors, {s.vehicle_id for s in ucv_spawns},
+                f"{where} behaviors", what="UCV")
+    out = {}
+    for vid, entry in behaviors.items():
+        beh = _record(UcvBehavior, entry, f"{where} behavior {vid!r}")
+        if beh.kind not in (BEHAVIOR_CONSTANT, BEHAVIOR_SUDDEN_BRAKE):
+            raise ValueError(f"{where} behavior {vid!r}: unknown kind {beh.kind!r}")
+        out[vid] = beh
+    return cav_spawns, ucv_spawns, out

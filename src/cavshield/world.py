@@ -216,10 +216,9 @@ class JointState:
 class RoadMap:
     """Lane centerlines plus left/right adjacency."""
 
-    def __init__(self, lanes, adjacency=None, lane_width=3.5):
+    def __init__(self, lanes, adjacency=None):
         self.lanes = dict(lanes)
         self.adjacency = adjacency or {}
-        self.lane_width = lane_width
 
     def path(self, lane_id):
         return self.lanes[lane_id]

@@ -224,7 +224,7 @@ def test_c4_robust_forward_invariance():
 def _crossing_world(rng):
     """Ego on a straight lane plus one crossing UCV with a conflict ahead."""
     path = Path([[-50.0, 0.0], [400.0, 0.0]], lane_id="ego-lane")
-    road = RoadMap({"ego-lane": path}, {"ego-lane": {}}, lane_width=3.5)
+    road = RoadMap({"ego-lane": path}, {"ego-lane": {}})
     ego_x = 0.0
     s_conflict = float(rng.uniform(12.0, 55.0))
     d_t = float(rng.uniform(0.5, s_conflict - 6.0))

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from cavshield.harness import episode as ep
 from cavshield.harness import evaluate as ev
@@ -51,40 +52,100 @@ class TestConfig:
 
 
 class TestScenario:
+    @pytest.mark.parametrize("name", scen.scenario_names())
+    @pytest.mark.parametrize("mode", scen.MODES)
+    def test_every_shipped_scenario_builds(self, name, mode):
+        cfg = Config.from_dict({"harness": {"episode_len": 37}})
+        spec = scen.build_scenario(name, mode=mode, cfg=cfg)
+        assert (spec.name, spec.mode, spec.episode_len) == (name, mode, 37)
+        vehicles = spec.agent_ids + spec.ucv_ids
+        assert len(set(vehicles)) == len(vehicles)
+        assert set(spec.destinations) == set(vehicles)
+        for spawn in spec.cav_spawns + spec.ucv_spawns:
+            assert spawn.lane in spec.road.lanes
+        setup = scen.materialize(spec, np.random.default_rng(0))
+        assert set(setup.plans) == set(spec.ucv_ids)
+
     @pytest.mark.parametrize("name", ["highway", "intersection"])
     @pytest.mark.parametrize("mode", ["train", "test"])
     def test_yaml_roundtrip(self, name, mode):
-        spec = scen.build_scenario(name, mode=mode, cfg=CFG)
-        text = scen.dump_scenario(spec)
-        back = scen.load_scenario(text)
-        assert back.name == spec.name
-        assert back.mode == spec.mode
-        assert back.agent_ids == spec.agent_ids
-        assert back.destinations == spec.destinations
-        assert set(back.road.lanes) == set(spec.road.lanes)
-        for lane_id in spec.road.lanes:
-            assert np.array_equal(
-                back.road.path(lane_id).waypoints,
-                spec.road.path(lane_id).waypoints,
-            )
-        assert back.road.adjacency == spec.road.adjacency
-        for vid, b in spec.behaviors.items():
-            assert back.behaviors[vid] == b
+        # A shipped document dumped to YAML text and loaded back builds the
+        # same scenario as the cached parse of the file.
+        def fields(spec):
+            lanes = [(lid, p.waypoints.tolist(), p.signal)
+                     for lid, p in spec.road.lanes.items()]
+            return (spec.name, spec.mode, spec.episode_len, lanes,
+                    spec.road.adjacency, spec.cav_spawns, spec.ucv_spawns,
+                    spec.behaviors, spec.destinations, spec.vehicle_length,
+                    spec.vehicle_width)
 
-    def test_file_roundtrip(self, tmp_path):
-        spec = scen.build_scenario("highway", cfg=CFG)
-        path = tmp_path / "highway.yaml"
-        path.write_text(scen.dump_scenario(spec))
-        back = scen.load_scenario(str(path))
-        assert back.name == "highway"
+        text = yaml.safe_dump(scen._document(name))
+        back = scen.load_scenario(text, name, mode=mode, cfg=CFG)
+        assert fields(back) == fields(scen.build_scenario(name, mode=mode, cfg=CFG))
+
+    def test_shipped_names(self):
+        assert scen.scenario_names() == ("highway", "intersection")
+        with pytest.raises(ValueError, match="bogus"):
+            scen.build_scenario("bogus")
+        with pytest.raises(ValueError, match="eval"):
+            scen.build_scenario("highway", mode="eval")
+
+    def test_fresh_spec_and_untouched_document(self):
+        import importlib.resources as res
+
+        spec = scen.build_scenario("highway", mode="test", cfg=CFG)
+        spec.episode_len = 3
+        spec.behaviors.clear()
+        spec.road.adjacency["hwy0"]["left"] = None
+        again = scen.build_scenario("highway", mode="test", cfg=CFG)
+        assert again.episode_len == CFG.harness.episode_len
+        assert again.behaviors["ucv1"].kind == scen.BEHAVIOR_SUDDEN_BRAKE
+        assert again.road.adjacent("hwy0", "left") == "hwy1"
+        data = res.files("cavshield.harness") / "data"
+        for name in scen.scenario_names():
+            text = (data / f"{name}.yaml").read_text()
+            assert scen._document(name) == yaml.safe_load(text)
+
+    def test_one_line_text_is_text(self):
+        text = (
+            "{vehicle_length: 4.5, vehicle_width: 2.0, lanes: [{id: l, "
+            "waypoints: [[0.0, 0.0], [100.0, 0.0]]}], spawns: [{id: c, lane: l, "
+            "s: 5.0, speed: [1.0, 2.0], connected: true}], "
+            "destinations: {c: [90.0, 0.0]}}"
+        )
+        spec = scen.load_scenario(text, "line")
+        assert spec.agent_ids == ["c"] and spec.ucv_ids == []
+
+    def test_behavior_defaults_come_from_the_dataclass(self):
+        doc = valid_doc()
+        doc["behaviors"] = {"ucv0": {"kind": scen.BEHAVIOR_SUDDEN_BRAKE}}
+        spec = scen.load_scenario(yaml.safe_dump(doc), "case")
+        assert spec.behaviors["ucv0"] == scen.UcvBehavior(scen.BEHAVIOR_SUDDEN_BRAKE)
+
+    def test_test_block_merges_by_vehicle_id(self):
+        doc = valid_doc()
+        doc["behaviors"] = {"ucv0": {"kind": scen.BEHAVIOR_SUDDEN_BRAKE,
+                                     "brake_speed": [1.0, 2.0]}}
+        doc["test"] = {"spawns": [{"id": "ucv0", "speed": [3.0, 4.0]}],
+                       "behaviors": {"ucv0": {"brake_window": [5, 6]}}}
+        train = scen.load_scenario(yaml.safe_dump(doc), "case", mode="train")
+        test = scen.load_scenario(yaml.safe_dump(doc), "case", mode="test")
+        assert train.ucv_spawns[0].speed == (8.0, 10.0)
+        assert test.ucv_spawns[0].speed == (3.0, 4.0)
+        assert test.ucv_spawns[0].s == train.ucv_spawns[0].s
+        assert train.behaviors["ucv0"].brake_window == (40, 80)
+        assert test.behaviors["ucv0"] == scen.UcvBehavior(
+            scen.BEHAVIOR_SUDDEN_BRAKE, (5, 6), (1.0, 2.0)
+        )
 
     def test_highway_speed_bands(self):
         spec = scen.build_scenario("highway", mode="test", cfg=CFG)
         beh = spec.behaviors["ucv1"]
         assert beh.kind == scen.BEHAVIOR_SUDDEN_BRAKE
+        assert beh.brake_window == (40, 80)
         assert beh.brake_speed == (3.0, 4.0)
         train = scen.build_scenario("highway", mode="train", cfg=CFG)
-        assert train.behaviors["ucv1"].kind == scen.BEHAVIOR_CONSTANT
+        assert train.behaviors == {}
         for spawn in spec.ucv_spawns:
             assert spawn.speed == (8.0, 10.0)
 
@@ -106,13 +167,106 @@ class TestScenario:
             v = setup.world.vehicles[spawn.vehicle_id].v
             assert 7.5 <= v <= 12.5
         for plan in setup.plans.values():
-            assert plan.brake_step is None  # crossing, not sudden brake
+            assert plan.brake_step is None  # constant speed, no brake
+
+
+def valid_doc():
+    """A small well-formed scenario document: two lanes, one CAV, one UCV."""
+    return {
+        "vehicle_length": 4.5,
+        "vehicle_width": 2.0,
+        "lanes": [
+            {"id": "a", "signal": "green", "waypoints": [[0.0, 0.0], [300.0, 0.0]]},
+            {"id": "b", "waypoints": [[0.0, 3.5], [300.0, 3.5]]},
+        ],
+        "adjacency": {"a": {"left": "b", "right": None}, "b": {"right": "a"}},
+        "spawns": [
+            {"id": "cav0", "lane": "a", "s": 10.0, "speed": [8.0, 10.0],
+             "connected": True},
+            {"id": "ucv0", "lane": "b", "s": 40.0, "speed": [8.0, 10.0],
+             "connected": False},
+        ],
+        "destinations": {"cav0": [200.0, 0.0], "ucv0": [200.0, 3.5]},
+    }
+
+
+def _set(path, value):
+    """An edit of valid_doc(): set the entry at `path` (keys and indices)."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+MALFORMED = {
+    "top-level typo": (_set(["behaviours"], {"ucv0": {"kind": "sudden_brake"}}),
+                       "behaviours"),
+    "lane key": (_set(["lanes", 0, "colour"], "red"), "colour"),
+    "lane without waypoints": (lambda d: d["lanes"][1].pop("waypoints"), "waypoints"),
+    "adjacency side": (_set(["adjacency", "a", "up"], "b"), "up"),
+    "spawn key": (_set(["spawns", 0, "sped"], [1.0, 2.0]), "sped"),
+    "spawn without speed": (lambda d: d["spawns"][0].pop("speed"), "speed"),
+    "behavior key": (_set(["behaviors"], {"ucv0": {"kind": "sudden_brake",
+                                                     "brake_at": 3}}), "brake_at"),
+    "test key": (_set(["test"], {"behaviours": {}}), "behaviours"),
+    "test spawn key": (_set(["test"], {"spawns": [{"id": "ucv0", "sped": [1, 2]}]}),
+                       "sped"),
+    "spawn lane": (_set(["spawns", 1, "lane"], "c"), "'c'"),
+    "adjacency neighbour lane": (_set(["adjacency", "b", "left"], "c"), "'c'"),
+    "adjacency lane": (_set(["adjacency", "c"], {"left": "a"}), "'c'"),
+    "override lane": (_set(["test"], {"spawns": [{"id": "ucv0", "lane": "c"}]}),
+                      "'c'"),
+    "no destination": (lambda d: d["destinations"].pop("ucv0"), "ucv0"),
+    "destination of unknown vehicle": (_set(["destinations", "ghost"], [0.0, 0.0]),
+                                       "ghost"),
+    "duplicate vehicle": (lambda d: d["spawns"].append(dict(d["spawns"][0])),
+                          "cav0"),
+    "duplicate lane": (lambda d: d["lanes"].append(dict(d["lanes"][0])), "'a'"),
+    "unknown kind": (_set(["behaviors"], {"ucv0": {"kind": "crossing"}}), "crossing"),
+    "behavior of a CAV": (_set(["behaviors"], {"cav0": {"kind": "constant"}}),
+                          "cav0"),
+    "spawn override of unknown vehicle": (
+        _set(["test"], {"spawns": [{"id": "ghost", "speed": [1.0, 2.0]}]}), "ghost"),
+    "behavior override of unknown vehicle": (
+        _set(["test"], {"behaviors": {"ghost": {"kind": "sudden_brake"}}}), "ghost"),
+    "override kind": (_set(["test"], {"behaviors": {"ucv0": {"kind": "crossing"}}}),
+                      "crossing"),
+}
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("mode", scen.MODES)
+    def test_valid_doc_loads(self, mode):
+        spec = scen.load_scenario(yaml.safe_dump(valid_doc()), "case", mode=mode)
+        assert (spec.agent_ids, spec.ucv_ids) == (["cav0"], ["ucv0"])
+
+    @pytest.mark.parametrize("mode", scen.MODES)
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_rejected(self, case, mode):
+        edit, named = MALFORMED[case]
+        doc = valid_doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=named):
+            scen.load_scenario(yaml.safe_dump(doc), "case", mode=mode)
+
+
+class TestCli:
+    def test_scenario_choices_are_the_shipped_files(self, capsys):
+        from cavshield.harness import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--scenario", "bogus", "--out", "unused"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        for name in scen.scenario_names():
+            assert repr(name) in err
 
 
 def reward_world(n_agents=3):
-    road = RoadMap(
-        {"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {}, 3.5
-    )
+    road = RoadMap({"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {})
     vehicles = [
         VehicleState(id=f"cav{i}", x=10.0 * i, y=0.0, v=0.0, psi=0.0,
                      connected=True)
@@ -492,19 +646,3 @@ class TestDegeneratePolicy:
             drive_rets.append(np.mean(list(drive.returns().values())))
         # Parked agents never collide but bleed the distance penalty.
         assert np.mean(stop_rets) < np.mean(drive_rets) - 1000.0
-
-
-class TestShippedScenarioFiles:
-    @pytest.mark.parametrize("name", ["highway", "intersection"])
-    def test_data_file_matches_builder(self, name):
-        import importlib.resources as res
-
-        built = scen.build_scenario(name, cfg=CFG)
-        text = (res.files("cavshield.harness") / "data" / f"{name}.yaml").read_text()
-        loaded = scen.load_scenario(text)
-        assert loaded.name == built.name
-        for lid in built.road.lanes:
-            assert np.array_equal(
-                loaded.road.path(lid).waypoints, built.road.path(lid).waypoints
-            )
-        assert loaded.destinations == built.destinations

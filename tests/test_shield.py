@@ -264,9 +264,9 @@ class TestCheckActionSafe:
             assert verdict.safe == bool(ok.any())
 
 
-def follower_leader_world(gap, v_ego, v_lead, lane_width=3.5):
+def follower_leader_world(gap, v_ego, v_lead):
     path = Path([[-100.0, 0.0], [2000.0, 0.0]], lane_id="lane0")
-    road = RoadMap({"lane0": path}, {"lane0": {}}, lane_width=lane_width)
+    road = RoadMap({"lane0": path}, {"lane0": {}})
     vehicles = [
         VehicleState(id="ego", x=0.0, y=0.0, v=v_ego, psi=0.0, connected=True),
         VehicleState(id="lead", x=gap + 4.5, y=0.0, v=v_lead, psi=0.0),
@@ -357,7 +357,7 @@ class TestSafetyShield:
                 "left": names[i + 1] if i + 1 < lanes else None,
                 "right": names[i - 1] if i > 0 else None,
             }
-        road = RoadMap(paths, adjacency, lane_width=3.5)
+        road = RoadMap(paths, adjacency)
         vehicles = [VehicleState(id="ego", x=0.0, y=3.5 * (lanes // 2),
                                  v=10.0, psi=0.0, connected=True)]
         if with_leader:

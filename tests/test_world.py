@@ -297,13 +297,13 @@ class TestCollisions:
         assert disagreements <= 3
 
 
-def two_lane_road(lane_width=3.5):
+def two_lane_road():
     lanes = {
         "l0": straight_x(0.0, lane_id="l0"),
-        "l1": straight_x(lane_width, lane_id="l1"),
+        "l1": straight_x(3.5, lane_id="l1"),
     }
     adjacency = {"l0": {"left": "l1"}, "l1": {"right": "l0"}}
-    return RoadMap(lanes, adjacency, lane_width=lane_width)
+    return RoadMap(lanes, adjacency)
 
 
 def small_world():
