@@ -146,36 +146,38 @@ def pursuit_steer(state, target_path, params):
     return math.atan(wheelbase * curvature)
 
 
+def nominal_accel(action, params, space=None):
+    """Reference acceleration of a discrete action, before clamping."""
+    space = space or ActionSpace()
+    if action in (ActionSpace.KEEP, ActionSpace.LEFT, ActionSpace.RIGHT):
+        return 0.0
+    if action == ActionSpace.BRAKE:
+        return params.brake_value * params.accel_min
+    lo, hi = space.throttle_interval(action)
+    return 0.5 * (lo + hi) * params.accel_max
+
+
 def nominal_control(state, action, lane_ctx, params, space=None):
-    """Reference input for a discrete action, clamped to the admissible box.
+    """Reference input for a discrete action, clamped to the admissible box:
+    nominal_accel, with pure-pursuit steer toward the target lane for a lane
+    change and lane-keep steer otherwise.
 
     Raises NoAdjacentLane when a lane change points off the road edge.
     """
-    space = space or ActionSpace()
     if action == ActionSpace.EMERGENCY:
         return emergency_control(params)
-    if action == ActionSpace.KEEP:
-        u = ControlInput(0.0, lane_keep_steer(state, lane_ctx.current, params))
-    elif action in (ActionSpace.LEFT, ActionSpace.RIGHT):
+    if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
         target = lane_ctx.left if action == ActionSpace.LEFT else lane_ctx.right
         if target is None:
             raise NoAdjacentLane(
                 f"no {'left' if action == ActionSpace.LEFT else 'right'} lane"
             )
-        u = ControlInput(0.0, pursuit_steer(state, target, params))
-    elif action == ActionSpace.BRAKE:
-        u = ControlInput(
-            params.brake_value * params.accel_min,
-            lane_keep_steer(state, lane_ctx.current, params),
-        )
+        steer = pursuit_steer(state, target, params)
     else:
-        lo, hi = space.throttle_interval(action)
-        mid = 0.5 * (lo + hi)
-        u = ControlInput(
-            mid * params.accel_max,
-            lane_keep_steer(state, lane_ctx.current, params),
-        )
-    return params.clamp(u)
+        steer = lane_keep_steer(state, lane_ctx.current, params)
+    return params.clamp(
+        ControlInput(nominal_accel(action, params, space), steer)
+    )
 
 
 def action_accel_bounds(action, params, space=None):

@@ -1,9 +1,12 @@
-"""Hot kernels: 2-D projection QP, bicycle step, rectangle overlap.
+"""Kernels: the accel projection behind every shield verdict, bicycle
+step, rectangle overlap, and the general 2-D projection QP.
 
-These are the per-step inner loops (called agents x actions x steps during
-rollouts).  Callers call them through the module (``kernels.solve_qp_2d``),
-not by imported name, so a tracer that replaces the module attributes
-(perfbench/spans.py) sees every call.
+The first three are the per-step inner loops (called agents x actions x
+steps during rollouts).  ``solve_qp_2d`` is the general solver behind
+``qp.solve`` (acceptance check C1, ``cavshield qp-debug``) and the
+reference that ``project_accel`` reproduces.  Callers call them through
+the module (``kernels.solve_qp_2d``), not by imported name, so a tracer
+that replaces the module attributes (perfbench/spans.py) sees every call.
 """
 
 import math
@@ -108,6 +111,74 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     if not found:
         return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
     return (QP_FEASIBLE, best_x, best_y, 0.5 * best_d2)
+
+
+def project_accel(u0x, u0y, rows, lo0, hi0, lo1, hi1):
+    """solve_qp_2d for rows whose normal has no steer component.
+
+    rows is a sequence of (ax, b) pairs for the rows (ax, 0.0, b), already
+    normalized as solve_qp_2d normalizes them (divided by |ax|, with the
+    rows of |ax| < DEDUP_TOL left to the caller).  Returns (ux, uy), or
+    None when infeasible: bit for bit solve_qp_2d's answer, because the
+    rows are deduplicated the same way and the same candidates are tried
+    in the same order with the same arithmetic.  Only the pairs that
+    solve_qp_2d skips as parallel (two accel rows, or the two steer rows)
+    are not formed.
+    """
+    xrows = [(1.0, lo0), (-1.0, -hi0)]
+    for ax, b in rows:
+        for px, pb in xrows:
+            if abs(ax - px) <= DEDUP_TOL and abs(b - pb) <= DEDUP_TOL:
+                break
+        else:
+            xrows.append((ax, b))
+
+    # The QP's feasibility test with the zero terms of each row dropped;
+    # they only change the sign of a zero difference.
+    def _feasible(x, y):
+        if y - lo1 < -FEAS_TOL or hi1 - y < -FEAS_TOL:
+            return False
+        for ax, b in xrows:
+            if ax * x - b < -FEAS_TOL:
+                return False
+        return True
+
+    if _feasible(u0x, u0y):
+        return (u0x, u0y)
+
+    # solve_qp_2d's row order: accel box, steer box, caller rows.
+    planes = [(ax, 0.0, b) for ax, b in xrows]
+    steer = [(0.0, 1.0, lo1), (0.0, -1.0, -hi1)]
+    planes[2:2] = steer
+    best_d2 = math.inf
+    best = None
+
+    # A candidate is kept when it is strictly nearer and feasible; testing
+    # the distance first skips feasibility tests that cannot matter.
+    for ax, ay, b in planes:
+        t = b - (ax * u0x + ay * u0y)
+        cx = u0x + t * ax
+        cy = u0y + t * ay
+        d2 = (cx - u0x) * (cx - u0x) + (cy - u0y) * (cy - u0y)
+        if d2 < best_d2 and _feasible(cx, cy):
+            best_d2 = d2
+            best = (cx, cy)
+
+    # Vertices in solve_qp_2d's (i < j) order: each accel box row with
+    # each steer row, then each steer row with each caller row.
+    pairs = [(planes[i], s) for i in (0, 1) for s in steer]
+    pairs += [(s, r) for s in steer for r in planes[4:]]
+    for (axi, ayi, bi), (axj, ayj, bj) in pairs:
+        det = axi * ayj - ayi * axj
+        if abs(det) <= DEDUP_TOL:
+            continue
+        cx = (bi * ayj - bj * ayi) / det
+        cy = (axi * bj - axj * bi) / det
+        d2 = (cx - u0x) * (cx - u0x) + (cy - u0y) * (cy - u0y)
+        if d2 < best_d2 and _feasible(cx, cy):
+            best_d2 = d2
+            best = (cx, cy)
+    return best
 
 
 def wrap_angle(a):

@@ -1,26 +1,30 @@
 """Measurement-robust CBF safety shield.
 
-Per agent and per discrete action, a projection QP checks whether the
-nominal input can satisfy every barrier constraint
+Per agent and per discrete action, the shield checks whether some input in
+the action's accel band satisfies every barrier constraint
 
     dh/dt + L_f h + L_g h . u - A(h, eps) >= -gamma * h
 
 where A = lipschitz_sum * epsilon is the buffer absorbing bounded
 observation error.  Barriers are longitudinal (safety-following and
-safety-leading distances); crossing traffic is folded in by transforming
-each crossing vehicle into a pseudo car on the ego path.  An empty safe
-set falls back to Emergency_stop (full braking, zero steer) and is fed
-back to the MARL as a penalty.
+safety-leading distances), so each constraint bounds the acceleration
+alone: the rows of the current lane and of each adjacent lane are built
+once per agent and step, and each action's verdict is a 1-D projection of
+its nominal accel onto them (kernels.project_accel, which gives exactly
+what the 2-D projection QP kernels.solve_qp_2d would).  Crossing traffic
+is folded in by transforming each crossing vehicle into a pseudo car on
+the ego path.  An empty safe set falls back to Emergency_stop (full
+braking, zero steer) and is fed back to the MARL as a penalty.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import kernels, qp
-from .dynamics import ActionSpace, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_control
+from . import kernels
+from .dynamics import ActionSpace, ControlInput, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_accel, nominal_control
 from .world import OutOfCorridor
 
 FRONT = "front"
@@ -145,8 +149,38 @@ def lead_constraint_terms(v, v_r, gap, cfg, dyn):
     return coef, const
 
 
+class BarrierRows(NamedTuple):
+    """Barrier constraints coef * alpha >= b on the ego acceleration alpha."""
+
+    labeled: tuple  # (coef, b, label) per barrier, in target order
+    unit: tuple  # (coef / |coef|, b / |coef|) of each row with a direction
+    blocked: bool  # a row without direction (|coef| < DEDUP_TOL) fails
+
+    @classmethod
+    def of(cls, labeled):
+        """Rows from (coef, b, label) triples, normalized as the QP does."""
+        labeled = tuple(labeled)
+        unit = []
+        blocked = False
+        for coef, b, _ in labeled:
+            if not (math.isfinite(coef) and math.isfinite(b)):
+                raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
+            n = math.sqrt(coef * coef + 0.0 * 0.0)
+            if n < kernels.DEDUP_TOL:
+                blocked = blocked or b > kernels.FEAS_TOL
+            else:
+                unit.append((coef / n, b / n))
+        return cls(labeled, tuple(unit), blocked)
+
+    def join(self, other):
+        """The rows of both sets, self's first."""
+        return BarrierRows(self.labeled + other.labeled,
+                           self.unit + other.unit,
+                           self.blocked or other.blocked)
+
+
 def constraint_rows(ego_v, targets, cfg, dyn):
-    """QP rows (a, b, label) encoding coef*alpha >= A - const per barrier."""
+    """BarrierRows encoding coef*alpha >= A - const per barrier target."""
     buf = robust_buffer(cfg)
     rows = []
     for t in targets:
@@ -154,8 +188,8 @@ def constraint_rows(ego_v, targets, cfg, dyn):
             coef, const = follow_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
         else:
             coef, const = lead_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
-        rows.append(((coef, 0.0), buf - const, t.label))
-    return rows
+        rows.append((coef, buf - const, t.label))
+    return BarrierRows.of(rows)
 
 
 def calibrate_lipschitz_sum(cfg, dyn, n_samples=10000, seed=0, safety_factor=1.5):
@@ -231,36 +265,35 @@ def pseudo_car_transform(ego_path, ego_s, target_pos, target_psi, target_speed,
     return PseudoCar(s=s_c - d_t, v=closing, source_id=None)
 
 
-def check_action_safe(ego_v, u0, targets, cfg, dyn, accel_bounds=None):
-    """Per-action CBF-QP: Safe with the filtered input, or Unsafe.
+def check_action_safe(u0, rows, accel_bounds, dyn):
+    """Verdict of one action: Safe with the filtered input, or Unsafe.
 
-    accel_bounds narrows the input box to the action's own command range
-    (see dynamics.action_accel_bounds); feasibility then answers "can this
-    action be actuated without leaving the safe set".
+    The input box is the action's own accel band accel_bounds (see
+    dynamics.action_accel_bounds) times the steer range; the action is
+    safe when some input in the box satisfies every row of rows (a
+    BarrierRows), and its filtered input is the projection of u0 onto
+    that set.  Steer enters no row, so it passes through.  The binding
+    row is the one with least slack at the filtered input (at u0 when
+    unsafe); the first such row wins a tie.
     """
-    lo, hi = accel_bounds if accel_bounds is not None else (
-        dyn.accel_min, dyn.accel_max
-    )
-    rows = constraint_rows(ego_v, targets, cfg, dyn)
-    problem = qp.QpProblem(
-        u0=(u0.accel, u0.steer),
-        constraints=[(a, b) for a, b, _ in rows],
-        bounds=((lo, hi), (dyn.steer_min, dyn.steer_max)),
-    )
-    result = qp.solve(problem)
-    if not result.feasible:
-        binding = _min_slack_row(rows, (u0.accel, u0.steer))
-        return ActionVerdict(safe=False, binding=binding)
-    u = type(u0)(accel=float(result.u[0]), steer=float(result.u[1]))
-    binding = _min_slack_row(rows, result.u)
-    return ActionVerdict(safe=True, u=u, binding=binding)
+    if not (math.isfinite(u0.accel) and math.isfinite(u0.steer)):
+        raise ValueError(f"nominal input {u0!r} is not finite")
+    u = None
+    if not rows.blocked:
+        lo, hi = accel_bounds
+        u = kernels.project_accel(u0.accel, u0.steer, rows.unit, lo, hi,
+                                  dyn.steer_min, dyn.steer_max)
+    if u is None:
+        return ActionVerdict(safe=False, binding=_binding(rows, u0.accel))
+    return ActionVerdict(safe=True, u=type(u0)(accel=u[0], steer=u[1]),
+                         binding=_binding(rows, u[0]))
 
 
-def _min_slack_row(rows, u):
-    """Constraint id with least slack at u (the binding / most violated)."""
-    if not rows:
+def _binding(rows, alpha):
+    """Label of the row with least slack coef * alpha - b."""
+    if not rows.labeled:
         return None
-    return min(rows, key=lambda r: r[0][0] * u[0] + r[0][1] * u[1] - r[1])[2]
+    return min(rows.labeled, key=lambda r: r[0] * alpha - r[1])[2]
 
 
 class EgoView:
@@ -351,33 +384,50 @@ def pseudo_barrier_targets(ego, ego_s, pseudo):
 
 
 def agent_safe_set(view, road, cfg, dyn, space):
-    """Loop all actions through the CBF-QP for one agent."""
+    """Verdicts of every action of one agent.
+
+    The barrier rows of the current lane (lane and pseudo targets) and of
+    each adjacent lane, and the lane-keep steer that KEEP, BRAKE and the
+    throttle actions share, are built once; each action is then checked
+    against them with its own accel band.
+    """
     ego = EgoView(view.self_obs, road)
     ego_path, ego_s, by_lane, pseudo = classify_targets(view, road, ego, cfg)
     lane_ctx = lane_context(road, ego.lane)
-    current_targets = lane_barrier_targets(
-        ego, ego_path, by_lane.get(ego.lane, []), cfg
-    ) + pseudo_barrier_targets(ego, ego_s, pseudo)
+    current = constraint_rows(
+        ego.v,
+        lane_barrier_targets(ego, ego_path, by_lane.get(ego.lane, []), cfg)
+        + pseudo_barrier_targets(ego, ego_s, pseudo),
+        cfg, dyn,
+    )
+    keep = nominal_control(ego, ActionSpace.KEEP, lane_ctx, dyn, space)
 
     verdicts = {}
     controls = {}
     safe = []
     for action in space.actions():
-        try:
-            u0 = nominal_control(ego, action, lane_ctx, dyn, space)
-        except NoAdjacentLane:
-            verdicts[action] = ActionVerdict(safe=False, unavailable=True)
-            continue
-        targets = list(current_targets)
+        rows = current
         if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
+            try:
+                u0 = nominal_control(ego, action, lane_ctx, dyn, space)
+            except NoAdjacentLane:
+                verdicts[action] = ActionVerdict(safe=False, unavailable=True)
+                continue
             side = "left" if action == ActionSpace.LEFT else "right"
             lane = road.adjacent(ego.lane, side)
-            targets += lane_barrier_targets(
-                ego, road.path(lane), by_lane.get(lane, []), cfg
-            )
+            rows = current.join(constraint_rows(
+                ego.v,
+                lane_barrier_targets(ego, road.path(lane),
+                                     by_lane.get(lane, []), cfg),
+                cfg, dyn,
+            ))
+        else:
+            # nominal_control of this action: the same clamp of its accel,
+            # with the lane-keep steer computed once for KEEP.
+            u0 = dyn.clamp(ControlInput(nominal_accel(action, dyn, space),
+                                        keep.steer))
         verdict = check_action_safe(
-            ego.v, u0, targets, cfg, dyn,
-            accel_bounds=action_accel_bounds(action, dyn, space),
+            u0, rows, action_accel_bounds(action, dyn, space), dyn
         )
         verdicts[action] = verdict
         if verdict.safe:

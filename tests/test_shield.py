@@ -1,8 +1,9 @@
 """Safety shield tests: distances, barriers, robust buffer, pseudo-car
-transform, per-action QP verdicts, forward invariance, and the emergency
+transform, per-action verdicts, forward invariance, and the emergency
 fallback."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -16,15 +17,20 @@ from cavshield.dynamics import (
     emergency_control,
     step_bicycle,
 )
+from cavshield import kernels
+from cavshield.kernels import DEDUP_TOL, FEAS_TOL
 from cavshield.perturb import make_constant
 from cavshield.shield import (
     FRONT,
     REAR,
+    ActionVerdict,
+    BarrierRows,
     BarrierTarget,
     ShieldConfig,
     barrier_values,
     calibrate_lipschitz_sum,
     check_action_safe,
+    constraint_rows,
     follow_constraint_terms,
     pseudo_car_transform,
     resolve_lipschitz,
@@ -185,8 +191,8 @@ class TestCheckActionSafe:
     def test_far_leader_leaves_nominal_untouched(self):
         u0 = ControlInput(0.0, 0.0)
         verdict = check_action_safe(
-            10.0, u0, front_targets(62.0, 10.0), CFG0, DYN,
-            accel_bounds=action_accel_bounds(ActionSpace.KEEP, DYN),
+            u0, constraint_rows(10.0, front_targets(62.0, 10.0), CFG0, DYN),
+            action_accel_bounds(ActionSpace.KEEP, DYN), DYN,
         )
         assert verdict.safe
         assert verdict.u.accel == pytest.approx(0.0)
@@ -208,10 +214,12 @@ class TestCheckActionSafe:
             bounds = action_accel_bounds(action, DYN, space)
             u0 = ControlInput(0.5 * (bounds[0] + bounds[1]), 0.0)
             safe0 = check_action_safe(
-                v, u0, front_targets(gap, v_f), cfg0, DYN, bounds
+                u0, constraint_rows(v, front_targets(gap, v_f), cfg0, DYN),
+                bounds, DYN,
             ).safe
             safe2 = check_action_safe(
-                v, u0, front_targets(gap, v_f), cfg2, DYN, bounds
+                u0, constraint_rows(v, front_targets(gap, v_f), cfg2, DYN),
+                bounds, DYN,
             ).safe
             if safe2:
                 assert safe0
@@ -226,14 +234,15 @@ class TestCheckActionSafe:
         throttle_max = space.n - 1
         required = const / -coef  # accel must be <= this
         assert required < action_accel_bounds(throttle_max, DYN, space)[0]
+        rows = constraint_rows(v, front_targets(gap, v_f), CFG0, DYN)
         verdict = check_action_safe(
-            v, ControlInput(10.0 / 3.0, 0.0), front_targets(gap, v_f), CFG0,
-            DYN, action_accel_bounds(throttle_max, DYN, space),
+            ControlInput(10.0 / 3.0, 0.0), rows,
+            action_accel_bounds(throttle_max, DYN, space), DYN,
         )
         assert not verdict.safe
         brake = check_action_safe(
-            v, ControlInput(-3.0, 0.0), front_targets(gap, v_f), CFG0, DYN,
-            action_accel_bounds(ActionSpace.BRAKE, DYN, space),
+            ControlInput(-3.0, 0.0), rows,
+            action_accel_bounds(ActionSpace.BRAKE, DYN, space), DYN,
         )
         assert brake.safe
 
@@ -252,16 +261,150 @@ class TestCheckActionSafe:
             if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
                 action = ActionSpace.KEEP
             lo, hi = action_accel_bounds(action, DYN, space)
+            rows = constraint_rows(v, targets, cfg, DYN)
             verdict = check_action_safe(
-                v, ControlInput(0.5 * (lo + hi), 0.0), targets, cfg, DYN, (lo, hi)
+                ControlInput(0.5 * (lo + hi), 0.0), rows, (lo, hi), DYN
             )
             alphas = np.linspace(lo, hi, 2001)
             ok = np.ones_like(alphas, dtype=bool)
-            from cavshield.shield import constraint_rows
-
-            for (a, _), b, _ in constraint_rows(v, targets, cfg, DYN):
+            for a, b, _ in rows.labeled:
                 ok &= a * alphas >= b - 1e-9
             assert verdict.safe == bool(ok.any())
+
+
+def min_slack_row(rows, u):
+    """The binding rule of the 2-D QP path: label of the row (a, b, label)
+    with least a.u - b, the first row on a tie."""
+    if not rows:
+        return None
+    return min(rows, key=lambda r: r[0][0] * u[0] + r[0][1] * u[1] - r[1])[2]
+
+
+def projection_case(rnd):
+    """Shield-shaped rows (coef, b) in front of edge cases of the QP's
+    tolerances: zero and sub-DEDUP_TOL coefficients, rows within DEDUP_TOL
+    or FEAS_TOL of each other or of the accel box, steer on or one ulp
+    inside its bounds or -0.0, u0 on a band edge."""
+    lo0, hi0 = rnd.choice([(-1.0, 1.0), (-3.0, 0.0), (0.0, 4.0 / 3.0),
+                           (4.0 / 3.0, 8.0 / 3.0), (8.0 / 3.0, 4.0),
+                           (-6.0, 4.0), (0.5, 0.5)])
+    lo1, hi1 = rnd.choice([(-0.5, 0.5), (-0.5, 0.5), (-0.25, 0.75)])
+    u0x = rnd.choice([
+        rnd.uniform(lo0, hi0), rnd.uniform(lo0 - 3.0, hi0 + 3.0), lo0, hi0,
+        math.nextafter(lo0, hi0), 0.5 * (lo0 + hi0), 0.0, -0.0,
+    ])
+    u0y = rnd.choice([
+        rnd.uniform(lo1, hi1), lo1, hi1, math.nextafter(lo1, 0.0),
+        math.nextafter(hi1, 0.0), -0.0, 0.0, -0.0,
+        rnd.uniform(lo1 - 0.3, hi1 + 0.3),
+    ])
+    rows = []
+    for _ in range(rnd.randint(0, 6)):
+        kind = rnd.random()
+        if rows and kind < 0.25:
+            # Near an earlier row: an exact copy, a rescaled copy, or one
+            # whose edge moved by less than DEDUP_TOL or FEAS_TOL.
+            coef, b = rnd.choice(rows)
+            scale = rnd.choice([1.0, 1.0, 2.0, 0.5])
+            shift = rnd.choice([0.0, 5e-13, -5e-13, 2e-12, 5e-9, -5e-9, 2e-8])
+            rows.append((coef * scale, (b + shift * abs(coef)) * scale))
+            continue
+        if kind < 0.35:
+            # Along an accel box edge, inside or just outside the tolerances.
+            sign = rnd.choice([1.0, -1.0])
+            coef = sign * rnd.choice([1.0, 0.7, 3.0])
+            edge = lo0 if sign > 0 else hi0
+            shift = rnd.choice([0.0, 5e-13, -5e-13, 5e-9, -5e-9, 2e-8])
+            rows.append((coef, coef * (edge + shift)))
+            continue
+        if kind < 0.45:
+            # No accel direction: the lead barrier at v = 0, or a coefficient
+            # below DEDUP_TOL; b on either side of FEAS_TOL.
+            coef = rnd.choice([0.0, -0.0, 3e-13, -7e-13, 2e-12])
+            b = rnd.choice([0.0, FEAS_TOL, FEAS_TOL * (1 + 1e-6),
+                            FEAS_TOL * (1 - 1e-6), -1.0, 1.0])
+            rows.append((coef, b))
+            continue
+        # Follow (negative coef) or lead (non-negative coef) barrier whose
+        # edge lands in or near the box.
+        if rnd.random() < 0.5:
+            coef = -(1.0 + rnd.uniform(0.0, 15.0) / 6.0)
+        else:
+            coef = rnd.uniform(0.0, 15.0) / 6.0
+        rows.append((coef, coef * rnd.uniform(lo0 - 2.0, hi0 + 2.0)))
+    return (u0x, u0y), rows, (lo0, hi0), (lo1, hi1)
+
+
+class TestAccelProjectionMatchesQp:
+    """check_action_safe (BarrierRows + kernels.project_accel) against the
+    2-D projection QP it replaces, bit for bit."""
+
+    N_CASES = 30000
+
+    def test_bit_identical_to_solve_qp_2d(self):
+        rnd = random.Random(20261018)
+        seen = {"safe": 0, "unsafe": 0, "moved": 0, "blocked": 0,
+                "signed_zero_steer": 0, "corner": 0}
+        for case in range(self.N_CASES):
+            (u0x, u0y), rows, (lo0, hi0), (lo1, hi1) = projection_case(rnd)
+            labeled = [(c, b, f"r{i}") for i, (c, b) in enumerate(rows)]
+            rows2d = [((c, 0.0), b, label) for c, b, label in labeled]
+            status, ux, uy, _ = kernels.solve_qp_2d(
+                u0x, u0y, [(c, 0.0, b) for c, b in rows], lo0, hi0, lo1, hi1
+            )
+            dyn = replace(DYN, steer_min=lo1, steer_max=hi1)
+            rows1d = BarrierRows.of(labeled)
+            verdict = check_action_safe(
+                ControlInput(u0x, u0y), rows1d, (lo0, hi0), dyn
+            )
+            where = f"case {case}: u0={u0x!r},{u0y!r} rows={rows!r} box={lo0, hi0, lo1, hi1}"
+            assert verdict.safe == (status == kernels.QP_FEASIBLE), where
+            if verdict.safe:
+                assert verdict.u.accel.hex() == ux.hex(), where
+                assert verdict.u.steer.hex() == uy.hex(), where
+                u = (ux, uy)
+            else:
+                u = (u0x, u0y)
+            assert verdict.binding == min_slack_row(rows2d, u), where
+            seen["safe" if verdict.safe else "unsafe"] += 1
+            seen["blocked"] += rows1d.blocked
+            if verdict.safe and (ux, uy) != (u0x, u0y):
+                seen["moved"] += 1
+                seen["signed_zero_steer"] += uy.hex() != u0y.hex()
+                seen["corner"] += uy != u0y
+        # The sample reaches every branch it is meant to cover.
+        assert min(seen.values()) > 50, seen
+
+    def test_steer_passes_through_as_the_qp_returns_it(self):
+        # The projection lands at u0y + t * 0.0: a -0.0 steer comes back
+        # as +0.0 when the accel moves up, and stays -0.0 when u0 is kept.
+        rows = BarrierRows.of([(1.0, 0.5, "lead")])
+        moved = check_action_safe(ControlInput(0.0, -0.0), rows, (-1.0, 1.0), DYN)
+        assert moved.safe and moved.u.accel == 0.5
+        assert math.copysign(1.0, moved.u.steer) == 1.0
+        kept = check_action_safe(ControlInput(0.7, -0.0), rows, (-1.0, 1.0), DYN)
+        assert kept.u.accel == 0.7 and math.copysign(1.0, kept.u.steer) == -1.0
+
+    def test_row_without_direction(self):
+        # |coef| < DEDUP_TOL: a constant row, failing every action when
+        # b > FEAS_TOL, and binding at the nominal input then.
+        for coef in (0.0, 5e-13):
+            assert check_action_safe(
+                ControlInput(0.0, 0.0), BarrierRows.of([(coef, 2 * FEAS_TOL, "z")]),
+                (-1.0, 1.0), DYN,
+            ) == ActionVerdict(safe=False, binding="z")
+            ok = check_action_safe(
+                ControlInput(0.0, 0.0), BarrierRows.of([(coef, FEAS_TOL, "z")]),
+                (-1.0, 1.0), DYN,
+            )
+            assert ok.safe and ok.binding == "z"
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            BarrierRows.of([(math.nan, 0.0, "x")])
+        with pytest.raises(ValueError, match="not finite"):
+            check_action_safe(ControlInput(math.inf, 0.0), BarrierRows.of([]),
+                              (-1.0, 1.0), DYN)
 
 
 def follower_leader_world(gap, v_ego, v_lead):
@@ -391,8 +534,6 @@ class TestSafetyShield:
         # Required accel in (-3, -1): outside the hold band and every
         # throttle interval, inside BRAKE's band only.  Checked against a
         # per-action alpha sweep.
-        from cavshield.shield import constraint_rows
-
         space = ActionSpace()
         v, v_f = 10.0, 10.0
         target = None
@@ -416,7 +557,7 @@ class TestSafetyShield:
             lo, hi = action_accel_bounds(action, DYN, space)
             alphas = np.linspace(lo, hi, 1001)
             ok = np.ones_like(alphas, dtype=bool)
-            for (a, _), b, _ in rows:
+            for a, b, _ in rows.labeled:
                 ok &= a * alphas >= b - 1e-9
             expected = bool(ok.any()) and action != ActionSpace.LEFT
             got = action in outcome.safe_sets["ego"]
