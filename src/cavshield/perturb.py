@@ -45,7 +45,8 @@ def sample_base_error(rng):
 
 @dataclass
 class PerturbationSchedule:
-    """One episode's error stream; immutable apart from violation records."""
+    """One episode's error stream; immutable apart from violation records
+    and the memo of errors drawn so far."""
 
     kind: str = KIND_NONE
     seed: int = 0
@@ -59,17 +60,32 @@ class PerturbationSchedule:
     _violated: set = field(
         default_factory=set, init=False, repr=False, compare=False
     )
+    # (t, vid), or vid alone for KIND_VEH -> (error, exceeds the bound)
+    _drawn: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def error(self, t, vehicle_id):
-        """(e_l, e_v) for observations of vehicle_id at step t, or None."""
-        e = self._raw_error(t, vehicle_id)
-        if e is None:
+        """(e_l, e_v) for observations of vehicle_id at step t, or None.
+
+        Each error is drawn once: per (t, vehicle) and, for KIND_VEH, whose
+        error does not depend on the step, per vehicle.
+        """
+        if self.kind == KIND_NONE:
             return None
-        if math.sqrt(e[0] * e[0] + e[1] * e[1]) > self.epsilon_bound + 1e-12:
-            key = (t, vehicle_id)
-            if key not in self._violated:
-                self._violated.add(key)
-                self.violations.append((t, vehicle_id, e))
+        key = vehicle_id if self.kind == KIND_VEH else (t, vehicle_id)
+        drawn = self._drawn.get(key)
+        if drawn is None:
+            e = self._raw_error(t, vehicle_id)
+            over = e is not None and (
+                math.sqrt(e[0] * e[0] + e[1] * e[1])
+                > self.epsilon_bound + 1e-12
+            )
+            drawn = self._drawn[key] = (e, over)
+        e, over = drawn
+        if over and (t, vehicle_id) not in self._violated:
+            self._violated.add((t, vehicle_id))
+            self.violations.append((t, vehicle_id, e))
         return e
 
     def _raw_error(self, t, vehicle_id):

@@ -150,3 +150,72 @@ class TestBoundRecording:
             e_l, e_v = s.error(t, "a")
             assert math.hypot(e_l, e_v) <= 2.0 + 1e-12
         assert s.violations == []
+
+
+@pytest.fixture
+def rng_builds(monkeypatch):
+    """Counts np.random.default_rng calls made through cavshield.perturb."""
+    from cavshield import perturb
+
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perturb.np.random, "default_rng", counting)
+    return calls
+
+
+SCHEDULES = {
+    "rand": lambda: make_rand(seed=9, epsilon_bound=1.0),
+    "time": lambda: make_ptb_over_time(seed=9, window=(2, 8), epsilon_bound=1.0),
+    "veh": lambda: make_ptb_target_vehicles(seed=9, targets={"a", "b"},
+                                            epsilon_bound=1.0),
+}
+
+
+class TestErrorMemo:
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_repeated_query_builds_no_generator(self, kind, rng_builds):
+        s = SCHEDULES[kind]()
+        first = [s.error(t, v) for t in range(10) for v in ("a", "b", "c")]
+        built = len(rng_builds)
+        again = [s.error(t, v) for t in range(10) for v in ("a", "b", "c")]
+        assert again == first
+        assert len(rng_builds) == built
+
+    def test_target_vehicles_draw_once_per_target(self, rng_builds):
+        s = SCHEDULES["veh"]()
+        del rng_builds[:]  # the factory's draw of the base error
+        for t in range(200):
+            for v in ("a", "b", "c"):
+                s.error(t, v)
+        assert len(rng_builds) == 2
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_values_match_a_fresh_schedule(self, kind):
+        used = SCHEDULES[kind]()
+        queries = [(t, v) for t in range(12) for v in ("a", "b", "c")]
+        for t, v in queries:
+            used.error(t, v)
+        for t, v in reversed(queries):
+            got = used.error(t, v)
+            want = SCHEDULES[kind]().error(t, v)
+            if want is None:
+                assert got is None
+            else:
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_violations_recorded_once_per_step_and_vehicle(self, kind):
+        s = SCHEDULES[kind]()
+        for _ in range(3):
+            for t in range(10):
+                for v in ("a", "b", "c"):
+                    s.error(t, v)
+        keys = [(t, v) for t, v, _ in s.violations]
+        assert keys and len(keys) == len(set(keys))
+        assert keys == sorted(keys)
+        assert all(s.error(t, v) == e for t, v, e in s.violations)
