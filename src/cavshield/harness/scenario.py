@@ -27,13 +27,17 @@ caller. A file is rejected with ValueError, naming the key or id, if it has
 an unknown key at any level, a spawn, adjacency or override lane that is
 not in ``lanes``, a vehicle without a destination (or a destination for an
 unknown vehicle), a duplicate lane or vehicle id, an unknown behavior
-kind, a behavior for a vehicle that is not a UCV, or an override for an
-unknown vehicle. Both modes are checked whichever one is built.
+kind, a behavior for a vehicle that is not a UCV, an override for an
+unknown vehicle, a band (speed, brake_window, brake_speed) that is not a
+[lo, hi] pair of finite numbers with lo <= hi (brake_window: integers),
+or a key given twice in one mapping. Both modes are checked whichever one
+is built.
 """
 
 import dataclasses
 import functools
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,6 +51,30 @@ BEHAVIOR_SUDDEN_BRAKE = "sudden_brake"
 MODES = ("train", "test")
 
 _DATA = importlib.resources.files(__package__) / "data"
+
+
+_MERGE = "tag:yaml.org,2002:merge"  # the "<<" key, which may repeat keys
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping giving the same key twice (plain
+    YAML keeps the last value silently)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE:
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise ValueError(f"duplicate key {key!r} (line {line})")
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+def _parse(text):
+    return yaml.load(text, Loader=_UniqueKeyLoader)
 
 
 @dataclass
@@ -155,7 +183,7 @@ def build_scenario(name, mode="train", cfg=None):
 
 def load_scenario(text, name, mode="train", cfg=None):
     """A scenario from YAML text in the file format above."""
-    return _spec(name, yaml.safe_load(text), mode, cfg)
+    return _spec(name, _parse(text), mode, cfg)
 
 
 @functools.cache
@@ -163,7 +191,7 @@ def _document(name):
     # Parsing takes about 10 ms against well under 1 ms to build a spec from
     # the document, so each file is parsed once per process; _spec never
     # mutates the document.
-    return yaml.safe_load((_DATA / f"{name}.yaml").read_text())
+    return _parse((_DATA / f"{name}.yaml").read_text())
 
 
 def _spec(name, doc, mode, cfg):
@@ -275,6 +303,20 @@ def _record(cls, entry, where, **given):
     return cls(**given, **values)
 
 
+def _check_band(value, where, key, types=(int, float)):
+    """value must be a (lo, hi) pair of finite `types` numbers, lo <= hi."""
+    ok = (
+        isinstance(value, tuple) and len(value) == 2
+        and all(isinstance(x, types) and not isinstance(x, bool)
+                and math.isfinite(x) for x in value)
+        and value[0] <= value[1]
+    )
+    if not ok:
+        raise ValueError(
+            f"{where}: {key!r} must be [lo, hi] with lo <= hi, got {value!r}"
+        )
+
+
 def _vehicles(spawns, behaviors, road, where):
     """(CAV spawns, UCV spawns, behaviors) of one mode's merged entries."""
     cav_spawns, ucv_spawns = [], []
@@ -282,6 +324,7 @@ def _vehicles(spawns, behaviors, road, where):
         fields = {k: v for k, v in entry.items() if k != "id"}
         spawn = _record(SpawnSpec, fields, f"{where} spawn {vid!r}", vehicle_id=vid)
         _check_lanes([spawn.lane], road.lanes, f"{where} spawn {vid!r}")
+        _check_band(spawn.speed, f"{where} spawn {vid!r}", "speed")
         (cav_spawns if spawn.connected else ucv_spawns).append(spawn)
     _check_keys(behaviors, {s.vehicle_id for s in ucv_spawns},
                 f"{where} behaviors", what="UCV")
@@ -290,5 +333,8 @@ def _vehicles(spawns, behaviors, road, where):
         beh = _record(UcvBehavior, entry, f"{where} behavior {vid!r}")
         if beh.kind not in (BEHAVIOR_CONSTANT, BEHAVIOR_SUDDEN_BRAKE):
             raise ValueError(f"{where} behavior {vid!r}: unknown kind {beh.kind!r}")
+        _check_band(beh.brake_window, f"{where} behavior {vid!r}",
+                    "brake_window", types=(int,))
+        _check_band(beh.brake_speed, f"{where} behavior {vid!r}", "brake_speed")
         out[vid] = beh
     return cav_spawns, ucv_spawns, out

@@ -233,6 +233,16 @@ MALFORMED = {
         _set(["test"], {"behaviors": {"ghost": {"kind": "sudden_brake"}}}), "ghost"),
     "override kind": (_set(["test"], {"behaviors": {"ucv0": {"kind": "crossing"}}}),
                       "crossing"),
+    "scalar speed": (_set(["spawns", 0, "speed"], 9.0), "speed"),
+    "reversed speed band": (_set(["spawns", 1, "speed"], [10.0, 8.0]), "speed"),
+    "reversed brake window": (
+        _set(["behaviors"], {"ucv0": {"kind": "sudden_brake",
+                                      "brake_window": [80, 40]}}), "brake_window"),
+    "scalar brake speed": (
+        _set(["test"], {"behaviors": {"ucv0": {"brake_speed": 3.0}}}), "brake_speed"),
+    # The edit returns the file text: a key given twice cannot be a dict.
+    "duplicate key": (lambda d: yaml.safe_dump(d) + "vehicle_width: 3.0\n",
+                      "vehicle_width"),
 }
 
 
@@ -247,9 +257,11 @@ class TestScenarioValidation:
     def test_malformed_file_rejected(self, case, mode):
         edit, named = MALFORMED[case]
         doc = valid_doc()
-        edit(doc)
+        text = edit(doc)
+        if not isinstance(text, str):  # the edit changed doc in place
+            text = yaml.safe_dump(doc)
         with pytest.raises(ValueError, match=named):
-            scen.load_scenario(yaml.safe_dump(doc), "case", mode=mode)
+            scen.load_scenario(text, "case", mode=mode)
 
 
 class TestCli:
