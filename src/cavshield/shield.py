@@ -290,10 +290,15 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
 
 
 def _binding(rows, alpha):
-    """Label of the row with least slack coef * alpha - b."""
-    if not rows.labeled:
-        return None
-    return min(rows.labeled, key=lambda r: r[0] * alpha - r[1])[2]
+    """Label of the row with least slack coef * alpha - b, the first on a
+    tie (as min() picks it)."""
+    label = None
+    for coef, b, row_label in rows.labeled:
+        slack = coef * alpha - b
+        if label is None or slack < least:
+            least = slack
+            label = row_label
+    return label
 
 
 class EgoView:
