@@ -278,9 +278,12 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     """
     if not (math.isfinite(u0.accel) and math.isfinite(u0.steer)):
         raise ValueError(f"nominal input {u0!r} is not finite")
+    lo, hi = accel_bounds
+    if not (lo <= hi and dyn.steer_min <= dyn.steer_max):  # also NaN
+        raise ValueError(f"empty input box {accel_bounds!r} x "
+                         f"{(dyn.steer_min, dyn.steer_max)!r}")
     u = None
     if not rows.blocked:
-        lo, hi = accel_bounds
         u = kernels.project_accel(u0.accel, u0.steer, rows.unit, lo, hi,
                                   dyn.steer_min, dyn.steer_max)
     if u is None:

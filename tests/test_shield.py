@@ -399,12 +399,18 @@ class TestAccelProjectionMatchesQp:
             )
             assert ok.safe and ok.binding == "z"
 
-    def test_non_finite_input_rejected(self):
+    def test_invalid_input_rejected(self):
+        # The checks QpProblem.validate made on every per-action QP.
         with pytest.raises(ValueError, match="not finite"):
             BarrierRows.of([(math.nan, 0.0, "x")])
         with pytest.raises(ValueError, match="not finite"):
             check_action_safe(ControlInput(math.inf, 0.0), BarrierRows.of([]),
                               (-1.0, 1.0), DYN)
+        for bounds, dyn in (((1.0, -1.0), DYN), ((math.nan, 1.0), DYN),
+                            ((-1.0, 1.0), replace(DYN, steer_min=0.6))):
+            with pytest.raises(ValueError, match="empty input box"):
+                check_action_safe(ControlInput(0.0, 0.0), BarrierRows.of([]),
+                                  bounds, dyn)
 
 
 def follower_leader_world(gap, v_ego, v_lead):
