@@ -280,6 +280,11 @@ def min_slack_row(rows, u):
     return min(rows, key=lambda r: r[0][0] * u[0] + r[0][1] * u[1] - r[1])[2]
 
 
+# Offsets of a row's edge: none, inside and outside DEDUP_TOL and FEAS_TOL.
+SHIFTS = [0.0, 0.5 * DEDUP_TOL, -0.5 * DEDUP_TOL, 2 * DEDUP_TOL,
+          0.5 * FEAS_TOL, -0.5 * FEAS_TOL, 2 * FEAS_TOL]
+
+
 def projection_case(rnd):
     """Shield-shaped rows (coef, b) in front of edge cases of the QP's
     tolerances: zero and sub-DEDUP_TOL coefficients, rows within DEDUP_TOL
@@ -306,7 +311,7 @@ def projection_case(rnd):
             # whose edge moved by less than DEDUP_TOL or FEAS_TOL.
             coef, b = rnd.choice(rows)
             scale = rnd.choice([1.0, 1.0, 2.0, 0.5])
-            shift = rnd.choice([0.0, 5e-13, -5e-13, 2e-12, 5e-9, -5e-9, 2e-8])
+            shift = rnd.choice(SHIFTS)
             rows.append((coef * scale, (b + shift * abs(coef)) * scale))
             continue
         if kind < 0.35:
@@ -314,13 +319,14 @@ def projection_case(rnd):
             sign = rnd.choice([1.0, -1.0])
             coef = sign * rnd.choice([1.0, 0.7, 3.0])
             edge = lo0 if sign > 0 else hi0
-            shift = rnd.choice([0.0, 5e-13, -5e-13, 5e-9, -5e-9, 2e-8])
+            shift = rnd.choice(SHIFTS)
             rows.append((coef, coef * (edge + shift)))
             continue
         if kind < 0.45:
             # No accel direction: the lead barrier at v = 0, or a coefficient
             # below DEDUP_TOL; b on either side of FEAS_TOL.
-            coef = rnd.choice([0.0, -0.0, 3e-13, -7e-13, 2e-12])
+            coef = rnd.choice([0.0, -0.0, 0.3 * DEDUP_TOL, -0.7 * DEDUP_TOL,
+                               2 * DEDUP_TOL])
             b = rnd.choice([0.0, FEAS_TOL, FEAS_TOL * (1 + 1e-6),
                             FEAS_TOL * (1 - 1e-6), -1.0, 1.0])
             rows.append((coef, b))
@@ -357,7 +363,8 @@ class TestAccelProjectionMatchesQp:
             verdict = check_action_safe(
                 ControlInput(u0x, u0y), rows1d, (lo0, hi0), dyn
             )
-            where = f"case {case}: u0={u0x!r},{u0y!r} rows={rows!r} box={lo0, hi0, lo1, hi1}"
+            where = (f"case {case}: u0={u0x!r},{u0y!r} rows={rows!r} "
+                     f"box={(lo0, hi0, lo1, hi1)!r}")
             assert verdict.safe == (status == kernels.QP_FEASIBLE), where
             if verdict.safe:
                 assert verdict.u.accel.hex() == ux.hex(), where
@@ -379,23 +386,24 @@ class TestAccelProjectionMatchesQp:
         # The projection lands at u0y + t * 0.0: a -0.0 steer comes back
         # as +0.0 when the accel moves up, and stays -0.0 when u0 is kept.
         rows = BarrierRows.of([(1.0, 0.5, "lead")])
-        moved = check_action_safe(ControlInput(0.0, -0.0), rows, (-1.0, 1.0), DYN)
+        moved = check_action_safe(ControlInput(0.0, -0.0), rows, (-1.0, 1.0),
+                                  DYN)
         assert moved.safe and moved.u.accel == 0.5
         assert math.copysign(1.0, moved.u.steer) == 1.0
-        kept = check_action_safe(ControlInput(0.7, -0.0), rows, (-1.0, 1.0), DYN)
+        kept = check_action_safe(ControlInput(0.7, -0.0), rows, (-1.0, 1.0),
+                                 DYN)
         assert kept.u.accel == 0.7 and math.copysign(1.0, kept.u.steer) == -1.0
 
     def test_row_without_direction(self):
         # |coef| < DEDUP_TOL: a constant row, failing every action when
         # b > FEAS_TOL, and binding at the nominal input then.
         for coef in (0.0, 5e-13):
+            u0 = ControlInput(0.0, 0.0)
             assert check_action_safe(
-                ControlInput(0.0, 0.0), BarrierRows.of([(coef, 2 * FEAS_TOL, "z")]),
-                (-1.0, 1.0), DYN,
+                u0, BarrierRows.of([(coef, 2 * FEAS_TOL, "z")]), (-1.0, 1.0), DYN
             ) == ActionVerdict(safe=False, binding="z")
             ok = check_action_safe(
-                ControlInput(0.0, 0.0), BarrierRows.of([(coef, FEAS_TOL, "z")]),
-                (-1.0, 1.0), DYN,
+                u0, BarrierRows.of([(coef, FEAS_TOL, "z")]), (-1.0, 1.0), DYN
             )
             assert ok.safe and ok.binding == "z"
 
