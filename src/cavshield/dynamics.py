@@ -183,7 +183,7 @@ def nominal_control(state, action, lane_ctx, params, space=None):
 def action_accel_bounds(action, params, space=None):
     """Acceleration range an action's actuator may command.
 
-    The shield's per-action CBF-QP searches this band, so an action is
+    The shield's per-action check searches this band, so an action is
     unsafe exactly when no input consistent with its meaning satisfies
     the barriers: throttle actions own their interval of [0, accel_max],
     BRAKE owns [brake_value * accel_min, 0], and the speed-hold actions
