@@ -1,11 +1,14 @@
 """Behaviour lock: one short test-mode episode per scenario, compared with
-a committed golden log.
+a committed golden log, and one short SR-MAPPO training run.
 
 Discrete fields (actions, safe sets, emergency flags, crashed sets,
 collisions, meta) must match exactly; floats (states, controls, rewards,
 perturbation errors) to 1e-12.  The shield's per-action verdicts (safe,
 binding constraint, unavailable) of the same episode are kept in a compact
 per-step form, ``<scenario>.verdicts.json``, and must match exactly too.
+The training lock, ``train-intersection-srmappo.json``, holds the metrics
+records of a two-episode SR-MAPPO run and the sum and L2 norm of each
+agent's final actor, value and worst-Q parameters, compared the same way.
 A change that alters a trajectory or a verdict on purpose regenerates the
 files with
 
@@ -25,6 +28,7 @@ import pytest
 from cavshield.harness import episode as ep
 from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
+from cavshield.marl import trainer
 from cavshield.perturb import make_ptb_target_vehicles
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
@@ -32,6 +36,9 @@ SCENARIOS = ("highway", "intersection")
 SEED = 7
 STEPS = 100
 TOL = 1e-12
+TRAIN_PATH = GOLDEN_DIR / "train-intersection-srmappo.json"
+TRAIN_SEED = 11
+TRAIN_EPISODES = 2
 
 
 def golden_path(name):
@@ -90,6 +97,26 @@ def golden_verdicts(name):
             step[aid] = " ".join(tokens)
         steps.append(step)
     return {"bindings": bindings, "steps": steps}
+
+
+def golden_training():
+    """Metrics and parameter summaries of the locked training run."""
+    settings = trainer.TrainSettings(
+        scenario="intersection", algo=trainer.ALGO_SRMAPPO,
+        shield_mode=ep.SHIELD_ROBUST, seed=TRAIN_SEED,
+        episodes=TRAIN_EPISODES, config=Config(),
+    )
+    result = trainer.train(settings)
+    params = {}
+    for aid, agent in result.agents.items():
+        params[aid] = {}
+        for name, net in (("theta", agent.actor), ("phi", agent.value),
+                          ("omega", agent.worst_q)):
+            flat = net.get_flat()
+            params[aid][name] = {"sum": float(flat.sum()),
+                                 "norm": float(np.linalg.norm(flat))}
+    # Through JSON, so tuples and ints compare as they are stored.
+    return json.loads(json.dumps({"metrics": result.metrics, "params": params}))
 
 
 def assert_same(got, want, where="log"):
@@ -164,6 +191,14 @@ def test_highway_golden_log_passes_the_brake():
     assert speed[-1] < 5.0 < speed[0]
 
 
+def test_training_matches_golden():
+    want = json.loads(TRAIN_PATH.read_text())
+    got = golden_training()
+    assert len(want["metrics"]) == TRAIN_EPISODES
+    assert all(m["loss_reg"] is not None for m in want["metrics"])
+    assert_same(got, want, "training")
+
+
 def test_assert_same_is_exact_on_discrete_fields():
     with pytest.raises(AssertionError):
         assert_same({"a": [1, 2]}, {"a": [1, 3]})
@@ -183,3 +218,6 @@ if __name__ == "__main__":
             json.dumps(golden_verdicts(scenario), indent=0) + "\n"
         )
         print(f"wrote {verdicts_path(scenario)}")
+    TRAIN_PATH.write_text(json.dumps(golden_training(), indent=1,
+                                     sort_keys=True) + "\n")
+    print(f"wrote {TRAIN_PATH}")
