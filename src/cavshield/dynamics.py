@@ -2,7 +2,8 @@
 discrete action to a continuous input u = [accel, steer]."""
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import kernels
@@ -40,6 +41,24 @@ class DynamicsParams:
     hold_band: float = 1.0
     # Wheelbase as a fraction of body length, c.g. at its midpoint.
     wheelbase_frac: float = 0.6
+
+    def __post_init__(self):
+        # Each action's input box is non-empty only under these bounds.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number")
+        for key, ok, rule in (
+            ("dt", self.dt > 0, "> 0"),
+            ("accel_min", self.accel_min <= 0, "<= 0"),
+            ("accel_max", self.accel_max >= 0, ">= 0"),
+            ("steer_max", self.steer_min <= self.steer_max, ">= steer_min"),
+            ("hold_band", self.hold_band >= 0, ">= 0"),
+            ("brake_value", 0 <= self.brake_value <= 1, "in [0, 1]"),
+            ("wheelbase_frac", self.wheelbase_frac > 0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}")
 
     @property
     def max_brake(self):

@@ -6,13 +6,13 @@ Top-level YAML keys mirror the dataclass fields:
     world:    comm_range (lane geometry and vehicle sizes are scenario
               data: see harness/scenario.py)
     dynamics: dt, accel_min, accel_max, steer_min, steer_max, k_lat,
-              k_head, lookahead, brake_value, wheelbase_frac
+              k_head, lookahead, brake_value, hold_band, wheelbase_frac
     shield:   c1, c2, c3, gamma_cbf, epsilon, lipschitz_sum (null = audit
               at startup), horizon, conflict_radius, v_max, p_col, p_sas
-    marl:     hidden, lr, clip_eps, gamma, kappa_wst, kappa_reg, n_adv,
-              eps_explore_start, eps_explore_end, ppo_epochs,
-              critic_epochs, worst_q_sync, reward_scale, epsilon_ball,
-              n_cav_slots, n_ucv_slots, max_lanes
+    marl:     hidden, lr, lr_critic, clip_eps, gamma, kappa_wst,
+              kappa_reg, n_adv, eps_explore_start, eps_explore_end,
+              ppo_epochs, critic_epochs, worst_q_sync, reward_scale,
+              epsilon_ball, n_cav_slots, n_ucv_slots, max_lanes
     harness:  episode_len, train_episodes, test_episodes,
               quick_train_episodes, quick_test_episodes, action_k,
               ptb_window, ptb_epsilon_bound, ptb_targets
@@ -58,10 +58,13 @@ class MarlConfig:
     max_lanes: int = 4
 
     def __post_init__(self):
-        n_adv = self.n_adv
-        is_int = isinstance(n_adv, numbers.Integral) and not isinstance(n_adv, bool)
-        if not (is_int and n_adv >= 0):
-            raise ValueError("n_adv must be an int >= 0")
+        # Lower bounds below which training crashes or silently skips work.
+        for key, low in (("n_adv", 0), ("ppo_epochs", 1),
+                         ("critic_epochs", 0), ("worst_q_sync", 1)):
+            value = getattr(self, key)
+            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (is_int and value >= low):
+                raise ValueError(f"{key} must be an int >= {low}")
         eps = self.epsilon_ball
         if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0):
             raise ValueError("epsilon_ball must be finite and >= 0")

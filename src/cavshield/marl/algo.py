@@ -130,26 +130,28 @@ def reg_loss(actor, obs, pert_samples, weights):
     return float(np.mean(np.asarray(weights, dtype=float) * val))
 
 
-def _reg_max_kl(actor, logits_p, pert_samples):
+def _reg_max_kl(actor, logits_p, pert_samples, workspace=None):
     """Per-row max KL(pi(s) || pi(s')) over the candidates s', given the
-    actor's logits at s."""
+    actor's logits at s; the candidates' forward runs in workspace."""
     b, k, f = pert_samples.shape
     p = softmax(logits_p)
     logp = log_softmax(logits_p)
-    logits_q = actor.forward(pert_samples.reshape(b * k, f))
+    logits_q = actor.forward(pert_samples.reshape(b * k, f), workspace=workspace)
     logq = log_softmax(logits_q).reshape(b, k, -1)
     kls = np.sum(p[:, None, :] * (logp[:, None, :] - logq), axis=-1)
     best = np.argmax(kls, axis=1)
     return kls[np.arange(b), best], best, p, logp
 
 
-def reg_loss_grad(actor, obs, pert_samples, weights):
+def reg_loss_grad(actor, obs, pert_samples, weights, workspace=None):
     """(loss value, gradient w.r.t. actor params); the gradient flows
-    through both KL arguments at the argmax candidate."""
+    through both KL arguments at the argmax candidate.  An optional
+    nets.Workspace holds the candidate forward's buffers."""
     weights = np.asarray(weights, dtype=float)
     b = len(weights)
     logits_p, cache_p = actor.forward_cache(obs)
-    max_kl, best, p, logp = _reg_max_kl(actor, logits_p, pert_samples)
+    max_kl, best, p, logp = _reg_max_kl(actor, logits_p, pert_samples,
+                                        workspace)
     loss = float(np.mean(weights * max_kl))
 
     sel = pert_samples[np.arange(b), best]

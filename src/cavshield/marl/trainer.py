@@ -18,7 +18,7 @@ from ..harness import scenario as scen
 from ..harness.config import Config
 from . import algo
 from .encode import Encoder, EncoderSpec, perturbation_samples
-from .nets import MLP, Adam, log_softmax
+from .nets import MLP, Adam, Workspace, log_softmax
 
 ALGO_SRMAPPO = "srmappo"
 ALGO_MAPPO = "mappo"
@@ -182,6 +182,9 @@ def train(settings):
             else cfg.harness.train_episodes
         )
     agents, encoder = build_agents(spec, cfg, settings.seed)
+    # The regularizer's forward buffers, shared by every agent: per-agent
+    # buffers would add about 6 MB each to peak memory.
+    workspace = Workspace()
     metrics = []
     kappa_wst = cfg.marl.kappa_wst if settings.algo == ALGO_SRMAPPO else 0.0
     kappa_reg = cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0
@@ -207,6 +210,7 @@ def train(settings):
             rng=np.random.default_rng([settings.seed, 0xAD, e]),
             sync_target=(e % cfg.marl.worst_q_sync == 0),
             train_worst_q=settings.algo == ALGO_SRMAPPO,
+            workspace=workspace,
         )
         for aid, agent in agents.items():
             _runtime_params(agent, kappa_wst, kappa_reg).check_finite(
@@ -231,7 +235,7 @@ def _episode_seed(seed, e):
 
 
 def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
-                   sync_target, train_worst_q):
+                   sync_target, train_worst_q, workspace):
     marl = cfg.marl
     scale = marl.reward_scale
     central = np.stack(policy.central)
@@ -315,7 +319,8 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
             )
             total_grad = ga
             if kappa_reg != 0.0:
-                lr_, gr = algo.reg_loss_grad(agent.actor, obs, pert, weights)
+                lr_, gr = algo.reg_loss_grad(agent.actor, obs, pert, weights,
+                                             workspace)
                 total_grad = ga - kappa_reg * gr
             # Ascend: Adam minimizes, so feed the negated ascent direction.
             agent.actor.set_flat(

@@ -45,6 +45,46 @@ class TestConfig:
         with pytest.raises(ValueError, match=next(iter(marl))):
             Config.from_dict({"marl": marl})
 
+    @pytest.mark.parametrize("marl", [
+        {"ppo_epochs": 0}, {"ppo_epochs": -1}, {"ppo_epochs": 2.0},
+        {"ppo_epochs": True}, {"worst_q_sync": 0}, {"worst_q_sync": -3},
+        {"worst_q_sync": "1"}, {"worst_q_sync": False},
+        {"critic_epochs": -2}, {"critic_epochs": 1.5},
+        {"critic_epochs": True},
+    ])
+    def test_marl_epochs_rejected(self, marl):
+        with pytest.raises(ValueError, match=next(iter(marl))):
+            Config.from_dict({"marl": marl})
+
+    def test_marl_epochs_accepted(self):
+        cfg = Config.from_dict({"marl": {"ppo_epochs": 1, "critic_epochs": 0,
+                                         "worst_q_sync": 1}})
+        assert (cfg.marl.ppo_epochs, cfg.marl.critic_epochs,
+                cfg.marl.worst_q_sync) == (1, 0, 1)
+
+    @pytest.mark.parametrize("dynamics,key", [
+        ({"hold_band": -1.0}, "hold_band"), ({"dt": 0.0}, "dt"),
+        ({"dt": math.nan}, "dt"), ({"k_lat": math.inf}, "k_lat"),
+        ({"lookahead": "15"}, "lookahead"), ({"accel_min": 0.5}, "accel_min"),
+        ({"accel_max": -0.5}, "accel_max"),
+        ({"steer_min": 0.6}, "steer_max"),
+        ({"steer_min": 0.2, "steer_max": 0.1}, "steer_max"),
+        ({"brake_value": -0.1}, "brake_value"),
+        ({"brake_value": 1.5}, "brake_value"),
+        ({"wheelbase_frac": 0.0}, "wheelbase_frac"),
+    ])
+    def test_dynamics_rejected(self, dynamics, key):
+        with pytest.raises(ValueError, match=key):
+            Config.from_dict({"dynamics": dynamics})
+
+    def test_dynamics_edges_accepted(self):
+        edges = {"accel_min": 0.0, "accel_max": 0.0, "steer_min": 0.3,
+                 "steer_max": 0.3, "hold_band": 0.0, "brake_value": 1.0}
+        assert Config.from_dict({"dynamics": edges}).dynamics.hold_band == 0.0
+        assert Config.from_dict(
+            {"dynamics": {"brake_value": 0, "dt": 1}}
+        ).dynamics.brake_value == 0
+
     def test_marl_regularizer_accepted(self):
         cfg = Config.from_dict({"marl": {"n_adv": 0, "epsilon_ball": 0.0}})
         assert (cfg.marl.n_adv, cfg.marl.epsilon_ball) == (0, 0.0)

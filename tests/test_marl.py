@@ -8,7 +8,7 @@ import pytest
 
 from cavshield.marl import algo
 from cavshield.marl.encode import Encoder, EncoderSpec, perturbation_samples
-from cavshield.marl.nets import MLP, Adam, log_softmax, softmax
+from cavshield.marl.nets import MLP, Adam, Workspace, log_softmax, softmax
 from cavshield.world import AgentView, Observation
 
 
@@ -18,6 +18,12 @@ def make_net(sizes, seed=0, zero_final=False, jitter=0.1):
         rng = np.random.default_rng(seed + 1)
         net.set_flat(net.get_flat() + jitter * rng.normal(size=net.n_params))
     return net
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
 
 
 def fd_check(net, value_fn, grad, rng, n_dirs=20, h=1e-6, tol=1e-4):
@@ -77,6 +83,56 @@ class TestMLP:
         for _ in range(500):
             x = opt.step(x, 2.0 * x)
         assert np.linalg.norm(x) < 1e-2
+
+
+class TestWorkspace:
+    """forward in a reused workspace does the same arithmetic in place."""
+
+    SIZES = [EncoderSpec().dim, 64, 64, 7]
+
+    def rows(self, n, seed=0):
+        return np.random.default_rng(seed).normal(size=(n, self.SIZES[0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 5600])
+    def test_bit_equal_to_plain_forward(self, n):
+        net = make_net(self.SIZES, seed=20)
+        x = self.rows(n)
+        assert same_bits(net.forward(x, workspace=Workspace()), net.forward(x))
+
+    def test_one_workspace_across_row_counts(self):
+        net = make_net(self.SIZES, seed=21)
+        ws = Workspace()
+        for n in (5600, 1, 200, 2, 5600, 200):
+            x = self.rows(n, seed=n)
+            assert same_bits(net.forward(x, workspace=ws), net.forward(x))
+
+    def test_two_actors_share_one_workspace(self):
+        nets = [make_net(self.SIZES, seed=22), make_net(self.SIZES, seed=23)]
+        ws = Workspace()
+        x = self.rows(200)
+        previous = None
+        for net in nets * 3:
+            out = net.forward(x, workspace=ws)
+            if previous is not None:
+                # The contract: each forward overwrites the last result.
+                assert out is previous
+            assert same_bits(out, net.forward(x))
+            previous = out
+
+    def test_reg_loss_grad_bit_equal(self):
+        spec = EncoderSpec()
+        actor = make_net(self.SIZES, seed=24)
+        rng = np.random.default_rng(25)
+        obs = rng.normal(size=(200, spec.dim))
+        masks = rng.uniform(size=(200, spec.n_slots)) < 0.7
+        pert = perturbation_samples(spec, obs, masks, 2.0, 8, rng)
+        weights = rng.uniform(0.1, 1.0, size=200)
+        loss, grad = algo.reg_loss_grad(actor, obs, pert, weights)
+        ws = Workspace()
+        for _ in range(2):
+            loss_ws, grad_ws = algo.reg_loss_grad(actor, obs, pert, weights, ws)
+            assert same_bits(loss_ws, loss)
+            assert same_bits(grad_ws, grad)
 
 
 class TestReturnsAdvantages:

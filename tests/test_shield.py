@@ -2,6 +2,7 @@
 transform, per-action verdicts, forward invariance, and the emergency
 fallback."""
 
+import copy
 import math
 import random
 from dataclasses import replace
@@ -414,8 +415,12 @@ class TestAccelProjectionMatchesQp:
         with pytest.raises(ValueError, match="not finite"):
             check_action_safe(ControlInput(math.inf, 0.0), BarrierRows.of([]),
                               (-1.0, 1.0), DYN)
+        # DynamicsParams rejects steer_min > steer_max, so build that box
+        # past its checks; check_action_safe must still refuse it.
+        bad_steer = copy.copy(DYN)
+        bad_steer.steer_min = 0.6
         for bounds, dyn in (((1.0, -1.0), DYN), ((math.nan, 1.0), DYN),
-                            ((-1.0, 1.0), replace(DYN, steer_min=0.6))):
+                            ((-1.0, 1.0), bad_steer)):
             with pytest.raises(ValueError, match="empty input box"):
                 check_action_safe(ControlInput(0.0, 0.0), BarrierRows.of([]),
                                   bounds, dyn)
