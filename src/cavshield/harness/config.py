@@ -13,9 +13,9 @@ Top-level YAML keys mirror the dataclass fields:
               kappa_reg, n_adv, eps_explore_start, eps_explore_end,
               ppo_epochs, critic_epochs, worst_q_sync, reward_scale,
               epsilon_ball, n_cav_slots, n_ucv_slots, max_lanes
-    harness:  episode_len, train_episodes, test_episodes,
-              quick_train_episodes, quick_test_episodes, action_k,
-              ptb_window, ptb_epsilon_bound, ptb_targets
+    harness:  episode_len, train_episodes, quick_train_episodes,
+              quick_test_episodes, action_k, ptb_window, ptb_epsilon_bound,
+              ptb_targets
 """
 
 import dataclasses
@@ -74,7 +74,6 @@ class MarlConfig:
 class HarnessConfig:
     episode_len: int = 200
     train_episodes: int = 200
-    test_episodes: int = 50
     quick_train_episodes: int = 20
     quick_test_episodes: int = 10
     action_k: int = 3
@@ -82,6 +81,17 @@ class HarnessConfig:
     ptb_epsilon_bound: float = math.inf
     # Target set for the target-vehicles strategy; None = every UCV.
     ptb_targets: tuple = None
+
+    def __post_init__(self):
+        # A 0-step episode leaves the PPO update nothing to stack.
+        n = self.episode_len
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and n >= 1):
+            raise ValueError("episode_len must be an int >= 1")
+        # A bare string would iterate into a set of its characters.
+        if isinstance(self.ptb_targets, str):
+            raise ValueError(f"ptb_targets must be a list of vehicle ids, "
+                             f"not the string {self.ptb_targets!r}")
 
 
 @dataclass

@@ -54,7 +54,14 @@ def build_schedule(kind, seed, cfg, spec):
             epsilon_bound=cfg.harness.ptb_epsilon_bound,
         )
     if kind == "veh":
-        targets = cfg.harness.ptb_targets or spec.ucv_ids
+        targets = cfg.harness.ptb_targets
+        if targets is None:
+            targets = spec.ucv_ids
+        known = set(spec.agent_ids) | set(spec.ucv_ids)
+        for vid in targets:
+            if vid not in known:
+                raise ValueError(f"ptb_targets: {vid!r} is not a vehicle of "
+                                 f"scenario {spec.name!r}")
         return make_ptb_target_vehicles(
             seed, targets, epsilon_bound=cfg.harness.ptb_epsilon_bound,
         )

@@ -1,12 +1,12 @@
-"""Kernels: the accel projection behind every shield verdict, bicycle
-step, rectangle overlap, and the general 2-D projection QP.
+"""Kernels: the 2-D projection QP behind every shield verdict, bicycle
+step and rectangle overlap.
 
-The first three are the per-step inner loops (called agents x actions x
-steps during rollouts).  ``solve_qp_2d`` is the general solver behind
-``qp.solve`` (acceptance check C1, ``cavshield qp-debug``) and the
-reference that ``project_accel`` reproduces.  Callers call them through
-the module (``kernels.solve_qp_2d``), not by imported name, so a tracer
-that replaces the module attributes (perfbench/spans.py) sees every call.
+All three are per-step inner loops (called agents x actions x steps
+during rollouts).  ``solve_qp_2d`` decides each action of the shield
+(``shield.check_action_safe``) and also backs ``qp.solve`` (acceptance
+check C1, ``cavshield qp-debug``).  Callers call them through the module
+(``kernels.solve_qp_2d``), not by imported name, so a tracer that
+replaces the module attributes (perfbench/spans.py) sees every call.
 """
 
 import math
@@ -111,79 +111,6 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     if not found:
         return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
     return (QP_FEASIBLE, best_x, best_y, 0.5 * best_d2)
-
-
-def project_accel(u0x, u0y, rows, lo0, hi0, lo1, hi1):
-    """solve_qp_2d for rows whose normal has no steer component.
-
-    rows is a sequence of (ax, b) pairs for the rows (ax, 0.0, b), already
-    normalized as solve_qp_2d normalizes them (divided by |ax|, with the
-    rows of |ax| < DEDUP_TOL left to the caller).  Returns (ux, uy), or
-    None when infeasible: bit for bit solve_qp_2d's answer, because the
-    rows are deduplicated the same way and the same candidates are tried
-    in the same order with the same arithmetic.  Left out are only the
-    pairs that solve_qp_2d skips as parallel (two accel rows, or the two
-    steer rows) and candidates that cannot be feasible (see below).
-    """
-    xrows = [(1.0, 0.0, lo0), (-1.0, 0.0, -hi0)]
-    for ax, b in rows:
-        for px, _, pb in xrows:
-            if abs(ax - px) <= DEDUP_TOL and abs(b - pb) <= DEDUP_TOL:
-                break
-        else:
-            xrows.append((ax, 0.0, b))
-    steer = [(0.0, 1.0, lo1), (0.0, -1.0, -hi1)]
-
-    # solve_qp_2d's feasibility test, split into an accel part and a steer
-    # part; the zero terms it also adds only change the sign of a zero.
-    def _accel_ok(x):
-        for ax, _, b in xrows:
-            if ax * x - b < -FEAS_TOL:
-                return False
-        return True
-
-    def _steer_ok(y):
-        return not (y - lo1 < -FEAS_TOL or hi1 - y < -FEAS_TOL)
-
-    accel_ok = _accel_ok(u0x)
-    steer_ok = _steer_ok(u0y)
-    if accel_ok and steer_ok:
-        return (u0x, u0y)
-
-    best_d2 = math.inf
-    best = None
-    # A candidate is kept when it is strictly nearer and feasible, as in
-    # solve_qp_2d; testing the distance first skips tests that cannot
-    # matter.  Single-plane candidates, in solve_qp_2d's row order (accel
-    # box, steer box, caller rows): an accel row's candidate keeps u0y up
-    # to the sign of zero, so it is feasible only if u0y is, and a steer
-    # row's keeps u0x, so it is feasible only if u0x is.
-    for ax, ay, b in xrows[:2] + steer + xrows[2:]:
-        if not (accel_ok if ay else steer_ok):
-            continue
-        t = b - (ax * u0x + ay * u0y)
-        cx = u0x + t * ax
-        cy = u0y + t * ay
-        d2 = (cx - u0x) * (cx - u0x) + (cy - u0y) * (cy - u0y)
-        if d2 < best_d2 and (_steer_ok(cy) if ay else _accel_ok(cx)):
-            best_d2 = d2
-            best = (cx, cy)
-
-    # Vertices in solve_qp_2d's (i < j) order: each accel box row with
-    # each steer row, then each steer row with each caller row.
-    pairs = [(x, s) for x in xrows[:2] for s in steer]
-    pairs += [(s, x) for s in steer for x in xrows[2:]]
-    for (axi, ayi, bi), (axj, ayj, bj) in pairs:
-        det = axi * ayj - ayi * axj
-        if abs(det) <= DEDUP_TOL:
-            continue
-        cx = (bi * ayj - bj * ayi) / det
-        cy = (axi * bj - axj * bi) / det
-        d2 = (cx - u0x) * (cx - u0x) + (cy - u0y) * (cy - u0y)
-        if d2 < best_d2 and _steer_ok(cy) and _accel_ok(cx):
-            best_d2 = d2
-            best = (cx, cy)
-    return best
 
 
 def wrap_angle(a):

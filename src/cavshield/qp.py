@@ -1,4 +1,6 @@
-"""Small dense projection QP used by the safety shield.
+"""Array front end of the 2-D projection QP kernels.solve_qp_2d, for
+acceptance check C1 and `cavshield qp-debug` (the safety shield calls the
+kernel directly).
 
 minimize 1/2 ||u - u0||^2  subject to  a.u >= b (per row) and box bounds.
 Infeasible is a normal outcome (the shield reads it as "action unsafe").

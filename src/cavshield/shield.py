@@ -9,12 +9,12 @@ where A = lipschitz_sum * epsilon is the buffer absorbing bounded
 observation error.  Barriers are longitudinal (safety-following and
 safety-leading distances), so each constraint bounds the acceleration
 alone: the rows of the current lane and of each adjacent lane are built
-once per agent and step, and each action's verdict is a 1-D projection of
-its nominal accel onto them (kernels.project_accel, which gives exactly
-what the 2-D projection QP kernels.solve_qp_2d would).  Crossing traffic
-is folded in by transforming each crossing vehicle into a pseudo car on
-the ego path.  An empty safe set falls back to Emergency_stop (full
-braking, zero steer) and is fed back to the MARL as a penalty.
+once per agent and step, and each action's verdict is the projection QP
+kernels.solve_qp_2d of its nominal input onto them and its input box.
+Crossing traffic is folded in by transforming each crossing vehicle into
+a pseudo car on the ego path.  An empty safe set falls back to
+Emergency_stop (full braking, zero steer) and is fed back to the MARL as
+a penalty.
 """
 
 import math
@@ -153,30 +153,19 @@ class BarrierRows(NamedTuple):
     """Barrier constraints coef * alpha >= b on the ego acceleration alpha."""
 
     labeled: tuple  # (coef, b, label) per barrier, in target order
-    unit: tuple  # (coef / |coef|, b / |coef|) of each row with a direction
-    blocked: bool  # a row without direction (|coef| < DEDUP_TOL) fails
 
     @classmethod
     def of(cls, labeled):
-        """Rows from (coef, b, label) triples, normalized as the QP does."""
+        """Rows from (coef, b, label) triples; coef and b must be finite."""
         labeled = tuple(labeled)
-        unit = []
-        blocked = False
         for coef, b, _ in labeled:
             if not (math.isfinite(coef) and math.isfinite(b)):
                 raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
-            n = math.sqrt(coef * coef + 0.0 * 0.0)
-            if n < kernels.DEDUP_TOL:
-                blocked = blocked or b > kernels.FEAS_TOL
-            else:
-                unit.append((coef / n, b / n))
-        return cls(labeled, tuple(unit), blocked)
+        return cls(labeled)
 
     def join(self, other):
         """The rows of both sets, self's first."""
-        return BarrierRows(self.labeled + other.labeled,
-                           self.unit + other.unit,
-                           self.blocked or other.blocked)
+        return BarrierRows(self.labeled + other.labeled)
 
 
 def constraint_rows(ego_v, targets, cfg, dyn):
@@ -272,9 +261,10 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     dynamics.action_accel_bounds) times the steer range; the action is
     safe when some input in the box satisfies every row of rows (a
     BarrierRows), and its filtered input is the projection of u0 onto
-    that set.  Steer enters no row, so it passes through.  The binding
-    row is the one with least slack at the filtered input (at u0 when
-    unsafe); the first such row wins a tie.
+    that set (kernels.solve_qp_2d, each row as (coef, 0.0, b)).  Steer
+    enters no row, so it passes through.  The binding row is the one with
+    least slack at the filtered input (at u0 when unsafe); the first such
+    row wins a tie.
     """
     if not (math.isfinite(u0.accel) and math.isfinite(u0.steer)):
         raise ValueError(f"nominal input {u0!r} is not finite")
@@ -282,14 +272,14 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     if not (lo <= hi and dyn.steer_min <= dyn.steer_max):  # also NaN
         raise ValueError(f"empty input box {accel_bounds!r} x "
                          f"{(dyn.steer_min, dyn.steer_max)!r}")
-    u = None
-    if not rows.blocked:
-        u = kernels.project_accel(u0.accel, u0.steer, rows.unit, lo, hi,
-                                  dyn.steer_min, dyn.steer_max)
-    if u is None:
+    status, ux, uy, _ = kernels.solve_qp_2d(
+        u0.accel, u0.steer, [(coef, 0.0, b) for coef, b, _ in rows.labeled],
+        lo, hi, dyn.steer_min, dyn.steer_max,
+    )
+    if status != kernels.QP_FEASIBLE:
         return ActionVerdict(safe=False, binding=_binding(rows, u0.accel))
-    return ActionVerdict(safe=True, u=type(u0)(accel=u[0], steer=u[1]),
-                         binding=_binding(rows, u[0]))
+    return ActionVerdict(safe=True, u=type(u0)(accel=ux, steer=uy),
+                         binding=_binding(rows, ux))
 
 
 def _binding(rows, alpha):

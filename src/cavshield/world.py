@@ -45,9 +45,6 @@ class VehicleState:
         if self.length <= 0 or self.width <= 0:
             raise ValueError(f"vehicle {self.id}: extents must be positive")
 
-    def velocity(self):
-        return (self.v * math.cos(self.psi), self.v * math.sin(self.psi))
-
 
 class Path:
     """Polyline lane centerline with arc-length parameterization.
@@ -186,10 +183,6 @@ class Observation:
         """Rotate (lx, ly) back to the world frame."""
         c, s = math.cos(self.psi), math.sin(self.psi)
         return (c * self.lx - s * self.ly, s * self.lx + c * self.ly)
-
-    @property
-    def speed(self):
-        return self.vx
 
 
 @dataclass

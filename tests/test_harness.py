@@ -85,6 +85,11 @@ class TestConfig:
             {"dynamics": {"brake_value": 0, "dt": 1}}
         ).dynamics.brake_value == 0
 
+    @pytest.mark.parametrize("episode_len", [0, -5, 2.5, True, "200"])
+    def test_episode_len_rejected(self, episode_len):
+        with pytest.raises(ValueError, match="episode_len"):
+            Config.from_dict({"harness": {"episode_len": episode_len}})
+
     def test_marl_regularizer_accepted(self):
         cfg = Config.from_dict({"marl": {"n_adv": 0, "epsilon_ball": 0.0}})
         assert (cfg.marl.n_adv, cfg.marl.epsilon_ball) == (0, 0.0)
@@ -672,6 +677,24 @@ class TestEvaluate:
         assert sched.targets == frozenset({"ucv1"})
         default = ev.build_schedule("veh", 0, cfg, spec)
         assert default.targets == frozenset(spec.ucv_ids)
+
+    def test_ptb_targets_must_name_vehicles(self):
+        # An unknown id, or a bare string (which would become a set of its
+        # characters), would leave PTB^V nothing to perturb.
+        spec = scen.build_scenario("intersection", mode="test", cfg=CFG)
+        unknown = Config.from_dict({"harness": {"ptb_targets": ["ucv1", "nope"]}})
+        with pytest.raises(ValueError, match="'nope'"):
+            ev.build_schedule("veh", 0, unknown, spec)
+        with pytest.raises(ValueError, match="'ucv0'"):
+            Config.from_dict({"harness": {"ptb_targets": "ucv0"}})
+        # Only None means every UCV; an empty list names no target.
+        empty = Config.from_dict({"harness": {"ptb_targets": []}})
+        with pytest.raises(ValueError, match="non-empty"):
+            ev.build_schedule("veh", 0, empty, spec)
+        # Any vehicle of the scenario is a target, CAVs included.
+        cav = spec.agent_ids[0]
+        own = Config.from_dict({"harness": {"ptb_targets": [cav]}})
+        assert ev.build_schedule("veh", 0, own, spec).targets == frozenset({cav})
 
 
 class AlwaysEmergencyPolicy:
