@@ -4,10 +4,11 @@
                      --shield {robust|plain|off} --seed N [--config FILE]
                      [--episodes N] [--quick] --out DIR
     cavshield eval   --checkpoint FILE --ptb {none|rand|time|veh}
-                     --episodes N [--seed N] [--out DIR] [--scatter FILE]
+                     --episodes N [--seed N] [--out DIR [--save-logs]]
+                     [--scatter FILE]
     cavshield replay --log FILE
     cavshield table  REPORT.json [REPORT.json ...] [--csv FILE]
-    cavshield qp-debug [--problem FILE | --demo]
+    cavshield qp-debug (--problem FILE | --demo)
     cavshield --version
 
 NAME is a scenario shipped under cavshield/harness/data (`train -h` lists
@@ -158,7 +159,8 @@ def build_parser():
     e.add_argument("--config", default=None)
     e.add_argument("--shield", choices=["robust", "plain", "off"], default=None)
     e.add_argument("--out", default=None)
-    e.add_argument("--save-logs", action="store_true")
+    e.add_argument("--save-logs", action="store_true",
+                   help="write each episode log to DIR/logs (needs --out)")
     e.add_argument("--scatter", default=None, help="per-episode CSV export")
     e.set_defaults(func=cmd_eval)
 
@@ -172,8 +174,9 @@ def build_parser():
     tb.set_defaults(func=cmd_table)
 
     q = sub.add_parser("qp-debug", help="dump a QP problem and its solution")
-    q.add_argument("--problem", default=None, help="JSON problem file")
-    q.add_argument("--demo", action="store_true")
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", default=None, help="JSON problem file")
+    source.add_argument("--demo", action="store_true")
     q.set_defaults(func=cmd_qp_debug)
     return p
 
@@ -181,6 +184,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "save_logs", False) and not args.out:
+        parser.error("eval: --save-logs needs --out DIR (logs go to DIR/logs)")
     if args.version:
         from .. import __version__
 

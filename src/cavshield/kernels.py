@@ -4,9 +4,13 @@ step and rectangle overlap.
 All three are per-step inner loops (called agents x actions x steps
 during rollouts).  ``solve_qp_2d`` decides each action of the shield
 (``shield.check_action_safe``) and also backs ``qp.solve`` (acceptance
-check C1, ``cavshield qp-debug``).  Callers call them through the module
-(``kernels.solve_qp_2d``), not by imported name, so a tracer that
-replaces the module attributes (perfbench/spans.py) sees every call.
+check C1, ``cavshield qp-debug``).  A third to a half of the shield's
+QPs are infeasible, most of them because two rows are exact opposites
+that contradict each other; ``solve_qp_2d`` returns those without
+enumerating its candidates (``_opposed_rows`` states why that is exact).
+Callers call them through the module (``kernels.solve_qp_2d``), not by
+imported name, so a tracer that replaces the module attributes
+(perfbench/spans.py) sees every call.
 """
 
 import math
@@ -22,6 +26,10 @@ DEDUP_TOL = 1e-12
 QP_FEASIBLE = 1
 QP_INFEASIBLE = 0
 
+# Largest |b| and |u0| component for which solve_qp_2d's exact
+# infeasibility exit applies.
+_EXIT_MAX = 1e100
+
 
 def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     """Project (u0x, u0y) onto {u : a.u >= b for all rows, lo <= u <= hi}.
@@ -32,7 +40,10 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     In 2-D the minimizer of a strictly convex projection QP is either u0
     itself, the projection of u0 onto one constraint hyperplane, or the
     intersection of two hyperplanes, so enumerating those candidates is
-    exhaustive and exact.
+    exhaustive and exact.  When two normalized rows are exact opposites
+    whose half-planes cannot meet within the slack, the enumeration could
+    only prove the QP infeasible, so that verdict is returned without it
+    (see _opposed_rows for why that is exact).
     """
     # Box bounds first, then caller rows; normalization makes the
     # feasibility slack invariant to constraint row scaling.
@@ -71,6 +82,9 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
 
     if _feasible(u0x, u0y):
         return (QP_FEASIBLE, u0x, u0y, 0.0)
+
+    if _opposed_rows(norm_rows, u0x, u0y):
+        return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
 
     best_d2 = math.inf
     best_x = 0.0
@@ -111,6 +125,44 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     if not found:
         return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
     return (QP_FEASIBLE, best_x, best_y, 0.5 * best_d2)
+
+
+def _opposed_rows(norm_rows, u0x, u0y):
+    """True when two unit rows of solve_qp_2d are exact opposites,
+    (ax_j, ay_j) == (-ax_i, -ay_i), with b_i + b_j above
+    2 * FEAS_TOL + 1e-12 * (1 + |b_i| + |b_j|): then no candidate of the
+    enumeration is feasible, and the QP is infeasible.
+
+    Why: rounding is sign-symmetric, so at any candidate the two rows'
+    dot products are exact negatives (as values: a zero coefficient gives
+    a zero of either sign), and their slacks fl(dot - b_i) and
+    fl(-dot - b_j) sum to -(b_i + b_j) up to one relative rounding
+    (2**-53) each.  Both pass the >= -FEAS_TOL test only if both exact
+    differences are at least -FEAS_TOL * (1 + 2**-52), i.e. only if
+    b_i + b_j <= 2 * FEAS_TOL * (1 + 2**-52); the 1e-12 margin covers that
+    factor and the rounding of the sum.  A NaN candidate would pass every
+    row test; the enumeration never picks one (its distance is NaN), but
+    the exit does not lean on that: it is taken only when every b and
+    both parts of u0 are at most _EXIT_MAX in magnitude, so that, with
+    unit rows and |det| above DEDUP_TOL, every candidate is finite.  The
+    box rows (the first four) are not paired with each other; an empty
+    box is left to the enumeration.
+    """
+    for j in range(4, len(norm_rows)):
+        axj, ayj, bj = norm_rows[j]
+        for i in range(j):
+            axi, ayi, bi = norm_rows[i]
+            if (
+                axi == -axj
+                and ayi == -ayj
+                and bi + bj > 2.0 * FEAS_TOL + 1e-12 * (1.0 + abs(bi) + abs(bj))
+            ):
+                return (
+                    abs(u0x) <= _EXIT_MAX
+                    and abs(u0y) <= _EXIT_MAX
+                    and all(abs(b) <= _EXIT_MAX for _, _, b in norm_rows)
+                )
+    return False
 
 
 def wrap_angle(a):

@@ -17,14 +17,15 @@ Emergency_stop (full braking, zero steer) and is fed back to the MARL as
 a penalty.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .dynamics import ActionSpace, ControlInput, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_accel, nominal_control
+from .dynamics import ActionSpace, ControlInput, DynamicsParams, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_accel, nominal_control
 from .world import OutOfCorridor
 
 FRONT = "front"
@@ -34,6 +35,9 @@ REAR = "rear"
 # same-direction traffic, anything else goes through the pseudo-car
 # transform.
 ALIGN_CONE = math.pi / 4
+
+# Distinct audits calibrate_lipschitz_sum keeps (one per config in use).
+LIPSCHITZ_MEMO_SIZE = 16
 
 
 @dataclass
@@ -186,8 +190,25 @@ def calibrate_lipschitz_sum(cfg, dyn, n_samples=10000, seed=0, safety_factor=1.5
     perturbable observation pair (gap, target speed).
 
     Samples random states and finite perturbations, takes the worst
-    |delta(left side)| / ||delta||, and pads it by safety_factor.
+    |delta(left side)| / ||delta||, and pads it by safety_factor.  The
+    audit is memoized on every ShieldConfig and DynamicsParams field and
+    the arguments (values of different types kept apart), so each episode
+    of a run reuses the same float instead of sampling again.
     """
+    return _lipschitz_audit(
+        n_samples, seed, safety_factor, *_field_values(cfg), *_field_values(dyn)
+    )
+
+
+def _field_values(obj):
+    return tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+@functools.lru_cache(maxsize=LIPSCHITZ_MEMO_SIZE, typed=True)
+def _lipschitz_audit(n_samples, seed, safety_factor, *values):
+    n_cfg = len(fields(ShieldConfig))
+    cfg = ShieldConfig(*values[:n_cfg])
+    dyn = DynamicsParams(*values[n_cfg:])
     rng = np.random.default_rng(seed)
     n = n_samples
     v = rng.uniform(0.0, cfg.v_max, n)

@@ -21,6 +21,11 @@ CORRIDOR_RADIUS = 50.0
 DEFAULT_LENGTH = 4.5
 DEFAULT_WIDTH = 2.0
 
+# Entries RoadMap.lane_of remembers before it starts over (about 15
+# lookups run per step).
+LANE_MEMO_SIZE = 256
+_MISS = object()
+
 
 class OutOfCorridor(Exception):
     """Point is too far from the path for a unique arc-length projection."""
@@ -51,8 +56,9 @@ class Path:
 
     The geometry runs on plain floats: each segment is cached as
     (ax, ay, sx, sy, seg_len, s_start), i.e. its start point, direction
-    vector, length and the arc length where it begins.  Polylines have one
-    or two segments, where numpy's per-call overhead would dominate.
+    vector, length and the arc length where it begins, and its heading is
+    computed once.  Polylines have one or two segments, where numpy's
+    per-call overhead would dominate.
     """
 
     def __init__(self, waypoints, lane_id=None, signal=None):
@@ -77,6 +83,10 @@ class Path:
         self.segments = tuple(segments)
         self.length = s_start
         self._starts = tuple(seg[5] for seg in segments)
+        self._headings = tuple(
+            math.atan2(sy / seg_len, sx / seg_len)
+            for _, _, sx, sy, seg_len, _ in segments
+        )
 
     def project(self, x, y, corridor=CORRIDOR_RADIUS):
         """Nearest-point projection -> (s, d); d > 0 left of travel.
@@ -91,7 +101,13 @@ class Path:
             # The leading 0.0 makes a (-0.0) + (-0.0) dot product +0.0, as
             # numpy's sum gives, so signed zeros match the array version.
             t = (0.0 + (x - ax) * sx + (y - ay) * sy) / (seg_len * seg_len)
-            t = min(max(t, 0.0), 1.0)
+            # Clamp by comparison: the same result as min(max(t, 0.0), 1.0),
+            # NaN and -0.0 included, without the two builtin calls, which
+            # cost more than the rest of the arithmetic here.
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
             rx = x - (ax + t * sx)
             ry = y - (ay + t * sy)
             d2 = rx * rx + ry * ry
@@ -115,12 +131,15 @@ class Path:
         return (ax + f * sx, ay + f * sy)
 
     def heading_at(self, s):
+        """Heading of the segment at arc length s (clamped to the path ends)."""
         i, _ = self._locate(s)
-        _, _, sx, sy, seg_len, _ = self.segments[i]
-        return math.atan2(sy / seg_len, sx / seg_len)
+        return self._headings[i]
 
     def _locate(self, s):
-        s = min(max(s, 0.0), self.length)
+        if s < 0.0:  # as min(max(s, 0.0), length), like project's clamp
+            s = 0.0
+        elif s > self.length:
+            s = self.length
         i = bisect.bisect_right(self._starts, s) - 1
         _, _, _, _, seg_len, s_start = self.segments[i]
         return i, (s - s_start) / seg_len
@@ -207,11 +226,12 @@ class JointState:
 
 
 class RoadMap:
-    """Lane centerlines plus left/right adjacency."""
+    """Lane centerlines plus left/right adjacency (fixed once built)."""
 
     def __init__(self, lanes, adjacency=None):
         self.lanes = dict(lanes)
         self.adjacency = adjacency or {}
+        self._lane_memo = {}
 
     def path(self, lane_id):
         return self.lanes[lane_id]
@@ -221,7 +241,21 @@ class RoadMap:
         return self.adjacency.get(lane_id, {}).get(side)
 
     def lane_of(self, x, y, psi=None):
-        """Nearest lane whose direction roughly matches psi (if given)."""
+        """Nearest lane whose direction roughly matches psi (if given).
+
+        Answers are remembered by (x, y, psi), at most LANE_MEMO_SIZE of
+        them (the memo starts over when full): within one step every
+        observer classifies the same shared observation.  The lane id
+        depends only on |d| and on the wrapped heading difference, so the
+        key's aliasing of 0.0 and -0.0 cannot change it.  A non-finite
+        point raises in Path.project before anything is stored, so it
+        raises on every call.
+        """
+        key = (x, y, psi)
+        memo = self._lane_memo
+        best = memo.get(key, _MISS)
+        if best is not _MISS:
+            return best
         best = None
         best_d = math.inf
         for lane_id, path in self.lanes.items():
@@ -236,6 +270,9 @@ class RoadMap:
             if abs(d) < best_d:
                 best_d = abs(d)
                 best = lane_id
+        if len(memo) >= LANE_MEMO_SIZE:
+            memo.clear()
+        memo[key] = best
         return best
 
 
@@ -244,6 +281,8 @@ class World:
 
     Crashed vehicles freeze in place and stop accruing reward terms but
     remain physical obstacles; collision events are reported once per pair.
+    lane_assignment holds the last lane found for each connected vehicle
+    only: it is what a CAV reports as lane_detect, and UCVs report none.
     """
 
     def __init__(self, road, vehicles, dt=0.05):
@@ -254,7 +293,7 @@ class World:
         self.crashed = set()
         self.last_accel = {v.id: 0.0 for v in vehicles}
         self.lane_assignment = {
-            v.id: road.lane_of(v.x, v.y, v.psi) for v in vehicles
+            v.id: road.lane_of(v.x, v.y, v.psi) for v in vehicles if v.connected
         }
         self._collided_pairs = set()
 
@@ -307,9 +346,10 @@ class World:
             )
             veh.x, veh.y, veh.v, veh.psi = nx, ny, nv, npsi
             self.last_accel[vid] = accel
-            lane = self.road.lane_of(nx, ny, npsi)
-            if lane is not None:
-                self.lane_assignment[vid] = lane
+            if veh.connected:
+                lane = self.road.lane_of(nx, ny, npsi)
+                if lane is not None:
+                    self.lane_assignment[vid] = lane
         self.t += 1
         pairs = detect_collisions(self.vehicles.values())
         new = pairs - self._collided_pairs

@@ -321,6 +321,31 @@ class TestCli:
         for name in scen.scenario_names():
             assert repr(name) in err
 
+    def test_qp_debug_needs_a_problem_source(self, capsys):
+        from cavshield.harness import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qp-debug"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: cavshield qp-debug" in err
+        assert "one of the arguments --problem --demo is required" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qp-debug", "--demo", "--problem", "unused.json"])
+        assert exc.value.code == 2
+        assert cli.main(["qp-debug", "--demo"]) == 0
+
+    def test_eval_save_logs_needs_out(self, capsys, tmp_path):
+        from cavshield.harness import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--checkpoint", str(tmp_path / "missing.npz"),
+                      "--save-logs"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--save-logs needs --out" in err
+
 
 def reward_world(n_agents=3):
     road = RoadMap({"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {})

@@ -137,6 +137,27 @@ class TestRobustBuffer:
         cfg = resolve_lipschitz(ShieldConfig(epsilon=2.0), DYN)
         assert cfg.lipschitz_sum > 0
 
+    def test_audit_runs_once_per_config(self):
+        from cavshield import shield
+
+        audit = shield._lipschitz_audit
+        audit.cache_clear()
+        first = resolve_lipschitz(ShieldConfig(epsilon=2.0), DYN)
+        again = resolve_lipschitz(ShieldConfig(epsilon=2.0), DynamicsParams())
+        assert audit.cache_info().misses == 1
+        assert audit.cache_info().hits == 1
+        assert first.lipschitz_sum.hex() == again.lipschitz_sum.hex()
+        # The memo returns what a fresh audit computes.
+        fresh = audit.__wrapped__(
+            10000, 0, 1.5, *shield._field_values(ShieldConfig(epsilon=2.0)),
+            *shield._field_values(DYN),
+        )
+        assert fresh.hex() == first.lipschitz_sum.hex()
+
+        other = resolve_lipschitz(ShieldConfig(epsilon=1.0), DYN)
+        assert audit.cache_info().misses == 2
+        assert other.lipschitz_sum != first.lipschitz_sum
+
 
 def straight_path():
     return Path([[0.0, 0.0], [200.0, 0.0]], lane_id="ego-lane")

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavshield.dynamics import ControlInput, DynamicsParams
 from cavshield.perturb import identity_schedule, make_constant, make_rand
 from cavshield.world import (
+    LANE_MEMO_SIZE,
     Observation,
     OutOfCorridor,
     Path,
@@ -316,6 +318,58 @@ def small_world():
     return World(road, vehicles)
 
 
+def bent_road():
+    """Three lanes: two straight and one that turns north, so lane_of's
+    heading test and its corridor both matter."""
+    lanes = {
+        "l0": straight_x(0.0, lane_id="l0"),
+        "l1": straight_x(3.5, lane_id="l1"),
+        "turn": Path([[-50.0, 7.0], [20.0, 7.0], [20.0, 90.0]], lane_id="turn"),
+    }
+    return RoadMap(lanes, {"l0": {"left": "l1"}, "l1": {"right": "l0"}})
+
+
+class TestLaneMemo:
+    def test_repeat_matches_fresh_road(self):
+        rnd = np.random.default_rng(3)
+        road = bent_road()
+        points = [(float(x), float(y), float(psi)) for x, y, psi in zip(
+            rnd.uniform(-60.0, 80.0, 300), rnd.uniform(-10.0, 70.0, 300),
+            rnd.uniform(-math.pi, math.pi, 300),
+        )]
+        points += [(x, y, None) for x, y, _ in points[:50]]
+        for _ in range(2):
+            for x, y, psi in points:
+                assert road.lane_of(x, y, psi) == bent_road().lane_of(x, y, psi)
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_share_a_lane(self, first, second):
+        # The memo's key aliases 0.0 and -0.0; either order of the calls
+        # gives what a fresh road gives.  y = 1.75 ties both lanes.
+        road = two_lane_road()
+        for rest in [(0.0, 0.0), (1.75, -0.0), (-0.0, 0.0), (3.5, None)]:
+            want = two_lane_road().lane_of(second, *rest)
+            assert two_lane_road().lane_of(first, *rest) == want
+            assert road.lane_of(first, *rest) == want
+            assert road.lane_of(second, *rest) == want
+        for y, psi in [(first, second), (second, first)]:
+            assert road.lane_of(5.0, y, psi) == two_lane_road().lane_of(5.0, y, psi)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_nonfinite_point_raises_every_call(self, x, y):
+        road = two_lane_road()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-finite"):
+                road.lane_of(x, y, 0.0)
+        assert road._lane_memo == {}
+
+    def test_memo_is_bounded(self):
+        road = two_lane_road()
+        for i in range(2 * LANE_MEMO_SIZE + 7):
+            road.lane_of(0.1 * i, 0.5, 0.0)
+            assert 1 <= len(road._lane_memo) <= LANE_MEMO_SIZE
+
+
 class TestObservations:
     def test_travel_frame_roundtrip(self):
         world = small_world()
@@ -434,6 +488,32 @@ class TestWorldStep:
         for _ in range(20):
             events += list(world.step(controls, dyn))
         assert events.count(("a", "b")) == 1
+
+    def test_lanes_tracked_for_cavs_only(self):
+        road = two_lane_road()
+        world = World(road, [
+            vehicle("cav0", 0.0, 0.0, v=10.0, connected=True),
+            vehicle("cav1", 30.0, 3.5, v=9.0, connected=True),
+            vehicle("ucv0", 60.0, 0.0, v=8.0),
+            vehicle("ucv1", 90.0, 3.5, v=8.0),
+        ])
+        dyn = DynamicsParams()
+        # cav0 steers left across into l1; the others hold their lanes.
+        controls = {vid: ControlInput(0.0, 0.0) for vid in world.vehicles}
+        controls["cav0"] = ControlInput(0.5, 0.05)
+        seen = set()
+        for _ in range(40):
+            world.step(controls, dyn)
+            assert set(world.lane_assignment) == {"cav0", "cav1"}
+            for vid in world.cav_ids:
+                veh = world.vehicles[vid]
+                lane = two_lane_road().lane_of(veh.x, veh.y, veh.psi)
+                assert lane is not None
+                assert world.observe(vid).lane_detect == lane
+                seen.add((vid, lane))
+            for vid in world.ucv_ids:
+                assert world.observe(vid).lane_detect is None
+        assert ("cav0", "l1") in seen and ("cav0", "l0") in seen
 
 
 class TestValidation:
