@@ -182,6 +182,19 @@ def build_parser():
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (e.g. `| head`).  Point stdout
+        # at devnull so the interpreter's flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "save_logs", False) and not args.out:

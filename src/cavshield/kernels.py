@@ -72,19 +72,21 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
         if not dup:
             norm_rows.append((ax, ay, b))
 
-    n_rows = len(norm_rows)
-
-    def _feasible(x, y):
-        for ax, ay, b in norm_rows:
-            if ax * x + ay * y - b < -FEAS_TOL:
-                return False
-        return True
-
-    if _feasible(u0x, u0y):
+    if _feasible(norm_rows, u0x, u0y):
         return (QP_FEASIBLE, u0x, u0y, 0.0)
 
     if _opposed_rows(norm_rows, u0x, u0y):
         return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
+
+    # A row with a non-finite b (an infinite box bound, as in qp.solve's
+    # default) has no finite point on its line: its projection and its
+    # vertices are infinite or NaN, so their distance never wins, and they
+    # are not enumerated.  One sum decides it; the shield's rows are all
+    # finite.
+    cand_rows = norm_rows
+    if not math.isfinite(sum([b for _, _, b in norm_rows])):
+        cand_rows = [row for row in norm_rows if math.isfinite(row[2])]
+    n_rows = len(cand_rows)
 
     best_d2 = math.inf
     best_x = 0.0
@@ -92,11 +94,11 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     found = False
 
     # Single active constraint: projection onto its hyperplane.
-    for ax, ay, b in norm_rows:
+    for ax, ay, b in cand_rows:
         t = b - (ax * u0x + ay * u0y)
         cx = u0x + t * ax
         cy = u0y + t * ay
-        if _feasible(cx, cy):
+        if _feasible(norm_rows, cx, cy):
             d2 = (cx - u0x) * (cx - u0x) + (cy - u0y) * (cy - u0y)
             if d2 < best_d2:
                 best_d2 = d2
@@ -106,15 +108,15 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
 
     # Two active constraints: hyperplane intersection (vertex).
     for i in range(n_rows):
-        axi, ayi, bi = norm_rows[i]
+        axi, ayi, bi = cand_rows[i]
         for j in range(i + 1, n_rows):
-            axj, ayj, bj = norm_rows[j]
+            axj, ayj, bj = cand_rows[j]
             det = axi * ayj - ayi * axj
             if abs(det) <= DEDUP_TOL:
                 continue
             cx = (bi * ayj - bj * ayi) / det
             cy = (axi * bj - axj * bi) / det
-            if _feasible(cx, cy):
+            if _feasible(norm_rows, cx, cy):
                 d2 = (cx - u0x) * (cx - u0x) + (cy - u0y) * (cy - u0y)
                 if d2 < best_d2:
                     best_d2 = d2
@@ -125,6 +127,14 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     if not found:
         return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
     return (QP_FEASIBLE, best_x, best_y, 0.5 * best_d2)
+
+
+def _feasible(norm_rows, x, y):
+    """(x, y) satisfies every unit row of solve_qp_2d within FEAS_TOL."""
+    for ax, ay, b in norm_rows:
+        if ax * x + ay * y - b < -FEAS_TOL:
+            return False
+    return True
 
 
 def _opposed_rows(norm_rows, u0x, u0y):

@@ -71,7 +71,7 @@ class Encoder:
         self.lane_index = {lid: i for i, lid in enumerate(lane_ids)}
 
     def _lane_onehot(self, lane_id):
-        oh = np.zeros(self.spec.max_lanes)
+        oh = [0.0] * self.spec.max_lanes
         idx = self.lane_index.get(lane_id)
         if idx is not None:
             oh[idx] = 1.0
@@ -91,12 +91,12 @@ class Encoder:
             base.extend(self._lane_onehot(obs.lane_detect))
         return base
 
-    def encode_view(self, view):
-        """(feature vector, present-slot mask) for one agent."""
+    def _features(self, view):
+        """(features, present-slot flags) of one agent, as Python lists."""
         sp = self.spec
         ego = view.self_obs
-        parts = list(self._vehicle_block(ego, with_cav_fields=True))
-        present = np.zeros(sp.n_slots, dtype=bool)
+        parts = self._vehicle_block(ego, with_cav_fields=True)
+        present = [False] * sp.n_slots
 
         ego_pos = ego.world_position()
 
@@ -126,19 +126,34 @@ class Encoder:
                 parts.extend([0.0] * (sp.ucv_dim - 1))
                 parts.append(0.0)
 
-        vec = np.array(parts, dtype=float)
-        if vec.shape != (sp.dim,):
+        if len(parts) != sp.dim:
             raise AssertionError("encoder layout mismatch")
-        return vec, present
+        return parts, present
+
+    def encode_view(self, view):
+        """(feature vector, present-slot mask) for one agent."""
+        parts, present = self._features(view)
+        return np.array(parts, dtype=float), np.array(present, dtype=bool)
 
     def encode_joint(self, joint, agent_order):
-        """Per-agent vectors, masks, and the centralized concatenation."""
-        vecs = {}
-        masks = {}
+        """Per-agent vectors, masks, and the centralized concatenation.
+
+        The vectors are the rows of one fresh (A, F) block in agent_order
+        and the centralized state is its flat view; the masks are the rows
+        of one (A, S) block.  Every call builds new blocks, so callers may
+        keep these views across steps (the training buffers do).
+        """
+        rows = []
+        flags = []
         for aid in agent_order:
-            vecs[aid], masks[aid] = self.encode_view(joint.views[aid])
-        central = np.concatenate([vecs[aid] for aid in agent_order])
-        return vecs, masks, central
+            parts, present = self._features(joint.views[aid])
+            rows.append(parts)
+            flags.append(present)
+        block = np.array(rows, dtype=float)
+        mask_block = np.array(flags, dtype=bool)
+        vecs = dict(zip(agent_order, block))
+        masks = dict(zip(agent_order, mask_block))
+        return vecs, masks, block.reshape(-1)
 
 
 def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):

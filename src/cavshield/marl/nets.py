@@ -45,6 +45,36 @@ class MLP:
             self.weights.append(w)
             self.biases.append(np.zeros(fan_out))
 
+    @classmethod
+    def from_arrays(cls, weights, biases):
+        """A net over the given layer arrays, kept as they are: no copies
+        and no random draws.
+
+        Leading axes stack nets: with (A, fan_in, fan_out) weights and
+        (A, 1, fan_out) biases, forward on an (A, 1, F) input runs net a on
+        row a.  numpy's matmul computes each (1, F) @ (F, H) slice with the
+        same call as a one-row forward, so row a has the bits of net a's
+        own forward.
+        """
+        net = cls.__new__(cls)
+        net.sizes = [w.shape[-2] for w in weights] + [weights[-1].shape[-1]]
+        net.weights = list(weights)
+        net.biases = list(biases)
+        return net
+
+    @classmethod
+    def from_flat(cls, sizes, vec):
+        """A net of the given sizes holding vec (get_flat order); draws no
+        random numbers."""
+        if len(sizes) < 2:
+            raise ValueError("need at least input and output sizes")
+        net = cls.from_arrays(
+            [np.empty((i, o)) for i, o in zip(sizes[:-1], sizes[1:])],
+            [np.empty(o) for o in sizes[1:]],
+        )
+        net.set_flat(vec)
+        return net
+
     @property
     def n_params(self):
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))

@@ -7,6 +7,7 @@ logged number stays in raw units.
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,6 +88,14 @@ class TrainResult:
 class NeuralTeamPolicy:
     """Per-agent softmax actors restricted to the shield's safe sets.
 
+    Each step is one pass for the whole team: the agents' encodings form
+    one block, one forward of the stacked actors (MLP.from_arrays) gives
+    every agent's logits with the bits of its own actor's forward, and one
+    log-softmax covers all rows.  The stack is rebuilt whenever an actor's
+    parameter arrays are no longer the stacked ones (set_flat replaces
+    them), so the policy always acts with the current weights.  All
+    actors must share one layout.
+
     When recording, keeps everything a PPO update needs (encodings,
     centralized states, actions, old log-probs, slot masks).
     """
@@ -96,8 +105,13 @@ class NeuralTeamPolicy:
         self.agents = agents
         self.encoder = encoder
         self.agent_order = list(agent_order)
+        if not self.agent_order:
+            raise ValueError("a team policy needs at least one agent")
         self.eps_explore = eps_explore
         self.record = record
+        self._stack = None
+        self._stack_sources = []
+        self._team_actor()
         self.reset_buffers()
 
     def reset_buffers(self):
@@ -108,22 +122,53 @@ class NeuralTeamPolicy:
         self.central = []
         self.terminal_central = None
 
+    def _team_actor(self):
+        """The agents' actors stacked into one MLP, restacked when any
+        actor's weight or bias array has been replaced since."""
+        actors = [self.agents[aid].actor for aid in self.agent_order]
+        sources = []
+        for net in actors:
+            sources += net.weights
+            sources += net.biases
+        if len(sources) == len(self._stack_sources) and all(
+            map(operator.is_, sources, self._stack_sources)
+        ):
+            return self._stack
+        layout = actors[0].sizes
+        for aid, net in zip(self.agent_order, actors):
+            if net.sizes != layout:
+                raise ValueError(
+                    f"actor of agent {aid!r} has layout {net.sizes}; "
+                    f"agent {self.agent_order[0]!r} has {layout}"
+                )
+        layers = range(len(layout) - 1)
+        self._stack = MLP.from_arrays(
+            [np.stack([net.weights[i] for net in actors]) for i in layers],
+            [np.stack([net.biases[i] for net in actors])[:, None, :]
+             for i in layers],
+        )
+        self._stack_sources = sources
+        return self._stack
+
     def select_actions(self, joint, outcome, rng):
         vecs, masks, central = self.encoder.encode_joint(joint, self.agent_order)
         if self.record:
             self.central.append(central)
+        n = len(self.agent_order)
+        logits = self._team_actor().forward(central.reshape(n, 1, -1))
+        logp_all = log_softmax(logits.reshape(n, -1))
+        dists = np.exp(logp_all).tolist()
+        logps = logp_all.tolist()
         actions = {}
-        for aid in self.agent_order:
+        for i, aid in enumerate(self.agent_order):
             safe = outcome.safe_sets[aid]
             if safe == [ActionSpace.EMERGENCY]:
                 action = ActionSpace.EMERGENCY
                 logp = 0.0
             else:
-                logits = self.agents[aid].actor.forward(vecs[aid])
-                logp_all = log_softmax(logits)[0]
-                dist = np.exp(logp_all)
-                action = algo.select_action(dist, safe, self.eps_explore, rng)
-                logp = float(logp_all[action])
+                action = algo.select_action(dists[i], safe, self.eps_explore,
+                                            rng)
+                logp = logps[i][action]
             actions[aid] = action
             if self.record:
                 buf = self.buffers[aid]
@@ -343,9 +388,7 @@ def _mean_or_none(xs):
 
 
 def _target_copy(agent):
-    net = MLP(agent.worst_q.sizes, zero_final=True)
-    net.set_flat(agent.worst_q_target)
-    return net
+    return MLP.from_flat(agent.worst_q.sizes, agent.worst_q_target)
 
 
 def _runtime_params(agent, kappa_wst, kappa_reg):
@@ -452,12 +495,9 @@ def restore_agents(header, params):
     agents = {}
     for aid in header["agent_ids"]:
         layout = header["layouts"][aid]
-        actor = MLP(layout["actor"], zero_final=True)
-        value = MLP(layout["value"], zero_final=True)
-        worst_q = MLP(layout["worst_q"], zero_final=True)
-        actor.set_flat(params[aid].theta)
-        value.set_flat(params[aid].phi)
-        worst_q.set_flat(params[aid].omega)
+        actor = MLP.from_flat(layout["actor"], params[aid].theta)
+        value = MLP.from_flat(layout["value"], params[aid].phi)
+        worst_q = MLP.from_flat(layout["worst_q"], params[aid].omega)
         agents[aid] = AgentRuntime(
             actor=actor, value=value, worst_q=worst_q,
             worst_q_target=worst_q.get_flat(),

@@ -248,14 +248,17 @@ class RoadMap:
         observer classifies the same shared observation.  The lane id
         depends only on |d| and on the wrapped heading difference, so the
         key's aliasing of 0.0 and -0.0 cannot change it.  A non-finite
-        point raises in Path.project before anything is stored, so it
-        raises on every call.
+        heading raises ValueError here and a non-finite point in
+        Path.project, both before anything is stored, so they raise on
+        every call.
         """
         key = (x, y, psi)
         memo = self._lane_memo
         best = memo.get(key, _MISS)
         if best is not _MISS:
             return best
+        if psi is not None and not math.isfinite(psi):
+            raise ValueError(f"cannot match lanes to non-finite heading {psi}")
         best = None
         best_d = math.inf
         for lane_id, path in self.lanes.items():

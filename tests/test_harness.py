@@ -3,6 +3,10 @@ log replay, training smoke, checkpoints, evaluation."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from cavshield.marl import trainer
 from cavshield.perturb import make_constant, make_rand
 from cavshield.shield import SafetyOutcome
 from cavshield.world import Path, RoadMap, VehicleState, World
+
+SRC = FsPath(__file__).resolve().parents[1] / "src"
 
 CFG = Config()
 
@@ -334,6 +340,23 @@ class TestCli:
             cli.main(["qp-debug", "--demo", "--problem", "unused.json"])
         assert exc.value.code == 2
         assert cli.main(["qp-debug", "--demo"]) == 0
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader is gone before the command writes, as when `| head`
+        # has already exited: exit code 1 and no traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "cavshield.harness.cli", "qp-debug",
+                 "--demo"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert out.stderr == ""
+        assert out.returncode == 1
 
     def test_eval_save_logs_needs_out(self, capsys, tmp_path):
         from cavshield.harness import cli

@@ -163,6 +163,10 @@ def _qp_case(rnd, kind):
         ax, ay = _direction(rnd)
         bx, by = _opposite(rnd, ax, ay)
         rows += [(ax, ay, rnd.uniform(0.0, 3.0)), (bx, by, rnd.uniform(0.0, 3.0))]
+        if rnd.random() < 0.5:
+            # Rows with an infinite b: never met (+inf) or always (-inf).
+            for _ in range(rnd.randint(1, 2)):
+                rows.append((*_direction(rnd), rnd.choice([math.inf, -math.inf])))
     elif kind == "huge":
         # |b| or |u0| from 1e90 to 1e300, on both sides of the exit's
         # 1e100 limit.
@@ -218,8 +222,9 @@ def _opposed_sum(rows):
 
 
 def test_infeasibility_exit_matches_reference(monkeypatch):
-    """The exit returns exactly what the full enumeration returns, on
-    30k+ seeded cases concentrated at its edges."""
+    """The exit and the skipped infinite-b candidates return exactly what
+    the full enumeration returns, on 30k+ seeded cases concentrated at
+    their edges."""
     rnd = random.Random(20261018)
     exits = []
     inner = kernels._opposed_rows
@@ -230,8 +235,18 @@ def test_infeasibility_exit_matches_reference(monkeypatch):
         return fired
 
     monkeypatch.setattr(kernels, "_opposed_rows", counted)
+    nan_points = []
+    feasible = kernels._feasible
+
+    def checked(rows, x, y):
+        if math.isnan(x) or math.isnan(y):
+            nan_points.append((x, y))
+        return feasible(rows, x, y)
+
+    monkeypatch.setattr(kernels, "_feasible", checked)
     kinds = ["edge", "inf_box", "huge", "tiny", "mixed"]
-    seen = {kind: {"cases": 0, "exit": 0, "infeasible": 0} for kind in kinds}
+    seen = {kind: {"cases": 0, "exit": 0, "infeasible": 0, "inf_b": 0}
+            for kind in kinds}
     window = 0
     u0_huge = {False: 0, True: 0}  # cases with |u0| above 1e100, by exit
     near = {False: 0, True: 0}  # within 3e-12 above 2 * FEAS_TOL, by exit
@@ -239,12 +254,17 @@ def test_infeasibility_exit_matches_reference(monkeypatch):
         kind = kinds[n % len(kinds)]
         case = _qp_case(rnd, kind)
         del exits[:]
+        del nan_points[:]
         got = kernels.solve_qp_2d(*case)
         want = reference_solve_qp_2d(*case)
         assert got[0] == want[0], (kind, case)
         assert [float(v).hex() for v in got[1:]] == \
             [float(v).hex() for v in want[1:]], (kind, case)
         stats = seen[kind]
+        if kind == "inf_box":
+            # Finite u0: no candidate of an infinite-b row is evaluated.
+            assert not nan_points, (case, nan_points)
+            stats["inf_b"] += any(math.isinf(b) for _, _, b in case[2])
         stats["cases"] += 1
         stats["exit"] += any(exits)
         stats["infeasible"] += want[0] == kernels.QP_INFEASIBLE
@@ -267,6 +287,7 @@ def test_infeasibility_exit_matches_reference(monkeypatch):
     assert seen["edge"]["infeasible"] - seen["edge"]["exit"] >= 500
     assert seen["edge"]["cases"] - seen["edge"]["infeasible"] >= 500
     assert seen["inf_box"]["exit"] == 0
+    assert seen["inf_box"]["inf_b"] >= 2000
     assert seen["huge"]["exit"] >= 100
     assert u0_huge[False] >= 500 and u0_huge[True] == 0
     assert seen["huge"]["infeasible"] - seen["huge"]["exit"] >= 100

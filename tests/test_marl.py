@@ -1,12 +1,16 @@
 """MARL tests: hand-checked loss arithmetic, finite-difference gradient
-oracles, restricted action sampling, and the feature encoder."""
+oracles, restricted action sampling, the feature encoder and the team
+policy's one-pass step."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cavshield.marl import algo
+from cavshield.harness import episode as ep
+from cavshield.harness import scenario as scen
+from cavshield.harness.config import Config
+from cavshield.marl import algo, trainer
 from cavshield.marl.encode import Encoder, EncoderSpec, perturbation_samples
 from cavshield.marl.nets import MLP, Adam, Workspace, log_softmax, softmax
 from cavshield.world import AgentView, Observation
@@ -65,6 +69,20 @@ class TestMLP:
         net2.set_flat(flat)
         x = np.random.default_rng(6).normal(size=(4, 5))
         assert np.array_equal(net.forward(x), net2.forward(x))
+
+    @pytest.mark.parametrize("sizes", [[44, 64, 64, 7], [132, 64, 64, 1], [5, 3]])
+    def test_from_flat_equals_built_then_set(self, sizes):
+        vec = make_net(sizes, seed=12).get_flat()
+        built = MLP(sizes, zero_final=True)
+        built.set_flat(vec)
+        net = MLP.from_flat(sizes, vec)
+        assert net.sizes == built.sizes
+        for a, b in zip(net.weights + net.biases, built.weights + built.biases):
+            assert same_bits(a, b)
+        with pytest.raises(ValueError):
+            MLP.from_flat(sizes, vec[:-1])
+        with pytest.raises(ValueError):
+            MLP.from_flat(sizes[:1], vec)
 
     def test_backward_matches_fd_on_sum_output(self):
         net = make_net([6, 16, 4], seed=7)
@@ -418,15 +436,114 @@ class TestSelectAction:
             counts[algo.select_action(dist, safe, 0.0, rng)] += 1
         assert np.all(np.abs(counts / n - dist) < 0.02)
 
-    def test_restricted_dist_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            dist = rng.dirichlet(np.ones(7))
-            k = int(rng.integers(1, 7))
-            safe = sorted(rng.choice(7, size=k, replace=False).tolist())
-            r = algo.restrict_dist(dist, safe)
-            assert r.sum() == pytest.approx(1.0)
-            assert np.all(r[[i for i in range(7) if i not in safe]] == 0.0)
+    def test_matches_restrict_then_choice_reference(self):
+        """100k seeded cases: the same action and generator state as the
+        numpy reference, over action_k 1..8, every safe-set size, epsilon
+        0 / 0.05 / 1, and peaked, flat and random distributions."""
+        n_cases = 100_000
+        gen = np.random.default_rng(20261018)
+        k = gen.integers(1, 9, n_cases)
+        size = gen.integers(0, 1 << 30, n_cases)  # safe-set size, mod n
+        kind = np.arange(n_cases) % 4
+        scale = np.choose(kind, [30.0, 0.0, 1.0, 3.0])  # 30: peaked, 0: flat
+        logits = gen.normal(size=(n_cases, 12)) * scale[:, None]
+        logits[np.arange(12) >= (4 + k)[:, None]] = -np.inf
+        dists = np.exp(log_softmax(logits))
+        order = np.argsort(gen.random((n_cases, 12)), axis=1)
+        eps = np.choose(np.arange(n_cases) % 3, [0.0, 0.05, 1.0])
+        r_ref = np.random.default_rng(7)
+        r_new = np.random.default_rng(7)
+        sizes = set()
+        zero_mass = 0
+        for i in range(n_cases):
+            n = 4 + int(k[i])
+            m = 1 + int(size[i]) % n
+            safe = sorted(int(a) for a in order[i][order[i] < n][:m])
+            dist = dists[i, :n]
+            if kind[i] == 3 and i % 8 == 3:
+                dist = dist.copy()
+                dist[safe] = 0.0  # no mass on the safe set: uniform
+            zero_mass += float(dist[safe].sum()) == 0.0
+            sizes.add(m)
+            want = reference_select_action(dist, safe, eps[i], r_ref)
+            given = dist if i % 5 == 0 else dist.tolist()
+            got = algo.select_action(given, safe, eps[i], r_new)
+            assert got == want, (i, list(dist), safe, eps[i])
+            assert r_new.random() == r_ref.random(), i
+        assert sizes == set(range(1, 13))
+        assert zero_mass >= 2000
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1e308])
+    def test_invalid_probability_raises_like_choice(self, bad):
+        # 1e308 twice: the safe mass overflows and p is all zeros.
+        dist = [bad, bad, 0.5, 0.1, 0.1, 0.05, 0.05] if bad == 1e308 else \
+            [0.2, bad, 0.5, 0.1, 0.1, 0.05, 0.05]
+        for fn in (reference_select_action, algo.select_action):
+            with pytest.raises(ValueError), np.errstate(all="ignore"):
+                fn(dist, [0, 1, 2], 0.0, np.random.default_rng(0))
+
+    def test_draws_at_cdf_edges_match_numpy_inverse_cdf(self):
+        """Draws on and just below every CDF entry land where choice's
+        searchsorted(side="right") puts them, including CDFs whose last
+        running sum is not exactly 1."""
+        gen = np.random.default_rng(9)
+        unnormalized = 0
+        for _ in range(300):
+            n = 4 + int(gen.integers(1, 9))
+            dist = gen.dirichlet(np.ones(n))
+            safe = sorted(gen.choice(n, int(gen.integers(1, n + 1)),
+                                     replace=False).tolist())
+            restricted = np.zeros(n)
+            restricted[safe] = dist[safe] / dist[safe].sum()
+            cdf = restricted.cumsum()
+            unnormalized += cdf[-1] < 1.0
+            cdf /= cdf[-1]
+            draws = cdf.tolist() + np.nextafter(cdf, -1.0).tolist()
+            for u in draws + [0.0, np.nextafter(1.0, 0.0)]:
+                if 0.0 <= u < 1.0:
+                    want = int(cdf.searchsorted(u, side="right"))
+                    assert algo.select_action(dist, safe, 0.0, FixedDraw(u)) == want
+        assert unnormalized >= 20
+
+    def test_safe_set_must_be_distinct_actions(self):
+        dist = [1.0 / 7.0] * 7
+        for safe in ([2, 2], [0, 7], [-1, 3]):
+            with pytest.raises(ValueError, match="distinct actions"):
+                algo.select_action(dist, safe, 0.0, np.random.default_rng(0))
+
+    def test_numpy_sum_order(self):
+        rng = np.random.default_rng(11)
+        for n in list(range(1, 40)) + [127, 128, 129, 200, 257, 300]:
+            for _ in range(20):
+                xs = rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
+                assert algo._numpy_sum(xs.tolist()) == float(xs.sum()), n
+
+
+class FixedDraw:
+    """Stands in for a Generator whose next random() is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def reference_select_action(dist, safe_set, eps_explore, rng):
+    """algo.select_action as it was before the scalar sampler: restrict
+    dist to the safe set, then Generator.choice.  Kept as the bit-exact
+    reference."""
+    safe_set = list(safe_set)
+    if eps_explore > 0 and rng.uniform() < eps_explore:
+        return int(safe_set[rng.integers(0, len(safe_set))])
+    dist = np.asarray(dist, dtype=float)
+    restricted = np.zeros_like(dist)
+    total = dist[safe_set].sum()
+    if total <= 0:
+        restricted[safe_set] = 1.0 / len(safe_set)
+    else:
+        restricted[safe_set] = dist[safe_set] / total
+    return int(rng.choice(len(restricted), p=restricted))
 
 
 def obs_for(vid, lx, connected=False, vx=10.0, lane=None):
@@ -579,3 +696,102 @@ class TestPerturbationSamples:
         assert got.shape == ref.shape == (12, max(1, n_random + 4 * spec.n_slots), spec.dim)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def runtime(actor):
+    """An AgentRuntime that only has an actor (all the policy reads)."""
+    return trainer.AgentRuntime(actor, None, None, None, None, None, None)
+
+
+class TestTeamPolicy:
+    def test_team_forward_has_each_actors_bits(self):
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            n_agents = 1 + case % 5
+            sizes = [int(rng.integers(3, 50))] + [
+                int(h) for h in rng.integers(2, 70, int(rng.integers(0, 3)))
+            ] + [int(rng.integers(2, 12))]
+            agents = {f"cav{i}": runtime(make_net(sizes, seed=1000 * case + i, jitter=0.5))
+                      for i in range(n_agents)}
+            policy = trainer.NeuralTeamPolicy(agents, None, list(agents))
+            x = rng.normal(size=(n_agents, sizes[0])) * 3.0
+            team = policy._team_actor().forward(x.reshape(n_agents, 1, -1))
+            team_logp = log_softmax(team.reshape(n_agents, -1))
+            for i, agent in enumerate(agents.values()):
+                own = agent.actor.forward(x[i])
+                assert same_bits(team[i], own)
+                assert same_bits(team_logp[i], log_softmax(own)[0])
+
+    def episode(self, agents, encoder, spec, cfg, seed):
+        """A recorded 12-step episode; also returns copies of what each
+        step recorded, taken right after that step."""
+        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
+                                          eps_explore=0.05, record=True)
+        snapshots = []
+        select = policy.select_actions
+
+        def select_and_copy(*args):
+            actions = select(*args)
+            snapshots.append((
+                policy.central[-1].copy(),
+                {aid: (buf["obs"][-1].copy(), buf["mask"][-1].copy())
+                 for aid, buf in policy.buffers.items()},
+            ))
+            return actions
+
+        policy.select_actions = select_and_copy
+        ep.run_episode(spec, cfg, policy, seed=seed, collect_obs=False)
+        return policy, snapshots
+
+    def test_recorded_steps_act_with_current_weights_and_stay_put(self):
+        cfg = Config.from_dict({"harness": {"episode_len": 12}})
+        spec = scen.build_scenario("highway", mode="train", cfg=cfg)
+        agents, encoder = trainer.build_agents(spec, cfg, 3)
+        rng = np.random.default_rng(4)
+        for update in range(2):
+            # Move every actor with set_flat, as an update does.
+            for agent in agents.values():
+                flat = agent.actor.get_flat()
+                agent.actor.set_flat(flat + 0.3 * rng.normal(size=flat.size))
+            policy, snapshots = self.episode(agents, encoder, spec, cfg, update)
+            assert len(snapshots) == len(policy.central) == 12
+            for t, (central, rows) in enumerate(snapshots):
+                assert same_bits(policy.central[t], central)
+                assert same_bits(
+                    central, np.concatenate([rows[aid][0] for aid in spec.agent_ids])
+                )
+                for aid, (obs, mask) in rows.items():
+                    buf = policy.buffers[aid]
+                    assert same_bits(buf["obs"][t], obs)
+                    assert np.array_equal(buf["mask"][t], mask)
+            acted = 0
+            for aid, buf in policy.buffers.items():
+                for obs, action, logp in zip(buf["obs"], buf["action"], buf["logp_old"]):
+                    if action >= 0:
+                        own = log_softmax(agents[aid].actor.forward(obs))[0]
+                        assert logp.hex() == float(own[action]).hex()
+                        acted += 1
+            assert acted >= 30
+        # A policy built before an update acts with the updated weights.
+        stale = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+        aid = spec.agent_ids[0]
+        before = stale._team_actor()
+        agents[aid].actor.set_flat(np.zeros(agents[aid].actor.n_params))
+        after = stale._team_actor()
+        assert after is not before
+        x = rng.normal(size=(len(spec.agent_ids), 1, encoder.spec.dim))
+        assert not np.any(after.forward(x)[0])
+
+    def test_mismatched_actor_layouts_raise(self):
+        agents = {"cav0": runtime(make_net([6, 8, 7])),
+                  "cav1": runtime(make_net([6, 16, 7]))}
+        with pytest.raises(ValueError, match="'cav1'"):
+            trainer.NeuralTeamPolicy(agents, None, ["cav0", "cav1"])
+        policy = trainer.NeuralTeamPolicy(agents, None, ["cav0"])
+        policy.agent_order.append("cav1")
+        with pytest.raises(ValueError, match="'cav1'"):
+            policy._team_actor()
+
+    def test_empty_team_rejected(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            trainer.NeuralTeamPolicy({}, None, [])

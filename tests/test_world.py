@@ -363,6 +363,16 @@ class TestLaneMemo:
                 road.lane_of(x, y, 0.0)
         assert road._lane_memo == {}
 
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_heading_raises_every_call(self, psi):
+        # A NaN heading used to match every lane's direction and an
+        # infinite one to fail inside wrap_angle.
+        road = two_lane_road()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-finite heading"):
+                road.lane_of(50.0, 3.0, psi)
+        assert road._lane_memo == {}
+
     def test_memo_is_bounded(self):
         road = two_lane_road()
         for i in range(2 * LANE_MEMO_SIZE + 7):
