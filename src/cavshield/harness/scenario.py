@@ -30,8 +30,8 @@ unknown vehicle), a duplicate lane or vehicle id, an unknown behavior
 kind, a behavior for a vehicle that is not a UCV, an override for an
 unknown vehicle, a band (speed, brake_window, brake_speed) that is not a
 [lo, hi] pair of finite numbers with lo <= hi (brake_window: integers),
-or a key given twice in one mapping. Both modes are checked whichever one
-is built.
+no spawn with connected: true (the agents are the CAVs), or a key given
+twice in one mapping. Both modes are checked whichever one is built.
 """
 
 import dataclasses
@@ -326,6 +326,9 @@ def _vehicles(spawns, behaviors, road, where):
         _check_lanes([spawn.lane], road.lanes, f"{where} spawn {vid!r}")
         _check_band(spawn.speed, f"{where} spawn {vid!r}", "speed")
         (cav_spawns if spawn.connected else ucv_spawns).append(spawn)
+    if not cav_spawns:
+        raise ValueError(f"{where} spawns: no spawn has connected: true; "
+                         "a scenario needs at least one CAV")
     _check_keys(behaviors, {s.vehicle_id for s in ucv_spawns},
                 f"{where} behaviors", what="UCV")
     out = {}

@@ -4,6 +4,11 @@ critic losses, and safe-set-restricted action selection.
 
 Every loss has a plain value form and a (value, flat-gradient) form; the
 gradients are analytic and checked against central finite differences.
+
+The state regularizer's inner max is solved once per update, as in SA-PPO:
+worst_candidates picks each row's max-KL perturbation candidate under the
+actor as the update starts, and reg_loss / reg_loss_grad then take the KL
+at those fixed candidates in every PPO epoch.
 """
 
 import bisect
@@ -128,44 +133,43 @@ def worst_q_loss_grad(q_net, states, actions, targets):
     return loss, q_net.backward(cache, dout)
 
 
-def reg_loss(actor, obs, pert_samples, weights):
-    """Importance-weighted max policy divergence over the perturbation
-    candidates (to minimize); pert_samples has shape (B, K, F)."""
-    val, _, _, _ = _reg_max_kl(actor, actor.forward(obs), pert_samples)
-    return float(np.mean(np.asarray(weights, dtype=float) * val))
-
-
-def _reg_max_kl(actor, logits_p, pert_samples, workspace=None):
-    """Per-row max KL(pi(s) || pi(s')) over the candidates s', given the
-    actor's logits at s; the candidates' forward runs in workspace."""
+def worst_candidates(actor, obs, pert_samples, workspace=None):
+    """Each row's candidate s' of largest KL(pi(s) || pi(s')) under actor:
+    the (B, F) rows chosen from pert_samples (B, K, F), the first
+    candidate on ties.  The B * K candidate forward runs in an optional
+    nets.Workspace."""
     b, k, f = pert_samples.shape
-    p = softmax(logits_p)
+    logits_p = actor.forward(obs)
     logp = log_softmax(logits_p)
     logits_q = actor.forward(pert_samples.reshape(b * k, f), workspace=workspace)
     logq = log_softmax(logits_q).reshape(b, k, -1)
-    kls = np.sum(p[:, None, :] * (logp[:, None, :] - logq), axis=-1)
-    best = np.argmax(kls, axis=1)
-    return kls[np.arange(b), best], best, p, logp
+    kls = np.sum(softmax(logits_p)[:, None, :] * (logp[:, None, :] - logq),
+                 axis=-1)
+    return pert_samples[np.arange(b), np.argmax(kls, axis=1)]
 
 
-def reg_loss_grad(actor, obs, pert_samples, weights, workspace=None):
-    """(loss value, gradient w.r.t. actor params); the gradient flows
-    through both KL arguments at the argmax candidate.  An optional
-    nets.Workspace holds the candidate forward's buffers."""
+def reg_loss(actor, obs, sel, weights):
+    """Importance-weighted KL(pi(s) || pi(s')) at fixed candidates, the
+    rows of sel (B, F) against the rows of obs (to minimize)."""
+    logits_p = actor.forward(obs)
+    logp = log_softmax(logits_p)
+    kl = np.sum(softmax(logits_p) * (logp - log_softmax(actor.forward(sel))),
+                axis=1)
+    return float(np.mean(np.asarray(weights, dtype=float) * kl))
+
+
+def reg_loss_grad(actor, obs, sel, weights):
+    """(reg_loss value, gradient w.r.t. actor params); the gradient flows
+    through both KL arguments, with the candidates held fixed."""
     weights = np.asarray(weights, dtype=float)
-    b = len(weights)
     logits_p, cache_p = actor.forward_cache(obs)
-    max_kl, best, p, logp = _reg_max_kl(actor, logits_p, pert_samples,
-                                        workspace)
-    loss = float(np.mean(weights * max_kl))
-
-    sel = pert_samples[np.arange(b), best]
     logits_q, cache_q = actor.forward_cache(sel)
+    p = softmax(logits_p)
     q = softmax(logits_q)
-    logq = log_softmax(logits_q)
-    diff = logp - logq
+    diff = log_softmax(logits_p) - log_softmax(logits_q)
     kl = np.sum(p * diff, axis=1)
-    coeff = (weights / b)[:, None]
+    loss = float(np.mean(weights * kl))
+    coeff = (weights / len(weights))[:, None]
     dlogits_p = coeff * p * (diff - kl[:, None])
     dlogits_q = coeff * (q - p)
     grad = actor.backward(cache_p, dlogits_p) + actor.backward(cache_q, dlogits_q)
@@ -173,10 +177,15 @@ def reg_loss_grad(actor, obs, pert_samples, weights, workspace=None):
 
 
 def state_importance(value_net, q_net, central):
-    """w(s) = V(s) - min_a worst-Q(s, a)."""
+    """w(s) = max(V(s) - min_a worst-Q(s, a), 0).
+
+    The clamp keeps reg_loss a penalty.  The bootstrapped worst-Q critic
+    lags the Monte-Carlo value target, so V - min Q is mostly negative in
+    training, and minimizing a negative w * KL would raise the divergence
+    it is meant to bound."""
     v = value_net.forward(central)[:, 0]
     q_min = q_net.forward(central).min(axis=1)
-    return v - q_min
+    return np.maximum(v - q_min, 0.0)
 
 
 def select_action(dist, safe_set, eps_explore, rng):

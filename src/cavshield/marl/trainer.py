@@ -348,12 +348,17 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
             q_taken = q_all[np.arange(acted.sum()), actions[acted]]
             adv = algo.robust_advantage(adv, q_taken, kappa_wst)
 
-        pert = None
+        sel = None
         weights = None
         if kappa_reg != 0.0:
-            pert = perturbation_samples(
-                policy.encoder.spec, obs, masks, marl.epsilon_ball,
-                marl.n_adv, rng,
+            # The inner max, once per update under the pre-update actor.  The
+            # (T, K, F) candidates are not kept, so that two agents' blocks
+            # are never live at once.
+            sel = algo.worst_candidates(
+                agent.actor, obs,
+                perturbation_samples(policy.encoder.spec, obs, masks,
+                                     marl.epsilon_ball, marl.n_adv, rng),
+                workspace,
             )
             weights = algo.state_importance(agent.value, agent.worst_q, central)
 
@@ -364,8 +369,7 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
             )
             total_grad = ga
             if kappa_reg != 0.0:
-                lr_, gr = algo.reg_loss_grad(agent.actor, obs, pert, weights,
-                                             workspace)
+                lr_, gr = algo.reg_loss_grad(agent.actor, obs, sel, weights)
                 total_grad = ga - kappa_reg * gr
             # Ascend: Adam minimizes, so feed the negated ascent direction.
             agent.actor.set_flat(

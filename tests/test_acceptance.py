@@ -127,7 +127,7 @@ def test_c2_gradient_correctness():
         )
         assert err <= 1e-4
 
-    # Regularizer.
+    # Regularizer, at each row's max-KL candidate held fixed.
     spec = EncoderSpec()
     for seed in range(10):
         rng = np.random.default_rng(seed + 250)
@@ -136,9 +136,10 @@ def test_c2_gradient_correctness():
         masks = rng.uniform(size=(6, spec.n_slots)) < 0.7
         pert = perturbation_samples(spec, obs, masks, 2.0, 4, rng)
         weights = rng.uniform(0.1, 1.0, size=6)
-        _, grad = algo.reg_loss_grad(actor, obs, pert, weights)
+        sel = algo.worst_candidates(actor, obs, pert)
+        _, grad = algo.reg_loss_grad(actor, obs, sel, weights)
         err = fd_rel_error(
-            actor, lambda: algo.reg_loss(actor, obs, pert, weights), grad,
+            actor, lambda: algo.reg_loss(actor, obs, sel, weights), grad,
             np.random.default_rng(seed + 300),
         )
         assert err <= 1e-4

@@ -210,6 +210,13 @@ class TestScenario:
         assert len(train.agent_ids) == 3
         assert len(train.ucv_ids) == 2
 
+    def test_scenario_without_cavs_rejected(self):
+        text = (scen._DATA / "highway.yaml").read_text()
+        assert "connected: true" in text
+        text = text.replace("connected: true", "connected: false")
+        with pytest.raises(ValueError, match="spawns.*connected"):
+            scen.load_scenario(text, "highway")
+
     def test_materialize_samples_within_bands(self):
         spec = scen.build_scenario("intersection", mode="test", cfg=CFG)
         rng = np.random.default_rng(0)
@@ -291,6 +298,10 @@ MALFORMED = {
                                       "brake_window": [80, 40]}}), "brake_window"),
     "scalar brake speed": (
         _set(["test"], {"behaviors": {"ucv0": {"brake_speed": 3.0}}}), "brake_speed"),
+    "no CAV": (_set(["spawns", 0, "connected"], False), "connected"),
+    "no CAV in test mode": (
+        _set(["test"], {"spawns": [{"id": "cav0", "connected": False}]}),
+        "connected"),
     # The edit returns the file text: a key given twice cannot be a dict.
     "duplicate key": (lambda d: yaml.safe_dump(d) + "vehicle_width: 3.0\n",
                       "vehicle_width"),
@@ -582,6 +593,25 @@ class TestTrainer:
         result = trainer.train(self.quick_settings(algo="mappo"))
         assert all(m["loss_worst_q"] is None for m in result.metrics)
         assert all(m["loss_reg"] is None for m in result.metrics)
+
+    def test_candidate_forward_once_per_agent_per_update(self, monkeypatch):
+        from cavshield.marl import nets
+
+        rows = []
+        forward = nets.MLP.forward
+
+        def counting_forward(net, x, workspace=None):
+            rows.append(np.shape(x)[0])
+            return forward(net, x, workspace=workspace)
+
+        monkeypatch.setattr(nets.MLP, "forward", counting_forward)
+        settings = self.quick_settings()
+        result = trainer.train(settings)
+        marl = settings.config.marl
+        assert marl.ppo_epochs > 1 and marl.kappa_reg != 0.0
+        T = settings.config.harness.episode_len
+        K = marl.n_adv + 4 * result.encoder.spec.n_slots
+        assert rows.count(T * K) == len(result.agents) * settings.episodes
 
     def test_checkpoint_roundtrip(self, tmp_path):
         settings = self.quick_settings()

@@ -137,20 +137,17 @@ class TestWorkspace:
             assert same_bits(out, net.forward(x))
             previous = out
 
-    def test_reg_loss_grad_bit_equal(self):
+    def test_worst_candidates_bit_equal(self):
         spec = EncoderSpec()
         actor = make_net(self.SIZES, seed=24)
         rng = np.random.default_rng(25)
         obs = rng.normal(size=(200, spec.dim))
         masks = rng.uniform(size=(200, spec.n_slots)) < 0.7
         pert = perturbation_samples(spec, obs, masks, 2.0, 8, rng)
-        weights = rng.uniform(0.1, 1.0, size=200)
-        loss, grad = algo.reg_loss_grad(actor, obs, pert, weights)
+        sel = algo.worst_candidates(actor, obs, pert)
         ws = Workspace()
         for _ in range(2):
-            loss_ws, grad_ws = algo.reg_loss_grad(actor, obs, pert, weights, ws)
-            assert same_bits(loss_ws, loss)
-            assert same_bits(grad_ws, grad)
+            assert same_bits(algo.worst_candidates(actor, obs, pert, ws), sel)
 
 
 class TestReturnsAdvantages:
@@ -345,20 +342,94 @@ class TestWorstQ:
             )
 
 
+def reference_reg_loss_grad(actor, obs, pert_samples, weights):
+    """The regularizer gradient as it was computed in every PPO epoch before
+    the candidates were fixed per update: the max-KL search over all
+    candidates, then the gradient at each row's argmax candidate."""
+    weights = np.asarray(weights, dtype=float)
+    b, k, f = pert_samples.shape
+    logits_p, cache_p = actor.forward_cache(obs)
+    p = softmax(logits_p)
+    logp = log_softmax(logits_p)
+    logq = log_softmax(actor.forward(pert_samples.reshape(b * k, f)))
+    kls = np.sum(p[:, None, :] * (logp[:, None, :] - logq.reshape(b, k, -1)),
+                 axis=-1)
+    best = np.argmax(kls, axis=1)
+    loss = float(np.mean(weights * kls[np.arange(b), best]))
+    logits_q, cache_q = actor.forward_cache(pert_samples[np.arange(b), best])
+    q = softmax(logits_q)
+    diff = logp - log_softmax(logits_q)
+    kl = np.sum(p * diff, axis=1)
+    coeff = (weights / b)[:, None]
+    dlogits_p = coeff * p * (diff - kl[:, None])
+    dlogits_q = coeff * (q - p)
+    grad = actor.backward(cache_p, dlogits_p) + actor.backward(cache_q, dlogits_q)
+    return loss, grad
+
+
 class TestRegLoss:
-    def make_batch(self, seed, epsilon=2.0):
+    def make_batch(self, seed, epsilon=2.0, rows=6, zero_final=False):
         rng = np.random.default_rng(seed)
         spec = EncoderSpec()
-        actor = make_net([spec.dim, 32, 32, 7], seed=seed)
-        obs = rng.normal(size=(6, spec.dim)) * 0.3
-        masks = rng.uniform(size=(6, spec.n_slots)) < 0.7
+        actor = make_net([spec.dim, 32, 32, 7], seed=seed,
+                         jitter=0.0 if zero_final else 0.1,
+                         zero_final=zero_final)
+        obs = rng.normal(size=(rows, spec.dim)) * 0.3
+        masks = rng.uniform(size=(rows, spec.n_slots)) < 0.7
         pert = perturbation_samples(spec, obs, masks, epsilon, 4, rng)
-        weights = rng.uniform(0.1, 1.0, size=6)
+        weights = rng.uniform(0.1, 1.0, size=rows)
         return actor, obs, pert, weights
+
+    @staticmethod
+    def brute_force_candidates(actor, obs, pert):
+        """Row by row, candidate by candidate: the first candidate of
+        largest KL(pi(s) || pi(s'))."""
+        rows = []
+        for s, cands in zip(obs, pert):
+            logp = log_softmax(actor.forward(s))[0]
+            best, best_kl = 0, -np.inf
+            for k, cand in enumerate(cands):
+                logq = log_softmax(actor.forward(cand))[0]
+                kl = float(np.sum(np.exp(logp) * (logp - logq)))
+                if kl > best_kl:
+                    best, best_kl = k, kl
+            rows.append(cands[best])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_worst_candidates_match_brute_force(self, seed):
+        actor, obs, pert, _ = self.make_batch(seed, rows=12)
+        sel = algo.worst_candidates(actor, obs, pert)
+        assert same_bits(sel, self.brute_force_candidates(actor, obs, pert))
+        # The choice is a real one: not every row takes its first candidate.
+        assert not same_bits(sel, pert[:, 0])
+
+    def test_worst_candidates_first_index_on_ties(self):
+        # A zero_final actor is uniform everywhere: every KL is 0.
+        actor, obs, pert, _ = self.make_batch(73, rows=12, zero_final=True)
+        assert np.all(actor.forward(pert.reshape(-1, pert.shape[-1])) == 0.0)
+        sel = algo.worst_candidates(actor, obs, pert)
+        assert same_bits(sel, pert[:, 0])
+        assert same_bits(sel, self.brute_force_candidates(actor, obs, pert))
+
+    def test_first_epoch_gradient_is_the_per_epoch_search_gradient(self):
+        spec = EncoderSpec()
+        actor = make_net([spec.dim, 64, 64, 7], seed=74)
+        rng = np.random.default_rng(75)
+        obs = rng.normal(size=(200, spec.dim))
+        masks = rng.uniform(size=(200, spec.n_slots)) < 0.7
+        pert = perturbation_samples(spec, obs, masks, 2.0, 8, rng)
+        weights = np.maximum(rng.normal(size=200), 0.0)
+        want_loss, want = reference_reg_loss_grad(actor, obs, pert, weights)
+        sel = algo.worst_candidates(actor, obs, pert, Workspace())
+        loss, grad = algo.reg_loss_grad(actor, obs, sel, weights)
+        assert [x.hex() for x in grad] == [x.hex() for x in want]
+        assert loss == pytest.approx(want_loss, rel=1e-12)
 
     def test_zero_ball_zero_loss(self):
         actor, obs, pert, weights = self.make_batch(80, epsilon=0.0)
-        assert algo.reg_loss(actor, obs, pert, weights) == pytest.approx(0.0)
+        sel = algo.worst_candidates(actor, obs, pert)
+        assert algo.reg_loss(actor, obs, sel, weights) == pytest.approx(0.0)
 
     def test_weight_times_kl(self):
         # Single sample, single candidate: loss = w * KL exactly.
@@ -370,14 +441,17 @@ class TestRegLoss:
         p = softmax(actor.forward(obs))[0]
         q = softmax(actor.forward(pert[0]))[0]
         kl = float(np.sum(p * (np.log(p) - np.log(q))))
-        loss = algo.reg_loss(actor, obs, pert, np.array([0.8]))
+        sel = algo.worst_candidates(actor, obs, pert)
+        assert same_bits(sel, pert[:, 0])
+        loss = algo.reg_loss(actor, obs, sel, np.array([0.8]))
         assert loss == pytest.approx(0.8 * kl)
+        loss_g, _ = algo.reg_loss_grad(actor, obs, sel, np.array([0.8]))
+        assert same_bits(loss_g, loss)
 
     def test_invariant_policy_zero_loss(self):
         # Zero weights on the perturbable features -> KL is exactly 0.
         spec = EncoderSpec()
         actor = make_net([spec.dim, 16, 7], seed=83)
-        flat = actor.get_flat()
         w0 = actor.weights[0]
         for slot in range(spec.n_slots):
             i_l, i_v = spec.slot_feature_indices(slot)
@@ -387,18 +461,36 @@ class TestRegLoss:
         obs = rng.normal(size=(4, spec.dim))
         masks = np.ones((4, spec.n_slots), dtype=bool)
         pert = perturbation_samples(spec, obs, masks, 5.0, 6, rng)
-        loss = algo.reg_loss(actor, obs, pert, np.ones(4))
+        sel = algo.worst_candidates(actor, obs, pert)
+        loss = algo.reg_loss(actor, obs, sel, np.ones(4))
         assert loss == pytest.approx(0.0, abs=1e-15)
-        del flat
 
     def test_gradient_matches_fd(self):
         for seed in range(85, 95):
             actor, obs, pert, weights = self.make_batch(seed)
-            _, grad = algo.reg_loss_grad(actor, obs, pert, weights)
+            sel = algo.worst_candidates(actor, obs, pert)
+            _, grad = algo.reg_loss_grad(actor, obs, sel, weights)
             fd_check(
-                actor, lambda: algo.reg_loss(actor, obs, pert, weights),
+                actor, lambda: algo.reg_loss(actor, obs, sel, weights),
                 grad, np.random.default_rng(seed + 6000), n_dirs=10,
             )
+
+
+class TestStateImportance:
+    def test_clamped_at_zero(self):
+        rng = np.random.default_rng(96)
+        value = make_net([20, 16, 1], seed=97)
+        worst_q = make_net([20, 16, 7], seed=98)
+        central = rng.normal(size=(400, 20))
+        raw = value.forward(central)[:, 0] - worst_q.forward(central).min(axis=1)
+        # Shift V so that about half the rows have V - min Q < 0.
+        value.biases[-1] = value.biases[-1] - np.median(raw)
+        raw = value.forward(central)[:, 0] - worst_q.forward(central).min(axis=1)
+        assert np.any(raw > 0) and np.any(raw < 0)
+        w = algo.state_importance(value, worst_q, central)
+        assert np.all(w >= 0.0)
+        assert same_bits(w[raw > 0], raw[raw > 0])
+        assert np.all(w[raw <= 0] == 0.0)
 
 
 class TestSelectAction:
