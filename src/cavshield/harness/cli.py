@@ -24,6 +24,17 @@ from .config import Config
 from .scenario import scenario_names
 
 
+def _episode_count(text):
+    """argparse type of --episodes: an int >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, not {text!r}")
+    return n
+
+
 def _load_config(path):
     return Config.load(path) if path else Config()
 
@@ -46,9 +57,8 @@ def cmd_train(args):
     ckpt_path = os.path.join(args.out, "checkpoint.npz")
     trainer.write_metrics(metrics_path, result.metrics)
     trainer.save_checkpoint(ckpt_path, result, settings)
-    last = result.metrics[-1] if result.metrics else {}
     print(f"trained {len(result.metrics)} episodes on {args.scenario} ({args.algo})")
-    print(f"final mean return: {last.get('mean_return')}")
+    print(f"final mean return: {result.metrics[-1]['mean_return']}")
     print(f"metrics: {metrics_path}")
     print(f"checkpoint: {ckpt_path}")
     return 0
@@ -146,7 +156,7 @@ def build_parser():
     t.add_argument("--shield", choices=["robust", "plain", "off"], default="robust")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--config", default=None, help="YAML config file")
-    t.add_argument("--episodes", type=int, default=None)
+    t.add_argument("--episodes", type=_episode_count, default=None)
     t.add_argument("--quick", action="store_true", help="CI-sized episode count")
     t.add_argument("--out", default="runs/train")
     t.set_defaults(func=cmd_train)
@@ -154,7 +164,7 @@ def build_parser():
     e = sub.add_parser("eval", help="evaluate a checkpoint under perturbation")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--ptb", choices=["none", "rand", "time", "veh"], default="none")
-    e.add_argument("--episodes", type=int, default=50)
+    e.add_argument("--episodes", type=_episode_count, default=50)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--config", default=None)
     e.add_argument("--shield", choices=["robust", "plain", "off"], default=None)

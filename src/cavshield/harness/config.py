@@ -29,6 +29,12 @@ from ..dynamics import DynamicsParams
 from ..shield import ShieldConfig
 
 
+def is_count(value, low=1):
+    """True for an int (not a bool) >= low."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
+
+
 @dataclass
 class WorldConfig:
     comm_range: float = 200.0
@@ -61,9 +67,7 @@ class MarlConfig:
         # Lower bounds below which training crashes or silently skips work.
         for key, low in (("n_adv", 0), ("ppo_epochs", 1),
                          ("critic_epochs", 0), ("worst_q_sync", 1)):
-            value = getattr(self, key)
-            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (is_int and value >= low):
+            if not is_count(getattr(self, key), low):
                 raise ValueError(f"{key} must be an int >= {low}")
         eps = self.epsilon_ball
         if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0):
@@ -83,11 +87,18 @@ class HarnessConfig:
     ptb_targets: tuple = None
 
     def __post_init__(self):
-        # A 0-step episode leaves the PPO update nothing to stack.
-        n = self.episode_len
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                and n >= 1):
-            raise ValueError("episode_len must be an int >= 1")
+        # A 0-step episode leaves the PPO update nothing to stack; a run of
+        # no episodes would write an untrained checkpoint or no report.
+        for key in ("episode_len", "train_episodes", "quick_train_episodes",
+                    "quick_test_episodes"):
+            if not is_count(getattr(self, key)):
+                raise ValueError(f"{key} must be an int >= 1")
+        window = self.ptb_window
+        if not (isinstance(window, (tuple, list)) and len(window) == 2
+                and all(is_count(t, low=0) for t in window)
+                and window[0] < window[1]):
+            raise ValueError(f"ptb_window must be a pair [t0, t1] of ints "
+                             f"with 0 <= t0 < t1, not {window!r}")
         # A bare string would iterate into a set of its characters.
         if isinstance(self.ptb_targets, str):
             raise ValueError(f"ptb_targets must be a list of vehicle ids, "

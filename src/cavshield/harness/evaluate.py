@@ -71,10 +71,10 @@ def build_schedule(kind, seed, cfg, spec):
 def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
              shield_mode=None, save_logs_dir=None):
     """Run the test protocol for one checkpoint under one perturbation."""
-    from .config import Config
+    from .config import Config, is_count
 
-    if n_episodes <= 0:
-        raise ValueError("n_episodes must be positive")
+    if not is_count(n_episodes):
+        raise ValueError(f"n_episodes must be an int >= 1, not {n_episodes!r}")
     cfg = cfg or Config()
     header, params = load_checkpoint(checkpoint_path)
     agents, enc_spec = restore_agents(header, params)

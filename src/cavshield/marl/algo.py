@@ -8,7 +8,9 @@ gradients are analytic and checked against central finite differences.
 The state regularizer's inner max is solved once per update, as in SA-PPO:
 worst_candidates picks each row's max-KL perturbation candidate under the
 actor as the update starts, and reg_loss / reg_loss_grad then take the KL
-at those fixed candidates in every PPO epoch.
+at those fixed candidates in every PPO epoch.  The trainer runs neither
+for an agent whose state_importance weights are all 0: the loss is then
+0.0 and its gradient changes no parameter.
 """
 
 import bisect

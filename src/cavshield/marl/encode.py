@@ -170,10 +170,10 @@ def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     obs = np.asarray(obs, dtype=float)
     masks = np.asarray(masks, dtype=bool)
     n_slots = spec.n_slots
+    n_steps = len(obs)
+    u = perturbation_uniforms(spec, n_steps, n_random, rng)
     if n_slots == 0:
         return np.repeat(obs[:, None, :], max(1, n_random), axis=1)
-    n_steps = len(obs)
-    u = rng.random((n_steps, n_random, n_slots, 2))
     ang = 2.0 * math.pi * u[..., 0]
     r = epsilon * np.sqrt(u[..., 1])
     err = np.zeros((n_steps, n_random + 4 * n_slots, n_slots, 2))  # (e_l, e_v)
@@ -194,3 +194,11 @@ def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     out = np.repeat(obs[:, None, :], moved.shape[1], axis=1)
     out[:, :, cols] = np.where(np.repeat(masks, 2, axis=1)[:, None, :], moved, base)
     return out
+
+
+def perturbation_uniforms(spec, n_steps, n_random, rng):
+    """The (n_steps, n_random, n_slots, 2) uniforms that
+    perturbation_samples draws from rng for n_steps rows.  A caller that
+    needs no candidates draws them all the same, so that every later
+    draw from rng stays where it was."""
+    return rng.random((n_steps, n_random, spec.n_slots, 2))

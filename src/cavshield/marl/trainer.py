@@ -3,6 +3,12 @@ centralized value / centralized worst-Q updates, checkpoints, metrics.
 
 Rewards are scaled by marl.reward_scale inside the optimizer only; every
 logged number stays in raw units.
+
+The state regularizer (SR-MAPPO with kappa_reg != 0) runs for an agent
+only when some of its importance weights are non-zero; otherwise it would
+change no parameter, and the agent's loss_reg is recorded as 0.0.  Each
+metrics record's reg_weighted_rows counts the non-zero weights over all
+agents (None when the regularizer is off).
 """
 
 import hashlib
@@ -16,9 +22,10 @@ import numpy as np
 from ..dynamics import ActionSpace
 from ..harness import episode as ep
 from ..harness import scenario as scen
-from ..harness.config import Config
+from ..harness.config import Config, is_count
 from . import algo
-from .encode import Encoder, EncoderSpec, perturbation_samples
+from .encode import (Encoder, EncoderSpec, perturbation_samples,
+                     perturbation_uniforms)
 from .nets import MLP, Adam, Workspace, log_softmax
 
 ALGO_SRMAPPO = "srmappo"
@@ -226,6 +233,8 @@ def train(settings):
             if settings.quick
             else cfg.harness.train_episodes
         )
+    elif not is_count(n_episodes):
+        raise ValueError(f"episodes must be an int >= 1, not {n_episodes!r}")
     agents, encoder = build_agents(spec, cfg, settings.seed)
     # The regularizer's forward buffers, shared by every agent: per-agent
     # buffers would add about 6 MB each to peak memory.
@@ -293,6 +302,7 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
     loss_worst_q = []
     loss_actor = []
     loss_reg = []
+    reg_weighted_rows = 0 if kappa_reg != 0.0 else None
 
     for aid, agent in agents.items():
         buf = policy.buffers[aid]
@@ -349,18 +359,27 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
             adv = algo.robust_advantage(adv, q_taken, kappa_wst)
 
         sel = None
-        weights = None
+        lr_ = 0.0
         if kappa_reg != 0.0:
-            # The inner max, once per update under the pre-update actor.  The
-            # (T, K, F) candidates are not kept, so that two agents' blocks
-            # are never live at once.
-            sel = algo.worst_candidates(
-                agent.actor, obs,
-                perturbation_samples(policy.encoder.spec, obs, masks,
-                                     marl.epsilon_ball, marl.n_adv, rng),
-                workspace,
-            )
             weights = algo.state_importance(agent.value, agent.worst_q, central)
+            n_weighted = int(np.count_nonzero(weights))
+            reg_weighted_rows += n_weighted
+            if n_weighted:
+                # The inner max, once per update under the pre-update actor.
+                # The (T, K, F) candidates are not kept, so that two agents'
+                # blocks are never live at once.
+                sel = algo.worst_candidates(
+                    agent.actor, obs,
+                    perturbation_samples(policy.encoder.spec, obs, masks,
+                                         marl.epsilon_ball, marl.n_adv, rng),
+                    workspace,
+                )
+            else:
+                # Every weight is 0, so the regularizer's loss is 0 and its
+                # gradient changes no parameter: skip it, but draw its
+                # uniforms so that later agents' candidates stay put.
+                perturbation_uniforms(policy.encoder.spec, len(obs),
+                                      marl.n_adv, rng)
 
         for _ in range(marl.ppo_epochs):
             la, ga = algo.rcs_loss_grad(
@@ -368,7 +387,7 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
                 adv, marl.clip_eps,
             )
             total_grad = ga
-            if kappa_reg != 0.0:
+            if sel is not None:
                 lr_, gr = algo.reg_loss_grad(agent.actor, obs, sel, weights)
                 total_grad = ga - kappa_reg * gr
             # Ascend: Adam minimizes, so feed the negated ascent direction.
@@ -384,6 +403,7 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
         "loss_worst_q": _mean_or_none(loss_worst_q),
         "loss_actor": _mean_or_none(loss_actor),
         "loss_reg": _mean_or_none(loss_reg),
+        "reg_weighted_rows": reg_weighted_rows,
     }
 
 

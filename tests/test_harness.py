@@ -96,6 +96,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="episode_len"):
             Config.from_dict({"harness": {"episode_len": episode_len}})
 
+    @pytest.mark.parametrize("harness,key", [
+        ({"train_episodes": 0}, "train_episodes"),
+        ({"train_episodes": -3}, "train_episodes"),
+        ({"quick_train_episodes": 0}, "quick_train_episodes"),
+        ({"quick_train_episodes": 2.5}, "quick_train_episodes"),
+        ({"quick_test_episodes": -1}, "quick_test_episodes"),
+        ({"quick_test_episodes": True}, "quick_test_episodes"),
+        ({"ptb_window": [150, 50]}, "ptb_window"),
+        ({"ptb_window": [50, 50]}, "ptb_window"),
+        ({"ptb_window": [-10, 50]}, "ptb_window"),
+        ({"ptb_window": [0.5, 50]}, "ptb_window"),
+        ({"ptb_window": [50]}, "ptb_window"),
+        ({"ptb_window": "50,150"}, "ptb_window"),
+    ])
+    def test_harness_counts_rejected(self, harness, key):
+        with pytest.raises(ValueError, match=key):
+            Config.from_dict({"harness": harness})
+
+    def test_harness_count_edges_accepted(self):
+        cfg = Config.from_dict({"harness": {
+            "train_episodes": 1, "quick_train_episodes": 1,
+            "quick_test_episodes": 1, "ptb_window": [0, 1]}})
+        assert cfg.harness.ptb_window == (0, 1)
+        assert cfg.harness.quick_test_episodes == 1
+
     def test_marl_regularizer_accepted(self):
         cfg = Config.from_dict({"marl": {"n_adv": 0, "epsilon_ball": 0.0}})
         assert (cfg.marl.n_adv, cfg.marl.epsilon_ball) == (0, 0.0)
@@ -369,6 +394,20 @@ class TestCli:
         assert out.stderr == ""
         assert out.returncode == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--scenario", "highway", "--episodes", "-3", "--out", "unused"],
+        ["train", "--scenario", "highway", "--episodes", "0", "--out", "unused"],
+        ["eval", "--checkpoint", "unused.npz", "--episodes", "0"],
+        ["eval", "--checkpoint", "unused.npz", "--episodes", "2.5"],
+    ])
+    def test_episode_counts_below_one_rejected(self, capsys, argv):
+        from cavshield.harness import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "argument --episodes: must be an int >= 1" in capsys.readouterr().err
+
     def test_eval_save_logs_needs_out(self, capsys, tmp_path):
         from cavshield.harness import cli
 
@@ -563,15 +602,10 @@ class TestTrainer:
         defaults.update(kw)
         return trainer.TrainSettings(**defaults)
 
-    def test_zero_episodes_leave_parameters_at_init(self):
-        settings = self.quick_settings(episodes=0)
-        result = trainer.train(settings)
-        fresh, _ = trainer.build_agents(result.spec, settings.config, settings.seed)
-        for aid in result.agents:
-            assert np.array_equal(
-                result.agents[aid].actor.get_flat(), fresh[aid].actor.get_flat()
-            )
-        assert result.metrics == []
+    def test_episode_counts_below_one_rejected(self):
+        for episodes in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="episodes must be an int >= 1"):
+                trainer.train(self.quick_settings(episodes=episodes))
 
     def test_two_runs_identical_metrics(self):
         m1 = trainer.train(self.quick_settings()).metrics
@@ -595,23 +629,40 @@ class TestTrainer:
         assert all(m["loss_reg"] is None for m in result.metrics)
 
     def test_candidate_forward_once_per_agent_per_update(self, monkeypatch):
-        from cavshield.marl import nets
+        # One T*K-row candidate forward per agent-update with a non-zero
+        # importance weight, none for the others.  The first update's
+        # weights get one non-zero row, so the run has both kinds.
+        from cavshield.marl import algo, nets
 
         rows = []
+        weighted = []
         forward = nets.MLP.forward
+        state_importance = algo.state_importance
 
         def counting_forward(net, x, workspace=None):
             rows.append(np.shape(x)[0])
             return forward(net, x, workspace=workspace)
 
+        def counting_importance(*args):
+            w = state_importance(*args)
+            if not weighted:
+                w = w.copy()
+                w[0] = 1.0
+            weighted.append(bool(np.any(w)))
+            return w
+
         monkeypatch.setattr(nets.MLP, "forward", counting_forward)
+        monkeypatch.setattr(algo, "state_importance", counting_importance)
         settings = self.quick_settings()
         result = trainer.train(settings)
         marl = settings.config.marl
         assert marl.ppo_epochs > 1 and marl.kappa_reg != 0.0
         T = settings.config.harness.episode_len
         K = marl.n_adv + 4 * result.encoder.spec.n_slots
-        assert rows.count(T * K) == len(result.agents) * settings.episodes
+        assert len(weighted) <= len(result.agents) * settings.episodes
+        assert sum(weighted) >= 1
+        assert rows.count(T * K) == sum(weighted)
+        assert sum(m["reg_weighted_rows"] > 0 for m in result.metrics) >= 1
 
     def test_checkpoint_roundtrip(self, tmp_path):
         settings = self.quick_settings()
@@ -649,8 +700,10 @@ class TestTrainer:
             trainer.load_checkpoint(str(path))
 
     def test_old_checkpoint_version_rejected(self, tmp_path):
-        settings = self.quick_settings(episodes=0)
-        result = trainer.train(settings)
+        settings = self.quick_settings()
+        spec = scen.build_scenario(settings.scenario, cfg=settings.config)
+        agents, encoder = trainer.build_agents(spec, settings.config, 1)
+        result = trainer.TrainResult(agents, [], encoder, spec)
         path = tmp_path / "ckpt.npz"
         trainer.save_checkpoint(str(path), result, settings)
         with np.load(str(path)) as data:
@@ -690,8 +743,9 @@ class TestEvaluate:
 
     def test_zero_episodes_rejected(self, checkpoint):
         path, cfg = checkpoint
-        with pytest.raises(ValueError):
-            ev.evaluate(path, n_episodes=0, cfg=cfg)
+        for n in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="n_episodes"):
+                ev.evaluate(path, n_episodes=n, cfg=cfg)
 
     def test_report_shape_and_determinism(self, checkpoint):
         path, cfg = checkpoint

@@ -2,6 +2,7 @@
 oracles, restricted action sampling, the feature encoder and the team
 policy's one-pass step."""
 
+import copy
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from cavshield.harness import episode as ep
 from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
 from cavshield.marl import algo, trainer
-from cavshield.marl.encode import Encoder, EncoderSpec, perturbation_samples
+from cavshield.marl.encode import (Encoder, EncoderSpec, perturbation_samples,
+                                   perturbation_uniforms)
 from cavshield.marl.nets import MLP, Adam, Workspace, log_softmax, softmax
 from cavshield.world import AgentView, Observation
 
@@ -788,6 +790,10 @@ class TestPerturbationSamples:
         assert got.shape == ref.shape == (12, max(1, n_random + 4 * spec.n_slots), spec.dim)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # The draw alone consumes exactly what the sampler consumes.
+        rng_u = np.random.default_rng(12)
+        perturbation_uniforms(spec, len(obs), n_random, rng_u)
+        assert rng_u.bit_generator.state == rng.bit_generator.state
 
 
 def runtime(actor):
@@ -887,3 +893,235 @@ class TestTeamPolicy:
     def test_empty_team_rejected(self):
         with pytest.raises(ValueError, match="at least one agent"):
             trainer.NeuralTeamPolicy({}, None, [])
+
+
+def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
+                            rng, sync_target, train_worst_q, workspace):
+    """trainer._update_agents as it was before the regularizer could be
+    skipped: the candidate search and the regularizer's gradient run for
+    every acted agent whatever its importance weights.  Kept as the
+    bit-exact reference for the skip."""
+    marl = cfg.marl
+    scale = marl.reward_scale
+    central = np.stack(policy.central)
+    central_next = np.vstack([central[1:], policy.terminal_central[None, :]])
+    T = len(central)
+    terminal = np.zeros(T, dtype=bool)
+    terminal[-1] = True
+
+    loss_value = []
+    loss_worst_q = []
+    loss_actor = []
+    loss_reg = []
+
+    for aid, agent in agents.items():
+        buf = policy.buffers[aid]
+        rewards = np.array(
+            [rec["rewards"][aid] for rec in log.steps], dtype=float
+        ) * scale
+        obs = np.stack(buf["obs"])
+        masks = np.stack(buf["mask"])
+        actions = np.array(buf["action"], dtype=int)
+        logp_old = np.array(buf["logp_old"], dtype=float)
+        acted = actions >= 0
+
+        values = agent.value.forward(central)[:, 0]
+        bootstrap = agent.value.forward(policy.terminal_central)[0, 0]
+        returns, advantages = algo.compute_returns_advantages(
+            rewards, values, bootstrap, marl.gamma
+        )
+
+        lv = None
+        for _ in range(marl.critic_epochs):
+            lv, gv = algo.value_loss_grad(agent.value, central, returns)
+            agent.value.set_flat(agent.opt_value.step(agent.value.get_flat(), gv))
+        if lv is not None:
+            loss_value.append(lv)
+
+        if train_worst_q and np.any(acted):
+            target_net = trainer._target_copy(agent)
+            targets = algo.worst_q_targets(
+                target_net, rewards[acted], central_next[acted],
+                terminal[acted], marl.gamma,
+            )
+            lq = None
+            for _ in range(marl.critic_epochs):
+                lq, gq = algo.worst_q_loss_grad(
+                    agent.worst_q, central[acted], actions[acted], targets
+                )
+                agent.worst_q.set_flat(
+                    agent.opt_worst_q.step(agent.worst_q.get_flat(), gq)
+                )
+            if lq is not None:
+                loss_worst_q.append(lq)
+            if sync_target:
+                agent.worst_q_target = agent.worst_q.get_flat()
+
+        if not np.any(acted):
+            continue
+
+        adv = advantages[acted]
+        if kappa_wst != 0.0:
+            q_all = agent.worst_q.forward(central[acted])
+            q_taken = q_all[np.arange(acted.sum()), actions[acted]]
+            adv = algo.robust_advantage(adv, q_taken, kappa_wst)
+
+        sel = None
+        weights = None
+        if kappa_reg != 0.0:
+            sel = algo.worst_candidates(
+                agent.actor, obs,
+                perturbation_samples(policy.encoder.spec, obs, masks,
+                                     marl.epsilon_ball, marl.n_adv, rng),
+                workspace,
+            )
+            weights = algo.state_importance(agent.value, agent.worst_q, central)
+
+        for _ in range(marl.ppo_epochs):
+            la, ga = algo.rcs_loss_grad(
+                agent.actor, obs[acted], actions[acted], logp_old[acted],
+                adv, marl.clip_eps,
+            )
+            total_grad = ga
+            if kappa_reg != 0.0:
+                lr_, gr = algo.reg_loss_grad(agent.actor, obs, sel, weights)
+                total_grad = ga - kappa_reg * gr
+            agent.actor.set_flat(
+                agent.opt_actor.step(agent.actor.get_flat(), -total_grad)
+            )
+        loss_actor.append(la)
+        if kappa_reg != 0.0:
+            loss_reg.append(lr_)
+
+    return {
+        "loss_value": trainer._mean_or_none(loss_value),
+        "loss_worst_q": trainer._mean_or_none(loss_worst_q),
+        "loss_actor": trainer._mean_or_none(loss_actor),
+        "loss_reg": trainer._mean_or_none(loss_reg),
+    }
+
+
+class TestRegularizerSkip:
+    """The update skips the regularizer of an agent whose importance
+    weights are all 0, and ends bit for bit where the unskipped update
+    (reference_update_agents) ends."""
+
+    @pytest.fixture(scope="class")
+    def rollout(self):
+        cfg = Config.from_dict({"harness": {"episode_len": 40}})
+        spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
+        agents, encoder = trainer.build_agents(spec, cfg, 5)
+        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
+                                          eps_explore=0.3, record=True)
+        log = ep.run_episode(spec, cfg, policy, seed=6, collect_obs=False)
+        for buf in policy.buffers.values():
+            assert any(a >= 0 for a in buf["action"])
+        return cfg, agents, policy, log
+
+    def run_update(self, monkeypatch, rollout, update, weights_of):
+        """(agents after the update, losses, next uniform, chosen
+        candidates, reg_loss_grad calls) of one update from a copy of the
+        rollout's agents, with state_importance's i-th result replaced by
+        weights_of(i, w)."""
+        cfg, agents, policy, log = rollout
+        agents = copy.deepcopy(agents)
+        state_importance = algo.state_importance
+        worst_candidates = algo.worst_candidates
+        reg_loss_grad = algo.reg_loss_grad
+        n_importance = []
+        chosen = []
+        reg_calls = []
+
+        def forced_importance(*args):
+            n_importance.append(1)
+            return weights_of(len(n_importance) - 1, state_importance(*args))
+
+        def recorded_candidates(*args):
+            sel = worst_candidates(*args)
+            chosen.append(sel.copy())
+            return sel
+
+        def counted_reg_loss_grad(*args):
+            reg_calls.append(1)
+            return reg_loss_grad(*args)
+
+        monkeypatch.setattr(algo, "state_importance", forced_importance)
+        monkeypatch.setattr(algo, "worst_candidates", recorded_candidates)
+        monkeypatch.setattr(algo, "reg_loss_grad", counted_reg_loss_grad)
+        rng = np.random.default_rng([5, 0xAD, 0])
+        losses = update(agents, policy, log, cfg, cfg.marl.kappa_wst,
+                        cfg.marl.kappa_reg, rng=rng, sync_target=True,
+                        train_worst_q=True, workspace=Workspace())
+        monkeypatch.undo()
+        return agents, losses, rng.random(), chosen, len(reg_calls)
+
+    def assert_same_update(self, got, want):
+        agents, losses, u, _, _ = got
+        ref_agents, ref_losses, ref_u, _, _ = want
+        for aid, ref in ref_agents.items():
+            agent = agents[aid]
+            for name in ("actor", "value", "worst_q"):
+                assert same_bits(getattr(agent, name).get_flat(),
+                                 getattr(ref, name).get_flat()), (aid, name)
+            assert same_bits(agent.worst_q_target, ref.worst_q_target)
+            for name in ("opt_actor", "opt_value", "opt_worst_q"):
+                opt, ref_opt = getattr(agent, name), getattr(ref, name)
+                assert same_bits(opt.m, ref_opt.m), (aid, name)
+                assert same_bits(opt.v, ref_opt.v), (aid, name)
+                assert opt.t == ref_opt.t
+        for key, value in ref_losses.items():
+            assert losses[key].hex() == value.hex(), key
+        assert u.hex() == ref_u.hex()
+
+    def test_all_zero_weights_skip_bit_for_bit(self, monkeypatch, rollout):
+        def zeros(i, w):
+            return np.zeros_like(w)
+
+        got = self.run_update(monkeypatch, rollout, trainer._update_agents, zeros)
+        want = self.run_update(monkeypatch, rollout, reference_update_agents,
+                               zeros)
+        self.assert_same_update(got, want)
+        _, losses, _, chosen, reg_calls = got
+        assert chosen == [] and reg_calls == 0
+        assert losses["loss_reg"] == 0.0
+        assert losses["reg_weighted_rows"] == 0
+        assert want[4] == 3 * rollout[0].marl.ppo_epochs
+
+    def test_nonzero_weights_run_the_regularizer(self, monkeypatch, rollout):
+        rows = [3, 17, 30]
+
+        def some_rows(i, w):
+            w = w.copy()
+            w[rows] = (0.5, 1.0, 2.0)
+            return w
+
+        got = self.run_update(monkeypatch, rollout, trainer._update_agents,
+                              some_rows)
+        want = self.run_update(monkeypatch, rollout, reference_update_agents,
+                               some_rows)
+        self.assert_same_update(got, want)
+        _, losses, _, chosen, reg_calls = got
+        assert len(chosen) == 3
+        assert reg_calls == want[4] == 3 * rollout[0].marl.ppo_epochs
+        assert losses["loss_reg"] > 0.0
+        assert losses["reg_weighted_rows"] >= 3 * len(rows)
+
+    def test_later_agents_keep_their_candidates(self, monkeypatch, rollout):
+        def first_agent_zero(i, w):
+            if i == 0:
+                return np.zeros_like(w)
+            w = w.copy()
+            w[[5, 25]] = 1.0
+            return w
+
+        got = self.run_update(monkeypatch, rollout, trainer._update_agents,
+                              first_agent_zero)
+        want = self.run_update(monkeypatch, rollout, reference_update_agents,
+                               first_agent_zero)
+        self.assert_same_update(got, want)
+        chosen, ref_chosen = got[3], want[3]
+        assert len(chosen) == 2 and len(ref_chosen) == 3
+        for sel, ref in zip(chosen, ref_chosen[1:]):
+            assert same_bits(sel, ref)
+        assert got[4] == 2 * rollout[0].marl.ppo_epochs
+        assert got[1]["loss_reg"] > 0.0
