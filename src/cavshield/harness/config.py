@@ -10,8 +10,7 @@ Top-level YAML keys mirror the dataclass fields:
     shield:   c1, c2, c3, gamma_cbf, epsilon, lipschitz_sum (null = audit
               at startup), horizon, conflict_radius, v_max, p_col, p_sas
     marl:     hidden, lr, lr_critic, clip_eps, gamma, kappa_wst,
-              kappa_reg, n_adv, eps_explore_start, eps_explore_end,
-              ppo_epochs, critic_epochs, worst_q_sync, reward_scale,
+              kappa_reg, n_adv, ppo_epochs, critic_epochs, reward_scale,
               epsilon_ball, n_cav_slots, n_ucv_slots, max_lanes
     harness:  episode_len, train_episodes, quick_train_episodes,
               quick_test_episodes, action_k, ptb_window, ptb_epsilon_bound,
@@ -50,11 +49,8 @@ class MarlConfig:
     kappa_wst: float = 0.1
     kappa_reg: float = 0.05
     n_adv: int = 8
-    eps_explore_start: float = 0.3
-    eps_explore_end: float = 0.05
     ppo_epochs: int = 6
     critic_epochs: int = 10
-    worst_q_sync: int = 1
     # Internal optimization scale for raw rewards; metrics stay raw.
     reward_scale: float = 1e-3
     # Radius of the regularizer's perturbation ball (raw meters / m/s).
@@ -66,7 +62,7 @@ class MarlConfig:
     def __post_init__(self):
         # Lower bounds below which training crashes or silently skips work.
         for key, low in (("n_adv", 0), ("ppo_epochs", 1),
-                         ("critic_epochs", 0), ("worst_q_sync", 1)):
+                         ("critic_epochs", 0)):
             if not is_count(getattr(self, key), low):
                 raise ValueError(f"{key} must be an int >= {low}")
         eps = self.epsilon_ball

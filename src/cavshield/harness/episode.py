@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from ..dynamics import ActionSpace, ControlInput, NoAdjacentLane, lane_context, nominal_control, emergency_control, speed_tracking_control
+from ..dynamics import ActionSpace, ControlInput, DynamicsParams, NoAdjacentLane, lane_context, nominal_control, emergency_control, speed_tracking_control
 from ..perturb import identity_schedule
 from ..shield import EgoView, open_shield, resolve_lipschitz, safety_shield
 from ..world import build_joint_state
@@ -283,7 +283,7 @@ def verify_roundtrip(log):
     to within float-printing precision.
     """
     dt = log.meta["dt"]
-    frac = log.meta["wheelbase_frac"]
+    dyn = DynamicsParams(dt=dt, wheelbase_frac=log.meta["wheelbase_frac"])
     lengths = log.meta["lengths"]
     worst = 0.0
     for i, rec in enumerate(log.steps):
@@ -300,7 +300,7 @@ def verify_roundtrip(log):
                 length = lengths[vid]
                 pred = kernels.step_bicycle(
                     state[0], state[1], state[2], state[3], accel, steer,
-                    dt, 0.5 * frac * length, frac * length,
+                    dt, dyn.rear_axle(length), dyn.wheelbase(length),
                 )
             for a, b in zip(pred, nxt[vid]):
                 worst = max(worst, abs(a - b))

@@ -86,9 +86,7 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     for i in range(n_episodes):
         sub = int(np.random.SeedSequence([seed, 0xEE, i]).generate_state(1)[0])
         schedule = build_schedule(ptb, sub, cfg, spec)
-        policy = NeuralTeamPolicy(
-            agents, encoder, spec.agent_ids, eps_explore=0.0, record=False
-        )
+        policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         log = ep.run_episode(
             spec, cfg, policy, schedule=schedule, seed=sub,
             shield_mode=shield_mode, collect_obs=save_logs_dir is not None,

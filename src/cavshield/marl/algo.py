@@ -111,11 +111,11 @@ def value_loss_grad(value_net, states, targets):
     return loss, value_net.backward(cache, dout)
 
 
-def worst_q_targets(target_net, rewards, next_states, terminal, gamma):
-    """Pessimistic Bellman target: r + gamma * min_a' Q(s', a'); terminal
-    transitions back up the reward alone."""
+def worst_q_targets(q_net, rewards, next_states, terminal, gamma):
+    """Pessimistic Bellman target: r + gamma * min_a' Q(s', a') under q_net
+    as passed; terminal transitions back up the reward alone."""
     rewards = np.asarray(rewards, dtype=float)
-    q_next = target_net.forward(next_states).min(axis=1)
+    q_next = q_net.forward(next_states).min(axis=1)
     terminal = np.asarray(terminal, dtype=bool)
     return rewards + gamma * q_next * (~terminal)
 
@@ -190,10 +190,9 @@ def state_importance(value_net, q_net, central):
     return np.maximum(v - q_min, 0.0)
 
 
-def select_action(dist, safe_set, eps_explore, rng):
-    """Epsilon-greedy over the safe set, otherwise sample dist restricted
-    to the safe set (renormalized over it; uniform if its mass is not
-    positive).
+def select_action(dist, safe_set, rng):
+    """Sample dist restricted to the safe set (renormalized over it;
+    uniform if its mass is not positive).
 
     dist is a sequence of the n action probabilities and safe_set a list
     of distinct action indices in 0..n-1.  The restricted draw runs on
@@ -211,8 +210,6 @@ def select_action(dist, safe_set, eps_explore, rng):
     safe_set = list(safe_set)
     if not safe_set:
         raise EmptySafeSet("shield must substitute Emergency_stop")
-    if eps_explore > 0 and rng.uniform() < eps_explore:
-        return int(safe_set[rng.integers(0, len(safe_set))])
     if isinstance(dist, np.ndarray):
         dist = dist.tolist()
     actions = sorted(set(safe_set))

@@ -1,6 +1,10 @@
 """SR-MAPPO training loop: shield-restricted rollouts, per-agent actor /
 centralized value / centralized worst-Q updates, checkpoints, metrics.
 
+Rollouts sample each agent's softmax policy restricted to its safe set;
+that stochastic policy is the only exploration.  The worst-Q targets are
+taken under the worst-Q critic as the update starts.
+
 Rewards are scaled by marl.reward_scale inside the optimizer only; every
 logged number stays in raw units.
 
@@ -13,7 +17,6 @@ agents (None when the regularizer is off).
 
 import hashlib
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,13 +51,11 @@ class UnsupportedCheckpointVersion(Exception):
 
 @dataclass
 class ParameterSet:
-    """Flat numeric parameters of one agent (plus its loss weights)."""
+    """Flat numeric parameters of one agent."""
 
     theta: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
-    kappa_wst: float = 0.0
-    kappa_reg: float = 0.0
 
     def check_finite(self, where):
         for name in ("theta", "phi", "omega"):
@@ -67,7 +68,6 @@ class AgentRuntime:
     actor: MLP
     value: MLP
     worst_q: MLP
-    worst_q_target: np.ndarray
     opt_actor: Adam
     opt_value: Adam
     opt_worst_q: Adam
@@ -98,27 +98,36 @@ class NeuralTeamPolicy:
     Each step is one pass for the whole team: the agents' encodings form
     one block, one forward of the stacked actors (MLP.from_arrays) gives
     every agent's logits with the bits of its own actor's forward, and one
-    log-softmax covers all rows.  The stack is rebuilt whenever an actor's
-    parameter arrays are no longer the stacked ones (set_flat replaces
-    them), so the policy always acts with the current weights.  All
-    actors must share one layout.
+    log-softmax covers all rows.  The actors are stacked once, when the
+    policy is built, so it acts with the weights they have then: no
+    actor's weights may change while the policy is in use.  train() and
+    evaluate() build one policy per episode and update only between
+    episodes.  All actors must share one layout.
 
     When recording, keeps everything a PPO update needs (encodings,
     centralized states, actions, old log-probs, slot masks).
     """
 
-    def __init__(self, agents, encoder, agent_order, eps_explore=0.0,
-                 record=False):
-        self.agents = agents
+    def __init__(self, agents, encoder, agent_order, record=False):
         self.encoder = encoder
         self.agent_order = list(agent_order)
         if not self.agent_order:
             raise ValueError("a team policy needs at least one agent")
-        self.eps_explore = eps_explore
         self.record = record
-        self._stack = None
-        self._stack_sources = []
-        self._team_actor()
+        actors = [agents[aid].actor for aid in self.agent_order]
+        layout = actors[0].sizes
+        for aid, net in zip(self.agent_order, actors):
+            if net.sizes != layout:
+                raise ValueError(
+                    f"actor of agent {aid!r} has layout {net.sizes}; "
+                    f"agent {self.agent_order[0]!r} has {layout}"
+                )
+        layers = range(len(layout) - 1)
+        self.team_actor = MLP.from_arrays(
+            [np.stack([net.weights[i] for net in actors]) for i in layers],
+            [np.stack([net.biases[i] for net in actors])[:, None, :]
+             for i in layers],
+        )
         self.reset_buffers()
 
     def reset_buffers(self):
@@ -129,40 +138,12 @@ class NeuralTeamPolicy:
         self.central = []
         self.terminal_central = None
 
-    def _team_actor(self):
-        """The agents' actors stacked into one MLP, restacked when any
-        actor's weight or bias array has been replaced since."""
-        actors = [self.agents[aid].actor for aid in self.agent_order]
-        sources = []
-        for net in actors:
-            sources += net.weights
-            sources += net.biases
-        if len(sources) == len(self._stack_sources) and all(
-            map(operator.is_, sources, self._stack_sources)
-        ):
-            return self._stack
-        layout = actors[0].sizes
-        for aid, net in zip(self.agent_order, actors):
-            if net.sizes != layout:
-                raise ValueError(
-                    f"actor of agent {aid!r} has layout {net.sizes}; "
-                    f"agent {self.agent_order[0]!r} has {layout}"
-                )
-        layers = range(len(layout) - 1)
-        self._stack = MLP.from_arrays(
-            [np.stack([net.weights[i] for net in actors]) for i in layers],
-            [np.stack([net.biases[i] for net in actors])[:, None, :]
-             for i in layers],
-        )
-        self._stack_sources = sources
-        return self._stack
-
     def select_actions(self, joint, outcome, rng):
         vecs, masks, central = self.encoder.encode_joint(joint, self.agent_order)
         if self.record:
             self.central.append(central)
         n = len(self.agent_order)
-        logits = self._team_actor().forward(central.reshape(n, 1, -1))
+        logits = self.team_actor.forward(central.reshape(n, 1, -1))
         logp_all = log_softmax(logits.reshape(n, -1))
         dists = np.exp(logp_all).tolist()
         logps = logp_all.tolist()
@@ -173,8 +154,7 @@ class NeuralTeamPolicy:
                 action = ActionSpace.EMERGENCY
                 logp = 0.0
             else:
-                action = algo.select_action(dists[i], safe, self.eps_explore,
-                                            rng)
+                action = algo.select_action(dists[i], safe, rng)
                 logp = logps[i][action]
             actions[aid] = action
             if self.record:
@@ -214,7 +194,6 @@ def build_agents(spec, cfg, seed):
             actor=actor,
             value=value,
             worst_q=worst_q,
-            worst_q_target=worst_q.get_flat(),
             opt_actor=Adam(actor.n_params, lr=cfg.marl.lr),
             opt_value=Adam(value.n_params, lr=cfg.marl.lr_critic),
             opt_worst_q=Adam(worst_q.n_params, lr=cfg.marl.lr_critic),
@@ -244,17 +223,7 @@ def train(settings):
     kappa_reg = cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0
 
     for e in range(n_episodes):
-        if n_episodes > 1:
-            frac = e / (n_episodes - 1)
-        else:
-            frac = 1.0
-        eps_explore = (
-            cfg.marl.eps_explore_start
-            + (cfg.marl.eps_explore_end - cfg.marl.eps_explore_start) * frac
-        )
-        policy = NeuralTeamPolicy(
-            agents, encoder, spec.agent_ids, eps_explore=eps_explore, record=True
-        )
+        policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids, record=True)
         log = ep.run_episode(
             spec, cfg, policy, schedule=None, seed=_episode_seed(settings.seed, e),
             shield_mode=settings.shield_mode, collect_obs=False,
@@ -262,14 +231,11 @@ def train(settings):
         losses = _update_agents(
             agents, policy, log, cfg, kappa_wst, kappa_reg,
             rng=np.random.default_rng([settings.seed, 0xAD, e]),
-            sync_target=(e % cfg.marl.worst_q_sync == 0),
             train_worst_q=settings.algo == ALGO_SRMAPPO,
             workspace=workspace,
         )
-        for aid, agent in agents.items():
-            _runtime_params(agent, kappa_wst, kappa_reg).check_finite(
-                f"episode {e}"
-            )
+        for agent in agents.values():
+            _runtime_params(agent).check_finite(f"episode {e}")
         returns = log.returns()
         record = {
             "episode": e,
@@ -277,7 +243,6 @@ def train(settings):
             "mean_return": float(np.mean(list(returns.values()))),
             "collisions": log.collision_count(),
             "emergency_steps": log.emergency_step_count(),
-            "eps_explore": float(eps_explore),
         }
         record.update(losses)
         metrics.append(record)
@@ -289,7 +254,7 @@ def _episode_seed(seed, e):
 
 
 def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
-                   sync_target, train_worst_q, workspace):
+                   train_worst_q, workspace):
     marl = cfg.marl
     scale = marl.reward_scale
     central = np.stack(policy.central)
@@ -331,9 +296,9 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
             loss_value.append(lv)
 
         if train_worst_q and np.any(acted):
-            target_net = _target_copy(agent)
+            # Targets under the worst-Q critic as the update starts.
             targets = algo.worst_q_targets(
-                target_net, rewards[acted], central_next[acted],
+                agent.worst_q, rewards[acted], central_next[acted],
                 terminal[acted], marl.gamma,
             )
             lq = None
@@ -346,8 +311,6 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
                 )
             if lq is not None:
                 loss_worst_q.append(lq)
-            if sync_target:
-                agent.worst_q_target = agent.worst_q.get_flat()
 
         if not np.any(acted):
             continue
@@ -411,17 +374,11 @@ def _mean_or_none(xs):
     return float(np.mean(xs)) if xs else None
 
 
-def _target_copy(agent):
-    return MLP.from_flat(agent.worst_q.sizes, agent.worst_q_target)
-
-
-def _runtime_params(agent, kappa_wst, kappa_reg):
+def _runtime_params(agent):
     return ParameterSet(
         theta=agent.actor.get_flat(),
         phi=agent.value.get_flat(),
         omega=agent.worst_q.get_flat(),
-        kappa_wst=kappa_wst,
-        kappa_reg=kappa_reg,
     )
 
 
@@ -507,8 +464,6 @@ def load_checkpoint(path):
             theta=arrays[f"{aid}__theta"],
             phi=arrays[f"{aid}__phi"],
             omega=arrays[f"{aid}__omega"],
-            kappa_wst=header["kappa_wst"],
-            kappa_reg=header["kappa_reg"],
         )
     return header, params
 
@@ -524,7 +479,6 @@ def restore_agents(header, params):
         worst_q = MLP.from_flat(layout["worst_q"], params[aid].omega)
         agents[aid] = AgentRuntime(
             actor=actor, value=value, worst_q=worst_q,
-            worst_q_target=worst_q.get_flat(),
             opt_actor=Adam(actor.n_params),
             opt_value=Adam(value.n_params),
             opt_worst_q=Adam(worst_q.n_params),

@@ -19,6 +19,7 @@ a penalty.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
@@ -26,15 +27,10 @@ import numpy as np
 
 from . import kernels
 from .dynamics import ActionSpace, ControlInput, DynamicsParams, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_accel, nominal_control
-from .world import OutOfCorridor
+from .world import ALIGN_CONE, OutOfCorridor
 
 FRONT = "front"
 REAR = "rear"
-
-# Alignment cone: targets heading within this of the ego lane direction are
-# same-direction traffic, anything else goes through the pseudo-car
-# transform.
-ALIGN_CONE = math.pi / 4
 
 # Distinct audits calibrate_lipschitz_sum keeps (one per config in use).
 LIPSCHITZ_MEMO_SIZE = 16
@@ -55,11 +51,20 @@ class ShieldConfig:
     p_sas: float = -10.0  # emergency-stop penalty per step
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "gamma_cbf", "epsilon"):
-            if getattr(self, name) < 0:
+        # Any other value would only fail in the first episode: as a
+        # non-finite barrier row, an overflow in the Lipschitz audit or an
+        # empty sampling range.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "lipschitz_sum" and value is None:
+                continue
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number")
+        for name in ("c1", "c2", "c3", "gamma_cbf", "epsilon", "lipschitz_sum",
+                     "horizon", "v_max"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.lipschitz_sum is not None and self.lipschitz_sum < 0:
-            raise ValueError("lipschitz_sum must be >= 0")
 
 
 @dataclass

@@ -18,6 +18,12 @@ from . import kernels
 # well-defined lane coordinate.
 CORRIDOR_RADIUS = 50.0
 
+# Alignment cone: a heading within this of a lane's direction travels with
+# that lane.  RoadMap.lane_of matches only such lanes, and the shield takes
+# only such targets as same-direction traffic (anything else goes through
+# the pseudo-car transform), so both use this one rule.
+ALIGN_CONE = math.pi / 4
+
 DEFAULT_LENGTH = 4.5
 DEFAULT_WIDTH = 2.0
 
@@ -268,7 +274,7 @@ class RoadMap:
                 continue
             if psi is not None:
                 diff = abs(kernels.wrap_angle(psi - path.heading_at(s)))
-                if diff > math.pi / 4:
+                if diff > ALIGN_CONE:
                     continue
             if abs(d) < best_d:
                 best_d = abs(d)

@@ -33,9 +33,14 @@ class TestConfig:
         back = Config.from_yaml(text)
         assert back == CFG
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(KeyError):
-            Config.from_dict({"shield": {"bogus": 1}})
+    # Old config files may still set the exploration and target-sync keys.
+    @pytest.mark.parametrize("section,key", [
+        ("shield", "bogus"), ("marl", "eps_explore_start"),
+        ("marl", "eps_explore_end"), ("marl", "worst_q_sync"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        with pytest.raises(KeyError, match=key):
+            Config.from_dict({section: {key: 1}})
 
     def test_override(self):
         cfg = Config.from_dict({"shield": {"epsilon": 3.0}, "marl": {"lr": 1e-3}})
@@ -53,8 +58,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("marl", [
         {"ppo_epochs": 0}, {"ppo_epochs": -1}, {"ppo_epochs": 2.0},
-        {"ppo_epochs": True}, {"worst_q_sync": 0}, {"worst_q_sync": -3},
-        {"worst_q_sync": "1"}, {"worst_q_sync": False},
+        {"ppo_epochs": True}, {"ppo_epochs": "6"}, {"ppo_epochs": None},
+        {"critic_epochs": "10"}, {"critic_epochs": False},
         {"critic_epochs": -2}, {"critic_epochs": 1.5},
         {"critic_epochs": True},
     ])
@@ -63,10 +68,30 @@ class TestConfig:
             Config.from_dict({"marl": marl})
 
     def test_marl_epochs_accepted(self):
-        cfg = Config.from_dict({"marl": {"ppo_epochs": 1, "critic_epochs": 0,
-                                         "worst_q_sync": 1}})
-        assert (cfg.marl.ppo_epochs, cfg.marl.critic_epochs,
-                cfg.marl.worst_q_sync) == (1, 0, 1)
+        cfg = Config.from_dict({"marl": {"ppo_epochs": 1, "critic_epochs": 0}})
+        assert (cfg.marl.ppo_epochs, cfg.marl.critic_epochs) == (1, 0)
+
+    # Each of these would fail the first episode: a non-finite barrier row,
+    # an overflow in the Lipschitz audit, or an empty sampling range.
+    @pytest.mark.parametrize("shield,key", [
+        ({"epsilon": math.nan}, "epsilon"), ({"epsilon": math.inf}, "epsilon"),
+        ({"c1": math.nan}, "c1"), ({"c2": math.inf}, "c2"),
+        ({"c3": "2.0"}, "c3"), ({"gamma_cbf": math.inf}, "gamma_cbf"),
+        ({"lipschitz_sum": math.nan}, "lipschitz_sum"),
+        ({"lipschitz_sum": math.inf}, "lipschitz_sum"),
+        ({"horizon": math.nan}, "horizon"), ({"horizon": -5}, "horizon"),
+        ({"v_max": math.nan}, "v_max"), ({"v_max": -3}, "v_max"),
+        ({"conflict_radius": math.inf}, "conflict_radius"),
+        ({"p_col": -math.inf}, "p_col"), ({"p_sas": math.nan}, "p_sas"),
+    ])
+    def test_shield_rejected(self, shield, key):
+        with pytest.raises(ValueError, match=key):
+            Config.from_dict({"shield": shield})
+
+    def test_shield_edges_accepted(self):
+        cfg = Config.from_dict({"shield": {
+            "lipschitz_sum": None, "horizon": 0, "v_max": 0.0, "epsilon": 0}})
+        assert (cfg.shield.lipschitz_sum, cfg.shield.horizon) == (None, 0)
 
     @pytest.mark.parametrize("dynamics,key", [
         ({"hold_band": -1.0}, "hold_band"), ({"dt": 0.0}, "dt"),

@@ -323,6 +323,57 @@ class TestWorstQ:
         # Spec arithmetic: r=1, gamma=.99, min Q=2 -> 2.98.
         assert 1.0 + 0.99 * 2.0 == pytest.approx(2.98)
 
+    def test_update_backs_up_the_critic_as_the_update_starts(self, monkeypatch):
+        """Every worst-Q epoch of an update fits r + gamma * min_a Q(s', a)
+        under the worst-Q critic as the update starts, and the reward alone
+        at the rollout's last step (no bootstrap there)."""
+        cfg = Config.from_dict({"harness": {"episode_len": 15}})
+        spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
+        agents, encoder = trainer.build_agents(spec, cfg, 8)
+        # Off the zero final layer, so that min Q is not 0 everywhere.
+        rng = np.random.default_rng(9)
+        for agent in agents.values():
+            flat = agent.worst_q.get_flat()
+            agent.worst_q.set_flat(flat + 0.1 * rng.normal(size=flat.size))
+        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
+                                          record=True)
+        log = ep.run_episode(spec, cfg, policy, seed=10, collect_obs=False)
+        start = {aid: copy.deepcopy(a.worst_q) for aid, a in agents.items()}
+        fitted = []
+        loss_grad = algo.worst_q_loss_grad
+
+        def recorded(q_net, states, actions, targets):
+            fitted.append(np.array(targets))
+            return loss_grad(q_net, states, actions, targets)
+
+        monkeypatch.setattr(algo, "worst_q_loss_grad", recorded)
+        trainer._update_agents(
+            agents, policy, log, cfg, cfg.marl.kappa_wst, cfg.marl.kappa_reg,
+            rng=np.random.default_rng(0), train_worst_q=True,
+            workspace=Workspace(),
+        )
+        epochs = cfg.marl.critic_epochs
+        assert len(fitted) == epochs * len(agents)
+        last = len(policy.central) - 1
+        nxt = policy.central[1:] + [policy.terminal_central]
+        last_acted = 0
+        for i, aid in enumerate(agents):
+            want = []
+            for t, action in enumerate(policy.buffers[aid]["action"]):
+                if action < 0:
+                    continue
+                r = log.steps[t]["rewards"][aid] * cfg.marl.reward_scale
+                if t == last:
+                    want.append(r)
+                    last_acted += 1
+                else:
+                    q_min = min(start[aid].forward(nxt[t])[0].tolist())
+                    assert q_min != 0.0
+                    want.append(r + cfg.marl.gamma * q_min)
+            for targets in fitted[i * epochs:(i + 1) * epochs]:
+                assert targets.tolist() == pytest.approx(want, rel=1e-12)
+        assert last_acted > 0
+
     def test_zero_loss_at_targets(self):
         net = make_net([6, 8, 3], seed=63)
         states = np.random.default_rng(64).normal(size=(5, 6))
@@ -500,40 +551,27 @@ class TestSelectAction:
         rng = np.random.default_rng(0)
         dist = np.full(7, 1.0 / 7.0)
         for _ in range(20):
-            assert algo.select_action(dist, [3], 0.5, rng) == 3
+            assert algo.select_action(dist, [3], rng) == 3
 
     def test_empty_raises(self):
         with pytest.raises(algo.EmptySafeSet):
-            algo.select_action(np.full(7, 1.0 / 7.0), [], 0.0,
+            algo.select_action(np.full(7, 1.0 / 7.0), [],
                                np.random.default_rng(0))
 
-    def test_eps_one_uniform_chi_square(self):
-        rng = np.random.default_rng(1)
-        safe = [0, 2, 5]
-        counts = np.zeros(7)
-        n = 10000
-        for _ in range(n):
-            counts[algo.select_action(np.array([0.9, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01]),
-                                      safe, 1.0, rng)] += 1
-        assert counts[[1, 3, 4, 6]].sum() == 0
-        expected = n / len(safe)
-        chi2 = float(((counts[safe] - expected) ** 2 / expected).sum())
-        assert chi2 < 13.8  # chi2(df=2) 0.999 quantile
-
-    def test_eps_zero_matches_restricted_dist(self):
+    def test_matches_restricted_dist(self):
         rng = np.random.default_rng(2)
         dist = np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
         safe = list(range(7))
         n = 10000
         counts = np.zeros(7)
         for _ in range(n):
-            counts[algo.select_action(dist, safe, 0.0, rng)] += 1
+            counts[algo.select_action(dist, safe, rng)] += 1
         assert np.all(np.abs(counts / n - dist) < 0.02)
 
     def test_matches_restrict_then_choice_reference(self):
         """100k seeded cases: the same action and generator state as the
-        numpy reference, over action_k 1..8, every safe-set size, epsilon
-        0 / 0.05 / 1, and peaked, flat and random distributions."""
+        numpy reference, over action_k 1..8, every safe-set size, and
+        peaked, flat and random distributions."""
         n_cases = 100_000
         gen = np.random.default_rng(20261018)
         k = gen.integers(1, 9, n_cases)
@@ -544,7 +582,6 @@ class TestSelectAction:
         logits[np.arange(12) >= (4 + k)[:, None]] = -np.inf
         dists = np.exp(log_softmax(logits))
         order = np.argsort(gen.random((n_cases, 12)), axis=1)
-        eps = np.choose(np.arange(n_cases) % 3, [0.0, 0.05, 1.0])
         r_ref = np.random.default_rng(7)
         r_new = np.random.default_rng(7)
         sizes = set()
@@ -559,10 +596,10 @@ class TestSelectAction:
                 dist[safe] = 0.0  # no mass on the safe set: uniform
             zero_mass += float(dist[safe].sum()) == 0.0
             sizes.add(m)
-            want = reference_select_action(dist, safe, eps[i], r_ref)
+            want = reference_select_action(dist, safe, r_ref)
             given = dist if i % 5 == 0 else dist.tolist()
-            got = algo.select_action(given, safe, eps[i], r_new)
-            assert got == want, (i, list(dist), safe, eps[i])
+            got = algo.select_action(given, safe, r_new)
+            assert got == want, (i, list(dist), safe)
             assert r_new.random() == r_ref.random(), i
         assert sizes == set(range(1, 13))
         assert zero_mass >= 2000
@@ -574,7 +611,7 @@ class TestSelectAction:
             [0.2, bad, 0.5, 0.1, 0.1, 0.05, 0.05]
         for fn in (reference_select_action, algo.select_action):
             with pytest.raises(ValueError), np.errstate(all="ignore"):
-                fn(dist, [0, 1, 2], 0.0, np.random.default_rng(0))
+                fn(dist, [0, 1, 2], np.random.default_rng(0))
 
     def test_draws_at_cdf_edges_match_numpy_inverse_cdf(self):
         """Draws on and just below every CDF entry land where choice's
@@ -596,14 +633,14 @@ class TestSelectAction:
             for u in draws + [0.0, np.nextafter(1.0, 0.0)]:
                 if 0.0 <= u < 1.0:
                     want = int(cdf.searchsorted(u, side="right"))
-                    assert algo.select_action(dist, safe, 0.0, FixedDraw(u)) == want
+                    assert algo.select_action(dist, safe, FixedDraw(u)) == want
         assert unnormalized >= 20
 
     def test_safe_set_must_be_distinct_actions(self):
         dist = [1.0 / 7.0] * 7
         for safe in ([2, 2], [0, 7], [-1, 3]):
             with pytest.raises(ValueError, match="distinct actions"):
-                algo.select_action(dist, safe, 0.0, np.random.default_rng(0))
+                algo.select_action(dist, safe, np.random.default_rng(0))
 
     def test_numpy_sum_order(self):
         rng = np.random.default_rng(11)
@@ -623,13 +660,11 @@ class FixedDraw:
         return self.u
 
 
-def reference_select_action(dist, safe_set, eps_explore, rng):
+def reference_select_action(dist, safe_set, rng):
     """algo.select_action as it was before the scalar sampler: restrict
     dist to the safe set, then Generator.choice.  Kept as the bit-exact
     reference."""
     safe_set = list(safe_set)
-    if eps_explore > 0 and rng.uniform() < eps_explore:
-        return int(safe_set[rng.integers(0, len(safe_set))])
     dist = np.asarray(dist, dtype=float)
     restricted = np.zeros_like(dist)
     total = dist[safe_set].sum()
@@ -798,7 +833,7 @@ class TestPerturbationSamples:
 
 def runtime(actor):
     """An AgentRuntime that only has an actor (all the policy reads)."""
-    return trainer.AgentRuntime(actor, None, None, None, None, None, None)
+    return trainer.AgentRuntime(actor, None, None, None, None, None)
 
 
 class TestTeamPolicy:
@@ -813,7 +848,7 @@ class TestTeamPolicy:
                       for i in range(n_agents)}
             policy = trainer.NeuralTeamPolicy(agents, None, list(agents))
             x = rng.normal(size=(n_agents, sizes[0])) * 3.0
-            team = policy._team_actor().forward(x.reshape(n_agents, 1, -1))
+            team = policy.team_actor.forward(x.reshape(n_agents, 1, -1))
             team_logp = log_softmax(team.reshape(n_agents, -1))
             for i, agent in enumerate(agents.values()):
                 own = agent.actor.forward(x[i])
@@ -824,7 +859,7 @@ class TestTeamPolicy:
         """A recorded 12-step episode; also returns copies of what each
         step recorded, taken right after that step."""
         policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
-                                          eps_explore=0.05, record=True)
+                                          record=True)
         snapshots = []
         select = policy.select_actions
 
@@ -870,25 +905,12 @@ class TestTeamPolicy:
                         assert logp.hex() == float(own[action]).hex()
                         acted += 1
             assert acted >= 30
-        # A policy built before an update acts with the updated weights.
-        stale = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
-        aid = spec.agent_ids[0]
-        before = stale._team_actor()
-        agents[aid].actor.set_flat(np.zeros(agents[aid].actor.n_params))
-        after = stale._team_actor()
-        assert after is not before
-        x = rng.normal(size=(len(spec.agent_ids), 1, encoder.spec.dim))
-        assert not np.any(after.forward(x)[0])
 
     def test_mismatched_actor_layouts_raise(self):
         agents = {"cav0": runtime(make_net([6, 8, 7])),
                   "cav1": runtime(make_net([6, 16, 7]))}
         with pytest.raises(ValueError, match="'cav1'"):
             trainer.NeuralTeamPolicy(agents, None, ["cav0", "cav1"])
-        policy = trainer.NeuralTeamPolicy(agents, None, ["cav0"])
-        policy.agent_order.append("cav1")
-        with pytest.raises(ValueError, match="'cav1'"):
-            policy._team_actor()
 
     def test_empty_team_rejected(self):
         with pytest.raises(ValueError, match="at least one agent"):
@@ -896,7 +918,7 @@ class TestTeamPolicy:
 
 
 def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
-                            rng, sync_target, train_worst_q, workspace):
+                            rng, train_worst_q, workspace):
     """trainer._update_agents as it was before the regularizer could be
     skipped: the candidate search and the regularizer's gradient run for
     every acted agent whatever its importance weights.  Kept as the
@@ -939,9 +961,8 @@ def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
             loss_value.append(lv)
 
         if train_worst_q and np.any(acted):
-            target_net = trainer._target_copy(agent)
             targets = algo.worst_q_targets(
-                target_net, rewards[acted], central_next[acted],
+                agent.worst_q, rewards[acted], central_next[acted],
                 terminal[acted], marl.gamma,
             )
             lq = None
@@ -954,8 +975,6 @@ def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
                 )
             if lq is not None:
                 loss_worst_q.append(lq)
-            if sync_target:
-                agent.worst_q_target = agent.worst_q.get_flat()
 
         if not np.any(acted):
             continue
@@ -1012,7 +1031,7 @@ class TestRegularizerSkip:
         spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
         agents, encoder = trainer.build_agents(spec, cfg, 5)
         policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
-                                          eps_explore=0.3, record=True)
+                                          record=True)
         log = ep.run_episode(spec, cfg, policy, seed=6, collect_obs=False)
         for buf in policy.buffers.values():
             assert any(a >= 0 for a in buf["action"])
@@ -1050,7 +1069,7 @@ class TestRegularizerSkip:
         monkeypatch.setattr(algo, "reg_loss_grad", counted_reg_loss_grad)
         rng = np.random.default_rng([5, 0xAD, 0])
         losses = update(agents, policy, log, cfg, cfg.marl.kappa_wst,
-                        cfg.marl.kappa_reg, rng=rng, sync_target=True,
+                        cfg.marl.kappa_reg, rng=rng,
                         train_worst_q=True, workspace=Workspace())
         monkeypatch.undo()
         return agents, losses, rng.random(), chosen, len(reg_calls)
@@ -1063,7 +1082,6 @@ class TestRegularizerSkip:
             for name in ("actor", "value", "worst_q"):
                 assert same_bits(getattr(agent, name).get_flat(),
                                  getattr(ref, name).get_flat()), (aid, name)
-            assert same_bits(agent.worst_q_target, ref.worst_q_target)
             for name in ("opt_actor", "opt_value", "opt_worst_q"):
                 opt, ref_opt = getattr(agent, name), getattr(ref, name)
                 assert same_bits(opt.m, ref_opt.m), (aid, name)
