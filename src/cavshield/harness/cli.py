@@ -105,7 +105,11 @@ def cmd_eval(args):
 def cmd_replay(args):
     from .episode import EpisodeLog, verify_roundtrip
 
-    log = EpisodeLog.load(args.log)
+    try:
+        log = EpisodeLog.load(args.log)
+    except (OSError, ValueError) as exc:
+        print(f"replay: {args.log}: {exc}", file=sys.stderr)
+        return 2
     err = verify_roundtrip(log)
     returns = log.returns()
     print(f"scenario: {log.meta['scenario']} seed: {log.meta['seed']}")

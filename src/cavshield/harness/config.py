@@ -65,9 +65,31 @@ class MarlConfig:
                          ("critic_epochs", 0)):
             if not is_count(getattr(self, key), low):
                 raise ValueError(f"{key} must be an int >= {low}")
-        eps = self.epsilon_ball
-        if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0):
-            raise ValueError("epsilon_ball must be finite and >= 0")
+        # An empty list gives linear nets.
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(is_count(n) for n in self.hidden)):
+            raise ValueError(f"hidden must be a list of ints >= 1, "
+                             f"not {self.hidden!r}")
+        # Any other value fails only inside an update, or as
+        # TrainingDiverged after a whole episode.
+        for key in ("lr", "lr_critic", "clip_eps", "gamma", "kappa_wst",
+                    "kappa_reg", "reward_scale", "epsilon_ball"):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number")
+        for key, ok, rule in (
+            ("lr", self.lr > 0, "> 0"),
+            ("lr_critic", self.lr_critic > 0, "> 0"),
+            ("reward_scale", self.reward_scale > 0, "> 0"),
+            ("gamma", 0 <= self.gamma <= 1, "in [0, 1]"),
+            ("clip_eps", self.clip_eps >= 0, ">= 0"),
+            ("kappa_wst", self.kappa_wst >= 0, ">= 0"),
+            ("kappa_reg", self.kappa_reg >= 0, ">= 0"),
+            ("epsilon_ball", self.epsilon_ball >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}")
 
 
 @dataclass

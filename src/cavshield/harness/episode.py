@@ -97,11 +97,25 @@ class EpisodeLog:
 
     @classmethod
     def from_jsonl(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        meta = json.loads(lines[0])["meta"]
-        terminal = json.loads(lines[-1])["terminal_states"]
-        steps = [json.loads(ln) for ln in lines[1:-1]]
-        return cls(meta=meta, steps=steps, terminal_states=terminal)
+        """Parse to_jsonl's text; a missing or unreadable line raises
+        ValueError naming it."""
+        records = []
+        for n, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"episode log line {n} is not JSON: {exc}") from None
+        if not (records and isinstance(records[0], dict) and "meta" in records[0]):
+            raise ValueError("episode log has no meta line (empty file?)")
+        last = records[-1]
+        if not (len(records) > 1 and isinstance(last, dict)
+                and "terminal_states" in last):
+            raise ValueError("episode log has no terminal_states line (cut off?)")
+        return cls(meta=records[0]["meta"], steps=records[1:-1],
+                   terminal_states=last["terminal_states"])
 
     @classmethod
     def load(cls, path):

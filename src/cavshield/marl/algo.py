@@ -7,10 +7,11 @@ gradients are analytic and checked against central finite differences.
 
 The state regularizer's inner max is solved once per update, as in SA-PPO:
 worst_candidates picks each row's max-KL perturbation candidate under the
-actor as the update starts, and reg_loss / reg_loss_grad then take the KL
-at those fixed candidates in every PPO epoch.  The trainer runs neither
-for an agent whose state_importance weights are all 0: the loss is then
-0.0 and its gradient changes no parameter.
+actor as the update starts, one candidate column at a time, and reg_loss /
+reg_loss_grad then take the KL at those fixed candidates in every PPO
+epoch.  The trainer runs neither for an agent whose state_importance
+weights are all 0: the loss is then 0.0 and its gradient changes no
+parameter.
 """
 
 import bisect
@@ -53,22 +54,12 @@ def robust_advantage(advantages, worst_q, kappa_wst):
     )
 
 
-def _new_logp(actor, obs, actions, with_cache=False):
-    if with_cache:
-        logits, cache = actor.forward_cache(obs)
-    else:
-        logits, cache = actor.forward(obs), None
-    logp_all = log_softmax(logits)
-    idx = np.arange(len(actions))
-    return logits, logp_all[idx, actions], cache
-
-
 def rcs_loss(actor, obs, actions, old_logp, adv_robust, clip_eps):
     """Mean clipped surrogate on the robust advantage (to maximize)."""
     old_logp = np.asarray(old_logp, dtype=float)
     if np.any(old_logp < LOG_PROB_FLOOR):
         raise DegenerateBatch("old policy probability below 1e-12")
-    _, new_logp, _ = _new_logp(actor, obs, actions)
+    new_logp = log_softmax(actor.forward(obs))[np.arange(len(actions)), actions]
     ratio = np.exp(new_logp - old_logp)
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
     return float(np.mean(np.minimum(ratio * adv_robust, clipped * adv_robust)))
@@ -135,19 +126,24 @@ def worst_q_loss_grad(q_net, states, actions, targets):
     return loss, q_net.backward(cache, dout)
 
 
-def worst_candidates(actor, obs, pert_samples, workspace=None):
+def worst_candidates(actor, obs, pert_samples):
     """Each row's candidate s' of largest KL(pi(s) || pi(s')) under actor:
-    the (B, F) rows chosen from pert_samples (B, K, F), the first
-    candidate on ties.  The B * K candidate forward runs in an optional
-    nets.Workspace."""
-    b, k, f = pert_samples.shape
+    the (B, F) rows chosen from pert_samples (B, K, F), one column of B
+    rows scored at a time, with np.argmax's choice: the first candidate on
+    ties, and the first NaN KL if a row has one."""
+    b, k, _ = pert_samples.shape
     logits_p = actor.forward(obs)
+    p = softmax(logits_p)
     logp = log_softmax(logits_p)
-    logits_q = actor.forward(pert_samples.reshape(b * k, f), workspace=workspace)
-    logq = log_softmax(logits_q).reshape(b, k, -1)
-    kls = np.sum(softmax(logits_p)[:, None, :] * (logp[:, None, :] - logq),
-                 axis=-1)
-    return pert_samples[np.arange(b), np.argmax(kls, axis=1)]
+    best = np.zeros(b, dtype=np.intp)
+    best_kl = np.full(b, -np.inf)
+    for j in range(k):
+        logq = log_softmax(actor.forward(pert_samples[:, j]))
+        kl = np.sum(p * (logp - logq), axis=-1)
+        better = (kl > best_kl) | (np.isnan(kl) & ~np.isnan(best_kl))
+        best[better] = j
+        best_kl[better] = kl[better]
+    return pert_samples[np.arange(b), best]
 
 
 def reg_loss(actor, obs, sel, weights):

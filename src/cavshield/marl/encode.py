@@ -189,10 +189,15 @@ def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     # Only present slots move, so absent slots and -0.0 features keep their bits.
     cols = np.array([spec.slot_feature_indices(s) for s in range(n_slots)]).ravel()
     scale = np.tile((spec.pos_scale, spec.speed_scale), n_slots)
+    # In place, so no other array of err's size is alive beside the block
+    # (err / scale + base has the bits of base + err / scale).
     base = obs[:, None, cols]
-    moved = base + err.reshape(n_steps, -1, 2 * n_slots) / scale
+    moved = err.reshape(n_steps, -1, 2 * n_slots)
+    moved /= scale
+    moved += base
+    np.copyto(moved, base, where=~np.repeat(masks, 2, axis=1)[:, None, :])
     out = np.repeat(obs[:, None, :], moved.shape[1], axis=1)
-    out[:, :, cols] = np.where(np.repeat(masks, 2, axis=1)[:, None, :], moved, base)
+    out[:, :, cols] = moved
     return out
 
 

@@ -7,25 +7,6 @@ arrays and finite-difference gradient checks are straightforward.
 import numpy as np
 
 
-class Workspace:
-    """Reused float64 output buffers for MLP.forward, one per layer.
-
-    A layer's buffer is reallocated only when the requested shape differs
-    from the one it holds, so repeated forwards over the same row count
-    run without allocating.  Nets of the same layer sizes may share one
-    workspace; each forward overwrites what the previous one returned.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def array(self, layer, shape):
-        buf = self._buffers.get(layer)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[layer] = np.empty(shape)
-        return buf
-
-
 class MLP:
     """Fully connected net: tanh hidden layers, linear output."""
 
@@ -108,28 +89,12 @@ class MLP:
             self.biases[layer] = vec[i : i + b.size].copy()
             i += b.size
 
-    def forward(self, x, workspace=None):
-        """Output rows for the input rows x.
-
-        With a Workspace, every layer runs in place in that workspace's
-        buffers, with the same arithmetic, and the returned array is one of
-        them: the next forward through the workspace overwrites it, so
-        consume it first.
-        """
+    def forward(self, x):
+        """Output rows for the input rows x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if workspace is None:
-            for w, b in zip(self.weights[:-1], self.biases[:-1]):
-                x = np.tanh(x @ w + b)
-            return x @ self.weights[-1] + self.biases[-1]
-        last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = workspace.array(layer, (x.shape[0], w.shape[1]))
-            np.matmul(x, w, out=out)
-            np.add(out, b, out=out)
-            if layer < last:
-                np.tanh(out, out=out)
-            x = out
-        return x
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            x = np.tanh(x @ w + b)
+        return x @ self.weights[-1] + self.biases[-1]
 
     def forward_cache(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))

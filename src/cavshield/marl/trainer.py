@@ -10,14 +10,15 @@ logged number stays in raw units.
 
 The state regularizer (SR-MAPPO with kappa_reg != 0) runs for an agent
 only when some of its importance weights are non-zero; otherwise it would
-change no parameter, and the agent's loss_reg is recorded as 0.0.  Each
-metrics record's reg_weighted_rows counts the non-zero weights over all
-agents (None when the regularizer is off).
+change no parameter, and the agent's loss_reg is recorded as 0.0.  When
+it runs, its (T, K, F) candidates are drawn and searched once per update,
+one column at a time.  Each metrics record's reg_weighted_rows counts the
+non-zero weights over all agents (None when the regularizer is off).
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from ..harness.config import Config, is_count
 from . import algo
 from .encode import (Encoder, EncoderSpec, perturbation_samples,
                      perturbation_uniforms)
-from .nets import MLP, Adam, Workspace, log_softmax
+from .nets import MLP, Adam, log_softmax
 
 ALGO_SRMAPPO = "srmappo"
 ALGO_MAPPO = "mappo"
@@ -215,9 +216,6 @@ def train(settings):
     elif not is_count(n_episodes):
         raise ValueError(f"episodes must be an int >= 1, not {n_episodes!r}")
     agents, encoder = build_agents(spec, cfg, settings.seed)
-    # The regularizer's forward buffers, shared by every agent: per-agent
-    # buffers would add about 6 MB each to peak memory.
-    workspace = Workspace()
     metrics = []
     kappa_wst = cfg.marl.kappa_wst if settings.algo == ALGO_SRMAPPO else 0.0
     kappa_reg = cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0
@@ -232,7 +230,6 @@ def train(settings):
             agents, policy, log, cfg, kappa_wst, kappa_reg,
             rng=np.random.default_rng([settings.seed, 0xAD, e]),
             train_worst_q=settings.algo == ALGO_SRMAPPO,
-            workspace=workspace,
         )
         for agent in agents.values():
             _runtime_params(agent).check_finite(f"episode {e}")
@@ -254,7 +251,7 @@ def _episode_seed(seed, e):
 
 
 def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
-                   train_worst_q, workspace):
+                   train_worst_q):
     marl = cfg.marl
     scale = marl.reward_scale
     central = np.stack(policy.central)
@@ -335,7 +332,6 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
                     agent.actor, obs,
                     perturbation_samples(policy.encoder.spec, obs, masks,
                                          marl.epsilon_ball, marl.n_adv, rng),
-                    workspace,
                 )
             else:
                 # Every weight is 0, so the regularizer's loss is 0 and its
@@ -394,14 +390,7 @@ def save_checkpoint(path, result, settings):
         "agent_ids": list(result.spec.agent_ids),
         "hidden": list(cfg.marl.hidden),
         "action_k": cfg.harness.action_k,
-        "encoder": {
-            "n_cav_slots": result.encoder.spec.n_cav_slots,
-            "n_ucv_slots": result.encoder.spec.n_ucv_slots,
-            "max_lanes": result.encoder.spec.max_lanes,
-            "pos_scale": result.encoder.spec.pos_scale,
-            "speed_scale": result.encoder.spec.speed_scale,
-            "accel_scale": result.encoder.spec.accel_scale,
-        },
+        "encoder": asdict(result.encoder.spec),
         "kappa_wst": cfg.marl.kappa_wst if settings.algo == ALGO_SRMAPPO else 0.0,
         "kappa_reg": cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0,
         "layouts": {},

@@ -146,6 +146,37 @@ class TestConfig:
         assert cfg.harness.ptb_window == (0, 1)
         assert cfg.harness.quick_test_episodes == 1
 
+    # Each loads at an older parent and fails only later: in build_agents
+    # or train, inside Adam, or as TrainingDiverged after a full episode.
+    @pytest.mark.parametrize("marl,key", [
+        ({"hidden": [0]}, "hidden"), ({"hidden": "64"}, "hidden"),
+        ({"hidden": True}, "hidden"), ({"hidden": [64.5]}, "hidden"),
+        ({"hidden": [-3]}, "hidden"), ({"hidden": [64, None]}, "hidden"),
+        ({"hidden": [True]}, "hidden"),
+        ({"lr": math.nan}, "lr"), ({"lr": "3e-4"}, "lr"), ({"lr": 0.0}, "lr"),
+        ({"lr_critic": math.inf}, "lr_critic"),
+        ({"lr_critic": -1e-3}, "lr_critic"),
+        ({"gamma": math.nan}, "gamma"), ({"gamma": 1.5}, "gamma"),
+        ({"gamma": -0.1}, "gamma"), ({"gamma": True}, "gamma"),
+        ({"kappa_wst": math.inf}, "kappa_wst"), ({"kappa_wst": -0.1}, "kappa_wst"),
+        ({"kappa_reg": math.nan}, "kappa_reg"), ({"kappa_reg": -0.05}, "kappa_reg"),
+        ({"reward_scale": math.inf}, "reward_scale"),
+        ({"reward_scale": 0}, "reward_scale"),
+        ({"clip_eps": -1}, "clip_eps"), ({"clip_eps": math.nan}, "clip_eps"),
+        ({"epsilon_ball": True}, "epsilon_ball"),
+    ])
+    def test_marl_values_rejected(self, marl, key):
+        with pytest.raises(ValueError, match=key):
+            Config.from_dict({"marl": marl})
+
+    def test_marl_value_edges_accepted(self):
+        cfg = Config.from_dict({"marl": {"hidden": [], "gamma": 0,
+                                         "clip_eps": 0}})
+        assert (cfg.marl.hidden, cfg.marl.gamma, cfg.marl.clip_eps) == ((), 0, 0)
+        cfg = Config.from_dict({"marl": {"hidden": [16], "gamma": 1.0,
+                                         "kappa_wst": 0, "kappa_reg": 0.0}})
+        assert (cfg.marl.hidden, cfg.marl.gamma) == ((16,), 1.0)
+
     def test_marl_regularizer_accepted(self):
         cfg = Config.from_dict({"marl": {"n_adv": 0, "epsilon_ball": 0.0}})
         assert (cfg.marl.n_adv, cfg.marl.epsilon_ball) == (0, 0.0)
@@ -445,6 +476,44 @@ class TestCli:
         assert "--save-logs needs --out" in err
 
 
+    @pytest.fixture(scope="class")
+    def log_text(self):
+        spec = scen.build_scenario("highway", mode="test", cfg=CFG)
+        spec.episode_len = 5
+        return ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(),
+                              seed=3).to_jsonl()
+
+    @pytest.mark.parametrize("case,message", [
+        ("empty", "no meta line"),
+        ("meta only", "no terminal_states line"),
+        ("last line removed", "no terminal_states line"),
+        ("last line torn", "line 7 is not JSON"),
+        ("missing", "No such file"),
+    ])
+    def test_replay_of_a_cut_off_log_fails_cleanly(self, capsys, tmp_path,
+                                                  log_text, case, message):
+        from cavshield.harness import cli
+
+        lines = log_text.splitlines(keepends=True)
+        assert len(lines) == 7  # meta, 5 steps, terminal_states
+        text = {"empty": "", "meta only": lines[0],
+                "last line removed": "".join(lines[:-1]),
+                "last line torn": "".join(lines[:-1]) + lines[-1][:20],
+                "missing": None}[case]
+        path = tmp_path / "log.jsonl"
+        if text is not None:
+            path.write_text(text)
+        if case != "missing":
+            with pytest.raises(ValueError, match=message):
+                ep.EpisodeLog.from_jsonl(text)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err and str(path) in out.err
+        path.write_text(log_text)
+        assert cli.main(["replay", "--log", str(path)]) == 0
+
+
 def reward_world(n_agents=3):
     road = RoadMap({"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {})
     vehicles = [
@@ -654,19 +723,35 @@ class TestTrainer:
         assert all(m["loss_reg"] is None for m in result.metrics)
 
     def test_candidate_forward_once_per_agent_per_update(self, monkeypatch):
-        # One T*K-row candidate forward per agent-update with a non-zero
-        # importance weight, none for the others.  The first update's
-        # weights get one non-zero row, so the run has both kinds.
+        # Each agent-update with a non-zero importance weight draws its
+        # (T, K, F) candidates once and forwards their T * K rows once, in
+        # K actor forwards of T rows (after the forward of its T states);
+        # the others draw and forward none.  The first update's weights
+        # get one non-zero row, so the run has both kinds.
         from cavshield.marl import algo, nets
 
-        rows = []
+        forwards = []
+        searches = []
+        drawn = []
         weighted = []
         forward = nets.MLP.forward
+        worst_candidates = algo.worst_candidates
+        perturbation_samples = trainer.perturbation_samples
         state_importance = algo.state_importance
 
-        def counting_forward(net, x, workspace=None):
-            rows.append(np.shape(x)[0])
-            return forward(net, x, workspace=workspace)
+        def counting_forward(net, x):
+            forwards.append((net, np.shape(x)))
+            return forward(net, x)
+
+        def recording_candidates(actor, obs, pert):
+            start = len(forwards)
+            sel = worst_candidates(actor, obs, pert)
+            searches.append((actor, pert.shape, forwards[start:]))
+            return sel
+
+        def counting_samples(*args):
+            drawn.append(1)
+            return perturbation_samples(*args)
 
         def counting_importance(*args):
             w = state_importance(*args)
@@ -677,6 +762,8 @@ class TestTrainer:
             return w
 
         monkeypatch.setattr(nets.MLP, "forward", counting_forward)
+        monkeypatch.setattr(algo, "worst_candidates", recording_candidates)
+        monkeypatch.setattr(trainer, "perturbation_samples", counting_samples)
         monkeypatch.setattr(algo, "state_importance", counting_importance)
         settings = self.quick_settings()
         result = trainer.train(settings)
@@ -684,9 +771,14 @@ class TestTrainer:
         assert marl.ppo_epochs > 1 and marl.kappa_reg != 0.0
         T = settings.config.harness.episode_len
         K = marl.n_adv + 4 * result.encoder.spec.n_slots
+        F = result.encoder.spec.dim
         assert len(weighted) <= len(result.agents) * settings.episodes
         assert sum(weighted) >= 1
-        assert rows.count(T * K) == sum(weighted)
+        assert len(searches) == len(drawn) == sum(weighted)
+        for actor, shape, calls in searches:
+            assert shape == (T, K, F)
+            assert calls == [(actor, (T, F))] * (K + 1)
+        assert max(shape[0] for _, shape in forwards) < T * K
         assert sum(m["reg_weighted_rows"] > 0 for m in result.metrics) >= 1
 
     def test_checkpoint_roundtrip(self, tmp_path):

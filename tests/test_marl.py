@@ -4,6 +4,7 @@ policy's one-pass step."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cavshield.harness.config import Config
 from cavshield.marl import algo, trainer
 from cavshield.marl.encode import (Encoder, EncoderSpec, perturbation_samples,
                                    perturbation_uniforms)
-from cavshield.marl.nets import MLP, Adam, Workspace, log_softmax, softmax
+from cavshield.marl.nets import MLP, Adam, log_softmax, softmax
 from cavshield.world import AgentView, Observation
 
 
@@ -103,53 +104,6 @@ class TestMLP:
         for _ in range(500):
             x = opt.step(x, 2.0 * x)
         assert np.linalg.norm(x) < 1e-2
-
-
-class TestWorkspace:
-    """forward in a reused workspace does the same arithmetic in place."""
-
-    SIZES = [EncoderSpec().dim, 64, 64, 7]
-
-    def rows(self, n, seed=0):
-        return np.random.default_rng(seed).normal(size=(n, self.SIZES[0]))
-
-    @pytest.mark.parametrize("n", [1, 2, 200, 5600])
-    def test_bit_equal_to_plain_forward(self, n):
-        net = make_net(self.SIZES, seed=20)
-        x = self.rows(n)
-        assert same_bits(net.forward(x, workspace=Workspace()), net.forward(x))
-
-    def test_one_workspace_across_row_counts(self):
-        net = make_net(self.SIZES, seed=21)
-        ws = Workspace()
-        for n in (5600, 1, 200, 2, 5600, 200):
-            x = self.rows(n, seed=n)
-            assert same_bits(net.forward(x, workspace=ws), net.forward(x))
-
-    def test_two_actors_share_one_workspace(self):
-        nets = [make_net(self.SIZES, seed=22), make_net(self.SIZES, seed=23)]
-        ws = Workspace()
-        x = self.rows(200)
-        previous = None
-        for net in nets * 3:
-            out = net.forward(x, workspace=ws)
-            if previous is not None:
-                # The contract: each forward overwrites the last result.
-                assert out is previous
-            assert same_bits(out, net.forward(x))
-            previous = out
-
-    def test_worst_candidates_bit_equal(self):
-        spec = EncoderSpec()
-        actor = make_net(self.SIZES, seed=24)
-        rng = np.random.default_rng(25)
-        obs = rng.normal(size=(200, spec.dim))
-        masks = rng.uniform(size=(200, spec.n_slots)) < 0.7
-        pert = perturbation_samples(spec, obs, masks, 2.0, 8, rng)
-        sel = algo.worst_candidates(actor, obs, pert)
-        ws = Workspace()
-        for _ in range(2):
-            assert same_bits(algo.worst_candidates(actor, obs, pert, ws), sel)
 
 
 class TestReturnsAdvantages:
@@ -350,7 +304,6 @@ class TestWorstQ:
         trainer._update_agents(
             agents, policy, log, cfg, cfg.marl.kappa_wst, cfg.marl.kappa_reg,
             rng=np.random.default_rng(0), train_worst_q=True,
-            workspace=Workspace(),
         )
         epochs = cfg.marl.critic_epochs
         assert len(fitted) == epochs * len(agents)
@@ -420,6 +373,80 @@ def reference_reg_loss_grad(actor, obs, pert_samples, weights):
     return loss, grad
 
 
+def reference_worst_candidates(actor, obs, pert_samples):
+    """The candidate search as one B * K-row forward and an np.argmax over
+    the (B, K) KLs: the search before it was streamed, kept as the
+    bit-exact reference for the chosen rows."""
+    b, k, f = pert_samples.shape
+    logits_p = actor.forward(obs)
+    logp = log_softmax(logits_p)
+    logq = log_softmax(actor.forward(pert_samples.reshape(b * k, f)))
+    kls = np.sum(softmax(logits_p)[:, None, :]
+                 * (logp[:, None, :] - logq.reshape(b, k, -1)), axis=-1)
+    return pert_samples[np.arange(b), np.argmax(kls, axis=1)]
+
+
+class TestWorstCandidates:
+    """worst_candidates scores one candidate column at a time and chooses
+    the rows the one-block search chooses, ties and NaNs included."""
+
+    # (n_cav_slots, n_ucv_slots, n_random): K = 28 at the defaults, and
+    # K = 1 when no slot can move.
+    SHAPES = {28: (2, 3, 8), 1: (0, 0, 1)}
+
+    def case(self, T, K, zero_final, epsilon, seed=0):
+        n_cav, n_ucv, n_random = self.SHAPES[K]
+        spec = EncoderSpec(n_cav_slots=n_cav, n_ucv_slots=n_ucv)
+        actor = make_net([spec.dim, 64, 64, 7], seed=seed,
+                         zero_final=zero_final,
+                         jitter=0.0 if zero_final else 0.1)
+        rng = np.random.default_rng(seed + 100)
+        obs = rng.normal(size=(T, spec.dim))
+        masks = rng.uniform(size=(T, spec.n_slots)) < 0.6
+        masks[0] = False  # every corner of row 0 is a copy of its state
+        pert = perturbation_samples(spec, obs, masks, epsilon, n_random, rng)
+        assert pert.shape == (T, K, spec.dim)
+        return actor, obs, pert
+
+    @pytest.mark.parametrize("epsilon", [0.0, 2.0])
+    @pytest.mark.parametrize("zero_final", [False, True])
+    @pytest.mark.parametrize("K", [1, 28])
+    @pytest.mark.parametrize("T", [1, 7, 200])
+    def test_same_rows_as_one_block_search(self, T, K, zero_final, epsilon):
+        actor, obs, pert = self.case(T, K, zero_final, epsilon, seed=T + K)
+        sel = algo.worst_candidates(actor, obs, pert)
+        want = reference_worst_candidates(actor, obs, pert)
+        assert sel.shape == want.shape == (T, pert.shape[2])
+        assert sel.tobytes() == want.tobytes()
+        if zero_final or epsilon == 0.0:
+            # Every KL ties (at 0, or between copies of the state).
+            assert sel.tobytes() == pert[:, 0].tobytes()
+
+    def test_nan_kl_takes_the_first_nan_candidate(self):
+        actor, obs, pert = self.case(7, 28, False, 2.0, seed=3)
+        pert = pert.copy()
+        pert[2, [5, 9], 0] = np.nan  # row 2: NaN KLs at candidates 5 and 9
+        pert[4, 0, 0] = np.nan       # row 4: a NaN KL at candidate 0
+        sel = algo.worst_candidates(actor, obs, pert)
+        assert sel.tobytes() == reference_worst_candidates(
+            actor, obs, pert).tobytes()
+        assert sel[2].tobytes() == pert[2, 5].tobytes()
+        assert sel[4].tobytes() == pert[4, 0].tobytes()
+
+    def test_peak_memory_below_one_candidate_layer(self):
+        # The one-block search holds (T * K, 64) float64 layer outputs
+        # (2.87 MB each at T = 200, K = 28); one column holds (T, 64).
+        actor, obs, pert = self.case(200, 28, False, 2.0, seed=4)
+        layer_bytes = pert.shape[0] * pert.shape[1] * 64 * 8
+        tracemalloc.start()
+        try:
+            algo.worst_candidates(actor, obs, pert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < layer_bytes
+
+
 class TestRegLoss:
     def make_batch(self, seed, epsilon=2.0, rows=6, zero_final=False):
         rng = np.random.default_rng(seed)
@@ -474,7 +501,7 @@ class TestRegLoss:
         pert = perturbation_samples(spec, obs, masks, 2.0, 8, rng)
         weights = np.maximum(rng.normal(size=200), 0.0)
         want_loss, want = reference_reg_loss_grad(actor, obs, pert, weights)
-        sel = algo.worst_candidates(actor, obs, pert, Workspace())
+        sel = algo.worst_candidates(actor, obs, pert)
         loss, grad = algo.reg_loss_grad(actor, obs, sel, weights)
         assert [x.hex() for x in grad] == [x.hex() for x in want]
         assert loss == pytest.approx(want_loss, rel=1e-12)
@@ -918,7 +945,7 @@ class TestTeamPolicy:
 
 
 def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
-                            rng, train_worst_q, workspace):
+                            rng, train_worst_q):
     """trainer._update_agents as it was before the regularizer could be
     skipped: the candidate search and the regularizer's gradient run for
     every acted agent whatever its importance weights.  Kept as the
@@ -992,7 +1019,6 @@ def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
                 agent.actor, obs,
                 perturbation_samples(policy.encoder.spec, obs, masks,
                                      marl.epsilon_ball, marl.n_adv, rng),
-                workspace,
             )
             weights = algo.state_importance(agent.value, agent.worst_q, central)
 
@@ -1070,7 +1096,7 @@ class TestRegularizerSkip:
         rng = np.random.default_rng([5, 0xAD, 0])
         losses = update(agents, policy, log, cfg, cfg.marl.kappa_wst,
                         cfg.marl.kappa_reg, rng=rng,
-                        train_worst_q=True, workspace=Workspace())
+                        train_worst_q=True)
         monkeypatch.undo()
         return agents, losses, rng.random(), chosen, len(reg_calls)
 
