@@ -25,6 +25,16 @@ from .reward import step_reward
 SHIELD_ROBUST = "robust"
 SHIELD_PLAIN = "plain"
 SHIELD_OFF = "off"
+SHIELD_MODES = (SHIELD_ROBUST, SHIELD_PLAIN, SHIELD_OFF)
+
+
+def check_shield_mode(mode):
+    """Raise ValueError unless mode is one of SHIELD_MODES."""
+    if mode not in SHIELD_MODES:
+        raise ValueError(
+            f"shield mode must be one of {', '.join(SHIELD_MODES)}, "
+            f"not {mode!r}"
+        )
 
 
 class RandomSafeTeamPolicy:
@@ -56,6 +66,19 @@ class ScriptedTeamPolicy:
             else:
                 actions[aid] = int(safe[0])
         return actions
+
+
+# What replay and verify_roundtrip read from a log's meta and step lines.
+META_KEYS = ("scenario", "seed", "agents", "dt", "wheelbase_frac", "lengths")
+STEP_KEYS = ("states", "controls", "crashed", "actions", "rewards", "collisions")
+
+
+def _require_keys(where, obj, keys):
+    if not isinstance(obj, dict):
+        raise ValueError(f"episode log {where} is not an object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"episode log {where} has no {key!r}")
 
 
 @dataclass
@@ -97,24 +120,30 @@ class EpisodeLog:
 
     @classmethod
     def from_jsonl(cls, text):
-        """Parse to_jsonl's text; a missing or unreadable line raises
-        ValueError naming it."""
-        records = []
+        """Parse to_jsonl's text; a missing or unreadable line, or a meta
+        or step line without a key that replay reads, raises ValueError
+        naming it."""
+        records = []  # (line number, record)
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((n, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"episode log line {n} is not JSON: {exc}") from None
-        if not (records and isinstance(records[0], dict) and "meta" in records[0]):
+        if not (records and isinstance(records[0][1], dict)
+                and "meta" in records[0][1]):
             raise ValueError("episode log has no meta line (empty file?)")
-        last = records[-1]
+        last = records[-1][1]
         if not (len(records) > 1 and isinstance(last, dict)
                 and "terminal_states" in last):
             raise ValueError("episode log has no terminal_states line (cut off?)")
-        return cls(meta=records[0]["meta"], steps=records[1:-1],
+        n, meta = records[0][0], records[0][1]["meta"]
+        _require_keys(f"line {n} (meta)", meta, META_KEYS)
+        for n, rec in records[1:-1]:
+            _require_keys(f"line {n}", rec, STEP_KEYS)
+        return cls(meta=meta, steps=[rec for _, rec in records[1:-1]],
                    terminal_states=last["terminal_states"])
 
     @classmethod
@@ -143,6 +172,7 @@ def _nominal_for(view, road, action, dyn, space):
 def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
                 shield_mode=SHIELD_ROBUST, collect_obs=True):
     """Roll one episode; returns the full structured log."""
+    check_shield_mode(shield_mode)
     schedule = schedule or identity_schedule()
     dyn = cfg.dynamics
     space = ActionSpace(cfg.harness.action_k)

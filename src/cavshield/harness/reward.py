@@ -8,23 +8,10 @@ would pay agents for driving away.
 """
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass
-class RewardWeights:
-    mu_v: float
-    mu_l: float
-    mu_s: float
-
-    @classmethod
-    def shared(cls, n_agents):
-        mu = 1.0 / n_agents
-        return cls(mu, mu, mu)
 
 
 def step_reward(world, destinations, new_collisions, outcome, crashed_before,
-                p_col, weights=None):
+                p_col):
     """Per-agent reward for the transition that just happened.
 
     A vehicle stops accruing speed/distance terms once it has collided;
@@ -35,7 +22,7 @@ def step_reward(world, destinations, new_collisions, outcome, crashed_before,
     agents = world.cav_ids
     if not agents:
         return {}
-    weights = weights or RewardWeights.shared(len(agents))
+    mu = 1.0 / len(agents)
     newly_collided = {vid for pair in new_collisions for vid in pair}
 
     total = 0.0
@@ -44,11 +31,11 @@ def step_reward(world, destinations, new_collisions, outcome, crashed_before,
         if vid in crashed_before:
             continue
         if vid in newly_collided:
-            total += weights.mu_s * p_col
+            total += mu * p_col
             continue
-        total += weights.mu_v * veh.v
+        total += mu * veh.v
         dx = veh.x - destinations[vid][0]
         dy = veh.y - destinations[vid][1]
-        total -= weights.mu_l * math.sqrt(dx * dx + dy * dy)
-        total += weights.mu_s * outcome.safety_reward.get(vid, 0.0)
+        total -= mu * math.sqrt(dx * dx + dy * dy)
+        total += mu * outcome.safety_reward.get(vid, 0.0)
     return {aid: total for aid in agents}

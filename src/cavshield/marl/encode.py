@@ -130,18 +130,10 @@ class Encoder:
             raise AssertionError("encoder layout mismatch")
         return parts, present
 
-    def encode_view(self, view):
-        """(feature vector, present-slot mask) for one agent."""
-        parts, present = self._features(view)
-        return np.array(parts, dtype=float), np.array(present, dtype=bool)
-
     def encode_joint(self, joint, agent_order):
-        """Per-agent vectors, masks, and the centralized concatenation.
-
-        The vectors are the rows of one fresh (A, F) block in agent_order
-        and the centralized state is its flat view; the masks are the rows
-        of one (A, S) block.  Every call builds new blocks, so callers may
-        keep these views across steps (the training buffers do).
+        """(A, F) encodings and (A, S) present-slot flags, one row per
+        agent in agent_order; the centralized state is the encodings'
+        reshape(-1).  Every call builds new blocks, so callers may keep them.
         """
         rows = []
         flags = []
@@ -149,11 +141,7 @@ class Encoder:
             parts, present = self._features(joint.views[aid])
             rows.append(parts)
             flags.append(present)
-        block = np.array(rows, dtype=float)
-        mask_block = np.array(flags, dtype=bool)
-        vecs = dict(zip(agent_order, block))
-        masks = dict(zip(agent_order, mask_block))
-        return vecs, masks, block.reshape(-1)
+        return np.array(rows, dtype=float), np.array(flags, dtype=bool)
 
 
 def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):

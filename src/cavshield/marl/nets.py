@@ -60,15 +60,6 @@ class MLP:
     def n_params(self):
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    @property
-    def layout(self):
-        """Shapes in flat-vector order: (W, b) per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w.shape)
-            out.append(b.shape)
-        return out
-
     def get_flat(self):
         parts = []
         for w, b in zip(self.weights, self.biases):

@@ -5,6 +5,13 @@ Rollouts sample each agent's softmax policy restricted to its safe set;
 that stochastic policy is the only exploration.  The worst-Q targets are
 taken under the worst-Q critic as the update starts.
 
+The update reads one Rollout batch per episode and nothing else: the
+policy's per-step encodings, present-slot flags, actions and old
+log-probs, the terminal encodings (the centralized states are their
+rows, flattened) and the log's rewards, with one column per agent in
+the policy's agent order.  train() rejects an unknown algo or shield
+mode before it builds anything.
+
 Rewards are scaled by marl.reward_scale inside the optimizer only; every
 logged number stays in raw units.
 
@@ -34,6 +41,7 @@ from .nets import MLP, Adam, log_softmax
 
 ALGO_SRMAPPO = "srmappo"
 ALGO_MAPPO = "mappo"
+ALGOS = (ALGO_SRMAPPO, ALGO_MAPPO)
 
 CHECKPOINT_VERSION = 2
 
@@ -93,6 +101,19 @@ class TrainResult:
     spec: object
 
 
+@dataclass
+class Rollout:
+    """One recorded episode of A agents over T steps, as arrays whose
+    columns follow agent_ids (the policy's agent order)."""
+
+    agent_ids: list
+    obs: np.ndarray  # (T + 1, A, F) encodings; the last row is terminal
+    masks: np.ndarray  # (T, A, S) present-slot flags
+    actions: np.ndarray  # (T, A); ActionSpace.EMERGENCY where none acted
+    logp_old: np.ndarray  # (T, A) unrestricted log-probs; 0.0 where none acted
+    rewards: np.ndarray  # (T, A) raw rewards from the episode log
+
+
 class NeuralTeamPolicy:
     """Per-agent softmax actors restricted to the shield's safe sets.
 
@@ -105,16 +126,16 @@ class NeuralTeamPolicy:
     evaluate() build one policy per episode and update only between
     episodes.  All actors must share one layout.
 
-    When recording, keeps everything a PPO update needs (encodings,
-    centralized states, actions, old log-probs, slot masks).
+    Each step records the encoding and present-slot blocks, the actions
+    and their old log-probs, and observe_terminal the terminal encodings;
+    batch(log) hands the episode to the update as one Rollout.
     """
 
-    def __init__(self, agents, encoder, agent_order, record=False):
+    def __init__(self, agents, encoder, agent_order):
         self.encoder = encoder
         self.agent_order = list(agent_order)
         if not self.agent_order:
             raise ValueError("a team policy needs at least one agent")
-        self.record = record
         actors = [agents[aid].actor for aid in self.agent_order]
         layout = actors[0].sizes
         for aid, net in zip(self.agent_order, actors):
@@ -129,26 +150,20 @@ class NeuralTeamPolicy:
             [np.stack([net.biases[i] for net in actors])[:, None, :]
              for i in layers],
         )
-        self.reset_buffers()
-
-    def reset_buffers(self):
-        self.buffers = {
-            aid: {"obs": [], "mask": [], "action": [], "logp_old": []}
-            for aid in self.agent_order
-        }
-        self.central = []
-        self.terminal_central = None
+        self.obs = []
+        self.masks = []
+        self.actions = []
+        self.logp_old = []
 
     def select_actions(self, joint, outcome, rng):
-        vecs, masks, central = self.encoder.encode_joint(joint, self.agent_order)
-        if self.record:
-            self.central.append(central)
+        block, mask_block = self.encoder.encode_joint(joint, self.agent_order)
         n = len(self.agent_order)
-        logits = self.team_actor.forward(central.reshape(n, 1, -1))
+        logits = self.team_actor.forward(block.reshape(n, 1, -1))
         logp_all = log_softmax(logits.reshape(n, -1))
         dists = np.exp(logp_all).tolist()
         logps = logp_all.tolist()
-        actions = {}
+        actions = []
+        logp_old = []
         for i, aid in enumerate(self.agent_order):
             safe = outcome.safe_sets[aid]
             if safe == [ActionSpace.EMERGENCY]:
@@ -157,19 +172,24 @@ class NeuralTeamPolicy:
             else:
                 action = algo.select_action(dists[i], safe, rng)
                 logp = logps[i][action]
-            actions[aid] = action
-            if self.record:
-                buf = self.buffers[aid]
-                buf["obs"].append(vecs[aid])
-                buf["mask"].append(masks[aid])
-                buf["action"].append(action)
-                buf["logp_old"].append(logp)
-        return actions
+            actions.append(action)
+            logp_old.append(logp)
+        self.obs.append(block)
+        self.masks.append(mask_block)
+        self.actions.append(actions)
+        self.logp_old.append(logp_old)
+        return dict(zip(self.agent_order, actions))
 
     def observe_terminal(self, joint):
-        if self.record:
-            _, _, central = self.encoder.encode_joint(joint, self.agent_order)
-            self.terminal_central = central
+        self.obs.append(self.encoder.encode_joint(joint, self.agent_order)[0])
+
+    def batch(self, log):
+        """The recorded episode, with the rewards of its log."""
+        rewards = [[rec["rewards"][aid] for aid in self.agent_order]
+                   for rec in log.steps]
+        return Rollout(self.agent_order, np.array(self.obs),
+                       np.array(self.masks), np.array(self.actions),
+                       np.array(self.logp_old), np.array(rewards))
 
 
 def build_agents(spec, cfg, seed):
@@ -204,6 +224,10 @@ def build_agents(spec, cfg, seed):
 
 def train(settings):
     """Run the full loop; returns runtimes, metrics and the encoder."""
+    if settings.algo not in ALGOS:
+        raise ValueError(f"algo must be one of {', '.join(ALGOS)}, "
+                         f"not {settings.algo!r}")
+    ep.check_shield_mode(settings.shield_mode)
     cfg = settings.config
     spec = scen.build_scenario(settings.scenario, mode="train", cfg=cfg)
     n_episodes = settings.episodes
@@ -217,17 +241,16 @@ def train(settings):
         raise ValueError(f"episodes must be an int >= 1, not {n_episodes!r}")
     agents, encoder = build_agents(spec, cfg, settings.seed)
     metrics = []
-    kappa_wst = cfg.marl.kappa_wst if settings.algo == ALGO_SRMAPPO else 0.0
-    kappa_reg = cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0
+    kappa_wst, kappa_reg = _kappas(settings)
 
     for e in range(n_episodes):
-        policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids, record=True)
+        policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         log = ep.run_episode(
             spec, cfg, policy, schedule=None, seed=_episode_seed(settings.seed, e),
             shield_mode=settings.shield_mode, collect_obs=False,
         )
         losses = _update_agents(
-            agents, policy, log, cfg, kappa_wst, kappa_reg,
+            agents, policy.batch(log), encoder.spec, cfg, kappa_wst, kappa_reg,
             rng=np.random.default_rng([settings.seed, 0xAD, e]),
             train_worst_q=settings.algo == ALGO_SRMAPPO,
         )
@@ -246,18 +269,24 @@ def train(settings):
     return TrainResult(agents=agents, metrics=metrics, encoder=encoder, spec=spec)
 
 
+def _kappas(settings):
+    """(kappa_wst, kappa_reg): the config's under SR-MAPPO, 0.0 under MAPPO."""
+    if settings.algo == ALGO_SRMAPPO:
+        return settings.config.marl.kappa_wst, settings.config.marl.kappa_reg
+    return 0.0, 0.0
+
+
 def _episode_seed(seed, e):
     return int(np.random.SeedSequence([seed, 0xE0, e]).generate_state(1)[0])
 
 
-def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
-                   train_worst_q):
+def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
+                   rng, train_worst_q):
     marl = cfg.marl
     scale = marl.reward_scale
-    central = np.stack(policy.central)
-    central_next = np.vstack([central[1:], policy.terminal_central[None, :]])
-    T = len(central)
-    terminal = np.zeros(T, dtype=bool)
+    states = batch.obs.reshape(len(batch.obs), -1)  # centralized, terminal last
+    central = states[:-1]
+    terminal = np.zeros(len(central), dtype=bool)
     terminal[-1] = True
 
     loss_value = []
@@ -267,19 +296,17 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
     reg_weighted_rows = 0 if kappa_reg != 0.0 else None
 
     for aid, agent in agents.items():
-        buf = policy.buffers[aid]
-        rewards = np.array(
-            [rec["rewards"][aid] for rec in log.steps], dtype=float
-        ) * scale
-        obs = np.stack(buf["obs"])
-        masks = np.stack(buf["mask"])
-        actions = np.array(buf["action"], dtype=int)
-        logp_old = np.array(buf["logp_old"], dtype=float)
+        col = batch.agent_ids.index(aid)
+        rewards = batch.rewards[:, col] * scale
+        obs = batch.obs[:-1, col]
+        masks = batch.masks[:, col]
+        actions = batch.actions[:, col]
+        logp_old = batch.logp_old[:, col]
         acted = actions >= 0  # emergency-stop steps carry no policy action
 
         # Returns / advantages with the pre-update critic (bootstrap at T).
         values = agent.value.forward(central)[:, 0]
-        bootstrap = agent.value.forward(policy.terminal_central)[0, 0]
+        bootstrap = agent.value.forward(states[-1])[0, 0]
         returns, advantages = algo.compute_returns_advantages(
             rewards, values, bootstrap, marl.gamma
         )
@@ -295,7 +322,7 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
         if train_worst_q and np.any(acted):
             # Targets under the worst-Q critic as the update starts.
             targets = algo.worst_q_targets(
-                agent.worst_q, rewards[acted], central_next[acted],
+                agent.worst_q, rewards[acted], states[1:][acted],
                 terminal[acted], marl.gamma,
             )
             lq = None
@@ -330,14 +357,14 @@ def _update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg, rng,
                 # blocks are never live at once.
                 sel = algo.worst_candidates(
                     agent.actor, obs,
-                    perturbation_samples(policy.encoder.spec, obs, masks,
+                    perturbation_samples(encoder_spec, obs, masks,
                                          marl.epsilon_ball, marl.n_adv, rng),
                 )
             else:
                 # Every weight is 0, so the regularizer's loss is 0 and its
                 # gradient changes no parameter: skip it, but draw its
                 # uniforms so that later agents' candidates stay put.
-                perturbation_uniforms(policy.encoder.spec, len(obs),
+                perturbation_uniforms(encoder_spec, len(obs),
                                       marl.n_adv, rng)
 
         for _ in range(marl.ppo_epochs):
@@ -391,10 +418,9 @@ def save_checkpoint(path, result, settings):
         "hidden": list(cfg.marl.hidden),
         "action_k": cfg.harness.action_k,
         "encoder": asdict(result.encoder.spec),
-        "kappa_wst": cfg.marl.kappa_wst if settings.algo == ALGO_SRMAPPO else 0.0,
-        "kappa_reg": cfg.marl.kappa_reg if settings.algo == ALGO_SRMAPPO else 0.0,
         "layouts": {},
     }
+    header["kappa_wst"], header["kappa_reg"] = _kappas(settings)
     arrays = {}
     for aid, agent in result.agents.items():
         arrays[f"{aid}__theta"] = agent.actor.get_flat()

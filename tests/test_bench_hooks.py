@@ -3,6 +3,7 @@ functions and methods of cavshield and perfbench/run.py reads
 kernels.BACKEND.  Renaming or deleting any of them must fail here, not
 only after a full timed run of perfbench/run.py --trace 1."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,54 @@ def test_tracer_installs_and_backend_is_readable():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "python"
+
+
+TRAIN_EPISODE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import spans
+tracer = spans.install(spans.Tracer())
+from cavshield.harness import episode
+from cavshield.harness.config import Config
+from cavshield.marl import trainer
+
+logs = []
+run_episode = episode.run_episode
+
+def kept_run_episode(*args, **kwargs):
+    logs.append(run_episode(*args, **kwargs))
+    return logs[-1]
+
+episode.run_episode = kept_run_episode
+cfg = Config.from_dict({"harness": {"episode_len": 20}})
+tracer.active = True
+result = trainer.train(trainer.TrainSettings(
+    scenario="intersection", algo="srmappo", shield_mode="robust", seed=2,
+    episodes=1, config=cfg))
+tracer.active = False
+acted = {aid for rec in logs[0].steps
+         for aid, action in rec["actions"].items() if action >= 0}
+print(json.dumps({
+    "calls": tracer.snapshot()[0], "steps": len(logs[0].steps),
+    "agents": len(result.agents), "acted": len(acted),
+    "ppo_epochs": cfg.marl.ppo_epochs, "critic_epochs": cfg.marl.critic_epochs,
+}))
+"""
+
+
+def test_traced_training_episode_counts_each_layer():
+    out = subprocess.run(
+        [sys.executable, "-c", TRAIN_EPISODE, str(ROOT / "perfbench"),
+         str(ROOT / "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    run = json.loads(out.stdout)
+    calls = run["calls"]
+    assert run["steps"] == 20 and run["agents"] == 3 and run["acted"] >= 1
+    assert calls["marl.trainer.update_agents"] == 1
+    assert calls["marl.trainer.select_actions"] == 20
+    # One encoding per step, and one of the terminal state.
+    assert calls["marl.encode.encode_joint"] == 21
+    assert calls["marl.algo.value_loss_grad"] == run["critic_epochs"] * 3
+    assert calls["marl.algo.rcs_loss_grad"] == run["ppo_epochs"] * run["acted"]

@@ -4,6 +4,7 @@ log replay, training smoke, checkpoints, evaluation."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path as FsPath
@@ -16,7 +17,7 @@ from cavshield.harness import episode as ep
 from cavshield.harness import evaluate as ev
 from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
-from cavshield.harness.reward import RewardWeights, step_reward
+from cavshield.harness.reward import step_reward
 from cavshield.marl import trainer
 from cavshield.perturb import make_constant, make_rand
 from cavshield.shield import SafetyOutcome
@@ -513,6 +514,36 @@ class TestCli:
         path.write_text(log_text)
         assert cli.main(["replay", "--log", str(path)]) == 0
 
+    @pytest.mark.parametrize("case,message", [
+        ("empty meta", "line 1 (meta) has no 'scenario'"),
+        ("step not an object", "line 2 is not an object"),
+        ("step without collisions", "line 3 has no 'collisions'"),
+    ])
+    def test_replay_of_a_log_missing_keys_fails_cleanly(self, capsys, tmp_path,
+                                                        log_text, case,
+                                                        message):
+        from cavshield.harness import cli
+
+        lines = log_text.splitlines(keepends=True)
+        step = json.loads(lines[2])
+        del step["collisions"]
+        text = {
+            "empty meta": '{"meta": {}}\n{"terminal_states": {}}\n',
+            "step not an object": lines[0] + "[1, 2]\n" + lines[-1],
+            "step without collisions": "".join(
+                lines[:2] + [json.dumps(step) + "\n"] + lines[3:]),
+        }[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ep.EpisodeLog.from_jsonl(text)
+        path = tmp_path / "log.jsonl"
+        path.write_text(text)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"replay: {path}: episode log {message}\n"
+        path.write_text(log_text)
+        assert cli.main(["replay", "--log", str(path)]) == 0
+
 
 def reward_world(n_agents=3):
     road = RoadMap({"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {})
@@ -584,10 +615,6 @@ class TestReward:
         expected_delta = (10.0 - math.dist((0.0, 0.0), (200.0, 0.0))) / 3.0
         assert r_all["cav0"] - r_crashed["cav0"] == pytest.approx(expected_delta)
 
-    def test_shared_weights(self):
-        w = RewardWeights.shared(4)
-        assert w.mu_v == w.mu_l == w.mu_s == 0.25
-
 
 class TestEpisode:
     def test_zero_length_episode(self):
@@ -596,6 +623,17 @@ class TestEpisode:
         log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(), seed=0)
         assert log.steps == []
         assert log.collision_count() == 0
+
+    @pytest.mark.parametrize("mode", ["robustt", "Robust", ""])
+    def test_unknown_shield_mode_rejected(self, mode):
+        spec = scen.build_scenario("highway", cfg=CFG)
+        policy = ep.ScriptedTeamPolicy(0)
+        steps = []
+        policy.select_actions = lambda *args: steps.append(1)
+        with pytest.raises(ValueError, match="shield mode must be one of "
+                                             "robust, plain, off"):
+            ep.run_episode(spec, CFG, policy, shield_mode=mode)
+        assert steps == []
 
     def test_fixed_seed_bit_identical_logs(self):
         spec = scen.build_scenario("highway", mode="test", cfg=CFG)
@@ -700,6 +738,21 @@ class TestTrainer:
         for episodes in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="episodes must be an int >= 1"):
                 trainer.train(self.quick_settings(episodes=episodes))
+
+    @pytest.mark.parametrize("key,value,allowed", [
+        ("algo", "sr-mappo", "srmappo, mappo"),
+        ("algo", "MAPPO", "srmappo, mappo"),
+        ("shield_mode", "robustt", "robust, plain, off"),
+    ])
+    def test_unknown_algo_or_shield_mode_rejected(self, monkeypatch, key,
+                                                  value, allowed):
+        def built(*args, **kwargs):
+            raise AssertionError("train() built a scenario")
+
+        monkeypatch.setattr(scen, "build_scenario", built)
+        with pytest.raises(ValueError,
+                           match=f"must be one of {allowed}, not {value!r}"):
+            trainer.train(self.quick_settings(**{key: value}))
 
     def test_two_runs_identical_metrics(self):
         m1 = trainer.train(self.quick_settings()).metrics
@@ -863,6 +916,11 @@ class TestEvaluate:
         for n in (0, -1, 2.5):
             with pytest.raises(ValueError, match="n_episodes"):
                 ev.evaluate(path, n_episodes=n, cfg=cfg)
+
+    def test_unknown_shield_mode_rejected(self, checkpoint):
+        path, cfg = checkpoint
+        with pytest.raises(ValueError, match="not 'Robust'"):
+            ev.evaluate(path, n_episodes=1, cfg=cfg, shield_mode="Robust")
 
     def test_report_shape_and_determinism(self, checkpoint):
         path, cfg = checkpoint

@@ -16,7 +16,7 @@ from cavshield.marl import algo, trainer
 from cavshield.marl.encode import (Encoder, EncoderSpec, perturbation_samples,
                                    perturbation_uniforms)
 from cavshield.marl.nets import MLP, Adam, log_softmax, softmax
-from cavshield.world import AgentView, Observation
+from cavshield.world import AgentView, JointState, Observation
 
 
 def make_net(sizes, seed=0, zero_final=False, jitter=0.1):
@@ -289,9 +289,9 @@ class TestWorstQ:
         for agent in agents.values():
             flat = agent.worst_q.get_flat()
             agent.worst_q.set_flat(flat + 0.1 * rng.normal(size=flat.size))
-        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
-                                          record=True)
+        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         log = ep.run_episode(spec, cfg, policy, seed=10, collect_obs=False)
+        batch = policy.batch(log)
         start = {aid: copy.deepcopy(a.worst_q) for aid, a in agents.items()}
         fitted = []
         loss_grad = algo.worst_q_loss_grad
@@ -302,17 +302,18 @@ class TestWorstQ:
 
         monkeypatch.setattr(algo, "worst_q_loss_grad", recorded)
         trainer._update_agents(
-            agents, policy, log, cfg, cfg.marl.kappa_wst, cfg.marl.kappa_reg,
-            rng=np.random.default_rng(0), train_worst_q=True,
+            agents, batch, encoder.spec, cfg, cfg.marl.kappa_wst,
+            cfg.marl.kappa_reg, rng=np.random.default_rng(0), train_worst_q=True,
         )
         epochs = cfg.marl.critic_epochs
         assert len(fitted) == epochs * len(agents)
-        last = len(policy.central) - 1
-        nxt = policy.central[1:] + [policy.terminal_central]
+        last = len(log.steps) - 1
+        nxt = [block.reshape(-1) for block in policy.obs[1:]]
         last_acted = 0
         for i, aid in enumerate(agents):
             want = []
-            for t, action in enumerate(policy.buffers[aid]["action"]):
+            col = spec.agent_ids.index(aid)
+            for t, action in enumerate(batch.actions[:, col].tolist()):
                 if action < 0:
                     continue
                 r = log.steps[t]["rewards"][aid] * cfg.marl.reward_scale
@@ -722,17 +723,23 @@ class TestEncoder:
             ucv_obs={"u1": obs_for("u1", 50.0)},
         )
 
+    def encode(self, enc):
+        """The ego's (encoding, present slots): row 0 of a one-agent team."""
+        block, mask_block = enc.encode_joint(
+            JointState(t=0, views={"ego": self.make_view()}), ["ego"])
+        return block[0], mask_block[0]
+
     def test_dimension_and_presence(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
-        vec, present = enc.encode_view(self.make_view())
+        vec, present = self.encode(enc)
         assert vec.shape == (spec.dim,)
         assert list(present) == [True, True, True, False, False]
 
     def test_nearest_first_ordering(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
-        vec, _ = enc.encode_view(self.make_view())
+        vec, _ = self.encode(enc)
         # First CAV slot must hold c2 (closer: 20 vs 30).
         base = spec.ego_dim
         assert vec[base] == pytest.approx(20.0 / spec.pos_scale)
@@ -747,7 +754,7 @@ class TestEncoder:
     def test_present_slot_moves_exactly_two_entries(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
-        vec, present = enc.encode_view(self.make_view())
+        vec, present = self.encode(enc)
         rows = self.corner_rows(spec, vec, present)
         i_l, i_v = spec.slot_feature_indices(0)
         moved = set()
@@ -775,7 +782,7 @@ class TestEncoder:
     def test_absent_slot_not_perturbed(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
-        vec, present = enc.encode_view(self.make_view())
+        vec, present = self.encode(enc)
         pert = perturbation_samples(
             spec, vec[None, :], present[None, :], 3.0, 8,
             np.random.default_rng(2),
@@ -790,7 +797,7 @@ class TestEncoder:
     def test_sensitivity_to_perturbed_feature(self):
         spec = EncoderSpec()
         enc = Encoder(spec, ["l0", "l1"])
-        vec, present = enc.encode_view(self.make_view())
+        vec, present = self.encode(enc)
         actor = make_net([spec.dim, 32, 32, 7], seed=90)
         out = self.corner_rows(spec, vec, present)[4 * 2]  # the present UCV slot
         d1 = softmax(actor.forward(vec))
@@ -883,25 +890,21 @@ class TestTeamPolicy:
                 assert same_bits(team_logp[i], log_softmax(own)[0])
 
     def episode(self, agents, encoder, spec, cfg, seed):
-        """A recorded 12-step episode; also returns copies of what each
+        """A 12-step episode's batch; also returns copies of what each
         step recorded, taken right after that step."""
-        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
-                                          record=True)
+        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         snapshots = []
         select = policy.select_actions
 
         def select_and_copy(*args):
             actions = select(*args)
-            snapshots.append((
-                policy.central[-1].copy(),
-                {aid: (buf["obs"][-1].copy(), buf["mask"][-1].copy())
-                 for aid, buf in policy.buffers.items()},
-            ))
+            snapshots.append((policy.obs[-1].copy(), policy.masks[-1].copy(),
+                              actions))
             return actions
 
         policy.select_actions = select_and_copy
-        ep.run_episode(spec, cfg, policy, seed=seed, collect_obs=False)
-        return policy, snapshots
+        log = ep.run_episode(spec, cfg, policy, seed=seed, collect_obs=False)
+        return policy.batch(log), log, snapshots
 
     def test_recorded_steps_act_with_current_weights_and_stay_put(self):
         cfg = Config.from_dict({"harness": {"episode_len": 12}})
@@ -913,20 +916,26 @@ class TestTeamPolicy:
             for agent in agents.values():
                 flat = agent.actor.get_flat()
                 agent.actor.set_flat(flat + 0.3 * rng.normal(size=flat.size))
-            policy, snapshots = self.episode(agents, encoder, spec, cfg, update)
-            assert len(snapshots) == len(policy.central) == 12
-            for t, (central, rows) in enumerate(snapshots):
-                assert same_bits(policy.central[t], central)
-                assert same_bits(
-                    central, np.concatenate([rows[aid][0] for aid in spec.agent_ids])
-                )
-                for aid, (obs, mask) in rows.items():
-                    buf = policy.buffers[aid]
-                    assert same_bits(buf["obs"][t], obs)
-                    assert np.array_equal(buf["mask"][t], mask)
+            batch, log, snapshots = self.episode(agents, encoder, spec, cfg,
+                                                 update)
+            assert batch.agent_ids == spec.agent_ids
+            n, F, S = len(spec.agent_ids), encoder.spec.dim, encoder.spec.n_slots
+            assert batch.obs.shape == (13, n, F)
+            assert batch.masks.shape == (12, n, S)
+            assert batch.actions.shape == batch.logp_old.shape == (12, n)
+            assert len(snapshots) == 12
+            for t, (obs, mask, actions) in enumerate(snapshots):
+                assert same_bits(batch.obs[t], obs)
+                assert np.array_equal(batch.masks[t], mask)
+                assert batch.actions[t].tolist() == [
+                    actions[aid] for aid in spec.agent_ids]
+                assert batch.rewards[t].tolist() == [
+                    log.steps[t]["rewards"][aid] for aid in spec.agent_ids]
             acted = 0
-            for aid, buf in policy.buffers.items():
-                for obs, action, logp in zip(buf["obs"], buf["action"], buf["logp_old"]):
+            for i, aid in enumerate(spec.agent_ids):
+                for obs, action, logp in zip(batch.obs[:-1, i],
+                                             batch.actions[:, i],
+                                             batch.logp_old[:, i]):
                     if action >= 0:
                         own = log_softmax(agents[aid].actor.forward(obs))[0]
                         assert logp.hex() == float(own[action]).hex()
@@ -944,16 +953,17 @@ class TestTeamPolicy:
             trainer.NeuralTeamPolicy({}, None, [])
 
 
-def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
-                            rng, train_worst_q):
+def reference_update_agents(agents, batch, encoder_spec, cfg, kappa_wst,
+                            kappa_reg, rng, train_worst_q):
     """trainer._update_agents as it was before the regularizer could be
     skipped: the candidate search and the regularizer's gradient run for
     every acted agent whatever its importance weights.  Kept as the
     bit-exact reference for the skip."""
     marl = cfg.marl
     scale = marl.reward_scale
-    central = np.stack(policy.central)
-    central_next = np.vstack([central[1:], policy.terminal_central[None, :]])
+    states = batch.obs.reshape(len(batch.obs), -1)
+    central = states[:-1]
+    central_next = states[1:]
     T = len(central)
     terminal = np.zeros(T, dtype=bool)
     terminal[-1] = True
@@ -964,18 +974,16 @@ def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
     loss_reg = []
 
     for aid, agent in agents.items():
-        buf = policy.buffers[aid]
-        rewards = np.array(
-            [rec["rewards"][aid] for rec in log.steps], dtype=float
-        ) * scale
-        obs = np.stack(buf["obs"])
-        masks = np.stack(buf["mask"])
-        actions = np.array(buf["action"], dtype=int)
-        logp_old = np.array(buf["logp_old"], dtype=float)
+        col = batch.agent_ids.index(aid)
+        rewards = batch.rewards[:, col] * scale
+        obs = batch.obs[:-1, col]
+        masks = batch.masks[:, col]
+        actions = batch.actions[:, col]
+        logp_old = batch.logp_old[:, col]
         acted = actions >= 0
 
         values = agent.value.forward(central)[:, 0]
-        bootstrap = agent.value.forward(policy.terminal_central)[0, 0]
+        bootstrap = agent.value.forward(states[-1])[0, 0]
         returns, advantages = algo.compute_returns_advantages(
             rewards, values, bootstrap, marl.gamma
         )
@@ -1017,7 +1025,7 @@ def reference_update_agents(agents, policy, log, cfg, kappa_wst, kappa_reg,
         if kappa_reg != 0.0:
             sel = algo.worst_candidates(
                 agent.actor, obs,
-                perturbation_samples(policy.encoder.spec, obs, masks,
+                perturbation_samples(encoder_spec, obs, masks,
                                      marl.epsilon_ball, marl.n_adv, rng),
             )
             weights = algo.state_importance(agent.value, agent.worst_q, central)
@@ -1056,19 +1064,18 @@ class TestRegularizerSkip:
         cfg = Config.from_dict({"harness": {"episode_len": 40}})
         spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
         agents, encoder = trainer.build_agents(spec, cfg, 5)
-        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids,
-                                          record=True)
+        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         log = ep.run_episode(spec, cfg, policy, seed=6, collect_obs=False)
-        for buf in policy.buffers.values():
-            assert any(a >= 0 for a in buf["action"])
-        return cfg, agents, policy, log
+        batch = policy.batch(log)
+        assert np.all(np.any(batch.actions >= 0, axis=0))
+        return cfg, agents, batch, encoder.spec
 
     def run_update(self, monkeypatch, rollout, update, weights_of):
         """(agents after the update, losses, next uniform, chosen
         candidates, reg_loss_grad calls) of one update from a copy of the
         rollout's agents, with state_importance's i-th result replaced by
         weights_of(i, w)."""
-        cfg, agents, policy, log = rollout
+        cfg, agents, batch, encoder_spec = rollout
         agents = copy.deepcopy(agents)
         state_importance = algo.state_importance
         worst_candidates = algo.worst_candidates
@@ -1094,9 +1101,8 @@ class TestRegularizerSkip:
         monkeypatch.setattr(algo, "worst_candidates", recorded_candidates)
         monkeypatch.setattr(algo, "reg_loss_grad", counted_reg_loss_grad)
         rng = np.random.default_rng([5, 0xAD, 0])
-        losses = update(agents, policy, log, cfg, cfg.marl.kappa_wst,
-                        cfg.marl.kappa_reg, rng=rng,
-                        train_worst_q=True)
+        losses = update(agents, batch, encoder_spec, cfg, cfg.marl.kappa_wst,
+                        cfg.marl.kappa_reg, rng=rng, train_worst_q=True)
         monkeypatch.undo()
         return agents, losses, rng.random(), chosen, len(reg_calls)
 
@@ -1149,6 +1155,23 @@ class TestRegularizerSkip:
         assert reg_calls == want[4] == 3 * rollout[0].marl.ppo_epochs
         assert losses["loss_reg"] > 0.0
         assert losses["reg_weighted_rows"] >= 3 * len(rows)
+
+    def test_columns_follow_agent_ids(self, rollout):
+        # Without the regularizer the update draws nothing, so each agent's
+        # update must not depend on where it stands in the agents dict.
+        cfg, agents, batch, encoder_spec = rollout
+        teams = []
+        for order in (batch.agent_ids, batch.agent_ids[::-1]):
+            team = copy.deepcopy({aid: agents[aid] for aid in order})
+            trainer._update_agents(team, batch, encoder_spec, cfg,
+                                   cfg.marl.kappa_wst, 0.0,
+                                   rng=np.random.default_rng(0),
+                                   train_worst_q=True)
+            teams.append(team)
+        for aid in batch.agent_ids:
+            for name in ("actor", "value", "worst_q"):
+                assert same_bits(getattr(teams[0][aid], name).get_flat(),
+                                 getattr(teams[1][aid], name).get_flat())
 
     def test_later_agents_keep_their_candidates(self, monkeypatch, rollout):
         def first_agent_zero(i, w):
