@@ -148,16 +148,16 @@ def step_bicycle(state, u, dt, params):
     return replace(state, x=nx, y=ny, v=nv, psi=npsi)
 
 
-def lane_keep_steer(state, path, params):
-    """Proportional law on lateral offset and heading error."""
-    s, d = path.project(state.x, state.y)
+def lane_keep_steer(state, path, s, d, params):
+    """Proportional law on lateral offset and heading error; (s, d) is the
+    state's projection onto path."""
     head_err = kernels.wrap_angle(state.psi - path.heading_at(s))
     return -params.k_lat * d - params.k_head * head_err
 
 
-def pursuit_steer(state, target_path, params):
-    """Pure pursuit of a point `lookahead` meters ahead on target_path."""
-    s, _ = target_path.project(state.x, state.y)
+def pursuit_steer(state, target_path, s, params):
+    """Pure pursuit of a point `lookahead` meters ahead on target_path; s is
+    the state's arc length there."""
     tx, ty = target_path.point_at(s + params.lookahead)
     eta = kernels.wrap_angle(math.atan2(ty - state.y, tx - state.x) - state.psi)
     wheelbase = params.wheelbase(state.length)
@@ -191,9 +191,11 @@ def nominal_control(state, action, lane_ctx, params, space=None):
             raise NoAdjacentLane(
                 f"no {'left' if action == ActionSpace.LEFT else 'right'} lane"
             )
-        steer = pursuit_steer(state, target, params)
+        s, _ = target.project(state.x, state.y)
+        steer = pursuit_steer(state, target, s, params)
     else:
-        steer = lane_keep_steer(state, lane_ctx.current, params)
+        s, d = lane_ctx.current.project(state.x, state.y)
+        steer = lane_keep_steer(state, lane_ctx.current, s, d, params)
     return params.clamp(
         ControlInput(nominal_accel(action, params, space), steer)
     )
@@ -225,4 +227,6 @@ def emergency_control(params):
 def speed_tracking_control(state, v_ref, path, params, gain=1.5):
     """Scripted keep-lane controller holding a reference speed (UCVs)."""
     accel = gain * (v_ref - state.v)
-    return params.clamp(ControlInput(accel, lane_keep_steer(state, path, params)))
+    s, d = path.project(state.x, state.y)
+    return params.clamp(
+        ControlInput(accel, lane_keep_steer(state, path, s, d, params)))

@@ -68,17 +68,60 @@ class ScriptedTeamPolicy:
         return actions
 
 
-# What replay and verify_roundtrip read from a log's meta and step lines.
-META_KEYS = ("scenario", "seed", "agents", "dt", "wheelbase_frac", "lengths")
-STEP_KEYS = ("states", "controls", "crashed", "actions", "rewards", "collisions")
-
-
 def _require_keys(where, obj, keys):
     if not isinstance(obj, dict):
         raise ValueError(f"episode log {where} is not an object")
     for key in keys:
         if key not in obj:
             raise ValueError(f"episode log {where} has no {key!r}")
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_ids(x):
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _numbers(n):
+    return lambda x: (isinstance(x, list) and len(x) == n
+                      and all(map(_is_number, x)))
+
+
+def _object_of(ok):
+    return lambda x: isinstance(x, dict) and all(map(ok, x.values()))
+
+
+# What replay and verify_roundtrip read from a log's meta and step lines,
+# and, for the values they index or iterate, a check and what the value
+# must be (dt and wheelbase_frac are checked by DynamicsParams).
+META_KEYS = ("scenario", "seed", "agents", "dt", "wheelbase_frac", "lengths")
+STATES_SHAPE = (_object_of(_numbers(4)), "an object of [x, y, v, psi] lists")
+META_SHAPES = {
+    "agents": (_is_ids, "a list of vehicle ids"),
+    "lengths": (_object_of(_is_number), "an object of numbers"),
+}
+STEP_SHAPES = {
+    "states": STATES_SHAPE,
+    "controls": (_object_of(_numbers(2)), "an object of [accel, steer] lists"),
+    "crashed": (_is_ids, "a list of vehicle ids"),
+    "actions": (lambda x: isinstance(x, dict), "an object"),
+    "rewards": (_object_of(_is_number), "an object of numbers"),
+    "collisions": (lambda x: isinstance(x, list), "a list"),
+}
+
+
+def _check_shapes(where, obj, shapes):
+    for key, (ok, what) in shapes.items():
+        if not ok(obj[key]):
+            raise ValueError(f"episode log {where}: {key!r} is not {what}")
+
+
+def _require_members(where, key, container, members):
+    for m in members:
+        if m not in container:
+            raise ValueError(f"episode log {where}: {key!r} has no {m!r}")
 
 
 @dataclass
@@ -121,8 +164,8 @@ class EpisodeLog:
     @classmethod
     def from_jsonl(cls, text):
         """Parse to_jsonl's text; a missing or unreadable line, or a meta
-        or step line without a key that replay reads, raises ValueError
-        naming it."""
+        or step line without a key that replay reads or with a value of a
+        shape it cannot read, raises ValueError naming it."""
         records = []  # (line number, record)
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -140,10 +183,31 @@ class EpisodeLog:
                 and "terminal_states" in last):
             raise ValueError("episode log has no terminal_states line (cut off?)")
         n, meta = records[0][0], records[0][1]["meta"]
-        _require_keys(f"line {n} (meta)", meta, META_KEYS)
-        for n, rec in records[1:-1]:
-            _require_keys(f"line {n}", rec, STEP_KEYS)
-        return cls(meta=meta, steps=[rec for _, rec in records[1:-1]],
+        meta_where = f"line {n} (meta)"
+        _require_keys(meta_where, meta, META_KEYS)
+        _check_shapes(meta_where, meta, META_SHAPES)
+        try:
+            DynamicsParams(dt=meta["dt"], wheelbase_frac=meta["wheelbase_frac"])
+        except ValueError as exc:
+            raise ValueError(f"episode log {meta_where}: {exc}") from None
+        steps = records[1:-1]
+        for n, rec in steps:
+            where = f"line {n}"
+            _require_keys(where, rec, STEP_SHAPES)
+            _check_shapes(where, rec, STEP_SHAPES)
+            _require_members(meta_where, "lengths", meta["lengths"],
+                             rec["states"])
+            _require_members(where, "controls", rec["controls"], [
+                vid for vid in rec["states"] if vid not in rec["crashed"]])
+            _require_members(where, "rewards", rec["rewards"], meta["agents"])
+        last_where = f"line {records[-1][0]}"
+        _check_shapes(last_where, last, {"terminal_states": STATES_SHAPE})
+        # Each vehicle must be in the states the next line logs.
+        nexts = [(f"line {n}", "states", rec["states"]) for n, rec in steps[1:]]
+        nexts.append((last_where, "terminal_states", last["terminal_states"]))
+        for (_, rec), (where, key, states) in zip(steps, nexts):
+            _require_members(where, key, states, rec["states"])
+        return cls(meta=meta, steps=[rec for _, rec in steps],
                    terminal_states=last["terminal_states"])
 
     @classmethod

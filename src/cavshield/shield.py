@@ -8,9 +8,13 @@ the action's accel band satisfies every barrier constraint
 where A = lipschitz_sum * epsilon is the buffer absorbing bounded
 observation error.  Barriers are longitudinal (safety-following and
 safety-leading distances), so each constraint bounds the acceleration
-alone: the rows of the current lane and of each adjacent lane are built
-once per agent and step, and each action's verdict is the projection QP
-kernels.solve_qp_2d of its nominal input onto them and its input box.
+alone.  Once per step, safety_shield builds the action table: each
+action's lane-change side, clamped nominal accel and accel band.  Once
+per agent-step, agent_safe_set projects the ego onto its lane and each
+adjacent lane and each target onto the lanes it is checked in, builds
+the barrier rows of the current lane and of each adjacent lane, and
+decides each action by the projection QP kernels.solve_qp_2d of its
+nominal input onto those rows and its input box.
 Crossing traffic is folded in by transforming each crossing vehicle into
 a pseudo car on the ego path.  An empty safe set falls back to
 Emergency_stop (full braking, zero steer) and is fed back to the MARL as
@@ -26,7 +30,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .dynamics import ActionSpace, ControlInput, DynamicsParams, NoAdjacentLane, action_accel_bounds, emergency_control, lane_context, nominal_accel, nominal_control
+from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bounds, emergency_control, lane_keep_steer, nominal_accel, pursuit_steer
+# Not called here: perfbench/spans.py wraps shield.nominal_control.
+from .dynamics import nominal_control
 from .world import ALIGN_CONE, OutOfCorridor
 
 FRONT = "front"
@@ -335,27 +341,35 @@ class EgoView:
             self.lane = road.lane_of(self.x, self.y, self.psi)
 
 
+def _arc_length(path, pos):
+    """Arc length of pos on path, or None outside the projection corridor."""
+    try:
+        s, _ = path.project(*pos)
+    except OutOfCorridor:
+        return None
+    return s
+
+
 def classify_targets(view, road, ego, cfg):
     """Split observed vehicles into per-lane traffic and pseudo cars.
 
-    Lane assignment favors the target's own lane report (CAVs) and falls
-    back to the perturbed position; misaligned targets go through the
-    pseudo-car transform against the ego path.
+    Returns (ego path, the ego's (s, d) on it, {lane: [(obs, s)]}, pseudo
+    cars), where s is the target's arc length on the ego path (None
+    outside the corridor).  Lane assignment favors the target's own lane
+    report (CAVs) and falls back to the perturbed position; misaligned
+    targets go through the pseudo-car transform against the ego path.
     """
     ego_path = road.path(ego.lane)
-    ego_s, _ = ego_path.project(ego.x, ego.y)
+    ego_s, ego_d = ego_path.project(ego.x, ego.y)
     by_lane = {}
     pseudo = []
     back_margin = 0.5 * ego.length + cfg.conflict_radius
     for obs in view.all_targets():
         pos = obs.world_position()
-        try:
-            s_proj, _ = ego_path.project(*pos)
-        except OutOfCorridor:
-            s_proj = ego_s
-        aligned = abs(
-            kernels.wrap_angle(obs.psi - ego_path.heading_at(s_proj))
-        ) <= ALIGN_CONE
+        s_proj = _arc_length(ego_path, pos)
+        aligned = abs(kernels.wrap_angle(
+            obs.psi - ego_path.heading_at(ego_s if s_proj is None else s_proj)
+        )) <= ALIGN_CONE
         if aligned:
             if obs.connected and obs.lane_detect is not None:
                 lane = obs.lane_detect
@@ -363,7 +377,7 @@ def classify_targets(view, road, ego, cfg):
                 lane = road.lane_of(pos[0], pos[1], obs.psi)
             if lane is None:
                 continue
-            by_lane.setdefault(lane, []).append(obs)
+            by_lane.setdefault(lane, []).append((obs, s_proj))
         else:
             pc = pseudo_car_transform(
                 ego_path, ego_s, pos, obs.psi, obs.vx, cfg,
@@ -372,17 +386,18 @@ def classify_targets(view, road, ego, cfg):
             if pc is not None:
                 pc.source_id = obs.target_id
                 pseudo.append((pc, obs))
-    return ego_path, ego_s, by_lane, pseudo
+    return ego_path, (ego_s, ego_d), by_lane, pseudo
 
 
-def lane_barrier_targets(ego, lane_path, lane_obs, cfg):
-    """Front/rear barrier targets for one lane, bumper-to-bumper gaps."""
-    ego_s, _ = lane_path.project(ego.x, ego.y)
+def lane_barrier_targets(ego, ego_s, lane_targets):
+    """Front/rear barrier targets for one lane, bumper-to-bumper gaps.
+
+    ego_s is the ego's arc length on the lane and lane_targets holds
+    (obs, s) pairs, s the target's arc length there (None: skipped).
+    """
     out = []
-    for obs in lane_obs:
-        try:
-            s_j, _ = lane_path.project(*obs.world_position())
-        except OutOfCorridor:
+    for obs, s_j in lane_targets:
+        if s_j is None:
             continue
         half = 0.5 * (obs.length + ego.length)
         if s_j >= ego_s:
@@ -407,52 +422,72 @@ def pseudo_barrier_targets(ego, ego_s, pseudo):
     return out
 
 
-def agent_safe_set(view, road, cfg, dyn, space):
-    """Verdicts of every action of one agent.
+_SIDES = {ActionSpace.LEFT: "left", ActionSpace.RIGHT: "right"}
 
-    The barrier rows of the current lane (lane and pseudo targets) and of
-    each adjacent lane, and the lane-keep steer that KEEP, BRAKE and the
-    throttle actions share, are built once; each action is then checked
-    against them with its own accel band.
+
+def action_table(dyn, space):
+    """What agent_safe_set needs of each action of space, the same for
+    every agent: (action, lane-change side "left"/"right" or None, nominal
+    accel clamped to the input box, action_accel_bounds), in action order.
+    """
+    return [
+        (action, _SIDES.get(action),
+         dyn.clamp(ControlInput(nominal_accel(action, dyn, space), 0.0)).accel,
+         action_accel_bounds(action, dyn, space))
+        for action in space.actions()
+    ]
+
+
+def agent_safe_set(view, road, cfg, dyn, table):
+    """Verdicts of every action of one agent; table is action_table's.
+
+    Once per agent-step: the ego is projected onto its lane, which yields
+    the current-lane rows (lane and pseudo targets) and the lane-keep
+    steer that KEEP, BRAKE and the throttle actions share, and onto each
+    adjacent lane, which yields that lane's rows and the pursuit steer of
+    the lane change into it.  Each same-lane target is projected once,
+    onto the ego path (classify_targets), and each adjacent-lane target
+    once onto its lane.  Each action is then checked against its rows
+    with its own accel band; a lane change off the road edge is
+    unavailable.
     """
     ego = EgoView(view.self_obs, road)
-    ego_path, ego_s, by_lane, pseudo = classify_targets(view, road, ego, cfg)
-    lane_ctx = lane_context(road, ego.lane)
+    ego_path, (ego_s, ego_d), by_lane, pseudo = classify_targets(
+        view, road, ego, cfg)
     current = constraint_rows(
         ego.v,
-        lane_barrier_targets(ego, ego_path, by_lane.get(ego.lane, []), cfg)
+        lane_barrier_targets(ego, ego_s, by_lane.get(ego.lane, []))
         + pseudo_barrier_targets(ego, ego_s, pseudo),
         cfg, dyn,
     )
-    keep = nominal_control(ego, ActionSpace.KEEP, lane_ctx, dyn, space)
+    keep_steer = dyn.clamp(ControlInput(
+        0.0, lane_keep_steer(ego, ego_path, ego_s, ego_d, dyn))).steer
 
     verdicts = {}
     controls = {}
     safe = []
-    for action in space.actions():
-        rows = current
-        if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
-            try:
-                u0 = nominal_control(ego, action, lane_ctx, dyn, space)
-            except NoAdjacentLane:
+    for action, side, accel, bounds in table:
+        if side is None:
+            u0 = ControlInput(accel, keep_steer)
+            rows = current
+        else:
+            lane = road.adjacent(ego.lane, side)
+            if lane is None:
                 verdicts[action] = ActionVerdict(safe=False, unavailable=True)
                 continue
-            side = "left" if action == ActionSpace.LEFT else "right"
-            lane = road.adjacent(ego.lane, side)
+            path = road.path(lane)
+            lane_s, _ = path.project(ego.x, ego.y)
+            u0 = dyn.clamp(
+                ControlInput(accel, pursuit_steer(ego, path, lane_s, dyn)))
             rows = current.join(constraint_rows(
                 ego.v,
-                lane_barrier_targets(ego, road.path(lane),
-                                     by_lane.get(lane, []), cfg),
+                lane_barrier_targets(ego, lane_s, [
+                    (obs, _arc_length(path, obs.world_position()))
+                    for obs, _ in by_lane.get(lane, [])
+                ]),
                 cfg, dyn,
             ))
-        else:
-            # nominal_control of this action: the same clamp of its accel,
-            # with the lane-keep steer computed once for KEEP.
-            u0 = dyn.clamp(ControlInput(nominal_accel(action, dyn, space),
-                                        keep.steer))
-        verdict = check_action_safe(
-            u0, rows, action_accel_bounds(action, dyn, space), dyn
-        )
+        verdict = check_action_safe(u0, rows, bounds, dyn)
         verdicts[action] = verdict
         if verdict.safe:
             safe.append(action)
@@ -468,10 +503,11 @@ def agent_safe_set(view, road, cfg, dyn, space):
 def safety_shield(joint, road, cfg, dyn, space):
     """Safe action sets, emergency flags and the per-step safety-reward
     feedback for every agent (consumes the possibly-perturbed views)."""
+    table = action_table(dyn, space)
     out = SafetyOutcome()
     for aid, view in joint.views.items():
         safe, verdicts, controls, emergency = agent_safe_set(
-            view, road, cfg, dyn, space
+            view, road, cfg, dyn, table
         )
         out.safe_sets[aid] = safe
         out.verdicts[aid] = verdicts

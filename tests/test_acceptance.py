@@ -28,6 +28,7 @@ from cavshield.perturb import make_constant, make_rand, make_ptb_over_time, make
 from cavshield.qp import QpProblem, solve
 from cavshield.shield import (
     ShieldConfig,
+    action_table,
     agent_safe_set,
     resolve_lipschitz,
     safety_distance_follow,
@@ -253,12 +254,13 @@ def test_c5_pseudo_car_reduction_equivalence():
     rng = np.random.default_rng(5005)
     cfg = resolve_lipschitz(ShieldConfig(epsilon=1.0), DYN)
     space = ActionSpace()
+    table = action_table(DYN, space)
     checked = 0
     while checked < 200:
         world, road, path, pseudo_s, pseudo_v = _crossing_world(rng)
         joint = build_joint_state(world, 500.0, None)
         safe_a, verdicts_a, _, _ = agent_safe_set(
-            joint.views["ego"], road, cfg, DYN, space
+            joint.views["ego"], road, cfg, DYN, table
         )
         # Skip configs where the transform filtered the target out (no
         # conflict within horizon); nothing to compare then.
@@ -277,7 +279,7 @@ def test_c5_pseudo_car_reduction_equivalence():
         ])
         joint_b = build_joint_state(world_b, 500.0, None)
         safe_b, verdicts_b, _, _ = agent_safe_set(
-            joint_b.views["ego"], road, cfg, DYN, space
+            joint_b.views["ego"], road, cfg, DYN, table
         )
         assert safe_a == safe_b
         for action in space.actions():

@@ -81,3 +81,11 @@ def test_traced_training_episode_counts_each_layer():
     assert calls["marl.encode.encode_joint"] == 21
     assert calls["marl.algo.value_loss_grad"] == run["critic_epochs"] * 3
     assert calls["marl.algo.rcs_loss_grad"] == run["ppo_epochs"] * run["acted"]
+    # The shield's spans: once per state (the initial one too), once per
+    # agent there, and every verdict's solve inside check_action_safe, so
+    # a shield that bypasses these names zeroes perfbench's layer table.
+    states = run["steps"] + 1
+    assert calls["shield.safety_shield"] == states
+    assert calls["shield.classify_targets"] == run["agents"] * states
+    assert calls["shield.lane_barrier_targets"] >= run["agents"] * states
+    assert calls["kernels.solve_qp_2d"] == calls["shield.check_action_safe"] > 0

@@ -544,6 +544,46 @@ class TestCli:
         path.write_text(log_text)
         assert cli.main(["replay", "--log", str(path)]) == 0
 
+    @pytest.fixture(scope="class")
+    def short_log_lines(self):
+        spec = scen.build_scenario("highway", mode="test", cfg=CFG)
+        spec.episode_len = 3
+        log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(), seed=3)
+        return log.to_jsonl().splitlines()
+
+    @pytest.mark.parametrize("line,key,value,message", [
+        (4, "terminal_states", [],
+         "line 5: 'terminal_states' is not an object of [x, y, v, psi] lists"),
+        (1, "states", [],
+         "line 2: 'states' is not an object of [x, y, v, psi] lists"),
+        (0, "dt", "x", "line 1 (meta): dt must be a finite number"),
+        (2, "controls", {}, "line 3: 'controls' has no 'cav0'"),
+        (2, "crashed", 5, "line 3: 'crashed' is not a list of vehicle ids"),
+    ], ids=["terminal_states", "states", "dt", "controls", "crashed"])
+    def test_replay_of_a_log_with_misshapen_values_fails_cleanly(
+            self, capsys, tmp_path, short_log_lines, line, key, value,
+            message):
+        # Each of these ended in a traceback from verify_roundtrip or
+        # DynamicsParams (exit 1) while from_jsonl checked keys only.
+        from cavshield.harness import cli
+
+        lines = list(short_log_lines)
+        assert len(lines) == 5  # meta, 3 steps, terminal_states
+        rec = json.loads(lines[line])
+        (rec["meta"] if line == 0 else rec)[key] = value
+        lines[line] = json.dumps(rec)
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ep.EpisodeLog.from_jsonl(text)
+        path = tmp_path / "log.jsonl"
+        path.write_text(text)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"replay: {path}: episode log {message}\n"
+        path.write_text("\n".join(short_log_lines) + "\n")
+        assert cli.main(["replay", "--log", str(path)]) == 0
+
 
 def reward_world(n_agents=3):
     road = RoadMap({"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {})

@@ -5,6 +5,7 @@ fallback."""
 import copy
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,19 @@ from cavshield.dynamics import (
     ActionSpace,
     ControlInput,
     DynamicsParams,
+    NoAdjacentLane,
     action_accel_bounds,
     emergency_control,
+    lane_context,
+    nominal_control,
     step_bicycle,
 )
 from cavshield import kernels
+from cavshield import shield as shield_mod
+from cavshield.harness import episode as ep
+from cavshield.harness import scenario as scen
+from cavshield.harness.config import Config
+from cavshield.harness.evaluate import build_schedule
 from cavshield.kernels import DEDUP_TOL, FEAS_TOL
 from cavshield.perturb import make_constant
 from cavshield.shield import (
@@ -27,12 +36,18 @@ from cavshield.shield import (
     ActionVerdict,
     BarrierRows,
     BarrierTarget,
+    EgoView,
     ShieldConfig,
+    action_table,
+    agent_safe_set,
     barrier_values,
     calibrate_lipschitz_sum,
     check_action_safe,
+    classify_targets,
     constraint_rows,
     follow_constraint_terms,
+    lane_barrier_targets,
+    pseudo_barrier_targets,
     pseudo_car_transform,
     resolve_lipschitz,
     robust_buffer,
@@ -40,7 +55,7 @@ from cavshield.shield import (
     safety_distance_lead,
     safety_shield,
 )
-from cavshield.world import Path, RoadMap, VehicleState, World, build_joint_state
+from cavshield.world import OutOfCorridor, Path, RoadMap, VehicleState, World, build_joint_state
 
 DYN = DynamicsParams()  # accel in [-6, 4] -> max_brake = 6
 CFG0 = ShieldConfig(c1=1.0, c2=1.0, c3=2.0, gamma_cbf=1.0, epsilon=0.0,
@@ -615,3 +630,176 @@ class TestSafetyShield:
         assert verdicts[ActionSpace.LEFT].unavailable
         assert verdicts[ActionSpace.RIGHT].unavailable
         assert ActionSpace.LEFT not in outcome.safe_sets["ego"]
+
+
+def reference_agent_safe_set(view, road, cfg, dyn, space):
+    """agent_safe_set as it was built before the action table and the
+    shared projections: nominal_control per action (NoAdjacentLane marks
+    an unavailable lane change) and every lane's projections made afresh
+    for its barrier targets."""
+    ego = EgoView(view.self_obs, road)
+    ego_path, _, by_lane, pseudo = classify_targets(view, road, ego, cfg)
+    lane_ctx = lane_context(road, ego.lane)
+
+    def lane_targets(lane):
+        path = road.path(lane)
+        ego_s, _ = path.project(ego.x, ego.y)
+        fresh = []
+        for obs, _ in by_lane.get(lane, []):
+            try:
+                s_j, _ = path.project(*obs.world_position())
+            except OutOfCorridor:
+                s_j = None
+            fresh.append((obs, s_j))
+        return lane_barrier_targets(ego, ego_s, fresh)
+
+    ego_s, _ = ego_path.project(ego.x, ego.y)
+    current = constraint_rows(
+        ego.v,
+        lane_targets(ego.lane) + pseudo_barrier_targets(ego, ego_s, pseudo),
+        cfg, dyn,
+    )
+    verdicts, controls, safe = {}, {}, []
+    for action in space.actions():
+        try:
+            u0 = nominal_control(ego, action, lane_ctx, dyn, space)
+        except NoAdjacentLane:
+            verdicts[action] = ActionVerdict(safe=False, unavailable=True)
+            continue
+        rows = current
+        if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
+            side = "left" if action == ActionSpace.LEFT else "right"
+            rows = current.join(constraint_rows(
+                ego.v, lane_targets(road.adjacent(ego.lane, side)), cfg, dyn))
+        verdict = check_action_safe(
+            u0, rows, action_accel_bounds(action, dyn, space), dyn)
+        verdicts[action] = verdict
+        if verdict.safe:
+            safe.append(action)
+            controls[action] = verdict.u
+    emergency = not safe
+    if emergency:
+        safe = [ActionSpace.EMERGENCY]
+        controls[ActionSpace.EMERGENCY] = emergency_control(dyn)
+    return safe, verdicts, controls, emergency
+
+
+def input_bits(u):
+    return None if u is None else (u.accel.hex(), u.steer.hex())
+
+
+def safe_set_bits(result):
+    safe, verdicts, controls, emergency = result
+    return (
+        safe,
+        {a: (v.safe, v.binding, v.unavailable, input_bits(v.u))
+         for a, v in verdicts.items()},
+        {a: input_bits(u) for a, u in controls.items()},
+        emergency,
+    )
+
+
+class TestAgentSafeSetMatchesReference:
+    @pytest.mark.parametrize("scenario", ["highway", "intersection"])
+    def test_every_agent_step_bit_equal(self, monkeypatch, scenario):
+        cfg = Config()
+        space = ActionSpace(cfg.harness.action_k)
+        checked = []
+
+        def compared(view, road, shield_cfg, dyn, table):
+            got = agent_safe_set(view, road, shield_cfg, dyn, table)
+            want = reference_agent_safe_set(view, road, shield_cfg, dyn, space)
+            assert safe_set_bits(got) == safe_set_bits(want)
+            checked.append(any(v.unavailable for v in got[1].values()))
+            return got
+
+        monkeypatch.setattr(shield_mod, "agent_safe_set", compared)
+        for shield_mode in ("robust", "plain"):
+            for ptb in ("none", "rand", "time", "veh"):
+                for seed in (0, 1):
+                    spec = scen.build_scenario(scenario, mode="test", cfg=cfg)
+                    spec.episode_len = 60
+                    ep.run_episode(
+                        spec, cfg, ep.RandomSafeTeamPolicy(),
+                        schedule=build_schedule(ptb, seed, cfg, spec),
+                        seed=seed, shield_mode=shield_mode, collect_obs=False,
+                    )
+        assert len(checked) == 2 * 4 * 2 * 61 * len(spec.agent_ids)
+        if scenario == "highway":
+            assert any(checked)  # an edge lane's unavailable side
+
+
+def lane_world(ego_lane, others):
+    """Three straight lanes 3.5 m apart, every vehicle a CAV, so each
+    target reports its lane and RoadMap.lane_of is not needed."""
+    names = ["lane0", "lane1", "lane2"]
+    paths = {name: Path([[-100.0, 3.5 * i], [2000.0, 3.5 * i]], lane_id=name)
+             for i, name in enumerate(names)}
+    adjacency = {
+        name: {"left": names[i + 1] if i < 2 else None,
+               "right": names[i - 1] if i > 0 else None}
+        for i, name in enumerate(names)
+    }
+    road = RoadMap(paths, adjacency)
+    vehicles = [VehicleState(id="ego", x=50.0, y=3.5 * ego_lane, v=10.0,
+                             psi=0.0, connected=True)]
+    for k, (lane, x) in enumerate(others):
+        vehicles.append(VehicleState(id=f"cav{k}", x=x, y=3.5 * lane, v=9.0,
+                                     psi=0.0, connected=True))
+    return World(road, vehicles), road
+
+
+class TestProjectionCount:
+    # Lane index and x of each target CAV.
+    TARGETS = [(0, 20.0), (1, 80.0), (1, 10.0), (2, 65.0), (2, 30.0), (2, 95.0)]
+
+    def count(self, monkeypatch, ego_lane):
+        world, road = lane_world(ego_lane, self.TARGETS)
+        view = build_joint_state(world, 500.0, None).views["ego"]
+        assert len(list(view.all_targets())) == len(self.TARGETS)
+        assert all(obs.lane_detect is not None for obs in view.all_targets())
+        calls = []
+        project = Path.project
+
+        def counted(path, x, y, *args):
+            calls.append(path.lane_id)
+            return project(path, x, y, *args)
+
+        def no_lane_of(*args):
+            raise AssertionError("lane_of called")
+
+        raised = []
+
+        def tracer(frame, event, arg):
+            if event == "exception":
+                raised.append(arg[0])
+            return tracer
+
+        monkeypatch.setattr(Path, "project", counted)
+        monkeypatch.setattr(RoadMap, "lane_of", no_lane_of)
+        sys.settrace(tracer)
+        try:
+            result = agent_safe_set(view, road, CFG0, DYN,
+                                    action_table(DYN, ActionSpace()))
+        finally:
+            sys.settrace(None)
+        return calls, raised, result
+
+    def test_middle_lane(self, monkeypatch):
+        calls, raised, _ = self.count(monkeypatch, 1)
+        # The ego and each target on the ego path, then the ego and that
+        # lane's targets on each adjacent lane.
+        assert len(calls) == 1 + 6 + (1 + 1) + (1 + 3)
+        assert calls.count("lane1") == 1 + 6
+        assert raised == []
+
+    @pytest.mark.parametrize("ego_lane", [0, 2])
+    def test_edge_lane(self, monkeypatch, ego_lane):
+        calls, raised, (_, verdicts, _, _) = self.count(monkeypatch, ego_lane)
+        # The only adjacent lane is lane1, with two targets.
+        assert len(calls) == 1 + 6 + (1 + 2)
+        assert calls.count("lane1") == 1 + 2
+        # The side off the road edge is unavailable, found without raising.
+        off = ActionSpace.RIGHT if ego_lane == 0 else ActionSpace.LEFT
+        assert verdicts[off].unavailable
+        assert raised == []
