@@ -9,6 +9,9 @@ from typing import Optional
 from . import kernels
 from .world import Path
 
+# Proportional gain [1/s] of the UCVs' speed-holding controller.
+SPEED_GAIN = 1.5
+
 
 class NoAdjacentLane(Exception):
     """Lane-change requested at a road edge; the action is unavailable."""
@@ -224,9 +227,9 @@ def emergency_control(params):
     return ControlInput(params.accel_min, 0.0)
 
 
-def speed_tracking_control(state, v_ref, path, params, gain=1.5):
+def speed_tracking_control(state, v_ref, path, params):
     """Scripted keep-lane controller holding a reference speed (UCVs)."""
-    accel = gain * (v_ref - state.v)
+    accel = SPEED_GAIN * (v_ref - state.v)
     s, d = path.project(state.x, state.y)
     return params.clamp(
         ControlInput(accel, lane_keep_steer(state, path, s, d, params)))

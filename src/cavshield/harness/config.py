@@ -11,10 +11,13 @@ Top-level YAML keys mirror the dataclass fields:
               at startup), horizon, conflict_radius, v_max, p_col, p_sas
     marl:     hidden, lr, lr_critic, clip_eps, gamma, kappa_wst,
               kappa_reg, n_adv, ppo_epochs, critic_epochs, reward_scale,
-              epsilon_ball, n_cav_slots, n_ucv_slots, max_lanes
-    harness:  episode_len, train_episodes, quick_train_episodes,
-              quick_test_episodes, action_k, ptb_window, ptb_epsilon_bound,
-              ptb_targets
+              n_cav_slots, n_ucv_slots, max_lanes
+    harness:  episode_len, train_episodes, quick_train_episodes, action_k,
+              ptb_window, ptb_targets
+
+shield.epsilon is the one observation-error bound: the robust shield's
+buffer absorbs it, the SR-MAPPO regularizer searches a ball of that radius
+and evaluation records every perturbation error beyond it.
 """
 
 import dataclasses
@@ -53,8 +56,6 @@ class MarlConfig:
     critic_epochs: int = 10
     # Internal optimization scale for raw rewards; metrics stay raw.
     reward_scale: float = 1e-3
-    # Radius of the regularizer's perturbation ball (raw meters / m/s).
-    epsilon_ball: float = 2.0
     n_cav_slots: int = 2
     n_ucv_slots: int = 3
     max_lanes: int = 4
@@ -73,7 +74,7 @@ class MarlConfig:
         # Any other value fails only inside an update, or as
         # TrainingDiverged after a whole episode.
         for key in ("lr", "lr_critic", "clip_eps", "gamma", "kappa_wst",
-                    "kappa_reg", "reward_scale", "epsilon_ball"):
+                    "kappa_reg", "reward_scale"):
             value = getattr(self, key)
             if not (isinstance(value, numbers.Real)
                     and not isinstance(value, bool) and math.isfinite(value)):
@@ -86,7 +87,6 @@ class MarlConfig:
             ("clip_eps", self.clip_eps >= 0, ">= 0"),
             ("kappa_wst", self.kappa_wst >= 0, ">= 0"),
             ("kappa_reg", self.kappa_reg >= 0, ">= 0"),
-            ("epsilon_ball", self.epsilon_ball >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}")
@@ -97,18 +97,15 @@ class HarnessConfig:
     episode_len: int = 200
     train_episodes: int = 200
     quick_train_episodes: int = 20
-    quick_test_episodes: int = 10
     action_k: int = 3
     ptb_window: tuple = (50, 150)
-    ptb_epsilon_bound: float = math.inf
     # Target set for the target-vehicles strategy; None = every UCV.
     ptb_targets: tuple = None
 
     def __post_init__(self):
         # A 0-step episode leaves the PPO update nothing to stack; a run of
         # no episodes would write an untrained checkpoint or no report.
-        for key in ("episode_len", "train_episodes", "quick_train_episodes",
-                    "quick_test_episodes"):
+        for key in ("episode_len", "train_episodes", "quick_train_episodes"):
             if not is_count(getattr(self, key)):
                 raise ValueError(f"{key} must be an int >= 1")
         window = self.ptb_window
@@ -127,7 +124,7 @@ class HarnessConfig:
 class Config:
     world: WorldConfig = field(default_factory=WorldConfig)
     dynamics: DynamicsParams = field(default_factory=DynamicsParams)
-    shield: ShieldConfig = field(default_factory=lambda: ShieldConfig(epsilon=2.0))
+    shield: ShieldConfig = field(default_factory=ShieldConfig)
     marl: MarlConfig = field(default_factory=MarlConfig)
     harness: HarnessConfig = field(default_factory=HarnessConfig)
 

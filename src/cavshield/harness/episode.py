@@ -305,7 +305,7 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
         )
         rewards = step_reward(
             world, spec.destinations, new_collisions, next_outcome,
-            crashed_before, shield_cfg.p_col,
+            crashed_before, shield_cfg.p_col, shield_cfg.p_sas,
         )
 
         rec = {

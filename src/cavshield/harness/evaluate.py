@@ -44,15 +44,16 @@ class EvalReport:
 
 
 def build_schedule(kind, seed, cfg, spec):
+    """One episode's perturbation schedule; it records every error beyond
+    the shield's assumed bound cfg.shield.epsilon."""
+    bound = cfg.shield.epsilon
     if kind == "none":
         return identity_schedule()
     if kind == "rand":
-        return make_rand(seed, epsilon_bound=cfg.harness.ptb_epsilon_bound)
+        return make_rand(seed, epsilon_bound=bound)
     if kind == "time":
-        return make_ptb_over_time(
-            seed, cfg.harness.ptb_window,
-            epsilon_bound=cfg.harness.ptb_epsilon_bound,
-        )
+        return make_ptb_over_time(seed, cfg.harness.ptb_window,
+                                  epsilon_bound=bound)
     if kind == "veh":
         targets = cfg.harness.ptb_targets
         if targets is None:
@@ -62,9 +63,7 @@ def build_schedule(kind, seed, cfg, spec):
             if vid not in known:
                 raise ValueError(f"ptb_targets: {vid!r} is not a vehicle of "
                                  f"scenario {spec.name!r}")
-        return make_ptb_target_vehicles(
-            seed, targets, epsilon_bound=cfg.harness.ptb_epsilon_bound,
-        )
+        return make_ptb_target_vehicles(seed, targets, epsilon_bound=bound)
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
 

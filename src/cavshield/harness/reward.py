@@ -11,13 +11,13 @@ import math
 
 
 def step_reward(world, destinations, new_collisions, outcome, crashed_before,
-                p_col):
+                p_col, p_sas):
     """Per-agent reward for the transition that just happened.
 
     A vehicle stops accruing speed/distance terms once it has collided;
     the collision penalty lands exactly once, on the step the pair first
-    overlaps.  Safety feedback (P^SAS) comes from the shield outcome for
-    the post-step state, per the rollout loop's ordering.
+    overlaps.  Safety feedback (p_sas per emergency stop) comes from the
+    shield outcome for the post-step state, per the rollout loop's ordering.
     """
     agents = world.cav_ids
     if not agents:
@@ -37,5 +37,5 @@ def step_reward(world, destinations, new_collisions, outcome, crashed_before,
         dx = veh.x - destinations[vid][0]
         dy = veh.y - destinations[vid][1]
         total -= mu * math.sqrt(dx * dx + dy * dy)
-        total += mu * outcome.safety_reward.get(vid, 0.0)
+        total += mu * (p_sas if outcome.emergency.get(vid) else 0.0)
     return {aid: total for aid in agents}

@@ -4,8 +4,8 @@ Each shipped file ``data/<name>.yaml`` is the scenario ``<name>``;
 scenario_names() lists them. Keys of a file:
 
     vehicle_length, vehicle_width   footprint of every vehicle [m]
-    lanes         list of {id, waypoints: [[x, y], ...], signal (optional)};
-                  the order is the order in which lane lookups break ties
+    lanes         list of {id, waypoints: [[x, y], ...]}; the order is the
+                  order in which lane lookups break ties
     adjacency     lane id -> {left, right}: neighbour lane id or null
                   (optional; a lane without an entry has no neighbours)
     spawns        list of {id, lane, s, speed: [lo, hi], connected}; CAVs
@@ -275,10 +275,9 @@ def _merge(base, overrides, vehicle_ids, where):
 def _road(lane_entries, adjacency, where):
     lanes = {}
     for lane_id, entry in _by_id(lane_entries, f"{where} lanes").items():
-        _check_keys(entry, ("id", "waypoints", "signal"),
+        _check_keys(entry, ("id", "waypoints"),
                     f"{where} lane {lane_id!r}", required=("waypoints",))
-        lanes[lane_id] = Path(entry["waypoints"], lane_id=lane_id,
-                              signal=entry.get("signal"))
+        lanes[lane_id] = Path(entry["waypoints"], lane_id=lane_id)
     _check_keys(adjacency, lanes, f"{where} adjacency", what="lane")
     for lane_id, sides in adjacency.items():
         _check_keys(sides, ("left", "right"), f"{where} adjacency {lane_id!r}")

@@ -358,7 +358,7 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
                 sel = algo.worst_candidates(
                     agent.actor, obs,
                     perturbation_samples(encoder_spec, obs, masks,
-                                         marl.epsilon_ball, marl.n_adv, rng),
+                                         cfg.shield.epsilon, marl.n_adv, rng),
                 )
             else:
                 # Every weight is 0, so the regularizer's loss is 0 and its

@@ -89,8 +89,6 @@ class PerturbationSchedule:
         return e
 
     def _raw_error(self, t, vehicle_id):
-        if self.kind == KIND_NONE:
-            return None
         if self.constant is not None:
             return self.constant
         key = _vid_key(vehicle_id)

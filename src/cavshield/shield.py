@@ -48,7 +48,7 @@ class ShieldConfig:
     c2: float = 1.0  # braking-differential weight
     c3: float = 2.0  # standstill margin [m]
     gamma_cbf: float = 1.0  # linear class-K gain [1/s]
-    epsilon: float = 0.0  # assumed observation-error 2-norm bound [m]
+    epsilon: float = 2.0  # assumed observation-error 2-norm bound [m]
     lipschitz_sum: Optional[float] = None  # None -> empirical calibration
     horizon: float = 60.0  # pseudo-car generation range [m]
     conflict_radius: float = 2.5  # "inside the conflict region" radius [m]
@@ -108,7 +108,6 @@ class ActionVerdict:
 @dataclass
 class SafetyOutcome:
     safe_sets: dict = field(default_factory=dict)  # agent -> [action ids]
-    safety_reward: dict = field(default_factory=dict)  # agent -> P^SAS part
     emergency: dict = field(default_factory=dict)  # agent -> bool
     verdicts: dict = field(default_factory=dict)  # agent -> {action -> verdict}
     controls: dict = field(default_factory=dict)  # agent -> {action -> input}
@@ -501,8 +500,8 @@ def agent_safe_set(view, road, cfg, dyn, table):
 
 
 def safety_shield(joint, road, cfg, dyn, space):
-    """Safe action sets, emergency flags and the per-step safety-reward
-    feedback for every agent (consumes the possibly-perturbed views)."""
+    """Safe action sets and emergency flags (the reward's P^SAS feedback)
+    for every agent (consumes the possibly-perturbed views)."""
     table = action_table(dyn, space)
     out = SafetyOutcome()
     for aid, view in joint.views.items():
@@ -513,7 +512,6 @@ def safety_shield(joint, road, cfg, dyn, space):
         out.verdicts[aid] = verdicts
         out.controls[aid] = controls
         out.emergency[aid] = emergency
-        out.safety_reward[aid] = cfg.p_sas if emergency else 0.0
     return out
 
 
@@ -525,5 +523,4 @@ def open_shield(joint, dyn, space):
         out.verdicts[aid] = {}
         out.controls[aid] = {}
         out.emergency[aid] = False
-        out.safety_reward[aid] = 0.0
     return out

@@ -67,7 +67,7 @@ class Path:
     per-call overhead would dominate.
     """
 
-    def __init__(self, waypoints, lane_id=None, signal=None):
+    def __init__(self, waypoints, lane_id=None):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError("waypoints must be an (N>=2, 2) array")
@@ -85,7 +85,6 @@ class Path:
             raise ValueError("waypoints must be finite")
         self.waypoints = pts
         self.lane_id = lane_id
-        self.signal = signal
         self.segments = tuple(segments)
         self.length = s_start
         self._starts = tuple(seg[5] for seg in segments)
@@ -94,10 +93,11 @@ class Path:
             for _, _, sx, sy, seg_len, _ in segments
         )
 
-    def project(self, x, y, corridor=CORRIDOR_RADIUS):
+    def project(self, x, y):
         """Nearest-point projection -> (s, d); d > 0 left of travel.
 
-        The first segment wins a distance tie.
+        The first segment wins a distance tie.  A point farther than
+        CORRIDOR_RADIUS from the path raises OutOfCorridor.
         """
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"cannot project non-finite point ({x}, {y})")
@@ -120,10 +120,10 @@ class Path:
             if d2 < best_d2:
                 best_d2, best, best_t, best_rx, best_ry = d2, seg, t, rx, ry
         dist = math.sqrt(best_d2)
-        if dist > corridor:
+        if dist > CORRIDOR_RADIUS:
             raise OutOfCorridor(
                 f"point ({x:.1f}, {y:.1f}) is {dist:.1f} m from path "
-                f"{self.lane_id!r} (corridor {corridor} m)"
+                f"{self.lane_id!r} (corridor {CORRIDOR_RADIUS} m)"
             )
         _, _, sx, sy, seg_len, s_start = best
         s = s_start + best_t * seg_len
@@ -246,8 +246,8 @@ class RoadMap:
         """Neighbor lane id on 'left' or 'right', or None at a road edge."""
         return self.adjacency.get(lane_id, {}).get(side)
 
-    def lane_of(self, x, y, psi=None):
-        """Nearest lane whose direction roughly matches psi (if given).
+    def lane_of(self, x, y, psi):
+        """Nearest lane whose direction is within ALIGN_CONE of psi.
 
         Answers are remembered by (x, y, psi), at most LANE_MEMO_SIZE of
         them (the memo starts over when full): within one step every
@@ -263,7 +263,7 @@ class RoadMap:
         best = memo.get(key, _MISS)
         if best is not _MISS:
             return best
-        if psi is not None and not math.isfinite(psi):
+        if not math.isfinite(psi):
             raise ValueError(f"cannot match lanes to non-finite heading {psi}")
         best = None
         best_d = math.inf
@@ -272,10 +272,9 @@ class RoadMap:
                 s, d = path.project(x, y)
             except OutOfCorridor:
                 continue
-            if psi is not None:
-                diff = abs(kernels.wrap_angle(psi - path.heading_at(s)))
-                if diff > ALIGN_CONE:
-                    continue
+            diff = abs(kernels.wrap_angle(psi - path.heading_at(s)))
+            if diff > ALIGN_CONE:
+                continue
             if abs(d) < best_d:
                 best_d = abs(d)
                 best = lane_id

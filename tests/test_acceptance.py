@@ -40,6 +40,8 @@ from test_qp import conditioned_problem, grid_oracle, phase1_oracle, random_prob
 from test_shield import follower_leader_world, run_follower_episode
 
 DYN = DynamicsParams()
+# Test episodes per checkpoint of the quick protocol (C7).
+QUICK_TEST_EPISODES = 10
 
 
 def test_c1_qp_oracle_equivalence():
@@ -322,7 +324,7 @@ def test_c7_robustness_ablation(tmp_path):
             path = str(tmp_path / f"{algo_name}_{seed}.npz")
             trainer.save_checkpoint(path, result, settings)
             report = ev.evaluate(
-                path, ptb="veh", n_episodes=cfg.harness.quick_test_episodes,
+                path, ptb="veh", n_episodes=QUICK_TEST_EPISODES,
                 seed=seed, cfg=cfg,
             )
             rates[algo_name] = report.collision_free_rate

@@ -1,12 +1,16 @@
 """The benchmark's hooks into the package: perfbench/spans.py wraps named
-functions and methods of cavshield and perfbench/run.py reads
-kernels.BACKEND.  Renaming or deleting any of them must fail here, not
-only after a full timed run of perfbench/run.py --trace 1."""
+functions and methods of cavshield, perfbench/run.py reads kernels.BACKEND,
+and each workload's set-up builds its config, scenario and checkpoint
+through the package (perfbench/run.py --setup-only).  Renaming or deleting
+any of them must fail here, not only after a full timed run of
+perfbench/run.py."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,6 +22,24 @@ spans.install(spans.Tracer())
 from cavshield import kernels
 print(kernels.BACKEND)
 """
+
+
+# The workloads BENCHMARK.json declares.
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_setup_runs(workload):
+    # The eval set-up writes its checkpoint under .bench_out/ and removes
+    # it again before it exits.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "1", "--trace", "0",
+         "--setup-only"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_tracer_installs_and_backend_is_readable():

@@ -19,7 +19,7 @@ from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
 from cavshield.harness.reward import step_reward
 from cavshield.marl import trainer
-from cavshield.perturb import make_constant, make_rand
+from cavshield.perturb import make_constant, make_ptb_target_vehicles, make_rand
 from cavshield.shield import SafetyOutcome
 from cavshield.world import Path, RoadMap, VehicleState, World
 
@@ -34,10 +34,14 @@ class TestConfig:
         back = Config.from_yaml(text)
         assert back == CFG
 
-    # Old config files may still set the exploration and target-sync keys.
+    # Old config files may still set the exploration and target-sync keys,
+    # a regularizer ball or violation bound of their own (both are
+    # shield.epsilon) or the test-episode count that nothing read.
     @pytest.mark.parametrize("section,key", [
         ("shield", "bogus"), ("marl", "eps_explore_start"),
         ("marl", "eps_explore_end"), ("marl", "worst_q_sync"),
+        ("marl", "epsilon_ball"), ("harness", "ptb_epsilon_bound"),
+        ("harness", "quick_test_episodes"),
     ])
     def test_unknown_key_rejected(self, section, key):
         with pytest.raises(KeyError, match=key):
@@ -48,10 +52,25 @@ class TestConfig:
         assert cfg.shield.epsilon == 3.0
         assert cfg.marl.lr == 1e-3
 
+    def test_file_without_shield_epsilon_runs_the_robust_shield(self):
+        # A file that leaves shield.epsilon out gets the documented bound,
+        # not epsilon = 0, under which the robust shield is the plain one.
+        cfg = Config.from_yaml("harness: {episode_len: 60}")
+        assert cfg.shield == Config().shield
+        spec = scen.build_scenario("intersection", mode="test", cfg=cfg)
+        spec.episode_len = 80
+        steps = {}
+        for mode in (ep.SHIELD_ROBUST, ep.SHIELD_PLAIN):
+            log = ep.run_episode(
+                spec, cfg, ep.RandomSafeTeamPolicy(),
+                schedule=make_ptb_target_vehicles(7, spec.ucv_ids), seed=7,
+                shield_mode=mode, collect_obs=False,
+            )
+            steps[mode] = log.to_jsonl().splitlines()[1:]
+        assert steps[ep.SHIELD_ROBUST] != steps[ep.SHIELD_PLAIN]
+
     @pytest.mark.parametrize("marl", [
         {"n_adv": -3}, {"n_adv": 2.5}, {"n_adv": "8"}, {"n_adv": True},
-        {"epsilon_ball": -1.0}, {"epsilon_ball": math.nan},
-        {"epsilon_ball": math.inf}, {"epsilon_ball": "2.0"},
     ])
     def test_marl_regularizer_rejected(self, marl):
         with pytest.raises(ValueError, match=next(iter(marl))):
@@ -84,6 +103,7 @@ class TestConfig:
         ({"v_max": math.nan}, "v_max"), ({"v_max": -3}, "v_max"),
         ({"conflict_radius": math.inf}, "conflict_radius"),
         ({"p_col": -math.inf}, "p_col"), ({"p_sas": math.nan}, "p_sas"),
+        ({"epsilon": -1.0}, "epsilon"), ({"epsilon": "2.0"}, "epsilon"),
     ])
     def test_shield_rejected(self, shield, key):
         with pytest.raises(ValueError, match=key):
@@ -127,8 +147,6 @@ class TestConfig:
         ({"train_episodes": -3}, "train_episodes"),
         ({"quick_train_episodes": 0}, "quick_train_episodes"),
         ({"quick_train_episodes": 2.5}, "quick_train_episodes"),
-        ({"quick_test_episodes": -1}, "quick_test_episodes"),
-        ({"quick_test_episodes": True}, "quick_test_episodes"),
         ({"ptb_window": [150, 50]}, "ptb_window"),
         ({"ptb_window": [50, 50]}, "ptb_window"),
         ({"ptb_window": [-10, 50]}, "ptb_window"),
@@ -143,9 +161,9 @@ class TestConfig:
     def test_harness_count_edges_accepted(self):
         cfg = Config.from_dict({"harness": {
             "train_episodes": 1, "quick_train_episodes": 1,
-            "quick_test_episodes": 1, "ptb_window": [0, 1]}})
+            "ptb_window": [0, 1]}})
         assert cfg.harness.ptb_window == (0, 1)
-        assert cfg.harness.quick_test_episodes == 1
+        assert cfg.harness.quick_train_episodes == 1
 
     # Each loads at an older parent and fails only later: in build_agents
     # or train, inside Adam, or as TrainingDiverged after a full episode.
@@ -164,7 +182,6 @@ class TestConfig:
         ({"reward_scale": math.inf}, "reward_scale"),
         ({"reward_scale": 0}, "reward_scale"),
         ({"clip_eps": -1}, "clip_eps"), ({"clip_eps": math.nan}, "clip_eps"),
-        ({"epsilon_ball": True}, "epsilon_ball"),
     ])
     def test_marl_values_rejected(self, marl, key):
         with pytest.raises(ValueError, match=key):
@@ -179,9 +196,7 @@ class TestConfig:
         assert (cfg.marl.hidden, cfg.marl.gamma) == ((16,), 1.0)
 
     def test_marl_regularizer_accepted(self):
-        cfg = Config.from_dict({"marl": {"n_adv": 0, "epsilon_ball": 0.0}})
-        assert (cfg.marl.n_adv, cfg.marl.epsilon_ball) == (0, 0.0)
-        assert Config.from_dict({"marl": {"epsilon_ball": 3}}).marl.epsilon_ball == 3
+        assert Config.from_dict({"marl": {"n_adv": 0}}).marl.n_adv == 0
 
 
 class TestScenario:
@@ -205,7 +220,7 @@ class TestScenario:
         # A shipped document dumped to YAML text and loaded back builds the
         # same scenario as the cached parse of the file.
         def fields(spec):
-            lanes = [(lid, p.waypoints.tolist(), p.signal)
+            lanes = [(lid, p.waypoints.tolist())
                      for lid, p in spec.road.lanes.items()]
             return (spec.name, spec.mode, spec.episode_len, lanes,
                     spec.road.adjacency, spec.cav_spawns, spec.ucv_spawns,
@@ -316,7 +331,7 @@ def valid_doc():
         "vehicle_length": 4.5,
         "vehicle_width": 2.0,
         "lanes": [
-            {"id": "a", "signal": "green", "waypoints": [[0.0, 0.0], [300.0, 0.0]]},
+            {"id": "a", "waypoints": [[0.0, 0.0], [300.0, 0.0]]},
             {"id": "b", "waypoints": [[0.0, 3.5], [300.0, 3.5]]},
         ],
         "adjacency": {"a": {"left": "b", "right": None}, "b": {"right": "a"}},
@@ -344,6 +359,8 @@ MALFORMED = {
     "top-level typo": (_set(["behaviours"], {"ucv0": {"kind": "sudden_brake"}}),
                        "behaviours"),
     "lane key": (_set(["lanes", 0, "colour"], "red"), "colour"),
+    # Old scenario files may still give a lane a signal phase.
+    "lane signal": (_set(["lanes", 0, "signal"], "green"), "signal"),
     "lane without waypoints": (lambda d: d["lanes"][1].pop("waypoints"), "waypoints"),
     "adjacency side": (_set(["adjacency", "a", "up"], "b"), "up"),
     "spawn key": (_set(["spawns", 0, "sped"], [1.0, 2.0]), "sped"),
@@ -598,7 +615,6 @@ def reward_world(n_agents=3):
 def empty_outcome(agents, sas=()):
     out = SafetyOutcome()
     for aid in agents:
-        out.safety_reward[aid] = -10.0 if aid in sas else 0.0
         out.emergency[aid] = aid in sas
     return out
 
@@ -608,16 +624,26 @@ class TestReward:
         world = reward_world()
         dests = {vid: (v.x, v.y) for vid, v in world.vehicles.items()}
         r = step_reward(world, dests, set(), empty_outcome(world.cav_ids),
-                        set(), p_col=-200.0)
+                        set(), p_col=-200.0, p_sas=-10.0)
         assert all(v == 0.0 for v in r.values())
 
     def test_single_collision_shared_penalty(self):
         world = reward_world()
         dests = {vid: (v.x, v.y) for vid, v in world.vehicles.items()}
         r = step_reward(world, dests, {("cav0", "ucvX")},
-                        empty_outcome(world.cav_ids), set(), p_col=-200.0)
+                        empty_outcome(world.cav_ids), set(), p_col=-200.0,
+                        p_sas=-10.0)
         for v in r.values():
             assert v == pytest.approx(-200.0 / 3.0)
+
+    def test_emergency_stops_cost_p_sas_each(self):
+        world = reward_world()
+        dests = {vid: (v.x, v.y) for vid, v in world.vehicles.items()}
+        r = step_reward(world, dests, set(),
+                        empty_outcome(world.cav_ids, sas={"cav1", "cav2"}),
+                        set(), p_col=-200.0, p_sas=-10.0)
+        for v in r.values():
+            assert v == pytest.approx(2 * -10.0 / 3.0)
 
     def test_rewards_identical_across_agents(self):
         rng = np.random.default_rng(5)
@@ -628,7 +654,7 @@ class TestReward:
         dests = {vid: (200.0, 0.0) for vid in world.vehicles}
         r = step_reward(world, dests, set(),
                         empty_outcome(world.cav_ids, sas={"cav1"}), set(),
-                        p_col=-200.0)
+                        p_col=-200.0, p_sas=-10.0)
         vals = list(r.values())
         assert vals[0] == vals[1] == vals[2]
 
@@ -637,7 +663,7 @@ class TestReward:
         world.vehicles["cav0"].v = 9.0
         dests = {"cav0": (world.vehicles["cav0"].x + 30.0, 0.0)}
         r = step_reward(world, dests, set(), empty_outcome(["cav0"]), set(),
-                        p_col=-200.0)
+                        p_col=-200.0, p_sas=-10.0)
         assert r["cav0"] == pytest.approx(9.0 - 30.0)
 
     def test_crashed_agent_stops_accruing(self):
@@ -646,10 +672,10 @@ class TestReward:
         for veh in world.vehicles.values():
             veh.v = 10.0
         r_all = step_reward(world, dests, set(), empty_outcome(world.cav_ids),
-                            set(), p_col=-200.0)
+                            set(), p_col=-200.0, p_sas=-10.0)
         r_crashed = step_reward(world, dests, set(),
                                 empty_outcome(world.cav_ids), {"cav0"},
-                                p_col=-200.0)
+                                p_col=-200.0, p_sas=-10.0)
         # cav0's terms (10 speed, -200+... distance) drop out of the sums.
         assert r_crashed["cav0"] != r_all["cav0"]
         expected_delta = (10.0 - math.dist((0.0, 0.0), (200.0, 0.0))) / 3.0
@@ -1024,6 +1050,12 @@ class TestEvaluate:
         assert sched.targets == frozenset({"ucv1"})
         default = ev.build_schedule("veh", 0, cfg, spec)
         assert default.targets == frozenset(spec.ucv_ids)
+
+    @pytest.mark.parametrize("kind", ["rand", "time", "veh"])
+    def test_violations_are_recorded_against_the_shield_epsilon(self, kind):
+        cfg = Config.from_dict({"shield": {"epsilon": 0.5}})
+        spec = scen.build_scenario("intersection", mode="test", cfg=cfg)
+        assert ev.build_schedule(kind, 0, cfg, spec).epsilon_bound == 0.5
 
     def test_ptb_targets_must_name_vehicles(self):
         # An unknown id, or a bare string (which would become a set of its

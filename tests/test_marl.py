@@ -305,12 +305,16 @@ class TestWorstQ:
             agents, batch, encoder.spec, cfg, cfg.marl.kappa_wst,
             cfg.marl.kappa_reg, rng=np.random.default_rng(0), train_worst_q=True,
         )
+        # One fit per epoch for each agent with an acted step: an agent
+        # that only ever stopped for emergencies has nothing to fit.
+        fitting = [aid for aid in agents if np.any(
+            batch.actions[:, spec.agent_ids.index(aid)] >= 0)]
         epochs = cfg.marl.critic_epochs
-        assert len(fitted) == epochs * len(agents)
+        assert len(fitted) == epochs * len(fitting)
         last = len(log.steps) - 1
         nxt = [block.reshape(-1) for block in policy.obs[1:]]
         last_acted = 0
-        for i, aid in enumerate(agents):
+        for i, aid in enumerate(fitting):
             want = []
             col = spec.agent_ids.index(aid)
             for t, action in enumerate(batch.actions[:, col].tolist()):
@@ -1026,7 +1030,7 @@ def reference_update_agents(agents, batch, encoder_spec, cfg, kappa_wst,
             sel = algo.worst_candidates(
                 agent.actor, obs,
                 perturbation_samples(encoder_spec, obs, masks,
-                                     marl.epsilon_ball, marl.n_adv, rng),
+                                     cfg.shield.epsilon, marl.n_adv, rng),
             )
             weights = algo.state_importance(agent.value, agent.worst_q, central)
 
@@ -1155,6 +1159,24 @@ class TestRegularizerSkip:
         assert reg_calls == want[4] == 3 * rollout[0].marl.ppo_epochs
         assert losses["loss_reg"] > 0.0
         assert losses["reg_weighted_rows"] >= 3 * len(rows)
+
+    def test_ball_radius_is_the_shield_epsilon(self, monkeypatch, rollout):
+        _, agents, batch, encoder_spec = rollout
+        cfg = Config.from_dict({"harness": {"episode_len": 40},
+                                "shield": {"epsilon": 0.5}})
+        radii = []
+
+        def recorded_samples(spec, obs, masks, epsilon, *args):
+            radii.append(epsilon)
+            return perturbation_samples(spec, obs, masks, epsilon, *args)
+
+        monkeypatch.setattr(algo, "state_importance",
+                            lambda *args: np.ones(len(batch.obs) - 1))
+        monkeypatch.setattr(trainer, "perturbation_samples", recorded_samples)
+        trainer._update_agents(copy.deepcopy(agents), batch, encoder_spec, cfg,
+                               cfg.marl.kappa_wst, cfg.marl.kappa_reg,
+                               rng=np.random.default_rng(0), train_worst_q=True)
+        assert radii == [0.5] * len(agents)
 
     def test_columns_follow_agent_ids(self, rollout):
         # Without the regularizer the update draws nothing, so each agent's

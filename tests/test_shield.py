@@ -572,7 +572,6 @@ class TestSafetyShield:
         outcome = safety_shield(joint, road, CFG0, DYN, ActionSpace())
         assert outcome.safe_sets["ego"] == ActionSpace().actions()
         assert not outcome.emergency["ego"]
-        assert outcome.safety_reward["ego"] == 0.0
 
     def test_empty_safe_set_substitutes_emergency_stop(self):
         # Stopped leader well inside D_SF: even BRAKE's band cannot meet
@@ -582,7 +581,6 @@ class TestSafetyShield:
         outcome = safety_shield(joint, road, CFG0, DYN, ActionSpace())
         assert outcome.safe_sets["ego"] == [ActionSpace.EMERGENCY]
         assert outcome.emergency["ego"]
-        assert outcome.safety_reward["ego"] == CFG0.p_sas
         u = outcome.controls["ego"][ActionSpace.EMERGENCY]
         assert u.accel == DYN.accel_min
         assert u.steer == 0.0

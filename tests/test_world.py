@@ -337,7 +337,6 @@ class TestLaneMemo:
             rnd.uniform(-60.0, 80.0, 300), rnd.uniform(-10.0, 70.0, 300),
             rnd.uniform(-math.pi, math.pi, 300),
         )]
-        points += [(x, y, None) for x, y, _ in points[:50]]
         for _ in range(2):
             for x, y, psi in points:
                 assert road.lane_of(x, y, psi) == bent_road().lane_of(x, y, psi)
@@ -347,7 +346,7 @@ class TestLaneMemo:
         # The memo's key aliases 0.0 and -0.0; either order of the calls
         # gives what a fresh road gives.  y = 1.75 ties both lanes.
         road = two_lane_road()
-        for rest in [(0.0, 0.0), (1.75, -0.0), (-0.0, 0.0), (3.5, None)]:
+        for rest in [(0.0, 0.0), (1.75, -0.0), (-0.0, 0.0)]:
             want = two_lane_road().lane_of(second, *rest)
             assert two_lane_road().lane_of(first, *rest) == want
             assert road.lane_of(first, *rest) == want
