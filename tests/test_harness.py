@@ -147,6 +147,8 @@ class TestConfig:
         ({"train_episodes": -3}, "train_episodes"),
         ({"quick_train_episodes": 0}, "quick_train_episodes"),
         ({"quick_train_episodes": 2.5}, "quick_train_episodes"),
+        ({"quick_train_episodes": True}, "quick_train_episodes"),
+        ({"train_episodes": "200"}, "train_episodes"),
         ({"ptb_window": [150, 50]}, "ptb_window"),
         ({"ptb_window": [50, 50]}, "ptb_window"),
         ({"ptb_window": [-10, 50]}, "ptb_window"),
