@@ -17,7 +17,7 @@ class NoAdjacentLane(Exception):
     """Lane-change requested at a road edge; the action is unavailable."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ControlInput:
     accel: float  # m/s^2
     steer: float  # rad
@@ -49,7 +49,8 @@ class DynamicsParams:
         # Each action's input box is non-empty only under these bounds.
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number")
         for key, ok, rule in (
             ("dt", self.dt > 0, "> 0"),

@@ -17,7 +17,7 @@ import numpy as np
 from .. import kernels
 from ..dynamics import ActionSpace, ControlInput, DynamicsParams, NoAdjacentLane, lane_context, nominal_control, emergency_control, speed_tracking_control
 from ..perturb import identity_schedule
-from ..shield import EgoView, open_shield, resolve_lipschitz, safety_shield
+from ..shield import EgoView, action_table, open_shield, resolve_lipschitz, safety_shield
 from ..world import build_joint_state
 from . import scenario as scen
 from .reward import step_reward
@@ -216,11 +216,12 @@ class EpisodeLog:
             return cls.from_jsonl(fh.read())
 
 
-def _shield_outcome(mode, joint, road, shield_cfg, plain_cfg, dyn, space):
+def _shield_outcome(mode, joint, road, shield_cfg, plain_cfg, dyn, space,
+                    table):
     if mode == SHIELD_OFF:
         return open_shield(joint, dyn, space)
     cfg = shield_cfg if mode == SHIELD_ROBUST else plain_cfg
-    return safety_shield(joint, road, cfg, dyn, space)
+    return safety_shield(joint, road, cfg, dyn, table)
 
 
 def _nominal_for(view, road, action, dyn, space):
@@ -240,6 +241,7 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
     schedule = schedule or identity_schedule()
     dyn = cfg.dynamics
     space = ActionSpace(cfg.harness.action_k)
+    table = action_table(dyn, space)
     shield_cfg = resolve_lipschitz(cfg.shield, dyn)
     plain_cfg = dataclasses.replace(shield_cfg, epsilon=0.0)
 
@@ -268,7 +270,8 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
 
     joint = build_joint_state(world, cfg.world.comm_range, schedule)
     outcome = _shield_outcome(
-        shield_mode, joint, spec.road, shield_cfg, plain_cfg, dyn, space
+        shield_mode, joint, spec.road, shield_cfg, plain_cfg, dyn, space,
+        table,
     )
 
     for t in range(spec.episode_len):
@@ -301,7 +304,8 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
 
         next_joint = build_joint_state(world, cfg.world.comm_range, schedule)
         next_outcome = _shield_outcome(
-            shield_mode, next_joint, spec.road, shield_cfg, plain_cfg, dyn, space
+            shield_mode, next_joint, spec.road, shield_cfg, plain_cfg, dyn,
+            space, table,
         )
         rewards = step_reward(
             world, spec.destinations, new_collisions, next_outcome,

@@ -8,12 +8,14 @@ the action's accel band satisfies every barrier constraint
 where A = lipschitz_sum * epsilon is the buffer absorbing bounded
 observation error.  Barriers are longitudinal (safety-following and
 safety-leading distances), so each constraint bounds the acceleration
-alone.  Once per step, safety_shield builds the action table: each
-action's lane-change side, clamped nominal accel and accel band.  Once
-per agent-step, agent_safe_set projects the ego onto its lane and each
-adjacent lane and each target onto the lanes it is checked in, builds
-the barrier rows of the current lane and of each adjacent lane, and
-decides each action by the projection QP kernels.solve_qp_2d of its
+alone.  Once per episode, the caller builds the action table
+(action_table): each action's lane-change side, clamped nominal accel
+and accel band, which depend only on the dynamics and the action space;
+safety_shield takes it on every step.  Once per agent-step,
+agent_safe_set projects the ego onto its lane and each adjacent lane and
+each target onto the lanes it is checked in, builds the barrier rows of
+the current lane and of each adjacent lane, in the solver's row form,
+and decides each action by the projection QP kernels.solve_qp_2d of its
 nominal input onto those rows and its input box.
 Crossing traffic is folded in by transforming each crossing vehicle into
 a pseudo car on the ego path.  An empty safe set falls back to
@@ -64,7 +66,8 @@ class ShieldConfig:
             value = getattr(self, f.name)
             if f.name == "lipschitz_sum" and value is None:
                 continue
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number")
         for name in ("c1", "c2", "c3", "gamma_cbf", "epsilon", "lipschitz_sum",
                      "horizon", "v_max"):
@@ -73,7 +76,7 @@ class ShieldConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class PseudoCar:
     """A crossing vehicle mapped onto the ego path as a virtual same-lane
     vehicle: s = conflict arc-length minus the target's remaining distance,
@@ -84,7 +87,7 @@ class PseudoCar:
     source_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class BarrierTarget:
     role: str  # FRONT or REAR
     gap: float  # bumper-to-bumper along the relevant path [m]
@@ -97,7 +100,7 @@ class BarrierTarget:
         return f"{self.role}:{self.kind}:{self.source_id}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionVerdict:
     safe: bool
     u: Optional[object] = None  # filtered ControlInput when safe
@@ -164,22 +167,27 @@ def lead_constraint_terms(v, v_r, gap, cfg, dyn):
 
 
 class BarrierRows(NamedTuple):
-    """Barrier constraints coef * alpha >= b on the ego acceleration alpha."""
+    """Barrier constraints coef * alpha >= b on the ego acceleration alpha,
+    kept in the form kernels.solve_qp_2d takes: steer enters no row."""
 
-    labeled: tuple  # (coef, b, label) per barrier, in target order
+    rows: tuple  # (coef, 0.0, b) per barrier, in target order
+    labels: tuple  # the label of each row
 
     @classmethod
     def of(cls, labeled):
         """Rows from (coef, b, label) triples; coef and b must be finite."""
-        labeled = tuple(labeled)
-        for coef, b, _ in labeled:
+        rows = []
+        labels = []
+        for coef, b, label in labeled:
             if not (math.isfinite(coef) and math.isfinite(b)):
                 raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
-        return cls(labeled)
+            rows.append((coef, 0.0, b))
+            labels.append(label)
+        return cls(tuple(rows), tuple(labels))
 
     def join(self, other):
         """The rows of both sets, self's first."""
-        return BarrierRows(self.labeled + other.labeled)
+        return BarrierRows(self.rows + other.rows, self.labels + other.labels)
 
 
 def constraint_rows(ego_v, targets, cfg, dyn):
@@ -292,10 +300,9 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     dynamics.action_accel_bounds) times the steer range; the action is
     safe when some input in the box satisfies every row of rows (a
     BarrierRows), and its filtered input is the projection of u0 onto
-    that set (kernels.solve_qp_2d, each row as (coef, 0.0, b)).  Steer
-    enters no row, so it passes through.  The binding row is the one with
-    least slack at the filtered input (at u0 when unsafe); the first such
-    row wins a tie.
+    that set (kernels.solve_qp_2d on rows.rows).  Steer enters no row, so
+    it passes through.  The binding row is the one with least slack at the
+    filtered input (at u0 when unsafe); the first such row wins a tie.
     """
     if not (math.isfinite(u0.accel) and math.isfinite(u0.steer)):
         raise ValueError(f"nominal input {u0!r} is not finite")
@@ -304,7 +311,7 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
         raise ValueError(f"empty input box {accel_bounds!r} x "
                          f"{(dyn.steer_min, dyn.steer_max)!r}")
     status, ux, uy, _ = kernels.solve_qp_2d(
-        u0.accel, u0.steer, [(coef, 0.0, b) for coef, b, _ in rows.labeled],
+        u0.accel, u0.steer, rows.rows,
         lo, hi, dyn.steer_min, dyn.steer_max,
     )
     if status != kernels.QP_FEASIBLE:
@@ -317,7 +324,7 @@ def _binding(rows, alpha):
     """Label of the row with least slack coef * alpha - b, the first on a
     tie (as min() picks it)."""
     label = None
-    for coef, b, row_label in rows.labeled:
+    for (coef, _, b), row_label in zip(rows.rows, rows.labels):
         slack = coef * alpha - b
         if label is None or slack < least:
             least = slack
@@ -444,10 +451,12 @@ def agent_safe_set(view, road, cfg, dyn, table):
     the current-lane rows (lane and pseudo targets) and the lane-keep
     steer that KEEP, BRAKE and the throttle actions share, and onto each
     adjacent lane, which yields that lane's rows and the pursuit steer of
-    the lane change into it.  Each same-lane target is projected once,
-    onto the ego path (classify_targets), and each adjacent-lane target
-    once onto its lane.  Each action is then checked against its rows
-    with its own accel band; a lane change off the road edge is
+    the lane change into it.  Each steer is clamped to the steer range as
+    DynamicsParams.clamp does; the table's accel is clamped already.
+    Each same-lane target is projected once, onto the ego path
+    (classify_targets), and each adjacent-lane target once onto its lane.
+    Each row set is built once, and each action is then checked against
+    its rows with its own accel band; a lane change off the road edge is
     unavailable.
     """
     ego = EgoView(view.self_obs, road)
@@ -459,8 +468,8 @@ def agent_safe_set(view, road, cfg, dyn, table):
         + pseudo_barrier_targets(ego, ego_s, pseudo),
         cfg, dyn,
     )
-    keep_steer = dyn.clamp(ControlInput(
-        0.0, lane_keep_steer(ego, ego_path, ego_s, ego_d, dyn))).steer
+    keep_steer = min(max(lane_keep_steer(ego, ego_path, ego_s, ego_d, dyn),
+                         dyn.steer_min), dyn.steer_max)
 
     verdicts = {}
     controls = {}
@@ -476,8 +485,9 @@ def agent_safe_set(view, road, cfg, dyn, table):
                 continue
             path = road.path(lane)
             lane_s, _ = path.project(ego.x, ego.y)
-            u0 = dyn.clamp(
-                ControlInput(accel, pursuit_steer(ego, path, lane_s, dyn)))
+            steer = pursuit_steer(ego, path, lane_s, dyn)
+            u0 = ControlInput(
+                accel, min(max(steer, dyn.steer_min), dyn.steer_max))
             rows = current.join(constraint_rows(
                 ego.v,
                 lane_barrier_targets(ego, lane_s, [
@@ -499,10 +509,13 @@ def agent_safe_set(view, road, cfg, dyn, table):
     return safe, verdicts, controls, emergency
 
 
-def safety_shield(joint, road, cfg, dyn, space):
+def safety_shield(joint, road, cfg, dyn, table):
     """Safe action sets and emergency flags (the reward's P^SAS feedback)
-    for every agent (consumes the possibly-perturbed views)."""
-    table = action_table(dyn, space)
+    for every agent (consumes the possibly-perturbed views).
+
+    table is action_table(dyn, space): it depends on nothing else, so a
+    caller builds it once and passes it to every step's shield.
+    """
     out = SafetyOutcome()
     for aid, view in joint.views.items():
         safe, verdicts, controls, emergency = agent_safe_set(

@@ -34,7 +34,19 @@ _MISS = object()
 
 
 class OutOfCorridor(Exception):
-    """Point is too far from the path for a unique arc-length projection."""
+    """Point is too far from the path for a unique arc-length projection.
+
+    Path.project raises it with (x, y, distance, lane id), and the message
+    is built only when it is read: the shield and RoadMap.lane_of catch
+    and drop most of them.
+    """
+
+    def __str__(self):
+        if len(self.args) != 4:
+            return super().__str__()
+        x, y, dist, lane_id = self.args
+        return (f"point ({x:.1f}, {y:.1f}) is {dist:.1f} m from path "
+                f"{lane_id!r} (corridor {CORRIDOR_RADIUS} m)")
 
 
 @dataclass
@@ -121,10 +133,7 @@ class Path:
                 best_d2, best, best_t, best_rx, best_ry = d2, seg, t, rx, ry
         dist = math.sqrt(best_d2)
         if dist > CORRIDOR_RADIUS:
-            raise OutOfCorridor(
-                f"point ({x:.1f}, {y:.1f}) is {dist:.1f} m from path "
-                f"{self.lane_id!r} (corridor {CORRIDOR_RADIUS} m)"
-            )
+            raise OutOfCorridor(x, y, dist, self.lane_id)
         _, _, sx, sy, seg_len, s_start = best
         s = s_start + best_t * seg_len
         d = (sx / seg_len) * best_ry - (sy / seg_len) * best_rx
@@ -138,15 +147,19 @@ class Path:
 
     def heading_at(self, s):
         """Heading of the segment at arc length s (clamped to the path ends)."""
-        i, _ = self._locate(s)
-        return self._headings[i]
+        return self._headings[self._index(s)[0]]
 
-    def _locate(self, s):
+    def _index(self, s):
+        """(segment index, s clamped to the path ends)."""
         if s < 0.0:  # as min(max(s, 0.0), length), like project's clamp
             s = 0.0
         elif s > self.length:
             s = self.length
-        i = bisect.bisect_right(self._starts, s) - 1
+        return bisect.bisect_right(self._starts, s) - 1, s
+
+    def _locate(self, s):
+        """(segment index, fraction of that segment) at arc length s."""
+        i, s = self._index(s)
         _, _, _, _, seg_len, s_start = self.segments[i]
         return i, (s - s_start) / seg_len
 

@@ -1,8 +1,9 @@
 """The benchmark's hooks into the package: perfbench/spans.py wraps named
 functions and methods of cavshield, perfbench/run.py reads kernels.BACKEND,
-and each workload's set-up builds its config, scenario and checkpoint
-through the package (perfbench/run.py --setup-only).  Renaming or deleting
-any of them must fail here, not only after a full timed run of
+and each workload builds its config, scenario and checkpoint through the
+package and checks every episode it runs.  Renaming or deleting any of
+them, or a program change that makes a workload's episodes fail or its
+checks refuse them, must fail here, not only after a full timed run of
 perfbench/run.py."""
 
 import json
@@ -30,16 +31,19 @@ WORKLOADS = [w["name"] for w in
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_setup_runs(workload):
-    # The eval set-up writes its checkpoint under .bench_out/ and removes
-    # it again before it exits.
+def test_workload_setup_runs(workload, tmp_path):
+    # The shortest full run: set-up, then one round of the episode pool
+    # (6 episodes), each checked.  The eval set-up writes its checkpoint
+    # under .bench_out/ and removes it again before it exits.
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", "1", "--seconds", "1", "--trace", "0",
-         "--setup-only"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+         workload, "--seed", "1", "--seconds", "0.01", "--trace", "0",
+         "--report", str(tmp_path / "report.json")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
 
 
 def test_tracer_installs_and_backend_is_readable():

@@ -104,6 +104,8 @@ class TestConfig:
         ({"conflict_radius": math.inf}, "conflict_radius"),
         ({"p_col": -math.inf}, "p_col"), ({"p_sas": math.nan}, "p_sas"),
         ({"epsilon": -1.0}, "epsilon"), ({"epsilon": "2.0"}, "epsilon"),
+        ({"epsilon": True}, "epsilon"), ({"horizon": False}, "horizon"),
+        ({"p_sas": True}, "p_sas"),
     ])
     def test_shield_rejected(self, shield, key):
         with pytest.raises(ValueError, match=key):
@@ -124,6 +126,7 @@ class TestConfig:
         ({"brake_value": -0.1}, "brake_value"),
         ({"brake_value": 1.5}, "brake_value"),
         ({"wheelbase_frac": 0.0}, "wheelbase_frac"),
+        ({"dt": True}, "dt"), ({"hold_band": True}, "hold_band"),
     ])
     def test_dynamics_rejected(self, dynamics, key):
         with pytest.raises(ValueError, match=key):
@@ -702,6 +705,23 @@ class TestEpisode:
                                              "robust, plain, off"):
             ep.run_episode(spec, CFG, policy, shield_mode=mode)
         assert steps == []
+
+    @pytest.mark.parametrize("mode", [ep.SHIELD_ROBUST, ep.SHIELD_PLAIN])
+    def test_action_table_built_once_per_episode(self, monkeypatch, mode):
+        built = []
+        action_table = ep.action_table
+
+        def counted(*args):
+            built.append(args)
+            return action_table(*args)
+
+        monkeypatch.setattr(ep, "action_table", counted)
+        spec = scen.build_scenario("highway", mode="test", cfg=CFG)
+        spec.episode_len = 5
+        log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(), seed=0,
+                             shield_mode=mode, collect_obs=False)
+        assert len(log.steps) == 5
+        assert len(built) == 1
 
     def test_fixed_seed_bit_identical_logs(self):
         spec = scen.build_scenario("highway", mode="test", cfg=CFG)

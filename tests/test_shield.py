@@ -304,7 +304,7 @@ class TestCheckActionSafe:
             )
             alphas = np.linspace(lo, hi, 2001)
             ok = np.ones_like(alphas, dtype=bool)
-            for a, b, _ in rows.labeled:
+            for a, _, b in rows.rows:
                 ok &= a * alphas >= b - 1e-9
             assert verdict.safe == bool(ok.any())
 
@@ -446,6 +446,21 @@ class TestAccelProjectionMatchesQp:
             )
             assert ok.safe and ok.binding == "z"
 
+    def test_rows_and_labels_stay_aligned(self):
+        a = BarrierRows.of([(1.0, 0.5, "a0"), (2.0, 1.0, "a1"),
+                            (-1.0, 1.0, "a2")])
+        b = BarrierRows.of([(2.0, 1.0, "b0")])
+        assert a.rows == ((1.0, 0.0, 0.5), (2.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
+        assert a.labels == ("a0", "a1", "a2")
+        assert a.join(b) == BarrierRows(a.rows + b.rows, a.labels + b.labels)
+        # Slacks at alpha = 0 are -0.5, -1, -1 (and -1 for b0): the first
+        # least-slack row binds, within a set and across a join.
+        assert shield_mod._binding(a, 0.0) == "a1"
+        assert shield_mod._binding(a.join(b), 0.0) == "a1"
+        assert shield_mod._binding(b.join(a), 0.0) == "b0"
+        assert shield_mod._binding(a, 1.0) == "a2"
+        assert shield_mod._binding(BarrierRows.of([]), 0.0) is None
+
     def test_invalid_input_rejected(self):
         # The checks QpProblem.validate made on every per-action QP.
         with pytest.raises(ValueError, match="not finite"):
@@ -488,7 +503,7 @@ def run_follower_episode(world, cfg, dyn, schedule, steps, policy_rng,
     collided = False
     for _ in range(steps):
         joint = build_joint_state(world, 200.0, schedule)
-        outcome = safety_shield(joint, road, cfg, dyn, space)
+        outcome = safety_shield(joint, road, cfg, dyn, action_table(dyn, space))
         safe = outcome.safe_sets["ego"]
         action = int(safe[policy_rng.integers(0, len(safe))])
         if action == ActionSpace.EMERGENCY:
@@ -569,7 +584,8 @@ class TestSafetyShield:
     def test_open_road_full_safe_set(self):
         world, road = self.make_world(lanes=3)  # middle lane: all 7 actions
         joint = build_joint_state(world, 200.0, None)
-        outcome = safety_shield(joint, road, CFG0, DYN, ActionSpace())
+        outcome = safety_shield(
+            joint, road, CFG0, DYN, action_table(DYN, ActionSpace()))
         assert outcome.safe_sets["ego"] == ActionSpace().actions()
         assert not outcome.emergency["ego"]
 
@@ -578,7 +594,8 @@ class TestSafetyShield:
         # the barrier, so the safe set collapses.
         world, road = self.make_world(with_leader=True, gap=2.0)
         joint = build_joint_state(world, 200.0, None)
-        outcome = safety_shield(joint, road, CFG0, DYN, ActionSpace())
+        outcome = safety_shield(
+            joint, road, CFG0, DYN, action_table(DYN, ActionSpace()))
         assert outcome.safe_sets["ego"] == [ActionSpace.EMERGENCY]
         assert outcome.emergency["ego"]
         u = outcome.controls["ego"][ActionSpace.EMERGENCY]
@@ -603,7 +620,7 @@ class TestSafetyShield:
         world.vehicles["ego"].v = v
         world.vehicles["lead"].v = v_f
         joint = build_joint_state(world, 200.0, None)
-        outcome = safety_shield(joint, road, CFG0, DYN, space)
+        outcome = safety_shield(joint, road, CFG0, DYN, action_table(DYN, space))
         assert outcome.safe_sets["ego"] == [ActionSpace.BRAKE]
         rows = constraint_rows(
             v, [BarrierTarget(FRONT, target, v_f, "lead")], CFG0, DYN
@@ -612,7 +629,7 @@ class TestSafetyShield:
             lo, hi = action_accel_bounds(action, DYN, space)
             alphas = np.linspace(lo, hi, 1001)
             ok = np.ones_like(alphas, dtype=bool)
-            for a, b, _ in rows.labeled:
+            for a, _, b in rows.rows:
                 ok &= a * alphas >= b - 1e-9
             expected = bool(ok.any()) and action != ActionSpace.LEFT
             got = action in outcome.safe_sets["ego"]
@@ -623,7 +640,8 @@ class TestSafetyShield:
     def test_unavailable_lane_change_excluded(self):
         world, road = self.make_world()
         joint = build_joint_state(world, 200.0, None)
-        outcome = safety_shield(joint, road, CFG0, DYN, ActionSpace())
+        outcome = safety_shield(
+            joint, road, CFG0, DYN, action_table(DYN, ActionSpace()))
         verdicts = outcome.verdicts["ego"]
         assert verdicts[ActionSpace.LEFT].unavailable
         assert verdicts[ActionSpace.RIGHT].unavailable

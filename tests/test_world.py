@@ -52,6 +52,14 @@ class TestPath:
         with pytest.raises(OutOfCorridor):
             path.project(50.0, 60.0)
 
+    def test_out_of_corridor_message(self):
+        path = Path([[0.0, 0.0], [100.0, 0.0]], lane_id="lane0")
+        with pytest.raises(OutOfCorridor) as caught:
+            path.project(50.0, 61.04)
+        assert str(caught.value) == (
+            "point (50.0, 61.0) is 61.0 m from path 'lane0' (corridor 50.0 m)")
+        assert str(OutOfCorridor()) == ""
+
     def test_right_side_is_negative(self):
         path = Path([[0.0, 0.0], [100.0, 0.0]])
         _, d = path.project(10.0, -1.5)
