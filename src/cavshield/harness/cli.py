@@ -65,6 +65,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    from ..marl.trainer import CheckpointError
     from . import evaluate as ev
 
     cfg = _load_config(args.config)
@@ -74,11 +75,15 @@ def cmd_eval(args):
         if args.save_logs:
             logs_dir = os.path.join(args.out, "logs")
             os.makedirs(logs_dir, exist_ok=True)
-    report = ev.evaluate(
-        args.checkpoint, ptb=args.ptb, n_episodes=args.episodes,
-        seed=args.seed, cfg=cfg, shield_mode=args.shield,
-        save_logs_dir=logs_dir,
-    )
+    try:
+        report = ev.evaluate(
+            args.checkpoint, ptb=args.ptb, n_episodes=args.episodes,
+            seed=args.seed, cfg=cfg, shield_mode=args.shield,
+            save_logs_dir=logs_dir,
+        )
+    except CheckpointError as exc:
+        print(f"eval: {exc}", file=sys.stderr)
+        return 2
     print(
         f"{report.scenario}-{report.ptb}: collision_free_rate="
         f"{report.collision_free_rate:.2%} mean_episode_return="
@@ -125,7 +130,13 @@ def cmd_replay(args):
 def cmd_table(args):
     from . import evaluate as ev
 
-    reports = [ev.load_report(p) for p in args.reports]
+    reports = []
+    for path in args.reports:
+        try:
+            reports.append(ev.load_report(path))
+        except (OSError, ValueError) as exc:
+            print(f"table: {path}: {exc}", file=sys.stderr)
+            return 2
     print(ev.format_table(reports))
     if args.csv:
         with open(args.csv, "w") as fh:

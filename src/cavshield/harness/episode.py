@@ -235,8 +235,16 @@ def _nominal_for(view, road, action, dyn, space):
 
 
 def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
-                shield_mode=SHIELD_ROBUST, collect_obs=True):
-    """Roll one episode; returns the full structured log."""
+                shield_mode=SHIELD_ROBUST, log_verdicts=True):
+    """Roll one episode; returns the full structured log.
+
+    Each step line records the states, controls, crashed set, actions,
+    safe sets, emergency flags, rewards, collisions and perturbation
+    errors of that step.  With log_verdicts it also records "verdicts":
+    per agent, one entry per action id (see read_verdict).  The agents'
+    views are not logged: each follows from the line's states and errors
+    and meta["comm_range"] (README, "Episode logs").
+    """
     check_shield_mode(shield_mode)
     schedule = schedule or identity_schedule()
     dyn = cfg.dynamics
@@ -326,8 +334,7 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
             "collisions": [list(p) for p in sorted(new_collisions)],
             "errors": _error_snapshot(schedule, t, world),
         }
-        if collect_obs:
-            rec["obs"] = _obs_snapshot(joint)
+        if log_verdicts:
             rec["verdicts"] = _verdict_snapshot(outcome)
         log.steps.append(rec)
 
@@ -360,32 +367,24 @@ def _error_snapshot(schedule, t, world):
     return out
 
 
-def _obs_snapshot(joint):
-    out = {}
-    for aid, view in sorted(joint.views.items()):
-        targets = {}
-        for obs in view.all_targets():
-            targets[obs.target_id] = [obs.lx, obs.ly, obs.vx, obs.vy]
-        targets[aid] = [
-            view.self_obs.lx, view.self_obs.ly,
-            view.self_obs.vx, view.self_obs.vy,
-        ]
-        out[aid] = targets
-    return out
-
-
 def _verdict_snapshot(outcome):
-    out = {}
-    for aid, verdicts in outcome.verdicts.items():
-        out[aid] = {
-            str(action): {
-                "safe": v.safe,
-                "binding": v.binding,
-                "unavailable": v.unavailable,
-            }
-            for action, v in verdicts.items()
-        }
-    return out
+    """Per agent, one string per action in action-id order: "S" (safe),
+    "U" (unsafe) or "UN" (unavailable), then " " and the binding label
+    when there is one."""
+    return {
+        aid: [
+            ("S" if v.safe else "UN" if v.unavailable else "U")
+            + ("" if v.binding is None else " " + v.binding)
+            for v in verdicts.values()
+        ]
+        for aid, verdicts in outcome.verdicts.items()
+    }
+
+
+def read_verdict(entry):
+    """(safe, unavailable, binding label or None) of one logged verdict."""
+    head, _, binding = entry.partition(" ")
+    return head == "S", head == "UN", binding or None
 
 
 def verify_roundtrip(log):

@@ -18,6 +18,8 @@ from . import episode as ep
 from . import scenario as scen
 
 PTB_KINDS = ("none", "rand", "time", "veh")
+REPORT_KEYS = ("scenario", "ptb", "n_episodes", "collision_free_rate",
+               "mean_episode_return", "episodes")
 
 
 @dataclass
@@ -88,7 +90,7 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
         policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         log = ep.run_episode(
             spec, cfg, policy, schedule=schedule, seed=sub,
-            shield_mode=shield_mode, collect_obs=save_logs_dir is not None,
+            shield_mode=shield_mode, log_verdicts=save_logs_dir is not None,
         )
         ret = float(np.mean(list(log.returns().values())))
         cols = log.collision_count()
@@ -149,11 +151,27 @@ def save_report(path, report):
 
 
 def load_report(path):
+    """The EvalReport save_report wrote to path.  A file that is not JSON,
+    or lacks a key the report needs, raises ValueError saying which."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    for key in REPORT_KEYS:
+        if key not in doc:
+            raise ValueError(f"no {key!r}")
+    try:
+        episodes = [(e["seed"], e["return"], e["collisions"])
+                    for e in doc["episodes"]]
+    except (KeyError, TypeError):
+        raise ValueError("'episodes' is not a list of objects with seed, "
+                         "return and collisions") from None
     return EvalReport(
         scenario=doc["scenario"], ptb=doc["ptb"], n_episodes=doc["n_episodes"],
         collision_free_rate=doc["collision_free_rate"],
         mean_episode_return=doc["mean_episode_return"],
-        episodes=[(e["seed"], e["return"], e["collisions"]) for e in doc["episodes"]],
+        episodes=episodes,
     )

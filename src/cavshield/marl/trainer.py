@@ -25,6 +25,7 @@ non-zero weights over all agents (None when the regularizer is off).
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -50,11 +51,15 @@ class TrainingDiverged(Exception):
     """Non-finite parameters after an update."""
 
 
-class ChecksumMismatch(Exception):
+class CheckpointError(Exception):
+    """A checkpoint file that cannot be read; the message names the file."""
+
+
+class ChecksumMismatch(CheckpointError):
     """Checkpoint payload does not match its recorded digest."""
 
 
-class UnsupportedCheckpointVersion(Exception):
+class UnsupportedCheckpointVersion(CheckpointError):
     """Checkpoint header carries a version this code cannot read."""
 
 
@@ -247,7 +252,7 @@ def train(settings):
         policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids)
         log = ep.run_episode(
             spec, cfg, policy, schedule=None, seed=_episode_seed(settings.seed, e),
-            shield_mode=settings.shield_mode, collect_obs=False,
+            shield_mode=settings.shield_mode, log_verdicts=False,
         )
         losses = _update_agents(
             agents, policy.batch(log), encoder.spec, cfg, kappa_wst, kappa_reg,
@@ -450,21 +455,39 @@ def _digest(header_bytes, arrays):
     return h.hexdigest()
 
 
+def _npz_members(path):
+    """Every array of the npz archive at path, by name."""
+    try:
+        data = np.load(path)
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                return {name: data[name] for name in data.files}
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        pass
+    raise CheckpointError(f"checkpoint {path} is not a readable npz archive")
+
+
+def _member(path, arrays, name):
+    if name not in arrays:
+        raise CheckpointError(f"checkpoint {path} has no member {name!r}")
+    return arrays.pop(name)
+
+
 def load_checkpoint(path):
     """(header, {agent: ParameterSet}).
 
-    Raises ChecksumMismatch if corrupt and UnsupportedCheckpointVersion if
-    the header's version is not CHECKPOINT_VERSION.
+    Raises CheckpointError, naming the file, if it cannot be read, is not
+    an npz archive or lacks a member; its subclasses ChecksumMismatch if
+    the payload does not match its digest and UnsupportedCheckpointVersion
+    if the header's version is not CHECKPOINT_VERSION.
     """
-    with np.load(path) as data:
-        header_bytes = bytes(data["header"].tobytes())
-        recorded = data["checksum"].tobytes().decode()
-        arrays = {
-            name: data[name]
-            for name in data.files
-            if name not in ("header", "checksum")
-        }
-    if _digest(header_bytes, arrays) != recorded:
+    arrays = _npz_members(path)
+    header_bytes = bytes(_member(path, arrays, "header").tobytes())
+    recorded = _member(path, arrays, "checksum").tobytes()
+    if _digest(header_bytes, arrays).encode() != recorded:
         raise ChecksumMismatch(f"corrupt checkpoint {path}")
     header = json.loads(header_bytes.decode())
     version = header.get("version")
@@ -476,9 +499,9 @@ def load_checkpoint(path):
     params = {}
     for aid in header["agent_ids"]:
         params[aid] = ParameterSet(
-            theta=arrays[f"{aid}__theta"],
-            phi=arrays[f"{aid}__phi"],
-            omega=arrays[f"{aid}__omega"],
+            theta=_member(path, arrays, f"{aid}__theta"),
+            phi=_member(path, arrays, f"{aid}__phi"),
+            omega=_member(path, arrays, f"{aid}__omega"),
         )
     return header, params
 

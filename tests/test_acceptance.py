@@ -35,6 +35,7 @@ from cavshield.shield import (
 )
 from cavshield.world import Path, RoadMap, VehicleState, World, build_joint_state
 
+from test_harness import record_views
 from test_marl import actor_batch, make_net
 from test_qp import conditioned_problem, grid_oracle, phase1_oracle, random_problem
 from test_shield import follower_leader_world, run_follower_episode
@@ -333,9 +334,11 @@ def test_c7_robustness_ablation(tmp_path):
     assert time.time() - start < 7200.0
 
 
-def test_c8_reward_identity_and_perturbation_hygiene():
+def test_c8_reward_identity_and_perturbation_hygiene(monkeypatch):
     """Full-log assertions: per-step rewards exactly equal across agents;
-    no perturbation ever touches l_y, v_y, or any self-observation."""
+    no perturbation ever touches l_y, v_y, or any self-observation of the
+    views the agents saw (recorded as run_episode builds them)."""
+    views = record_views(monkeypatch)
     cfg = Config()
     spec = scen.build_scenario("intersection", mode="test", cfg=cfg)
     spec.episode_len = 80
@@ -346,12 +349,13 @@ def test_c8_reward_identity_and_perturbation_hygiene():
         make_ptb_target_vehicles(13, spec.ucv_ids),
     ]
     for schedule in schedules:
+        views.clear()
         log = ep.run_episode(spec, cfg, ep.RandomSafeTeamPolicy(),
                              schedule=schedule, seed=21)
         for rec in log.steps:
             rewards = list(rec["rewards"].values())
             assert all(r == rewards[0] for r in rewards)
-            for aid, obs_map in rec["obs"].items():
+            for aid, obs_map in views[rec["t"]].items():
                 for vid, (lx, ly, vx, vy) in obs_map.items():
                     x, y, v, psi = rec["states"][vid]
                     c, s = math.cos(psi), math.sin(psi)

@@ -56,16 +56,16 @@ def _golden_jsonl(name):
     spec.episode_len = STEPS
     schedule = make_ptb_target_vehicles(SEED, spec.ucv_ids)
     log = ep.run_episode(spec, cfg, ep.RandomSafeTeamPolicy(),
-                         schedule=schedule, seed=SEED, collect_obs=True)
+                         schedule=schedule, seed=SEED, log_verdicts=True)
     return log.to_jsonl()
 
 
 def golden_episode(name):
     """The locked episode, normalized through its JSON form, without the
-    observation and verdict snapshots (those are locked separately)."""
+    verdicts (those are locked separately)."""
     log = ep.EpisodeLog.from_jsonl(_golden_jsonl(name))
     for rec in log.steps:
-        del rec["obs"], rec["verdicts"]
+        del rec["verdicts"]
     return log
 
 
@@ -83,15 +83,14 @@ def golden_verdicts(name):
     for rec in log.steps:
         step = {}
         for aid, verdicts in rec["verdicts"].items():
-            assert list(verdicts) == [str(a) for a in range(len(verdicts))]
             tokens = []
-            for v in verdicts.values():
-                label = v["binding"]
+            for entry in verdicts:
+                safe, unavailable, label = ep.read_verdict(entry)
                 if label is not None and label not in bindings:
                     bindings.append(label)
                 tokens.append(
-                    ("S" if v["safe"] else "U")
-                    + ("N" if v["unavailable"] else "")
+                    ("S" if safe else "U")
+                    + ("N" if unavailable else "")
                     + ("-" if label is None else str(bindings.index(label)))
                 )
             step[aid] = " ".join(tokens)

@@ -19,7 +19,8 @@ from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
 from cavshield.harness.reward import step_reward
 from cavshield.marl import trainer
-from cavshield.perturb import make_constant, make_ptb_target_vehicles, make_rand
+from cavshield.perturb import (make_constant, make_ptb_over_time,
+                               make_ptb_target_vehicles, make_rand)
 from cavshield.shield import SafetyOutcome
 from cavshield.world import Path, RoadMap, VehicleState, World
 
@@ -64,7 +65,7 @@ class TestConfig:
             log = ep.run_episode(
                 spec, cfg, ep.RandomSafeTeamPolicy(),
                 schedule=make_ptb_target_vehicles(7, spec.ucv_ids), seed=7,
-                shield_mode=mode, collect_obs=False,
+                shield_mode=mode, log_verdicts=False,
             )
             steps[mode] = log.to_jsonl().splitlines()[1:]
         assert steps[ep.SHIELD_ROBUST] != steps[ep.SHIELD_PLAIN]
@@ -606,6 +607,103 @@ class TestCli:
         path.write_text("\n".join(short_log_lines) + "\n")
         assert cli.main(["replay", "--log", str(path)]) == 0
 
+    @pytest.mark.parametrize("case", [
+        "missing", "not an npz", "checksum", "version", "no checksum member",
+        "no agent member",
+    ])
+    def test_eval_of_an_unreadable_checkpoint_fails_cleanly(
+            self, capsys, tmp_path, checkpoint, case):
+        # Each of these ended in a traceback (FileNotFoundError, numpy's
+        # "pickled (object) data" ValueError, ChecksumMismatch, ...).
+        from cavshield.harness import cli
+
+        with np.load(checkpoint[0]) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(arrays.pop("header").tobytes())
+        arrays.pop("checksum")
+        aid = header["agent_ids"][0]
+
+        def sealed(header, payload):
+            header_bytes = json.dumps(header, sort_keys=True).encode()
+            digest = trainer._digest(header_bytes, payload).encode()
+            return {"header": np.frombuffer(header_bytes, dtype=np.uint8),
+                    "checksum": np.frombuffer(digest, dtype=np.uint8),
+                    **payload}
+
+        path = tmp_path / "ckpt.npz"
+        members = sealed(header, arrays)
+        if case == "not an npz":
+            path.write_text("not a checkpoint\n")
+        elif case == "checksum":
+            members[f"{aid}__theta"] = members[f"{aid}__theta"] + 1.0
+        elif case == "version":
+            members = sealed({**header, "version": 1}, arrays)
+        elif case == "no checksum member":
+            del members["checksum"]
+        elif case == "no agent member":
+            del arrays[f"{aid}__omega"]
+            members = sealed(header, arrays)
+        if case not in ("missing", "not an npz"):
+            np.savez(str(path), **members)
+        message = {
+            "missing": f"cannot read checkpoint {path}: No such file or "
+                       f"directory",
+            "not an npz": f"checkpoint {path} is not a readable npz archive",
+            "checksum": f"corrupt checkpoint {path}",
+            "version": f"checkpoint {path} has version 1; this cavshield "
+                       f"reads version {trainer.CHECKPOINT_VERSION} only",
+            "no checksum member": f"checkpoint {path} has no member "
+                                  f"'checksum'",
+            "no agent member": f"checkpoint {path} has no member "
+                               f"'{aid}__omega'",
+        }[case]
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--episodes", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"eval: {message}\n"
+
+    @pytest.mark.parametrize("case,message", [
+        ("missing", "No such file or directory"),
+        ("not JSON", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("not an object", "not a JSON object"),
+        ("no ptb", "no 'ptb'"),
+        ("episode without seed", "'episodes' is not a list of objects with "
+                                 "seed, return and collisions"),
+    ])
+    def test_table_of_a_bad_report_fails_cleanly(self, capsys, tmp_path,
+                                                case, message):
+        # "missing" and "no ptb" ended in FileNotFoundError and KeyError
+        # tracebacks.
+        from cavshield.harness import cli
+
+        report = ev.EvalReport(
+            scenario="highway", ptb="veh", n_episodes=1,
+            collision_free_rate=1.0, mean_episode_return=-3.0,
+            episodes=[(5, -3.0, 0)],
+        )
+        good = tmp_path / "good.json"
+        ev.save_report(str(good), report)
+        doc = report.to_dict()
+        path = tmp_path / "bad.json"
+        if case == "not JSON":
+            path.write_text("")
+        elif case == "not an object":
+            path.write_text("[]")
+        elif case == "no ptb":
+            del doc["ptb"]
+            path.write_text(json.dumps(doc))
+        elif case == "episode without seed":
+            del doc["episodes"][0]["seed"]
+            path.write_text(json.dumps(doc))
+        assert cli.main(["table", str(good), str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"table: {path}: ")
+        assert message in out.err and out.err.count("\n") == 1
+        assert cli.main(["table", str(good)]) == 0
+        assert "highway" in capsys.readouterr().out
+
 
 def reward_world(n_agents=3):
     road = RoadMap({"l": Path([[-10.0, 0.0], [500.0, 0.0]], lane_id="l")}, {})
@@ -687,6 +785,60 @@ class TestReward:
         assert r_all["cav0"] - r_crashed["cav0"] == pytest.approx(expected_delta)
 
 
+def view_entries(view):
+    """{vehicle: (lx, ly, vx, vy)} of one agent's view, its own included."""
+    entries = {obs.target_id: (obs.lx, obs.ly, obs.vx, obs.vy)
+               for obs in view.all_targets()}
+    me = view.self_obs
+    entries[view.agent_id] = (me.lx, me.ly, me.vx, me.vy)
+    return entries
+
+
+def record_views(monkeypatch):
+    """{t: {agent: view_entries}} of every joint state run_episode builds,
+    filled in as episodes run; clear it between episodes."""
+    views = {}
+    build = ep.build_joint_state
+
+    def recording(*args, **kwargs):
+        joint = build(*args, **kwargs)
+        views[joint.t] = {aid: view_entries(view)
+                          for aid, view in joint.views.items()}
+        return joint
+
+    monkeypatch.setattr(ep, "build_joint_state", recording)
+    return views
+
+
+def rebuild_views(meta, rec):
+    """Each agent's view at one logged step, from that line alone, as the
+    README's "Episode logs" section describes."""
+    true = {}
+    for vid, (x, y, v, psi) in rec["states"].items():
+        c, s = math.cos(psi), math.sin(psi)
+        true[vid] = (c * x + s * y, -s * x + c * y, v, 0.0)
+    views = {}
+    for aid in meta["agents"]:
+        me = rec["states"][aid][:2]
+        view = {aid: true[aid]}
+        for vid, (x, y, _, _) in rec["states"].items():
+            if vid == aid or math.dist(me, (x, y)) > meta["comm_range"]:
+                continue
+            lx, ly, vx, vy = true[vid]
+            if vid in rec["errors"]:
+                e_l, e_v = rec["errors"][vid]
+                lx, vx = lx + e_l, vx + e_v
+            view[vid] = (lx, ly, vx, vy)
+        views[aid] = view
+    return views
+
+
+def exact(views):
+    """Views with every float as its bit pattern, for exact comparison."""
+    return {aid: {vid: tuple(map(float.hex, e)) for vid, e in view.items()}
+            for aid, view in views.items()}
+
+
 class TestEpisode:
     def test_zero_length_episode(self):
         spec = scen.build_scenario("highway", cfg=CFG)
@@ -719,7 +871,7 @@ class TestEpisode:
         spec = scen.build_scenario("highway", mode="test", cfg=CFG)
         spec.episode_len = 5
         log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(), seed=0,
-                             shield_mode=mode, collect_obs=False)
+                             shield_mode=mode, log_verdicts=False)
         assert len(log.steps) == 5
         assert len(built) == 1
 
@@ -753,7 +905,7 @@ class TestEpisode:
         collided = 0
         for seed in range(5):
             log = ep.run_episode(spec, CFG, policy, seed=seed,
-                                 shield_mode=ep.SHIELD_OFF, collect_obs=False)
+                                 shield_mode=ep.SHIELD_OFF, log_verdicts=False)
             collided += (log.collision_count() > 0)
         assert collided >= 4
 
@@ -762,7 +914,7 @@ class TestEpisode:
         policy = ep.ScriptedTeamPolicy(6)
         for seed in range(5):
             log = ep.run_episode(spec, CFG, policy, seed=seed,
-                                 shield_mode=ep.SHIELD_ROBUST, collect_obs=False)
+                                 shield_mode=ep.SHIELD_ROBUST, log_verdicts=False)
             assert log.collision_count() == 0
 
     def test_executed_actions_always_in_safe_set(self):
@@ -774,15 +926,17 @@ class TestEpisode:
             for aid, action in rec["actions"].items():
                 assert action in rec["safe_sets"][aid]
 
-    def test_perturbation_hygiene_in_logs(self):
+    def test_perturbation_hygiene_in_logs(self, monkeypatch):
         # Recompute ground-truth observations from logged states: only the
-        # travel-axis pair may differ, by exactly the logged error.
+        # travel-axis pair of the views the agents saw may differ, by
+        # exactly the logged error.
+        views = record_views(monkeypatch)
         spec = scen.build_scenario("highway", mode="test", cfg=CFG)
         spec.episode_len = 50
         log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(),
                              schedule=make_constant(2.0, 1.0), seed=4)
         for rec in log.steps:
-            for aid, obs_map in rec["obs"].items():
+            for aid, obs_map in views[rec["t"]].items():
                 for vid, (lx, ly, vx, vy) in obs_map.items():
                     x, y, v, psi = rec["states"][vid]
                     c, s = math.cos(psi), math.sin(psi)
@@ -796,6 +950,82 @@ class TestEpisode:
                         assert vx == pytest.approx(v + e_v, abs=1e-12)
                     assert ly == pytest.approx(true_ly, abs=1e-12)
                     assert vy == 0.0
+
+    @pytest.mark.parametrize("name", ["highway", "intersection"])
+    @pytest.mark.parametrize("kind", ["none", "rand", "time", "veh",
+                                      "constant"])
+    def test_logged_lines_rebuild_the_runtime_views(self, monkeypatch, name,
+                                                    kind):
+        # The log keeps no views; each line's states and errors and the
+        # meta's comm_range give back every view bit for bit, after the
+        # JSON round trip a saved log goes through.
+        views = record_views(monkeypatch)
+        spec = scen.build_scenario(name, mode="test", cfg=CFG)
+        spec.episode_len = 60
+        schedule = {
+            "none": None,
+            "rand": make_rand(31),
+            "time": make_ptb_over_time(32, (10, 40)),
+            "veh": make_ptb_target_vehicles(33, spec.ucv_ids),
+            "constant": make_constant(2.0, -1.0),
+        }[kind]
+        log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(),
+                             schedule=schedule, seed=8)
+        back = ep.EpisodeLog.from_jsonl(log.to_jsonl())
+        assert len(back.steps) == 60 and len(views) == 61
+        if kind != "none":
+            assert any(rec["errors"] for rec in back.steps)
+        for rec in back.steps:
+            assert "obs" not in rec
+            assert exact(rebuild_views(back.meta, rec)) == exact(
+                views[rec["t"]])
+
+    def test_eleven_action_verdicts_keep_action_order(self, monkeypatch,
+                                                      tmp_path):
+        # With 10 or more actions, verdicts keyed by action id came back
+        # from a saved log sorted as strings: 0, 1, 10, 2, ...
+        outcomes = []
+        shield = ep.safety_shield
+
+        def recording(*args):
+            outcomes.append(shield(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ep, "safety_shield", recording)
+        cfg = Config.from_dict({"harness": {"action_k": 7}})
+        spec = scen.build_scenario("highway", mode="test", cfg=cfg)
+        spec.episode_len = 30
+        log = ep.run_episode(spec, cfg, ep.RandomSafeTeamPolicy(),
+                             schedule=make_rand(2), seed=3)
+        path = tmp_path / "log.jsonl"
+        log.save(str(path))
+        back = ep.EpisodeLog.load(str(path))
+        for rec, outcome in zip(back.steps, outcomes):
+            for aid, entries in rec["verdicts"].items():
+                assert len(entries) == 11
+                want = [(v.safe, v.unavailable, v.binding)
+                        for _, v in sorted(outcome.verdicts[aid].items())]
+                assert list(map(ep.read_verdict, entries)) == want
+        throttles = {e for rec in back.steps for entries in
+                     rec["verdicts"].values() for e in entries[4:]}
+        assert len(throttles) > 1
+
+    @pytest.mark.parametrize("entry,verdict", [
+        ("S", (True, False, None)),
+        ("S front:lane:ucv0", (True, False, "front:lane:ucv0")),
+        ("U rear:pseudo:cav1", (False, False, "rear:pseudo:cav1")),
+        ("UN", (False, True, None)),
+    ])
+    def test_read_verdict(self, entry, verdict):
+        assert ep.read_verdict(entry) == verdict
+
+    def test_verdicts_logged_only_when_asked(self):
+        spec = scen.build_scenario("intersection", mode="test", cfg=CFG)
+        spec.episode_len = 5
+        for flag in (True, False):
+            log = ep.run_episode(spec, CFG, ep.RandomSafeTeamPolicy(),
+                                 seed=1, log_verdicts=flag)
+            assert all(("verdicts" in rec) == flag for rec in log.steps)
 
     def test_each_bound_violation_recorded_once(self):
         # The joint-state build and the log snapshot both query every
@@ -1114,11 +1344,11 @@ class TestDegeneratePolicy:
         drive_rets = []
         for seed in range(3):
             stop = ep.run_episode(spec, CFG, AlwaysEmergencyPolicy(),
-                                  seed=seed, collect_obs=False)
+                                  seed=seed, log_verdicts=False)
             assert stop.collision_count() == 0
             stop_rets.append(np.mean(list(stop.returns().values())))
             drive = ep.run_episode(spec, CFG, ep.ScriptedTeamPolicy(6),
-                                   seed=seed, collect_obs=False)
+                                   seed=seed, log_verdicts=False)
             drive_rets.append(np.mean(list(drive.returns().values())))
         # Parked agents never collide but bleed the distance penalty.
         assert np.mean(stop_rets) < np.mean(drive_rets) - 1000.0

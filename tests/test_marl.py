@@ -290,7 +290,7 @@ class TestWorstQ:
             flat = agent.worst_q.get_flat()
             agent.worst_q.set_flat(flat + 0.1 * rng.normal(size=flat.size))
         policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
-        log = ep.run_episode(spec, cfg, policy, seed=10, collect_obs=False)
+        log = ep.run_episode(spec, cfg, policy, seed=10, log_verdicts=False)
         batch = policy.batch(log)
         start = {aid: copy.deepcopy(a.worst_q) for aid, a in agents.items()}
         fitted = []
@@ -907,7 +907,7 @@ class TestTeamPolicy:
             return actions
 
         policy.select_actions = select_and_copy
-        log = ep.run_episode(spec, cfg, policy, seed=seed, collect_obs=False)
+        log = ep.run_episode(spec, cfg, policy, seed=seed, log_verdicts=False)
         return policy.batch(log), log, snapshots
 
     def test_recorded_steps_act_with_current_weights_and_stay_put(self):
@@ -1069,7 +1069,7 @@ class TestRegularizerSkip:
         spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
         agents, encoder = trainer.build_agents(spec, cfg, 5)
         policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
-        log = ep.run_episode(spec, cfg, policy, seed=6, collect_obs=False)
+        log = ep.run_episode(spec, cfg, policy, seed=6, log_verdicts=False)
         batch = policy.batch(log)
         assert np.all(np.any(batch.actions >= 0, axis=0))
         return cfg, agents, batch, encoder.spec

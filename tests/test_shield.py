@@ -738,7 +738,7 @@ class TestAgentSafeSetMatchesReference:
                     ep.run_episode(
                         spec, cfg, ep.RandomSafeTeamPolicy(),
                         schedule=build_schedule(ptb, seed, cfg, spec),
-                        seed=seed, shield_mode=shield_mode, collect_obs=False,
+                        seed=seed, shield_mode=shield_mode, log_verdicts=False,
                     )
         assert len(checked) == 2 * 4 * 2 * 61 * len(spec.agent_ids)
         if scenario == "highway":
