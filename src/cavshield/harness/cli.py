@@ -70,11 +70,8 @@ def cmd_eval(args):
 
     cfg = _load_config(args.config)
     logs_dir = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        if args.save_logs:
-            logs_dir = os.path.join(args.out, "logs")
-            os.makedirs(logs_dir, exist_ok=True)
+    if args.out and args.save_logs:
+        logs_dir = os.path.join(args.out, "logs")
     try:
         report = ev.evaluate(
             args.checkpoint, ptb=args.ptb, n_episodes=args.episodes,
@@ -90,6 +87,7 @@ def cmd_eval(args):
         f"{report.mean_episode_return:.2f} ({report.n_episodes} episodes)"
     )
     if args.out:
+        os.makedirs(args.out, exist_ok=True)
         ev.save_report(os.path.join(args.out, "report.json"), report)
         with open(os.path.join(args.out, "metrics.jsonl"), "w") as fh:
             for i, (seed, ret, cols) in enumerate(report.episodes):

@@ -2,6 +2,7 @@
 collision-free rate and mean episode return, table/CSV emitters."""
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,10 @@ def build_schedule(kind, seed, cfg, spec):
 
 def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
              shield_mode=None, save_logs_dir=None):
-    """Run the test protocol for one checkpoint under one perturbation."""
+    """Run the test protocol for one checkpoint under one perturbation.
+
+    With save_logs_dir, each episode's log is saved there; the directory
+    is made once the checkpoint has loaded."""
     from .config import Config, is_count
 
     if not is_count(n_episodes):
@@ -79,6 +83,8 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     cfg = cfg or Config()
     header, params = load_checkpoint(checkpoint_path)
     agents, enc_spec = restore_agents(header, params)
+    if save_logs_dir is not None:
+        os.makedirs(save_logs_dir, exist_ok=True)
     spec = scen.build_scenario(header["scenario"], mode="test", cfg=cfg)
     encoder = Encoder(enc_spec, spec.road.lanes.keys())
     shield_mode = shield_mode or header.get("shield_mode", ep.SHIELD_ROBUST)
@@ -152,7 +158,8 @@ def save_report(path, report):
 
 def load_report(path):
     """The EvalReport save_report wrote to path.  A file that is not JSON,
-    or lacks a key the report needs, raises ValueError saying which."""
+    lacks a key the report needs, or holds a ptb outside PTB_KINDS or a
+    rate or return that is not a number raises ValueError saying which."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -163,6 +170,13 @@ def load_report(path):
     for key in REPORT_KEYS:
         if key not in doc:
             raise ValueError(f"no {key!r}")
+    if doc["ptb"] not in PTB_KINDS:
+        raise ValueError(f"'ptb' is {doc['ptb']!r}, not one of "
+                         f"{', '.join(PTB_KINDS)}")
+    for key in ("collision_free_rate", "mean_episode_return"):
+        value = doc[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{key!r} is {value!r}, not a number")
     try:
         episodes = [(e["seed"], e["return"], e["collisions"])
                     for e in doc["episodes"]]

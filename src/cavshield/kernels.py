@@ -1,12 +1,13 @@
 """Kernels: the 2-D projection QP behind every shield verdict, bicycle
 step and rectangle overlap.
 
-All three are per-step inner loops (called agents x actions x steps
-during rollouts).  ``solve_qp_2d`` decides each action of the shield
-(``shield.check_action_safe``) and also backs ``qp.solve`` (acceptance
-check C1, ``cavshield qp-debug``).  A third to a half of the shield's
-QPs are infeasible, most of them because two rows are exact opposites
-that contradict each other; ``solve_qp_2d`` returns those without
+The bicycle step and the overlap test are per-step inner loops (called
+agents x steps during rollouts).  ``solve_qp_2d`` defines each verdict of
+the shield: ``shield.check_action_safe`` reproduces its result bit for bit
+from the accel ends of the shield's rows and calls it only for a verdict
+within its tie band.  It also backs ``qp.solve`` (acceptance check C1,
+``cavshield qp-debug``).  When two rows are exact opposites that
+contradict each other, ``solve_qp_2d`` returns infeasible without
 enumerating its candidates (``_opposed_rows`` states why that is exact).
 Callers call them through the module (``kernels.solve_qp_2d``), not by
 imported name, so a tracer that replaces the module attributes

@@ -15,8 +15,12 @@ safety_shield takes it on every step.  Once per agent-step,
 agent_safe_set projects the ego onto its lane and each adjacent lane and
 each target onto the lanes it is checked in, builds the barrier rows of
 the current lane and of each adjacent lane, in the solver's row form,
-and decides each action by the projection QP kernels.solve_qp_2d of its
-nominal input onto those rows and its input box.
+and decides each action by the projection of its nominal input onto
+those rows and its input box.  Each row set is one interval of
+acceleration (BarrierRows keeps its ends), so check_action_safe decides
+from the ends, with the result of the projection QP
+kernels.solve_qp_2d bit for bit, and calls that QP only within a tie
+band where rounding could separate the two.
 Crossing traffic is folded in by transforming each crossing vehicle into
 a pseudo car on the ego path.  An empty safe set falls back to
 Emergency_stop (full braking, zero steer) and is fed back to the MARL as
@@ -27,7 +31,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from . import kernels
 from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bounds, emergency_control, lane_keep_steer, nominal_accel, pursuit_steer
 # Not called here: perfbench/spans.py wraps shield.nominal_control.
 from .dynamics import nominal_control
+from .kernels import DEDUP_TOL, FEAS_TOL
 from .world import ALIGN_CONE, OutOfCorridor
 
 FRONT = "front"
@@ -42,6 +47,10 @@ REAR = "rear"
 
 # Distinct audits calibrate_lipschitz_sum keeps (one per config in use).
 LIPSCHITZ_MEMO_SIZE = 16
+
+# Half-width of check_action_safe's tie band, relative to the magnitudes
+# it compares (1 + |u0 accel| + |each binding end|).
+TIE_BAND = 1e-6
 
 
 @dataclass
@@ -166,12 +175,41 @@ def lead_constraint_terms(v, v_r, gap, cfg, dyn):
     return coef, const
 
 
-class BarrierRows(NamedTuple):
-    """Barrier constraints coef * alpha >= b on the ego acceleration alpha,
-    kept in the form kernels.solve_qp_2d takes: steer enters no row."""
+@dataclass(slots=True)
+class BarrierRows:
+    """Barrier constraints coef * alpha >= b on the ego acceleration alpha.
+
+    rows keeps them in the form kernels.solve_qp_2d takes, (coef, 0.0, b):
+    steer enters no row, so together they admit one interval of alpha.
+    Its ends are kept as solve_qp_2d normalizes each row, by
+    n = sqrt(coef * coef): lower holds b / n of each row with coef > 0
+    (alpha >= end), upper that of each row with coef < 0 (-alpha >= end),
+    each tightest (largest) first.  blocked marks a row without direction
+    (n < DEDUP_TOL) whose b exceeds FEAS_TOL: no input meets it.  Equality
+    compares rows and labels, which determine the rest.
+    """
 
     rows: tuple  # (coef, 0.0, b) per barrier, in target order
     labels: tuple  # the label of each row
+    lower: tuple = field(default=None, compare=False)
+    upper: tuple = field(default=None, compare=False)
+    blocked: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        if self.lower is not None:
+            return
+        lower, upper, blocked = [], [], False
+        for coef, _, b in self.rows:
+            n = math.sqrt(coef * coef)
+            if n < DEDUP_TOL:
+                blocked = blocked or b > FEAS_TOL
+            elif n < math.inf:
+                (lower if coef > 0.0 else upper).append(b / n)
+            # else coef * coef overflowed, and solve_qp_2d's row is
+            # 0 . u >= 0, which every input meets.
+        self.lower = tuple(sorted(lower, reverse=True))
+        self.upper = tuple(sorted(upper, reverse=True))
+        self.blocked = blocked
 
     @classmethod
     def of(cls, labeled):
@@ -187,7 +225,12 @@ class BarrierRows(NamedTuple):
 
     def join(self, other):
         """The rows of both sets, self's first."""
-        return BarrierRows(self.rows + other.rows, self.labels + other.labels)
+        return BarrierRows(
+            self.rows + other.rows, self.labels + other.labels,
+            tuple(sorted(self.lower + other.lower, reverse=True)),
+            tuple(sorted(self.upper + other.upper, reverse=True)),
+            self.blocked or other.blocked,
+        )
 
 
 def constraint_rows(ego_v, targets, cfg, dyn):
@@ -300,24 +343,86 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     dynamics.action_accel_bounds) times the steer range; the action is
     safe when some input in the box satisfies every row of rows (a
     BarrierRows), and its filtered input is the projection of u0 onto
-    that set (kernels.solve_qp_2d on rows.rows).  Steer enters no row, so
-    it passes through.  The binding row is the one with least slack at the
-    filtered input (at u0 when unsafe); the first such row wins a tie.
+    that set, bit for bit as kernels.solve_qp_2d computes it on rows.rows.
+    The binding row is the one with least slack at the filtered input (at
+    u0 when unsafe); the first such row wins a tie.
+
+    Steer enters no row, so the check reads the rows' accel ends.  Each
+    end, box edges included, is a unit row s * alpha >= end of the QP
+    (s = 1 below, -1 above); the tightest end of each side binds.  The
+    action is unsafe when the set is blocked or the binding ends leave no
+    accel interval; u0 is kept when it passes the QP's own tests against
+    the box and the steer range and lies off every barrier end; otherwise
+    it lands on the one end it violates, in the QP's arithmetic for that
+    row: t = end - s * u0.accel, accel u0.accel + t * s, steer
+    u0.steer + t * 0.0.  A decision needs every value it separates (u0,
+    the two sides, the next end of a side, the steer bounds) more than
+    the tie band apart; the QP decides anything within it.
+
+    Why the band covers rounding.  Outside it, every value the QP tests or
+    compares differs from its rival by at least TIE_BAND * S, S = 1 +
+    |u0.accel| + |both binding ends|, while rounding moves each by a few
+    units of 2**-53 * S, and the QP's own slacks, FEAS_TOL and DEDUP_TOL,
+    lie far inside 1e-6.  So no input meets two ends that are further
+    apart; a row the QP drops as a duplicate meets u0 or the landing
+    point as the row it duplicates does; the landing point passes every
+    other row; and every other candidate of the QP (another end, its
+    vertex with a steer bound, a steer row's projection, which keeps
+    u0.accel) is infeasible or farther by at least the band in accel or
+    steer, which outweighs the rounding of the squared distances (band**2
+    = 1e-12 * S**2 against about 2**-50 * S**2).  The one absolute test,
+    the landing point against its own row within FEAS_TOL, fails only for
+    S above about 3e7; it is made as the QP makes it, and such an input is
+    left to the QP.
     """
-    if not (math.isfinite(u0.accel) and math.isfinite(u0.steer)):
+    x, y = u0.accel, u0.steer
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"nominal input {u0!r} is not finite")
     lo, hi = accel_bounds
-    if not (lo <= hi and dyn.steer_min <= dyn.steer_max):  # also NaN
+    lo1, hi1 = dyn.steer_min, dyn.steer_max
+    if not (lo <= hi and lo1 <= hi1):  # also NaN
         raise ValueError(f"empty input box {accel_bounds!r} x "
-                         f"{(dyn.steer_min, dyn.steer_max)!r}")
-    status, ux, uy, _ = kernels.solve_qp_2d(
-        u0.accel, u0.steer, rows.rows,
-        lo, hi, dyn.steer_min, dyn.steer_max,
-    )
+                         f"{(lo1, hi1)!r}")
+    if rows.blocked:
+        return ActionVerdict(safe=False, binding=_binding(rows, x))
+    # The tightest barrier end of each side (-inf for none), and the
+    # tightest and next tightest end of each side with the box edge.
+    barrier_low = rows.lower[0] if rows.lower else -math.inf
+    barrier_high = rows.upper[0] if rows.upper else -math.inf
+    low, low_next = _two_tightest(lo, rows.lower)
+    high, high_next = _two_tightest(-hi, rows.upper)
+    band = TIE_BAND * (1.0 + abs(x) + abs(low) + abs(high))
+    gap = low + high  # the least admissible accel minus the greatest
+    if gap > band:
+        return ActionVerdict(safe=False, binding=_binding(rows, x))
+    if (x - barrier_low > band and -x - barrier_high > band
+            and x - lo >= -FEAS_TOL and -x + hi >= -FEAS_TOL
+            and y - lo1 >= -FEAS_TOL and -y + hi1 >= -FEAS_TOL):
+        return ActionVerdict(safe=True, u=type(u0)(accel=x, steer=y),
+                             binding=_binding(rows, x))
+    if -gap > band and y - lo1 > band and hi1 - y > band:
+        for s, end, runner_up in ((1.0, low, low_next),
+                                  (-1.0, high, high_next)):
+            t = end - s * x
+            if t > band and end - runner_up > band:
+                ux = x + t * s
+                if s * ux - end >= -FEAS_TOL:
+                    return ActionVerdict(
+                        safe=True, u=type(u0)(accel=ux, steer=y + t * 0.0),
+                        binding=_binding(rows, ux))
+    status, ux, uy, _ = kernels.solve_qp_2d(x, y, rows.rows, lo, hi, lo1, hi1)
     if status != kernels.QP_FEASIBLE:
-        return ActionVerdict(safe=False, binding=_binding(rows, u0.accel))
+        return ActionVerdict(safe=False, binding=_binding(rows, x))
     return ActionVerdict(safe=True, u=type(u0)(accel=ux, steer=uy),
                          binding=_binding(rows, ux))
+
+
+def _two_tightest(box_end, ends):
+    """The largest and the next largest of box_end and ends, where ends
+    is sorted largest first (-inf stands in for no next end)."""
+    if ends and ends[0] > box_end:
+        return ends[0], max(box_end, ends[1]) if len(ends) > 1 else box_end
+    return box_end, ends[0] if ends else -math.inf
 
 
 def _binding(rows, alpha):

@@ -663,6 +663,21 @@ class TestCli:
         assert out.out == ""
         assert out.err == f"eval: {message}\n"
 
+    def test_eval_makes_its_directories_once_the_checkpoint_loads(
+            self, capsys, tmp_path, checkpoint):
+        # A failed eval left DIR and DIR/logs behind, empty.
+        from cavshield.harness import cli
+
+        out = tmp_path / "eval"
+        argv = ["eval", "--episodes", "1", "--out", str(out), "--save-logs"]
+        assert cli.main(argv + ["--checkpoint",
+                                str(tmp_path / "none.npz")]) == 2
+        assert capsys.readouterr().err.startswith("eval: cannot read")
+        assert not out.exists()
+        assert cli.main(argv + ["--checkpoint", checkpoint[0]]) == 0
+        assert (out / "report.json").is_file()
+        assert (out / "logs" / "episode_000.jsonl").is_file()
+
     @pytest.mark.parametrize("case,message", [
         ("missing", "No such file or directory"),
         ("not JSON", "not JSON: Expecting value: line 1 column 1 (char 0)"),
@@ -670,11 +685,16 @@ class TestCli:
         ("no ptb", "no 'ptb'"),
         ("episode without seed", "'episodes' is not a list of objects with "
                                  "seed, return and collisions"),
+        ("rate not a number", "'collision_free_rate' is 'x', not a number"),
+        ("return not a number", "'mean_episode_return' is None, not a number"),
+        ("rate a bool", "'collision_free_rate' is True, not a number"),
+        ("unknown ptb", "'ptb' is 'bogus', not one of none, rand, time, veh"),
     ])
     def test_table_of_a_bad_report_fails_cleanly(self, capsys, tmp_path,
                                                 case, message):
         # "missing" and "no ptb" ended in FileNotFoundError and KeyError
-        # tracebacks.
+        # tracebacks, a rate or return that is not a number in one from
+        # format_table, and an unknown ptb left the report out of the table.
         from cavshield.harness import cli
 
         report = ev.EvalReport(
@@ -695,6 +715,15 @@ class TestCli:
             path.write_text(json.dumps(doc))
         elif case == "episode without seed":
             del doc["episodes"][0]["seed"]
+            path.write_text(json.dumps(doc))
+        elif case != "missing":
+            key, value = {
+                "rate not a number": ("collision_free_rate", "x"),
+                "return not a number": ("mean_episode_return", None),
+                "rate a bool": ("collision_free_rate", True),
+                "unknown ptb": ("ptb", "bogus"),
+            }[case]
+            doc[key] = value
             path.write_text(json.dumps(doc))
         assert cli.main(["table", str(good), str(path)]) == 2
         out = capsys.readouterr()

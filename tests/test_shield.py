@@ -479,6 +479,129 @@ class TestAccelProjectionMatchesQp:
                                   bounds, dyn)
 
 
+# The unpatched QP, the reference of the tie-band tests.
+SOLVE_QP_2D = kernels.solve_qp_2d
+
+
+@pytest.fixture
+def qp_calls(monkeypatch):
+    """The arguments of every solve_qp_2d call the shield makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return SOLVE_QP_2D(*args)
+
+    monkeypatch.setattr(kernels, "solve_qp_2d", counted)
+    return calls
+
+
+def assert_as_qp(u0x, u0y, rows, box, steer):
+    """check_action_safe on (coef, b) rows equals solve_qp_2d on the same
+    rows bit for bit (the safe flag, the filtered input, and the
+    least-slack binding row); returns the verdict."""
+    labeled = [(c, b, f"r{i}") for i, (c, b) in enumerate(rows)]
+    status, ux, uy, _ = SOLVE_QP_2D(
+        u0x, u0y, [(c, 0.0, b) for c, b in rows], *box, *steer)
+    verdict = check_action_safe(
+        ControlInput(u0x, u0y), BarrierRows.of(labeled), box,
+        replace(DYN, steer_min=steer[0], steer_max=steer[1]))
+    where = f"u0={u0x!r},{u0y!r} rows={rows!r} box={box!r} steer={steer!r}"
+    assert verdict.safe == (status == kernels.QP_FEASIBLE), where
+    if verdict.safe:
+        assert verdict.u.accel.hex() == ux.hex(), where
+        assert verdict.u.steer.hex() == uy.hex(), where
+        u = (ux, uy)
+    else:
+        u = (u0x, u0y)
+    assert verdict.binding == min_slack_row(
+        [((c, 0.0), b, label) for c, b, label in labeled], u), where
+    return verdict
+
+
+def band_edge(delegated, outside, inside):
+    """Adjacent floats (a, b) between outside and inside, a decided by
+    check_action_safe itself and b left to the QP, where delegated(v)
+    says whether the check at v called the QP."""
+    assert not delegated(outside) and delegated(inside)
+    a, b = outside, inside
+    while math.nextafter(a, b) != b:
+        mid = a + 0.5 * (b - a)
+        if mid in (a, b):
+            mid = math.nextafter(a, b)
+        if delegated(mid):
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
+class TestTieBand:
+    """check_action_safe decides outside its tie band without the QP and
+    still equals it bit for bit: at magnitudes of 1e3 to 1e9, where the
+    band is far wider than FEAS_TOL and, at 1e9, the landing point's
+    rounding comes near FEAS_TOL; and on both sides of the band's edge,
+    for u0 and for a steer bound."""
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+    def test_scaled_cases_match_the_qp(self, qp_calls, scale):
+        rnd = random.Random(20261020)
+        seen = {"delegated": 0, "kept": 0, "moved": 0, "unsafe": 0}
+        for _ in range(2000):
+            (u0x, u0y), rows, (lo0, hi0), (lo1, hi1) = projection_case(rnd)
+            n_calls = len(qp_calls)
+            verdict = assert_as_qp(
+                u0x * scale, u0y * scale, [(c, b * scale) for c, b in rows],
+                (lo0 * scale, hi0 * scale), (lo1 * scale, hi1 * scale))
+            if len(qp_calls) > n_calls:
+                seen["delegated"] += 1
+            elif not verdict.safe:
+                seen["unsafe"] += 1
+            elif verdict.u.accel == u0x * scale:
+                seen["kept"] += 1
+            else:
+                seen["moved"] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_row_whose_norm_overflows(self, qp_calls):
+        # coef * coef overflows to inf, so the QP normalizes the row to
+        # 0 . u >= 0, which every input meets: it is no accel end.
+        for u0x in (-0.5, 0.0, 0.5):
+            verdict = assert_as_qp(u0x, 0.1, [(1e200, 1e200), (-1e200, 5e199)],
+                                   (-1.0, 1.0), (-0.5, 0.5))
+            assert verdict.safe and verdict.u.accel == u0x
+        assert not qp_calls
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_band_edges_match_the_qp(self, qp_calls, scale):
+        # Accel admissible in [0.25, 0.75] * scale by two barriers, box
+        # [-1, 1] * scale; steer range [-0.5, 0.5] * scale.
+        rows = [(2.0, 0.5 * scale), (-1.0, -0.75 * scale)]
+        box = (-scale, scale)
+        steer = (-0.5 * scale, 0.5 * scale)
+        low = 0.25 * scale
+
+        def delegated_at(u0x, u0y):
+            n_calls = len(qp_calls)
+            assert_as_qp(u0x, u0y, rows, box, steer)
+            return len(qp_calls) > n_calls
+
+        edges = [
+            # u0 below the lower end: landing on it, or within the band.
+            (lambda x: delegated_at(x, 0.1 * scale), -0.5 * scale, low),
+            # u0 above it: kept, or within the band.
+            (lambda x: delegated_at(x, 0.1 * scale), 0.5 * scale, low),
+            # Landing with the steer near its lower bound.
+            (lambda y: delegated_at(-0.5 * scale, y), 0.0, steer[0]),
+        ]
+        for delegated, outside, inside in edges:
+            a, b = band_edge(delegated, outside, inside)
+            for _ in range(4):
+                a = math.nextafter(a, outside)
+                b = math.nextafter(b, inside)
+                assert not delegated(a) and delegated(b)
+
+
 def follower_leader_world(gap, v_ego, v_lead):
     path = Path([[-100.0, 0.0], [2000.0, 0.0]], lane_id="lane0")
     road = RoadMap({"lane0": path}, {"lane0": {}})
