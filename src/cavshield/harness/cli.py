@@ -35,13 +35,33 @@ def _episode_count(text):
     return n
 
 
-def _load_config(path):
-    return Config.load(path) if path else Config()
+def _load_config(command, path):
+    """The --config file's Config (defaults without one), or None after
+    printing one line that names the file and what is wrong with it."""
+    if not path:
+        return Config()
+    try:
+        return Config.load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"{command}: {path}: {_reason(exc)}", file=sys.stderr)
+        return None
+
+
+def _reason(exc):
+    """One line on why an input file was refused."""
+    if isinstance(exc, OSError) and exc.strerror:
+        return exc.strerror
+    if isinstance(exc, KeyError) and exc.args:
+        return exc.args[0]  # str() would quote it
+    return str(exc)
 
 
 def cmd_train(args):
     from ..marl import trainer
 
+    cfg = _load_config("train", args.config)
+    if cfg is None:
+        return 2
     settings = trainer.TrainSettings(
         scenario=args.scenario,
         algo=args.algo,
@@ -49,7 +69,7 @@ def cmd_train(args):
         seed=args.seed,
         episodes=args.episodes,
         quick=args.quick,
-        config=_load_config(args.config),
+        config=cfg,
     )
     result = trainer.train(settings)
     os.makedirs(args.out, exist_ok=True)
@@ -68,7 +88,9 @@ def cmd_eval(args):
     from ..marl.trainer import CheckpointError
     from . import evaluate as ev
 
-    cfg = _load_config(args.config)
+    cfg = _load_config("eval", args.config)
+    if cfg is None:
+        return 2
     logs_dir = None
     if args.out and args.save_logs:
         logs_dir = os.path.join(args.out, "logs")
@@ -152,8 +174,13 @@ def cmd_qp_debug(args):
             bounds=((-6.0, 4.0), (-0.5, 0.5)),
         )
     else:
-        with open(args.problem) as fh:
-            problem = qp.load_problem(fh.read())
+        try:
+            with open(args.problem) as fh:
+                problem = qp.load_problem(fh.read())
+            problem.validate()
+        except (OSError, ValueError) as exc:
+            print(f"qp-debug: {args.problem}: {_reason(exc)}", file=sys.stderr)
+            return 2
     print(qp.dump_problem(problem))
     return 0
 

@@ -137,18 +137,34 @@ class Config:
 
     @classmethod
     def from_dict(cls, doc):
-        doc = dict(doc or {})
-        return cls(
-            world=_build(WorldConfig, doc.get("world")),
-            dynamics=_build(DynamicsParams, doc.get("dynamics")),
-            shield=_build(ShieldConfig, doc.get("shield")),
-            marl=_build(MarlConfig, doc.get("marl")),
-            harness=_build(HarnessConfig, doc.get("harness")),
-        )
+        """A config from a mapping of sections (None: all defaults).
+
+        An unknown section or key raises KeyError; a document or section
+        that is not a mapping raises ValueError.
+        """
+        doc = _mapping(doc, "config document")
+        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+        for key in doc:
+            if key not in sections:
+                raise KeyError(f"unknown {cls.__name__} key {key!r}")
+        return cls(**{
+            key: _build(section, doc.get(key), key)
+            for key, section in sections.items()
+        })
 
     @classmethod
     def from_yaml(cls, text):
-        return cls.from_dict(yaml.safe_load(text) or {})
+        """A config from YAML text; text that does not parse raises
+        ValueError with the parser's problem and position."""
+        try:
+            doc = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = ("" if mark is None
+                     else f" (line {mark.line + 1}, column {mark.column + 1})")
+            problem = getattr(exc, "problem", None) or type(exc).__name__
+            raise ValueError(f"not YAML: {problem}{where}") from None
+        return cls.from_dict(doc)
 
     @classmethod
     def load(cls, path):
@@ -156,8 +172,18 @@ class Config:
             return cls.from_yaml(fh.read())
 
 
-def _build(cls, doc):
-    doc = dict(doc or {})
+def _mapping(doc, name):
+    """doc as a dict; None is an empty one, anything else but a mapping
+    is rejected."""
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a mapping, not {doc!r}")
+    return doc
+
+
+def _build(cls, doc, section):
+    doc = _mapping(doc, f"config section {section!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in doc.items():

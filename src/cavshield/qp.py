@@ -93,10 +93,27 @@ def dump_problem(problem, result=None):
 
 
 def load_problem(text):
-    """Parse a problem from the dump_problem JSON layout."""
-    doc = json.loads(text)
-    return QpProblem(
-        u0=tuple(doc["u0"]),
-        constraints=[(tuple(c["a"]), c["b"]) for c in doc["constraints"]],
-        bounds=tuple((lo, hi) for lo, hi in doc["bounds"]),
-    )
+    """Parse a problem from the dump_problem JSON layout.
+
+    Text that is not JSON, or a document without the layout's keys,
+    raises ValueError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("problem is not a JSON object")
+    for key in ("u0", "constraints", "bounds"):
+        if key not in doc:
+            raise ValueError(f"problem has no {key!r}")
+    try:
+        return QpProblem(
+            u0=tuple(doc["u0"]),
+            constraints=[(tuple(c["a"]), c["b"]) for c in doc["constraints"]],
+            bounds=tuple((lo, hi) for lo, hi in doc["bounds"]),
+        )
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("problem does not have the dump_problem layout: "
+                         "u0 [x, y], constraints [{a: [x, y], b}], "
+                         "bounds [[lo, hi], [lo, hi]]") from None

@@ -16,11 +16,16 @@ agent_safe_set projects the ego onto its lane and each adjacent lane and
 each target onto the lanes it is checked in, builds the barrier rows of
 the current lane and of each adjacent lane, in the solver's row form,
 and decides each action by the projection of its nominal input onto
-those rows and its input box.  Each row set is one interval of
-acceleration (BarrierRows keeps its ends), so check_action_safe decides
-from the ends, with the result of the projection QP
-kernels.solve_qp_2d bit for bit, and calls that QP only within a tie
-band where rounding could separate the two.
+those rows and its input box.  The shared geometry comes from the
+observations: every observer of a step holds the same Observation of a
+vehicle, which works out its world position once and its projection once
+per lane path, so no agent's pass repeats another's.  Each row set is one
+interval of acceleration (BarrierRows keeps its ends, built in the same
+pass as its rows), so check_action_safe decides from the ends, with the
+result of the projection QP kernels.solve_qp_2d bit for bit, and calls
+that QP only within a tie band where rounding could separate the two.
+A verdict's binding row label is found only when it is read (episode
+logs read it; training and unlogged evaluation do not).
 Crossing traffic is folded in by transforming each crossing vehicle into
 a pseudo car on the ego path.  An empty safe set falls back to
 Emergency_stop (full braking, zero steer) and is fed back to the MARL as
@@ -40,7 +45,7 @@ from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bo
 # Not called here: perfbench/spans.py wraps shield.nominal_control.
 from .dynamics import nominal_control
 from .kernels import DEDUP_TOL, FEAS_TOL
-from .world import ALIGN_CONE, OutOfCorridor
+from .world import ALIGN_CONE
 
 FRONT = "front"
 REAR = "rear"
@@ -109,12 +114,56 @@ class BarrierTarget:
         return f"{self.role}:{self.kind}:{self.source_id}"
 
 
-@dataclass(slots=True)
 class ActionVerdict:
-    safe: bool
-    u: Optional[object] = None  # filtered ControlInput when safe
-    binding: Optional[str] = None
-    unavailable: bool = False
+    """Verdict of one action: safe, the filtered ControlInput u when safe,
+    the binding row's label and whether the action is unavailable.
+
+    check_action_safe leaves the binding to be found on first read of
+    binding (from its rows and the accel it is judged at), because only
+    logged runs read it.  Equality and repr are those of a dataclass with
+    the four fields (safe, u, binding, unavailable), and so read binding.
+    """
+
+    __slots__ = ("safe", "u", "unavailable", "_binding", "_rows", "_alpha")
+
+    def __init__(self, safe, u=None, binding=None, unavailable=False):
+        self.safe = safe
+        self.u = u
+        self.unavailable = unavailable
+        self._binding = binding
+        self._rows = None
+        self._alpha = None
+
+    @classmethod
+    def judged(cls, safe, u, rows, alpha):
+        """A verdict whose binding is _binding(rows, alpha), found on read."""
+        verdict = cls(safe, u)
+        verdict._rows = rows
+        verdict._alpha = alpha
+        return verdict
+
+    @property
+    def binding(self):
+        rows = self._rows
+        if rows is not None:
+            self._binding = _binding(rows, self._alpha)
+            self._rows = None
+        return self._binding
+
+    def _key(self):
+        return (self.safe, self.u, self.binding, self.unavailable)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"ActionVerdict(safe={self.safe!r}, u={self.u!r}, "
+                f"binding={self.binding!r}, "
+                f"unavailable={self.unavailable!r})")
 
 
 @dataclass
@@ -175,7 +224,6 @@ def lead_constraint_terms(v, v_r, gap, cfg, dyn):
     return coef, const
 
 
-@dataclass(slots=True)
 class BarrierRows:
     """Barrier constraints coef * alpha >= b on the ego acceleration alpha.
 
@@ -185,21 +233,23 @@ class BarrierRows:
     n = sqrt(coef * coef): lower holds b / n of each row with coef > 0
     (alpha >= end), upper that of each row with coef < 0 (-alpha >= end),
     each tightest (largest) first.  blocked marks a row without direction
-    (n < DEDUP_TOL) whose b exceeds FEAS_TOL: no input meets it.  Equality
-    compares rows and labels, which determine the rest.
+    (n < DEDUP_TOL) whose b exceeds FEAS_TOL: no input meets it.  labels
+    holds the label of each row; rows built from barrier targets
+    (constraint_rows) format them from the targets on first read.
+    Equality compares rows and labels, which determine the rest.
     """
 
-    rows: tuple  # (coef, 0.0, b) per barrier, in target order
-    labels: tuple  # the label of each row
-    lower: tuple = field(default=None, compare=False)
-    upper: tuple = field(default=None, compare=False)
-    blocked: bool = field(default=False, compare=False)
+    __slots__ = ("rows", "lower", "upper", "blocked", "_labels", "_targets",
+                 "_parts")
 
-    def __post_init__(self):
-        if self.lower is not None:
-            return
+    def __init__(self, rows, labels, targets=None):
+        """rows: (coef, 0.0, b) triples, coef and b finite; labels: one
+        label per row, or None with the barrier targets that give them.
+        The rows are checked and their ends found in one pass."""
         lower, upper, blocked = [], [], False
-        for coef, _, b in self.rows:
+        for coef, _, b in rows:
+            if not (math.isfinite(coef) and math.isfinite(b)):
+                raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
             n = math.sqrt(coef * coef)
             if n < DEDUP_TOL:
                 blocked = blocked or b > FEAS_TOL
@@ -207,43 +257,69 @@ class BarrierRows:
                 (lower if coef > 0.0 else upper).append(b / n)
             # else coef * coef overflowed, and solve_qp_2d's row is
             # 0 . u >= 0, which every input meets.
-        self.lower = tuple(sorted(lower, reverse=True))
-        self.upper = tuple(sorted(upper, reverse=True))
+        lower.sort(reverse=True)
+        upper.sort(reverse=True)
+        self.rows = tuple(rows)
+        self.lower = tuple(lower)
+        self.upper = tuple(upper)
         self.blocked = blocked
+        self._labels = None if labels is None else tuple(labels)
+        self._targets = targets
+        self._parts = None
 
     @classmethod
     def of(cls, labeled):
         """Rows from (coef, b, label) triples; coef and b must be finite."""
-        rows = []
-        labels = []
-        for coef, b, label in labeled:
-            if not (math.isfinite(coef) and math.isfinite(b)):
-                raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
-            rows.append((coef, 0.0, b))
-            labels.append(label)
-        return cls(tuple(rows), tuple(labels))
+        labeled = list(labeled)
+        return cls([(coef, 0.0, b) for coef, b, _ in labeled],
+                   [label for _, _, label in labeled])
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            if self._parts is not None:  # a join: each part formats once
+                first, second = self._parts
+                self._labels = first.labels + second.labels
+            else:
+                self._labels = tuple(t.label for t in self._targets)
+            self._targets = self._parts = None
+        return self._labels
 
     def join(self, other):
         """The rows of both sets, self's first."""
-        return BarrierRows(
-            self.rows + other.rows, self.labels + other.labels,
-            tuple(sorted(self.lower + other.lower, reverse=True)),
-            tuple(sorted(self.upper + other.upper, reverse=True)),
-            self.blocked or other.blocked,
-        )
+        out = BarrierRows.__new__(BarrierRows)
+        out.rows = self.rows + other.rows
+        out.lower = tuple(sorted(self.lower + other.lower, reverse=True))
+        out.upper = tuple(sorted(self.upper + other.upper, reverse=True))
+        out.blocked = self.blocked or other.blocked
+        out._labels = out._targets = None
+        out._parts = (self, other)
+        return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.labels == other.labels
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"BarrierRows(rows={self.rows!r}, labels={self.labels!r})"
 
 
 def constraint_rows(ego_v, targets, cfg, dyn):
-    """BarrierRows encoding coef*alpha >= A - const per barrier target."""
+    """BarrierRows encoding coef*alpha >= A - const per barrier target;
+    the labels are formatted from the targets when first read."""
     buf = robust_buffer(cfg)
+    targets = tuple(targets)
     rows = []
     for t in targets:
         if t.role == FRONT:
             coef, const = follow_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
         else:
             coef, const = lead_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
-        rows.append((coef, buf - const, t.label))
-    return BarrierRows.of(rows)
+        rows.append((coef, 0.0, buf - const))
+    return BarrierRows(rows, None, targets)
 
 
 def calibrate_lipschitz_sum(cfg, dyn, n_samples=10000, seed=0, safety_factor=1.5):
@@ -343,9 +419,11 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     dynamics.action_accel_bounds) times the steer range; the action is
     safe when some input in the box satisfies every row of rows (a
     BarrierRows), and its filtered input is the projection of u0 onto
-    that set, bit for bit as kernels.solve_qp_2d computes it on rows.rows.
-    The binding row is the one with least slack at the filtered input (at
-    u0 when unsafe); the first such row wins a tie.
+    that set, bit for bit as kernels.solve_qp_2d computes it on rows.rows
+    (u0 itself when it is kept).  The binding row is the one with least
+    slack at the filtered input (at u0 when unsafe); the first such row
+    wins a tie.  The verdict finds it, and formats the rows' labels, only
+    when its binding is read.
 
     Steer enters no row, so the check reads the rows' accel ends.  Each
     end, box edges included, is a unit row s * alpha >= end of the QP
@@ -384,22 +462,44 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
         raise ValueError(f"empty input box {accel_bounds!r} x "
                          f"{(lo1, hi1)!r}")
     if rows.blocked:
-        return ActionVerdict(safe=False, binding=_binding(rows, x))
+        return ActionVerdict.judged(False, None, rows, x)
     # The tightest barrier end of each side (-inf for none), and the
-    # tightest and next tightest end of each side with the box edge.
-    barrier_low = rows.lower[0] if rows.lower else -math.inf
-    barrier_high = rows.upper[0] if rows.upper else -math.inf
-    low, low_next = _two_tightest(lo, rows.lower)
-    high, high_next = _two_tightest(-hi, rows.upper)
+    # tightest and next tightest end of each side with the box edge (-inf
+    # for no next end).  On a tie the box edge counts as the tighter, as
+    # max(edge, end) picks it.
+    lower, upper = rows.lower, rows.upper
+    if lower:
+        barrier_low = lower[0]
+        if barrier_low > lo:
+            low = barrier_low
+            low_next = lo
+            if len(lower) > 1 and lower[1] > lo:
+                low_next = lower[1]
+        else:
+            low, low_next = lo, barrier_low
+    else:
+        barrier_low = low_next = -math.inf
+        low = lo
+    if upper:
+        barrier_high = upper[0]
+        if barrier_high > -hi:
+            high = barrier_high
+            high_next = -hi
+            if len(upper) > 1 and upper[1] > -hi:
+                high_next = upper[1]
+        else:
+            high, high_next = -hi, barrier_high
+    else:
+        barrier_high = high_next = -math.inf
+        high = -hi
     band = TIE_BAND * (1.0 + abs(x) + abs(low) + abs(high))
     gap = low + high  # the least admissible accel minus the greatest
     if gap > band:
-        return ActionVerdict(safe=False, binding=_binding(rows, x))
+        return ActionVerdict.judged(False, None, rows, x)
     if (x - barrier_low > band and -x - barrier_high > band
             and x - lo >= -FEAS_TOL and -x + hi >= -FEAS_TOL
             and y - lo1 >= -FEAS_TOL and -y + hi1 >= -FEAS_TOL):
-        return ActionVerdict(safe=True, u=type(u0)(accel=x, steer=y),
-                             binding=_binding(rows, x))
+        return ActionVerdict.judged(True, u0, rows, x)
     if -gap > band and y - lo1 > band and hi1 - y > band:
         for s, end, runner_up in ((1.0, low, low_next),
                                   (-1.0, high, high_next)):
@@ -407,22 +507,12 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
             if t > band and end - runner_up > band:
                 ux = x + t * s
                 if s * ux - end >= -FEAS_TOL:
-                    return ActionVerdict(
-                        safe=True, u=type(u0)(accel=ux, steer=y + t * 0.0),
-                        binding=_binding(rows, ux))
+                    return ActionVerdict.judged(
+                        True, type(u0)(accel=ux, steer=y + t * 0.0), rows, ux)
     status, ux, uy, _ = kernels.solve_qp_2d(x, y, rows.rows, lo, hi, lo1, hi1)
     if status != kernels.QP_FEASIBLE:
-        return ActionVerdict(safe=False, binding=_binding(rows, x))
-    return ActionVerdict(safe=True, u=type(u0)(accel=ux, steer=uy),
-                         binding=_binding(rows, ux))
-
-
-def _two_tightest(box_end, ends):
-    """The largest and the next largest of box_end and ends, where ends
-    is sorted largest first (-inf stands in for no next end)."""
-    if ends and ends[0] > box_end:
-        return ends[0], max(box_end, ends[1]) if len(ends) > 1 else box_end
-    return box_end, ends[0] if ends else -math.inf
+        return ActionVerdict.judged(False, None, rows, x)
+    return ActionVerdict.judged(True, type(u0)(accel=ux, steer=uy), rows, ux)
 
 
 def _binding(rows, alpha):
@@ -441,6 +531,7 @@ class EgoView:
     """Ego ground truth reconstructed from the exact self-observation."""
 
     def __init__(self, obs, road):
+        self.obs = obs
         self.id = obs.target_id
         self.x, self.y = obs.world_position()
         self.v = obs.vx
@@ -451,14 +542,13 @@ class EgoView:
         if self.lane is None:
             self.lane = road.lane_of(self.x, self.y, self.psi)
 
-
-def _arc_length(path, pos):
-    """Arc length of pos on path, or None outside the projection corridor."""
-    try:
-        s, _ = path.project(*pos)
-    except OutOfCorridor:
-        return None
-    return s
+    def project(self, path):
+        """The ego's (s, d) on path, read from the self-observation (see
+        Observation.projection); raises OutOfCorridor as Path.project does."""
+        sd = self.obs.projection(path)
+        if sd is None:
+            return path.project(self.x, self.y)  # raises OutOfCorridor
+        return sd
 
 
 def classify_targets(view, road, ego, cfg):
@@ -469,15 +559,17 @@ def classify_targets(view, road, ego, cfg):
     outside the corridor).  Lane assignment favors the target's own lane
     report (CAVs) and falls back to the perturbed position; misaligned
     targets go through the pseudo-car transform against the ego path.
+    Positions and projections come from the observations, which keep them
+    for every other observer of the step.
     """
     ego_path = road.path(ego.lane)
-    ego_s, ego_d = ego_path.project(ego.x, ego.y)
+    ego_s, ego_d = ego.project(ego_path)
     by_lane = {}
     pseudo = []
     back_margin = 0.5 * ego.length + cfg.conflict_radius
     for obs in view.all_targets():
-        pos = obs.world_position()
-        s_proj = _arc_length(ego_path, pos)
+        sd = obs.projection(ego_path)
+        s_proj = None if sd is None else sd[0]
         aligned = abs(kernels.wrap_angle(
             obs.psi - ego_path.heading_at(ego_s if s_proj is None else s_proj)
         )) <= ALIGN_CONE
@@ -485,13 +577,14 @@ def classify_targets(view, road, ego, cfg):
             if obs.connected and obs.lane_detect is not None:
                 lane = obs.lane_detect
             else:
-                lane = road.lane_of(pos[0], pos[1], obs.psi)
+                x, y = obs.world_position()
+                lane = road.lane_of(x, y, obs.psi)
             if lane is None:
                 continue
             by_lane.setdefault(lane, []).append((obs, s_proj))
         else:
             pc = pseudo_car_transform(
-                ego_path, ego_s, pos, obs.psi, obs.vx, cfg,
+                ego_path, ego_s, obs.world_position(), obs.psi, obs.vx, cfg,
                 back_margin=back_margin,
             )
             if pc is not None:
@@ -558,8 +651,10 @@ def agent_safe_set(view, road, cfg, dyn, table):
     adjacent lane, which yields that lane's rows and the pursuit steer of
     the lane change into it.  Each steer is clamped to the steer range as
     DynamicsParams.clamp does; the table's accel is clamped already.
-    Each same-lane target is projected once, onto the ego path
-    (classify_targets), and each adjacent-lane target once onto its lane.
+    Each same-lane target is projected onto the ego path
+    (classify_targets), and each adjacent-lane target onto its lane; the
+    ego's and the targets' projections are read from their observations,
+    so an observation seen by several agents is projected once per path.
     Each row set is built once, and each action is then checked against
     its rows with its own accel band; a lane change off the road edge is
     unavailable.
@@ -589,16 +684,16 @@ def agent_safe_set(view, road, cfg, dyn, table):
                 verdicts[action] = ActionVerdict(safe=False, unavailable=True)
                 continue
             path = road.path(lane)
-            lane_s, _ = path.project(ego.x, ego.y)
+            lane_s, _ = ego.project(path)
             steer = pursuit_steer(ego, path, lane_s, dyn)
             u0 = ControlInput(
                 accel, min(max(steer, dyn.steer_min), dyn.steer_max))
+            lane_targets = []
+            for obs, _ in by_lane.get(lane, []):
+                sd = obs.projection(path)
+                lane_targets.append((obs, None if sd is None else sd[0]))
             rows = current.join(constraint_rows(
-                ego.v,
-                lane_barrier_targets(ego, lane_s, [
-                    (obs, _arc_length(path, obs.world_position()))
-                    for obs, _ in by_lane.get(lane, [])
-                ]),
+                ego.v, lane_barrier_targets(ego, lane_s, lane_targets),
                 cfg, dyn,
             ))
         verdict = check_action_safe(u0, rows, bounds, dyn)

@@ -165,13 +165,25 @@ class Path:
 
 
 def detect_collisions(states):
-    """Unordered id pairs whose oriented footprints overlap (SAT)."""
+    """Unordered id pairs whose oriented footprints overlap (SAT).
+
+    A pair whose bounding circles are apart skips kernels.rect_overlap:
+    the test here, with each circumradius worked out once per call, is the
+    one rect_overlap starts with, in the same arithmetic.
+    """
     pairs = set()
     items = list(states)
+    radii = [0.5 * math.sqrt(v.length * v.length + v.width * v.width)
+             for v in items]
     for i in range(len(items)):
         a = items[i]
+        r1 = radii[i]
         for j in range(i + 1, len(items)):
             b = items[j]
+            dx = b.x - a.x
+            dy = b.y - a.y
+            if math.sqrt(dx * dx + dy * dy) > r1 + radii[j]:
+                continue
             if kernels.rect_overlap(
                 a.x, a.y, a.psi, a.length, a.width,
                 b.x, b.y, b.psi, b.length, b.width,
@@ -187,6 +199,13 @@ class Observation:
     l and v sit in the target's travel-aligned frame; heading/extents ride
     along as unperturbed metadata.  alpha and lane_detect exist only for
     CAV targets.
+
+    An observation is not changed once built, and build_joint_state hands
+    one object per vehicle to every observer, so the geometry derived from
+    it is kept on the object: world_position is worked out once, and
+    projection once per Path (keyed by the Path object).  The caches are
+    no fields: equality and repr ignore them, and a copy (with_error, or
+    the next step's observation) starts without them.
     """
 
     target_id: str
@@ -200,6 +219,8 @@ class Observation:
     connected: bool
     alpha: Optional[float] = None
     lane_detect: Optional[object] = None
+    _position = None
+    _projections = None
 
     def with_error(self, e_l, e_v):
         """Copy with (e_l, e_v) applied along the travel axis only."""
@@ -218,9 +239,33 @@ class Observation:
         )
 
     def world_position(self):
-        """Rotate (lx, ly) back to the world frame."""
-        c, s = math.cos(self.psi), math.sin(self.psi)
-        return (c * self.lx - s * self.ly, s * self.lx + c * self.ly)
+        """Rotate (lx, ly) back to the world frame (worked out once)."""
+        pos = self._position
+        if pos is None:
+            c, s = math.cos(self.psi), math.sin(self.psi)
+            pos = self._position = (c * self.lx - s * self.ly,
+                                    s * self.lx + c * self.ly)
+        return pos
+
+    def projection(self, path):
+        """path.project of world_position(), or None outside the corridor
+        (worked out once per path).
+
+        Only the result is kept, never an OutOfCorridor instance: a
+        re-raised exception would grow its traceback on every raise.  A
+        non-finite position raises ValueError on every call.
+        """
+        cache = self._projections
+        if cache is None:
+            cache = self._projections = {}
+        sd = cache.get(path, _MISS)
+        if sd is _MISS:
+            try:
+                sd = path.project(*self.world_position())
+            except OutOfCorridor:
+                sd = None
+            cache[path] = sd
+        return sd
 
 
 @dataclass

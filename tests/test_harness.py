@@ -48,6 +48,35 @@ class TestConfig:
         with pytest.raises(KeyError, match=key):
             Config.from_dict({section: {key: 1}})
 
+    def test_unknown_section_rejected(self):
+        # A misspelt section was dropped, and the run used its defaults
+        # (here epsilon = 2.0 instead of 0.0).
+        with pytest.raises(KeyError, match="unknown Config key 'shiled'"):
+            Config.from_dict({"shiled": {"epsilon": 0.0}})
+        with pytest.raises(KeyError, match="shiled"):
+            Config.from_yaml("shiled: {epsilon: 0.0}\n")
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"shield": 3}, "config section 'shield' must be a mapping, not 3"),
+        ({"marl": [1, 2]},
+         "config section 'marl' must be a mapping, not [1, 2]"),
+        ([1], "config document must be a mapping, not [1]"),
+        ("shield", "config document must be a mapping, not 'shield'"),
+    ])
+    def test_section_that_is_not_a_mapping_rejected(self, doc, message):
+        # {"shield": 3} raised TypeError: 'int' object is not iterable.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Config.from_dict(doc)
+
+    def test_empty_document_and_sections_are_defaults(self):
+        assert Config.from_dict(None) == CFG
+        assert Config.from_yaml("") == CFG
+        assert Config.from_yaml("shield:\nmarl:\n") == CFG
+
+    def test_text_that_is_not_yaml_rejected(self):
+        with pytest.raises(ValueError, match=r"not YAML: .*\(line 2, column 1\)"):
+            Config.from_yaml("shield: {epsilon: 1.0\n")
+
     def test_override(self):
         cfg = Config.from_dict({"shield": {"epsilon": 3.0}, "marl": {"lr": 1e-3}})
         assert cfg.shield.epsilon == 3.0
@@ -456,6 +485,77 @@ class TestCli:
             cli.main(["qp-debug", "--demo", "--problem", "unused.json"])
         assert exc.value.code == 2
         assert cli.main(["qp-debug", "--demo"]) == 0
+
+    @pytest.mark.parametrize("case,message", [
+        ("missing", "No such file or directory"),
+        ("not YAML", "not YAML: expected ',' or ']'"),
+        ("unknown key", "unknown Config key 'shiled'"),
+        ("unknown section key", "unknown ShieldConfig key 'epsilonn'"),
+        ("rejected value", "epsilon must be >= 0"),
+        ("section not a mapping",
+         "config section 'shield' must be a mapping, not 3"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_config_file_fails_cleanly(self, capsys, tmp_path, command,
+                                           case, message):
+        # Each of these ended in a traceback with exit status 1.
+        from cavshield.harness import cli
+
+        path = tmp_path / "cfg.yaml"
+        text = {"missing": None, "not YAML": "shield: [1\n",
+                "unknown key": "shiled: {epsilon: 0.0}\n",
+                "unknown section key": "shield: {epsilonn: 0.0}\n",
+                "rejected value": "shield: {epsilon: -1.0}\n",
+                "section not a mapping": "shield: 3\n"}[case]
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--scenario", "highway", "--out", str(out)],
+                "eval": ["eval", "--checkpoint", str(tmp_path / "none.npz"),
+                         "--out", str(out)]}[command]
+        assert cli.main(argv + ["--config", str(path)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(f"{command}: {path}: ")
+        assert message in got.err and got.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,message", [
+        ("missing", "No such file or directory"),
+        ("not JSON", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("not an object", "problem is not a JSON object"),
+        ("no constraints", "problem has no 'constraints'"),
+        ("misshapen row", "problem does not have the dump_problem layout"),
+        ("NaN bound", "bound lo nan exceeds hi 1.0"),
+    ])
+    def test_qp_debug_of_a_bad_problem_fails_cleanly(self, capsys, tmp_path,
+                                                    case, message):
+        from cavshield.harness import cli
+
+        good = {"u0": [2.0, 0.0], "constraints": [{"a": [-1.0, 0.0], "b": -1.0}],
+                "bounds": [[-6.0, 4.0], [-0.5, 0.5]]}
+        path = tmp_path / "problem.json"
+        text = {
+            "missing": None,
+            "not JSON": "",
+            "not an object": "[]",
+            "no constraints": json.dumps(
+                {k: v for k, v in good.items() if k != "constraints"}),
+            "misshapen row": json.dumps({**good, "constraints": [[1.0, 0.5]]}),
+            "NaN bound": json.dumps({**good, "bounds": [[math.nan, 1.0],
+                                                        [0.0, 1.0]]}),
+        }[case]
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["qp-debug", "--problem", str(path)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(f"qp-debug: {path}: ")
+        assert message in got.err and got.err.count("\n") == 1
+        path.write_text(json.dumps(good))
+        assert cli.main(["qp-debug", "--problem", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["solution"]["status"] == (
+            "feasible")
 
     def test_closed_pipe_exits_quietly(self):
         # The reader is gone before the command writes, as when `| head`

@@ -6,6 +6,7 @@ import copy
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -55,7 +56,7 @@ from cavshield.shield import (
     safety_distance_lead,
     safety_shield,
 )
-from cavshield.world import OutOfCorridor, Path, RoadMap, VehicleState, World, build_joint_state
+from cavshield.world import OutOfCorridor, Observation, Path, RoadMap, VehicleState, World, build_joint_state
 
 DYN = DynamicsParams()  # accel in [-6, 4] -> max_brake = 6
 CFG0 = ShieldConfig(c1=1.0, c2=1.0, c3=2.0, gamma_cbf=1.0, epsilon=0.0,
@@ -942,3 +943,132 @@ class TestProjectionCount:
         off = ActionSpace.RIGHT if ego_lane == 0 else ActionSpace.LEFT
         assert verdicts[off].unavailable
         assert raised == []
+
+
+class TestSharedGeometry:
+    """One shield step works out each shared observation's geometry once:
+    every observer of a step holds the same Observation of a vehicle."""
+
+    @pytest.mark.parametrize("schedule", [None, make_constant(2.0, 1.0)],
+                             ids=["exact", "perturbed"])
+    def test_highway_step_projects_each_observation_once_per_path(
+            self, monkeypatch, schedule):
+        cfg = Config()
+        spec = scen.build_scenario("highway", mode="test", cfg=cfg)
+        world = scen.materialize(spec, np.random.default_rng(7)).world
+        assert len(spec.road.lanes) == 3 and len(world.cav_ids) == 3
+        joint = build_joint_state(world, cfg.world.comm_range, schedule)
+        shield_cfg = resolve_lipschitz(cfg.shield, cfg.dynamics)
+        table = action_table(cfg.dynamics, ActionSpace(cfg.harness.action_k))
+
+        positions = {}  # id(obs) -> (obs, every tuple it returned)
+        world_position = Observation.world_position
+
+        def traced_position(obs):
+            pos = world_position(obs)
+            positions.setdefault(id(obs), (obs, []))[1].append(pos)
+            return pos
+
+        projected = Counter()  # (path, x, y) -> Path.project calls
+        in_lane_of = []
+        project = Path.project
+
+        def traced_project(path, x, y):
+            if not in_lane_of:  # RoadMap.lane_of keeps its own memo
+                projected[(id(path), x, y)] += 1
+            return project(path, x, y)
+
+        lane_of = RoadMap.lane_of
+
+        def traced_lane_of(road, *args):
+            in_lane_of.append(True)
+            try:
+                return lane_of(road, *args)
+            finally:
+                in_lane_of.pop()
+
+        requests = []
+        projection = Observation.projection
+
+        def traced_projection(obs, path):
+            requests.append((id(obs), id(path)))
+            return projection(obs, path)
+
+        monkeypatch.setattr(Observation, "world_position", traced_position)
+        monkeypatch.setattr(Observation, "projection", traced_projection)
+        monkeypatch.setattr(Path, "project", traced_project)
+        monkeypatch.setattr(RoadMap, "lane_of", traced_lane_of)
+        outcome = safety_shield(joint, spec.road, shield_cfg, cfg.dynamics,
+                                table)
+        assert len(outcome.safe_sets) == 3
+
+        # Each observation worked its position out once: every call
+        # returned the tuple of its first call.
+        assert positions
+        for obs, returned in positions.values():
+            assert all(pos is returned[0] for pos in returned)
+        # At most one Path.project per (observation, path) across all
+        # agents, although the agents asked for more.
+        assert projected and max(projected.values()) == 1
+        assert len(requests) > len(set(requests)) >= sum(projected.values())
+
+
+class TestDeferredBinding:
+    """The binding label is found only when read."""
+
+    @pytest.mark.parametrize("scenario", ["highway", "intersection"])
+    def test_unlogged_episode_finds_no_binding(self, monkeypatch, scenario):
+        cfg = Config()
+        calls = []
+        binding = shield_mod._binding
+        monkeypatch.setattr(shield_mod, "_binding",
+                            lambda *a: calls.append(a) or binding(*a))
+        spec = scen.build_scenario(scenario, mode="test", cfg=cfg)
+        spec.episode_len = 40
+        for log_verdicts in (False, True):
+            calls.clear()
+            log = ep.run_episode(
+                spec, cfg, ep.RandomSafeTeamPolicy(),
+                schedule=build_schedule("veh", 1, cfg, spec), seed=1,
+                log_verdicts=log_verdicts)
+            assert len(log.steps) == 40
+            if log_verdicts:
+                assert calls  # the log reads them
+            else:
+                assert calls == []
+
+    def test_verdict_equality_and_repr_read_the_binding(self):
+        rows = BarrierRows.of([(1.0, 0.5, "lead"), (-1.0, -2.0, "rear")])
+        u0 = ControlInput(0.0, 0.0)
+        verdict = check_action_safe(u0, rows, (-1.0, 1.0), DYN)
+        eager = ActionVerdict(safe=True, u=ControlInput(0.5, 0.0),
+                              binding="lead")
+        assert verdict == eager
+        assert repr(verdict) == repr(eager) == (
+            "ActionVerdict(safe=True, u=ControlInput(accel=0.5, steer=0.0), "
+            "binding='lead', unavailable=False)")
+        assert verdict != ActionVerdict(safe=True, u=ControlInput(0.5, 0.0),
+                                        binding="rear")
+        assert ActionVerdict(safe=False, unavailable=True).binding is None
+
+    def test_kept_input_is_returned_as_is(self):
+        u0 = ControlInput(0.25, 0.1)
+        verdict = check_action_safe(u0, BarrierRows.of([(1.0, -1.0, "a")]),
+                                    (-1.0, 1.0), DYN)
+        assert verdict.safe and verdict.u is u0
+
+    def test_target_rows_format_their_labels_on_read(self):
+        targets = [BarrierTarget(FRONT, 20.0, 9.0, "a"),
+                   BarrierTarget(REAR, 15.0, 11.0, "b", "pseudo")]
+        rows = constraint_rows(10.0, targets, CFG0, DYN)
+        assert rows._labels is None
+        assert rows.labels == ("front:lane:a", "rear:pseudo:b")
+        assert rows == BarrierRows(rows.rows, rows.labels)
+        lane = constraint_rows(10.0, targets[:1], CFG0, DYN)
+        joined = lane.join(constraint_rows(10.0, targets[1:], CFG0, DYN))
+        assert joined._labels is None and lane._labels is None
+        assert joined == rows
+        assert lane._labels == ("front:lane:a",)  # formatted once, kept
+        assert joined.lower == rows.lower and joined.upper == rows.upper
+        mixed = lane.join(BarrierRows.of([(1.0, 0.0, "x")]))
+        assert mixed.labels == ("front:lane:a", "x")

@@ -307,6 +307,45 @@ class TestCollisions:
         assert disagreements <= 3
 
 
+    def test_bounding_circle_skip_keeps_every_verdict(self, monkeypatch):
+        # detect_collisions skips rect_overlap for pairs whose bounding
+        # circles are apart, with the test rect_overlap starts with: the
+        # pairs equal those of rect_overlap on every pair, circles that
+        # just touch included.
+        from cavshield import kernels
+
+        def brute(items):
+            return {
+                tuple(sorted((a.id, b.id)))
+                for a, b in itertools.combinations(items, 2)
+                if kernels.rect_overlap(a.x, a.y, a.psi, a.length, a.width,
+                                        b.x, b.y, b.psi, b.length, b.width)
+            }
+
+        rng = np.random.default_rng(3)
+        reach = math.sqrt(4.5 ** 2 + 2.0 ** 2)  # two circumradii
+        for _ in range(300):
+            items = [
+                vehicle(f"v{k}", *rng.uniform(-8, 8, 2),
+                        psi=rng.uniform(-math.pi, math.pi))
+                for k in range(5)
+            ]
+            # One pair whose circles touch exactly, one just apart.
+            items.append(vehicle("t0", items[0].x + reach, items[0].y))
+            items.append(vehicle("t1", items[1].x,
+                                 math.nextafter(items[1].y + reach, math.inf)))
+            assert detect_collisions(items) == brute(items)
+
+        calls = []
+        real = kernels.rect_overlap
+        monkeypatch.setattr(kernels, "rect_overlap",
+                            lambda *a: calls.append(a) or real(*a))
+        far = [vehicle("a", 0.0, 0.0), vehicle("b", 100.0, 0.0),
+               vehicle("c", 1.0, 0.5)]
+        assert detect_collisions(far) == {("a", "c")}
+        assert len(calls) == 1  # only a-c: their circles overlap
+
+
 def two_lane_road():
     lanes = {
         "l0": straight_x(0.0, lane_id="l0"),
@@ -412,6 +451,91 @@ class TestObservations:
         assert obs.lx == pytest.approx(4.0)
         assert obs.ly == pytest.approx(-3.0)
         assert obs.world_position() == pytest.approx((3.0, 4.0))
+
+
+class TestObservationGeometry:
+    """Observation works out its position once and its projection once
+    per path, and a copy starts afresh."""
+
+    def test_position_and_projection_kept_on_the_object(self, monkeypatch):
+        obs = small_world().observe("cav1")
+        path = straight_x(3.5, lane_id="l1")
+        calls = []
+        project = Path.project
+        monkeypatch.setattr(
+            Path, "project",
+            lambda p, x, y: calls.append((p, x, y)) or project(p, x, y))
+        pos = obs.world_position()
+        assert obs.world_position() is pos
+        sd = obs.projection(path)
+        assert obs.projection(path) is sd
+        assert sd == project(path, *pos)
+        other = straight_x(0.0, lane_id="l0")
+        assert obs.projection(other) == project(other, *pos)
+        assert [p for p, _, _ in calls] == [path, other]
+
+    def test_out_of_corridor_kept_as_none_and_non_finite_raises(self,
+                                                                monkeypatch):
+        obs = Observation("v", lx=10.0, ly=90.0, vx=1.0, vy=0.0, psi=0.0,
+                          length=4.5, width=2.0, connected=False)
+        path = straight_x(0.0)
+        calls = []
+        project = Path.project
+        monkeypatch.setattr(
+            Path, "project",
+            lambda p, x, y: calls.append(p) or project(p, x, y))
+        assert obs.projection(path) is None
+        assert obs.projection(path) is None
+        assert len(calls) == 1
+        # No exception instance is kept on the observation.
+        assert not any(isinstance(v, BaseException)
+                       for v in vars(obs).get("_projections", {}).values())
+        bad = Observation("v", lx=math.nan, ly=0.0, vx=1.0, vy=0.0, psi=0.0,
+                          length=4.5, width=2.0, connected=False)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                bad.projection(path)
+
+    def test_signed_zero_positions_keep_their_own_projection(self):
+        # A lane on y = 0 returns d with the sign of a zero y, and that
+        # sign reaches the lane-keep steer: two observations whose y are
+        # 0.0 and -0.0 keep their own d, as Path.project gives it.
+        path = straight_x(0.0)
+        pos_zero = Observation("a", lx=0.0, ly=0.0, vx=1.0, vy=0.0, psi=0.0,
+                               length=4.5, width=2.0, connected=False)
+        neg_zero = Observation("b", lx=-0.0, ly=-0.0, vx=1.0, vy=0.0,
+                               psi=0.0, length=4.5, width=2.0,
+                               connected=False)
+        assert pos_zero.world_position() == neg_zero.world_position()
+        signs = []
+        for obs in (pos_zero, neg_zero, pos_zero, neg_zero):
+            _, d = obs.projection(path)
+            _, want = path.project(*obs.world_position())
+            assert math.copysign(1.0, d) == math.copysign(1.0, want)
+            signs.append(math.copysign(1.0, d))
+        assert signs == [1.0, -1.0, 1.0, -1.0]
+
+    def test_copies_and_next_steps_start_afresh(self):
+        world = small_world()
+        path = world.road.path("l1")
+        obs = world.observe("cav1")
+        pos = obs.world_position()
+        sd = obs.projection(path)
+        same = obs.with_error(0.0, 0.0)
+        assert same == obs  # the caches are not compared
+        assert "_position" not in repr(obs)
+        assert same.world_position() is not pos
+        assert same.projection(path) is not sd
+        moved = obs.with_error(2.0, 0.0)
+        assert moved.world_position() == pytest.approx((pos[0] + 2.0, pos[1]))
+        assert moved.projection(path)[0] == pytest.approx(sd[0] + 2.0)
+        world.step({vid: ControlInput(0.0, 0.0) for vid in world.vehicles},
+                   DynamicsParams())
+        fresh = build_joint_state(world, 200.0, None).views["cav1"].self_obs
+        assert fresh is not obs
+        assert fresh.world_position() == pytest.approx(
+            (world.vehicles["cav1"].x, world.vehicles["cav1"].y))
+        assert fresh.projection(path)[0] > sd[0]
 
 
 class TestJointState:
