@@ -1,9 +1,10 @@
-"""Kinematic bicycle integration and the nominal controllers mapping each
-discrete action to a continuous input u = [accel, steer]."""
+"""Kinematic bicycle parameters (World.step integrates them with
+kernels.step_bicycle) and the nominal controllers mapping each discrete
+action to a continuous input u = [accel, steer]."""
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import kernels
@@ -140,16 +141,6 @@ def lane_context(road, lane_id):
         left=road.path(left) if left is not None else None,
         right=road.path(right) if right is not None else None,
     )
-
-
-def step_bicycle(state, u, dt, params):
-    """One explicit-Euler kinematic-bicycle step; input clamped to the box."""
-    u = params.clamp(u)
-    nx, ny, nv, npsi = kernels.step_bicycle(
-        state.x, state.y, state.v, state.psi, u.accel, u.steer,
-        dt, params.rear_axle(state.length), params.wheelbase(state.length),
-    )
-    return replace(state, x=nx, y=ny, v=nv, psi=npsi)
 
 
 def lane_keep_steer(state, path, s, d, params):

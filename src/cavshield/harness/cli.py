@@ -20,7 +20,10 @@ import json
 import os
 import sys
 
+from ..marl import trainer
+from . import evaluate as ev
 from .config import Config
+from .episode import SHIELD_MODES, SHIELD_ROBUST, EpisodeLog, verify_roundtrip
 from .scenario import scenario_names
 
 
@@ -57,10 +60,13 @@ def _reason(exc):
 
 
 def cmd_train(args):
-    from ..marl import trainer
-
     cfg = _load_config("train", args.config)
     if cfg is None:
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"train: {args.out}: {_reason(exc)}", file=sys.stderr)
         return 2
     settings = trainer.TrainSettings(
         scenario=args.scenario,
@@ -72,7 +78,6 @@ def cmd_train(args):
         config=cfg,
     )
     result = trainer.train(settings)
-    os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     ckpt_path = os.path.join(args.out, "checkpoint.npz")
     trainer.write_metrics(metrics_path, result.metrics)
@@ -85,9 +90,6 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    from ..marl.trainer import CheckpointError
-    from . import evaluate as ev
-
     cfg = _load_config("eval", args.config)
     if cfg is None:
         return 2
@@ -98,10 +100,13 @@ def cmd_eval(args):
         report = ev.evaluate(
             args.checkpoint, ptb=args.ptb, n_episodes=args.episodes,
             seed=args.seed, cfg=cfg, shield_mode=args.shield,
-            save_logs_dir=logs_dir,
+            save_logs_dir=logs_dir, out_dir=args.out,
         )
-    except CheckpointError as exc:
+    except trainer.CheckpointError as exc:
         print(f"eval: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # DIR or DIR/logs cannot be made or written
+        print(f"eval: {args.out}: {_reason(exc)}", file=sys.stderr)
         return 2
     print(
         f"{report.scenario}-{report.ptb}: collision_free_rate="
@@ -109,7 +114,6 @@ def cmd_eval(args):
         f"{report.mean_episode_return:.2f} ({report.n_episodes} episodes)"
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         ev.save_report(os.path.join(args.out, "report.json"), report)
         with open(os.path.join(args.out, "metrics.jsonl"), "w") as fh:
             for i, (seed, ret, cols) in enumerate(report.episodes):
@@ -128,8 +132,6 @@ def cmd_eval(args):
 
 
 def cmd_replay(args):
-    from .episode import EpisodeLog, verify_roundtrip
-
     try:
         log = EpisodeLog.load(args.log)
     except (OSError, ValueError) as exc:
@@ -148,8 +150,6 @@ def cmd_replay(args):
 
 
 def cmd_table(args):
-    from . import evaluate as ev
-
     reports = []
     for path in args.reports:
         try:
@@ -192,8 +192,8 @@ def build_parser():
 
     t = sub.add_parser("train", help="train policies on a scenario")
     t.add_argument("--scenario", choices=scenario_names(), required=True)
-    t.add_argument("--algo", choices=["srmappo", "mappo"], default="srmappo")
-    t.add_argument("--shield", choices=["robust", "plain", "off"], default="robust")
+    t.add_argument("--algo", choices=trainer.ALGOS, default=trainer.ALGO_SRMAPPO)
+    t.add_argument("--shield", choices=SHIELD_MODES, default=SHIELD_ROBUST)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--config", default=None, help="YAML config file")
     t.add_argument("--episodes", type=_episode_count, default=None)
@@ -203,11 +203,11 @@ def build_parser():
 
     e = sub.add_parser("eval", help="evaluate a checkpoint under perturbation")
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--ptb", choices=["none", "rand", "time", "veh"], default="none")
+    e.add_argument("--ptb", choices=ev.PTB_KINDS, default="none")
     e.add_argument("--episodes", type=_episode_count, default=50)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--config", default=None)
-    e.add_argument("--shield", choices=["robust", "plain", "off"], default=None)
+    e.add_argument("--shield", choices=SHIELD_MODES, default=None)
     e.add_argument("--out", default=None)
     e.add_argument("--save-logs", action="store_true",
                    help="write each episode log to DIR/logs (needs --out)")

@@ -255,7 +255,7 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
 
     rng = np.random.default_rng([int(seed), 0xEB])
     act_rng = np.random.default_rng([int(seed), 0xAC])
-    setup = scen.materialize(spec, rng, dt=dyn.dt)
+    setup = scen.materialize(spec, rng)
     world = setup.world
 
     meta = {

@@ -71,11 +71,12 @@ def build_schedule(kind, seed, cfg, spec):
 
 
 def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
-             shield_mode=None, save_logs_dir=None):
+             shield_mode=None, save_logs_dir=None, out_dir=None):
     """Run the test protocol for one checkpoint under one perturbation.
 
-    With save_logs_dir, each episode's log is saved there; the directory
-    is made once the checkpoint has loaded."""
+    With save_logs_dir, each episode's log is saved there.  out_dir and
+    save_logs_dir are made once the checkpoint has loaded, before any
+    episode runs."""
     from .config import Config, is_count
 
     if not is_count(n_episodes):
@@ -83,8 +84,9 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     cfg = cfg or Config()
     header, params = load_checkpoint(checkpoint_path)
     agents, enc_spec = restore_agents(header, params)
-    if save_logs_dir is not None:
-        os.makedirs(save_logs_dir, exist_ok=True)
+    for path in (out_dir, save_logs_dir):
+        if path is not None:
+            os.makedirs(path, exist_ok=True)
     spec = scen.build_scenario(header["scenario"], mode="test", cfg=cfg)
     encoder = Encoder(enc_spec, spec.road.lanes.keys())
     shield_mode = shield_mode or header.get("shield_mode", ep.SHIELD_ROBUST)

@@ -136,7 +136,7 @@ class EpisodeSetup:
     plans: dict = field(default_factory=dict)  # ucv id -> UcvPlan
 
 
-def materialize(spec, rng, dt=0.05):
+def materialize(spec, rng):
     """Sample one episode instance: spawn speeds and UCV scripts."""
     vehicles = []
     plans = {}
@@ -161,7 +161,7 @@ def materialize(spec, rng, dt=0.05):
                 plan.brake_step = int(rng.integers(w0, w1 + 1))
                 plan.brake_speed = float(rng.uniform(*beh.brake_speed))
             plans[spawn.vehicle_id] = plan
-    world = World(spec.road, vehicles, dt=dt)
+    world = World(spec.road, vehicles)
     return EpisodeSetup(world=world, plans=plans)
 
 

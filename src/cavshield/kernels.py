@@ -6,10 +6,9 @@ agents x steps during rollouts).  ``solve_qp_2d`` defines each verdict of
 the shield: ``shield.check_action_safe`` reproduces its result bit for bit
 from the accel ends of the shield's rows and calls it only for a verdict
 within its tie band.  It also backs ``qp.solve`` (acceptance check C1,
-``cavshield qp-debug``).  When two rows are exact opposites that
-contradict each other, ``solve_qp_2d`` returns infeasible without
-enumerating its candidates (``_opposed_rows`` states why that is exact).
-Callers call them through the module (``kernels.solve_qp_2d``), not by
+``cavshield qp-debug``).
+
+Callers call the kernels through the module (``kernels.solve_qp_2d``), not by
 imported name, so a tracer that replaces the module attributes
 (perfbench/spans.py) sees every call.
 """
@@ -27,10 +26,6 @@ DEDUP_TOL = 1e-12
 QP_FEASIBLE = 1
 QP_INFEASIBLE = 0
 
-# Largest |b| and |u0| component for which solve_qp_2d's exact
-# infeasibility exit applies.
-_EXIT_MAX = 1e100
-
 
 def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     """Project (u0x, u0y) onto {u : a.u >= b for all rows, lo <= u <= hi}.
@@ -41,10 +36,9 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
     In 2-D the minimizer of a strictly convex projection QP is either u0
     itself, the projection of u0 onto one constraint hyperplane, or the
     intersection of two hyperplanes, so enumerating those candidates is
-    exhaustive and exact.  When two normalized rows are exact opposites
-    whose half-planes cannot meet within the slack, the enumeration could
-    only prove the QP infeasible, so that verdict is returned without it
-    (see _opposed_rows for why that is exact).
+    exhaustive and exact.  A row with a non-finite b (an infinite box
+    bound, as in qp.solve's default) bounds the set but offers no
+    candidate.
     """
     # Box bounds first, then caller rows; normalization makes the
     # feasibility slack invariant to constraint row scaling.
@@ -75,9 +69,6 @@ def solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
 
     if _feasible(norm_rows, u0x, u0y):
         return (QP_FEASIBLE, u0x, u0y, 0.0)
-
-    if _opposed_rows(norm_rows, u0x, u0y):
-        return (QP_INFEASIBLE, 0.0, 0.0, 0.0)
 
     # A row with a non-finite b (an infinite box bound, as in qp.solve's
     # default) has no finite point on its line: its projection and its
@@ -136,44 +127,6 @@ def _feasible(norm_rows, x, y):
         if ax * x + ay * y - b < -FEAS_TOL:
             return False
     return True
-
-
-def _opposed_rows(norm_rows, u0x, u0y):
-    """True when two unit rows of solve_qp_2d are exact opposites,
-    (ax_j, ay_j) == (-ax_i, -ay_i), with b_i + b_j above
-    2 * FEAS_TOL + 1e-12 * (1 + |b_i| + |b_j|): then no candidate of the
-    enumeration is feasible, and the QP is infeasible.
-
-    Why: rounding is sign-symmetric, so at any candidate the two rows'
-    dot products are exact negatives (as values: a zero coefficient gives
-    a zero of either sign), and their slacks fl(dot - b_i) and
-    fl(-dot - b_j) sum to -(b_i + b_j) up to one relative rounding
-    (2**-53) each.  Both pass the >= -FEAS_TOL test only if both exact
-    differences are at least -FEAS_TOL * (1 + 2**-52), i.e. only if
-    b_i + b_j <= 2 * FEAS_TOL * (1 + 2**-52); the 1e-12 margin covers that
-    factor and the rounding of the sum.  A NaN candidate would pass every
-    row test; the enumeration never picks one (its distance is NaN), but
-    the exit does not lean on that: it is taken only when every b and
-    both parts of u0 are at most _EXIT_MAX in magnitude, so that, with
-    unit rows and |det| above DEDUP_TOL, every candidate is finite.  The
-    box rows (the first four) are not paired with each other; an empty
-    box is left to the enumeration.
-    """
-    for j in range(4, len(norm_rows)):
-        axj, ayj, bj = norm_rows[j]
-        for i in range(j):
-            axi, ayi, bi = norm_rows[i]
-            if (
-                axi == -axj
-                and ayi == -ayj
-                and bi + bj > 2.0 * FEAS_TOL + 1e-12 * (1.0 + abs(bi) + abs(bj))
-            ):
-                return (
-                    abs(u0x) <= _EXIT_MAX
-                    and abs(u0y) <= _EXIT_MAX
-                    and all(abs(b) <= _EXIT_MAX for _, _, b in norm_rows)
-                )
-    return False
 
 
 def wrap_angle(a):

@@ -18,8 +18,9 @@ the current lane and of each adjacent lane, in the solver's row form,
 and decides each action by the projection of its nominal input onto
 those rows and its input box.  The shared geometry comes from the
 observations: every observer of a step holds the same Observation of a
-vehicle, which works out its world position once and its projection once
-per lane path, so no agent's pass repeats another's.  Each row set is one
+vehicle, which works out its world position once, its projection once
+per lane path and its lane once (from those projections), so no agent's
+pass repeats another's.  Each row set is one
 interval of acceleration (BarrierRows keeps its ends, built in the same
 pass as its rows), so check_action_safe decides from the ends, with the
 result of the projection QP kernels.solve_qp_2d bit for bit, and calls
@@ -528,7 +529,8 @@ def _binding(rows, alpha):
 
 
 class EgoView:
-    """Ego ground truth reconstructed from the exact self-observation."""
+    """Ego ground truth reconstructed from the exact self-observation; its
+    lane is the observation's (Observation.lane)."""
 
     def __init__(self, obs, road):
         self.obs = obs
@@ -538,9 +540,7 @@ class EgoView:
         self.psi = obs.psi
         self.length = obs.length
         self.width = obs.width
-        self.lane = obs.lane_detect
-        if self.lane is None:
-            self.lane = road.lane_of(self.x, self.y, self.psi)
+        self.lane = obs.lane(road)
 
     def project(self, path):
         """The ego's (s, d) on path, read from the self-observation (see
@@ -556,11 +556,11 @@ def classify_targets(view, road, ego, cfg):
 
     Returns (ego path, the ego's (s, d) on it, {lane: [(obs, s)]}, pseudo
     cars), where s is the target's arc length on the ego path (None
-    outside the corridor).  Lane assignment favors the target's own lane
-    report (CAVs) and falls back to the perturbed position; misaligned
-    targets go through the pseudo-car transform against the ego path.
-    Positions and projections come from the observations, which keep them
-    for every other observer of the step.
+    outside the corridor).  An aligned target is filed under its
+    Observation.lane (its own lane report, else the lane of its perturbed
+    position); misaligned targets go through the pseudo-car transform
+    against the ego path.  Positions, projections and lanes come from the
+    observations, which keep them for every other observer of the step.
     """
     ego_path = road.path(ego.lane)
     ego_s, ego_d = ego.project(ego_path)
@@ -574,11 +574,7 @@ def classify_targets(view, road, ego, cfg):
             obs.psi - ego_path.heading_at(ego_s if s_proj is None else s_proj)
         )) <= ALIGN_CONE
         if aligned:
-            if obs.connected and obs.lane_detect is not None:
-                lane = obs.lane_detect
-            else:
-                x, y = obs.world_position()
-                lane = road.lane_of(x, y, obs.psi)
+            lane = obs.lane(road)
             if lane is None:
                 continue
             by_lane.setdefault(lane, []).append((obs, s_proj))

@@ -27,9 +27,6 @@ ALIGN_CONE = math.pi / 4
 DEFAULT_LENGTH = 4.5
 DEFAULT_WIDTH = 2.0
 
-# Entries RoadMap.lane_of remembers before it starts over (about 15
-# lookups run per step).
-LANE_MEMO_SIZE = 256
 _MISS = object()
 
 
@@ -37,8 +34,8 @@ class OutOfCorridor(Exception):
     """Point is too far from the path for a unique arc-length projection.
 
     Path.project raises it with (x, y, distance, lane id), and the message
-    is built only when it is read: the shield and RoadMap.lane_of catch
-    and drop most of them.
+    is built only when it is read: Observation.projection and
+    RoadMap.lane_of catch and drop most of them.
     """
 
     def __str__(self):
@@ -116,8 +113,8 @@ class Path:
         best_d2 = math.inf
         for seg in self.segments:
             ax, ay, sx, sy, seg_len, _ = seg
-            # The leading 0.0 makes a (-0.0) + (-0.0) dot product +0.0, as
-            # numpy's sum gives, so signed zeros match the array version.
+            # The leading 0.0 makes a (-0.0) + (-0.0) dot product +0.0,
+            # which decides the sign of a zero offset.
             t = (0.0 + (x - ax) * sx + (y - ay) * sy) / (seg_len * seg_len)
             # Clamp by comparison: the same result as min(max(t, 0.0), 1.0),
             # NaN and -0.0 included, without the two builtin calls, which
@@ -201,11 +198,11 @@ class Observation:
     CAV targets.
 
     An observation is not changed once built, and build_joint_state hands
-    one object per vehicle to every observer, so the geometry derived from
-    it is kept on the object: world_position is worked out once, and
-    projection once per Path (keyed by the Path object).  The caches are
-    no fields: equality and repr ignore them, and a copy (with_error, or
-    the next step's observation) starts without them.
+    one object per vehicle to every observer, so it is the one cache of
+    the geometry derived from it: world_position is worked out once,
+    projection once per Path (keyed by the Path object) and lane once.
+    The caches are no fields: equality and repr ignore them, and a copy
+    (with_error, or the next step's observation) starts without them.
     """
 
     target_id: str
@@ -221,6 +218,7 @@ class Observation:
     lane_detect: Optional[object] = None
     _position = None
     _projections = None
+    _lane = None
 
     def with_error(self, e_l, e_v):
         """Copy with (e_l, e_v) applied along the travel axis only."""
@@ -267,6 +265,20 @@ class Observation:
             cache[path] = sd
         return sd
 
+    def lane(self, road):
+        """The lane of road the vehicle is filed under: lane_detect if it
+        reports one, else road.lane_of its position, worked out once per
+        road from projection.  A non-finite heading or position raises
+        ValueError on every call."""
+        if self.lane_detect is not None:
+            return self.lane_detect
+        found = self._lane
+        if found is None or found[0] is not road:
+            x, y = self.world_position()
+            found = self._lane = (
+                road, road.lane_of(x, y, self.psi, self.projection))
+        return found[1]
+
 
 @dataclass
 class AgentView:
@@ -295,7 +307,6 @@ class RoadMap:
     def __init__(self, lanes, adjacency=None):
         self.lanes = dict(lanes)
         self.adjacency = adjacency or {}
-        self._lane_memo = {}
 
     def path(self, lane_id):
         return self.lanes[lane_id]
@@ -304,41 +315,36 @@ class RoadMap:
         """Neighbor lane id on 'left' or 'right', or None at a road edge."""
         return self.adjacency.get(lane_id, {}).get(side)
 
-    def lane_of(self, x, y, psi):
-        """Nearest lane whose direction is within ALIGN_CONE of psi.
+    def lane_of(self, x, y, psi, projection=None):
+        """Nearest lane to (x, y) whose direction is within ALIGN_CONE of
+        psi, or None.
 
-        Answers are remembered by (x, y, psi), at most LANE_MEMO_SIZE of
-        them (the memo starts over when full): within one step every
-        observer classifies the same shared observation.  The lane id
-        depends only on |d| and on the wrapped heading difference, so the
-        key's aliasing of 0.0 and -0.0 cannot change it.  A non-finite
-        heading raises ValueError here and a non-finite point in
-        Path.project, both before anything is stored, so they raise on
-        every call.
+        projection(path) gives path.project(x, y), or None outside the
+        corridor (Observation.lane passes its cached one); by default each
+        path is projected here.  A non-finite heading or point raises
+        ValueError.
         """
-        key = (x, y, psi)
-        memo = self._lane_memo
-        best = memo.get(key, _MISS)
-        if best is not _MISS:
-            return best
         if not math.isfinite(psi):
             raise ValueError(f"cannot match lanes to non-finite heading {psi}")
         best = None
         best_d = math.inf
         for lane_id, path in self.lanes.items():
-            try:
-                s, d = path.project(x, y)
-            except OutOfCorridor:
-                continue
+            if projection is None:
+                try:
+                    s, d = path.project(x, y)
+                except OutOfCorridor:
+                    continue
+            else:
+                sd = projection(path)
+                if sd is None:
+                    continue
+                s, d = sd
             diff = abs(kernels.wrap_angle(psi - path.heading_at(s)))
             if diff > ALIGN_CONE:
                 continue
             if abs(d) < best_d:
                 best_d = abs(d)
                 best = lane_id
-        if len(memo) >= LANE_MEMO_SIZE:
-            memo.clear()
-        memo[key] = best
         return best
 
 
@@ -351,10 +357,9 @@ class World:
     only: it is what a CAV reports as lane_detect, and UCVs report none.
     """
 
-    def __init__(self, road, vehicles, dt=0.05):
+    def __init__(self, road, vehicles):
         self.road = road
         self.vehicles = {v.id: v for v in vehicles}
-        self.dt = dt
         self.t = 0
         self.crashed = set()
         self.last_accel = {v.id: 0.0 for v in vehicles}
@@ -398,7 +403,11 @@ class World:
         )
 
     def step(self, controls, dyn):
-        """Integrate one step; returns newly collided id pairs."""
+        """Integrate one dyn.dt step; returns newly collided id pairs.
+
+        A CAV's lane is looked up again only when its pose (x, y, psi)
+        changed, the only input of the lookup.
+        """
         for vid, veh in self.vehicles.items():
             if vid in self.crashed:
                 self.last_accel[vid] = 0.0
@@ -408,11 +417,12 @@ class World:
             steer = min(max(u.steer, dyn.steer_min), dyn.steer_max)
             nx, ny, nv, npsi = kernels.step_bicycle(
                 veh.x, veh.y, veh.v, veh.psi, accel, steer,
-                self.dt, dyn.rear_axle(veh.length), dyn.wheelbase(veh.length),
+                dyn.dt, dyn.rear_axle(veh.length), dyn.wheelbase(veh.length),
             )
+            moved = nx != veh.x or ny != veh.y or npsi != veh.psi
             veh.x, veh.y, veh.v, veh.psi = nx, ny, nv, npsi
             self.last_accel[vid] = accel
-            if veh.connected:
+            if veh.connected and moved:
                 lane = self.road.lane_of(nx, ny, npsi)
                 if lane is not None:
                     self.lane_assignment[vid] = lane

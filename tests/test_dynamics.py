@@ -1,6 +1,8 @@
-"""Bicycle integration and nominal-controller tests."""
+"""Bicycle integration (through World.step) and nominal-controller
+tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from cavshield.dynamics import (
     NoAdjacentLane,
     emergency_control,
     nominal_control,
-    step_bicycle,
 )
-from cavshield.world import Path, VehicleState
+from cavshield.world import Path, RoadMap, VehicleState, World
 
 
 def vehicle(x=0.0, y=0.0, v=10.0, psi=0.0):
@@ -31,30 +32,39 @@ def straight_ctx():
 PARAMS = DynamicsParams()
 
 
+def world_step(state, u, dt):
+    """A copy of state after one World.step of dt under input u."""
+    ctx = straight_ctx()
+    road = RoadMap({"c": ctx.current, "l": ctx.left})
+    world = World(road, [replace(state)])
+    world.step({state.id: u}, replace(PARAMS, dt=dt))
+    return world.vehicles[state.id]
+
+
 class TestBicycle:
     def test_rest_point(self):
         state = vehicle(v=0.0)
-        out = step_bicycle(state, ControlInput(0.0, 0.0), 0.1, PARAMS)
+        out = world_step(state, ControlInput(0.0, 0.0), 0.1)
         assert (out.x, out.y, out.v, out.psi) == (0.0, 0.0, 0.0, 0.0)
 
     def test_straight_line_hand_integration(self):
-        out = step_bicycle(vehicle(v=10.0), ControlInput(0.0, 0.0), 0.1, PARAMS)
+        out = world_step(vehicle(v=10.0), ControlInput(0.0, 0.0), 0.1)
         assert out.x == pytest.approx(1.0)
         assert out.y == 0.0
         assert out.v == 10.0
         assert out.psi == 0.0
 
     def test_euler_speed_update(self):
-        out = step_bicycle(vehicle(v=10.0), ControlInput(2.0, 0.0), 0.1, PARAMS)
+        out = world_step(vehicle(v=10.0), ControlInput(2.0, 0.0), 0.1)
         assert out.v == pytest.approx(10.2)
 
     def test_speed_saturates_at_standstill(self):
-        out = step_bicycle(vehicle(v=0.1), ControlInput(-6.0, 0.0), 0.1, PARAMS)
+        out = world_step(vehicle(v=0.1), ControlInput(-6.0, 0.0), 0.1)
         assert out.v == 0.0
 
     def test_position_conserved_at_rest_under_braking(self):
         state = vehicle(v=0.0, x=3.0, y=-1.0)
-        out = step_bicycle(state, ControlInput(-3.0, 0.2), 0.05, PARAMS)
+        out = world_step(state, ControlInput(-3.0, 0.2), 0.05)
         assert (out.x, out.y) == (3.0, -1.0)
 
     def test_zero_steer_keeps_heading_frame_lateral(self):
@@ -63,8 +73,8 @@ class TestBicycle:
             psi = rng.uniform(-math.pi, math.pi)
             state = vehicle(x=rng.uniform(-5, 5), y=rng.uniform(-5, 5),
                             v=rng.uniform(0, 15), psi=psi)
-            out = step_bicycle(state, ControlInput(rng.uniform(-6, 4), 0.0),
-                               0.05, PARAMS)
+            out = world_step(state, ControlInput(rng.uniform(-6, 4), 0.0),
+                               0.05)
             # Lateral coordinate in the heading frame is invariant.
             lat0 = -math.sin(psi) * state.x + math.cos(psi) * state.y
             lat1 = -math.sin(psi) * out.x + math.cos(psi) * out.y
@@ -73,7 +83,7 @@ class TestBicycle:
 
     def test_heading_wraps(self):
         state = vehicle(v=10.0, psi=math.pi - 1e-3)
-        out = step_bicycle(state, ControlInput(0.0, 0.5), 0.5, PARAMS)
+        out = world_step(state, ControlInput(0.0, 0.5), 0.5)
         assert -math.pi < out.psi <= math.pi
 
 
@@ -120,7 +130,7 @@ class TestNominalControl:
         ctx = straight_ctx()
         for _ in range(200):
             u = nominal_control(state, ActionSpace.KEEP, ctx, PARAMS)
-            state = step_bicycle(state, u, PARAMS.dt, PARAMS)
+            state = world_step(state, u, PARAMS.dt)
         assert abs(state.y) < 0.1
 
     def test_lane_keeping_recovers_from_offset(self):
@@ -128,7 +138,7 @@ class TestNominalControl:
         ctx = straight_ctx()
         for _ in range(400):
             u = nominal_control(state, ActionSpace.KEEP, ctx, PARAMS)
-            state = step_bicycle(state, u, PARAMS.dt, PARAMS)
+            state = world_step(state, u, PARAMS.dt)
         assert abs(state.y) < 0.15
 
     def test_lane_change_left_converges_to_target_lane(self):
@@ -136,7 +146,7 @@ class TestNominalControl:
         ctx = straight_ctx()
         for _ in range(200):
             u = nominal_control(state, ActionSpace.LEFT, ctx, PARAMS)
-            state = step_bicycle(state, u, PARAMS.dt, PARAMS)
+            state = world_step(state, u, PARAMS.dt)
         assert state.y == pytest.approx(3.5, abs=0.3)
 
     def test_emergency_control(self):

@@ -778,6 +778,47 @@ class TestCli:
         assert (out / "report.json").is_file()
         assert (out / "logs" / "episode_000.jsonl").is_file()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--scenario", "highway", "--episodes", "1"],
+        ["eval", "--episodes", "1"],
+        ["eval", "--episodes", "1", "--save-logs"],
+    ], ids=["train", "eval", "eval-save-logs"])
+    def test_out_that_is_a_file_fails_before_any_run(
+            self, capsys, tmp_path, monkeypatch, checkpoint, argv):
+        # train ran the whole training, and eval every episode, before
+        # making DIR failed with a traceback.
+        from cavshield.harness import cli
+
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *a: runs.append(a))
+        monkeypatch.setattr(ep, "run_episode", lambda *a, **k: runs.append(a))
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        if argv[0] == "eval":
+            argv = argv + ["--checkpoint", checkpoint[0]]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"{argv[0]}: {out}: File exists\n"
+        assert runs == []
+        assert out.read_text() == "keep\n"
+
+    def test_choices_are_the_programs_constants(self):
+        from cavshield.harness import cli
+
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if action.dest == "command")
+
+        def choices(command, dest):
+            return next(tuple(action.choices)
+                        for action in commands[command]._actions
+                        if action.dest == dest)
+
+        assert choices("train", "algo") == trainer.ALGOS
+        assert choices("train", "shield") == ep.SHIELD_MODES
+        assert choices("eval", "shield") == ep.SHIELD_MODES
+        assert choices("eval", "ptb") == ev.PTB_KINDS
+
     @pytest.mark.parametrize("case,message", [
         ("missing", "No such file or directory"),
         ("not JSON", "not JSON: Expecting value: line 1 column 1 (char 0)"),

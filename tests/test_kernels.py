@@ -20,8 +20,8 @@ class TestWrapAngleRange:
 
 
 def reference_solve_qp_2d(u0x, u0y, rows, lo0, hi0, lo1, hi1):
-    """kernels.solve_qp_2d as it was before its infeasibility exit: the
-    plain candidate enumeration, kept as the reference for that exit."""
+    """kernels.solve_qp_2d as plain candidate enumeration, every row a
+    candidate: the reference for the kernel's skip of infinite-b rows."""
     FEAS_TOL, DEDUP_TOL = kernels.FEAS_TOL, kernels.DEDUP_TOL
     QP_FEASIBLE, QP_INFEASIBLE = kernels.QP_FEASIBLE, kernels.QP_INFEASIBLE
     norm_rows = [
@@ -123,15 +123,15 @@ def _raw_b(b_norm, ax, ay):
 
 def _qp_case(rnd, kind):
     """(u0x, u0y, rows, lo0, hi0, lo1, hi1) for one class of inputs at the
-    edge of solve_qp_2d's infeasibility exit."""
+    edges of solve_qp_2d: opposite rows at its feasibility slack, infinite
+    bounds, huge values, direction-less rows."""
     tol = kernels.FEAS_TOL
     box = (-6.0, 4.0, -0.5, 0.5)
     u0 = (rnd.uniform(-10.0, 10.0), rnd.uniform(-1.0, 1.0))
     rows = []
     if kind == "edge":
         # An opposite pair with normalized b_i + b_j around 2 * FEAS_TOL:
-        # below it, within 3e-12 above it (the exit's margin) or anywhere
-        # up to 1e-6 above it.
+        # below it, within 3e-12 above it or anywhere up to 1e-6 above it.
         total = rnd.choice([
             2 * tol - rnd.uniform(0.0, 1e-9),
             2 * tol + rnd.uniform(0.0, 3e-12),
@@ -156,7 +156,7 @@ def _qp_case(rnd, kind):
             if rnd.random() < 0.3:
                 box = (-math.inf, math.inf, -math.inf, math.inf)
     elif kind == "inf_box":
-        # qp.solve's default bounds are infinite; the exit must not fire.
+        # qp.solve's default bounds are infinite.
         box = rnd.choice([(-math.inf, math.inf, -math.inf, math.inf),
                           (-6.0, math.inf, -0.5, 0.5),
                           (-6.0, 4.0, -math.inf, 0.5)])
@@ -168,8 +168,7 @@ def _qp_case(rnd, kind):
             for _ in range(rnd.randint(1, 2)):
                 rows.append((*_direction(rnd), rnd.choice([math.inf, -math.inf])))
     elif kind == "huge":
-        # |b| or |u0| from 1e90 to 1e300, on both sides of the exit's
-        # 1e100 limit.
+        # |b| or |u0| from 1e90 to 1e300.
         mag = 10.0 ** rnd.uniform(90.0, 300.0)
         ax, ay = _direction(rnd)
         bx, by = _opposite(rnd, ax, ay)
@@ -197,8 +196,7 @@ def _qp_case(rnd, kind):
             coef = rnd.choice([-1.0, 1.0]) * rnd.uniform(0.1, 5.0)
             rows.append((coef, 0.0, rnd.uniform(-20.0, 20.0)))
         if rnd.random() < 0.5:
-            # Two rows of one direction: a pair the exit must not take
-            # for opposites.
+            # Two rows of one direction, not opposites.
             ax, ay = _direction(rnd)
             bx, by = 2.0 * ax, 2.0 * ay
             rows += [(ax, ay, _raw_b(rnd.uniform(-0.4, 0.4), ax, ay)),
@@ -221,20 +219,11 @@ def _opposed_sum(rows):
     return max(sums) if sums else None
 
 
-def test_infeasibility_exit_matches_reference(monkeypatch):
-    """The exit and the skipped infinite-b candidates return exactly what
-    the full enumeration returns, on 30k+ seeded cases concentrated at
-    their edges."""
+def test_solve_qp_2d_matches_reference_enumeration(monkeypatch):
+    """The kernel, which skips the candidates of infinite-b rows, returns
+    exactly what the full enumeration returns, on 30k+ seeded cases
+    concentrated at its edges."""
     rnd = random.Random(20261018)
-    exits = []
-    inner = kernels._opposed_rows
-
-    def counted(*args):
-        fired = inner(*args)
-        exits.append(fired)
-        return fired
-
-    monkeypatch.setattr(kernels, "_opposed_rows", counted)
     nan_points = []
     feasible = kernels._feasible
 
@@ -245,15 +234,11 @@ def test_infeasibility_exit_matches_reference(monkeypatch):
 
     monkeypatch.setattr(kernels, "_feasible", checked)
     kinds = ["edge", "inf_box", "huge", "tiny", "mixed"]
-    seen = {kind: {"cases": 0, "exit": 0, "infeasible": 0, "inf_b": 0}
-            for kind in kinds}
+    seen = {kind: {"cases": 0, "infeasible": 0, "inf_b": 0} for kind in kinds}
     window = 0
-    u0_huge = {False: 0, True: 0}  # cases with |u0| above 1e100, by exit
-    near = {False: 0, True: 0}  # within 3e-12 above 2 * FEAS_TOL, by exit
     for n in range(32000):
         kind = kinds[n % len(kinds)]
         case = _qp_case(rnd, kind)
-        del exits[:]
         del nan_points[:]
         got = kernels.solve_qp_2d(*case)
         want = reference_solve_qp_2d(*case)
@@ -266,30 +251,18 @@ def test_infeasibility_exit_matches_reference(monkeypatch):
             assert not nan_points, (case, nan_points)
             stats["inf_b"] += any(math.isinf(b) for _, _, b in case[2])
         stats["cases"] += 1
-        stats["exit"] += any(exits)
         stats["infeasible"] += want[0] == kernels.QP_INFEASIBLE
-        if max(abs(case[0]), abs(case[1])) > 1e100:
-            u0_huge[any(exits)] += 1
         if kind == "edge":
             total = _opposed_sum(case[2])
             tol = kernels.FEAS_TOL
             if total is not None and 2 * tol - 1e-9 <= total <= 2 * tol + 1e-6:
                 window += 1
-                if 0.0 <= total - 2 * tol <= 3e-12:
-                    near[any(exits)] += 1
-    # Coverage floors: every class is exercised, the exit fires where it
-    # may and stays off with infinite boxes.
+    # Coverage floors: every class is exercised, on both sides of the
+    # feasibility slack.
     for kind in kinds:
         assert seen[kind]["cases"] >= 6000
     assert window >= 6000
-    assert near[True] >= 300 and near[False] >= 300
-    assert seen["edge"]["exit"] >= 1000
-    assert seen["edge"]["infeasible"] - seen["edge"]["exit"] >= 500
+    assert seen["edge"]["infeasible"] >= 500
     assert seen["edge"]["cases"] - seen["edge"]["infeasible"] >= 500
-    assert seen["inf_box"]["exit"] == 0
     assert seen["inf_box"]["inf_b"] >= 2000
-    assert seen["huge"]["exit"] >= 100
-    assert u0_huge[False] >= 500 and u0_huge[True] == 0
-    assert seen["huge"]["infeasible"] - seen["huge"]["exit"] >= 100
-    assert seen["tiny"]["exit"] >= 100
-    assert seen["mixed"]["exit"] >= 500
+    assert seen["huge"]["infeasible"] >= 100

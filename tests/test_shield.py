@@ -21,7 +21,6 @@ from cavshield.dynamics import (
     emergency_control,
     lane_context,
     nominal_control,
-    step_bicycle,
 )
 from cavshield import kernels
 from cavshield import shield as shield_mod
@@ -946,8 +945,9 @@ class TestProjectionCount:
 
 
 class TestSharedGeometry:
-    """One shield step works out each shared observation's geometry once:
-    every observer of a step holds the same Observation of a vehicle."""
+    """One shield step works out each shared observation's geometry once,
+    lane lookups included: every observer of a step holds the same
+    Observation of a vehicle."""
 
     @pytest.mark.parametrize("schedule", [None, make_constant(2.0, 1.0)],
                              ids=["exact", "perturbed"])
@@ -970,22 +970,18 @@ class TestSharedGeometry:
             return pos
 
         projected = Counter()  # (path, x, y) -> Path.project calls
-        in_lane_of = []
         project = Path.project
 
         def traced_project(path, x, y):
-            if not in_lane_of:  # RoadMap.lane_of keeps its own memo
-                projected[(id(path), x, y)] += 1
+            projected[(id(path), x, y)] += 1
             return project(path, x, y)
 
+        looked_up = []
         lane_of = RoadMap.lane_of
 
         def traced_lane_of(road, *args):
-            in_lane_of.append(True)
-            try:
-                return lane_of(road, *args)
-            finally:
-                in_lane_of.pop()
+            looked_up.append(args)
+            return lane_of(road, *args)
 
         requests = []
         projection = Observation.projection
@@ -1007,8 +1003,12 @@ class TestSharedGeometry:
         assert positions
         for obs, returned in positions.values():
             assert all(pos is returned[0] for pos in returned)
+        # Each observation filed by lane_of (the UCVs) was looked up once,
+        # through its own projections.
+        lookups = Counter(id(args[3].__self__) for args in looked_up)
+        assert lookups and max(lookups.values()) == 1
         # At most one Path.project per (observation, path) across all
-        # agents, although the agents asked for more.
+        # agents and lane lookups, although they asked for more.
         assert projected and max(projected.values()) == 1
         assert len(requests) > len(set(requests)) >= sum(projected.values())
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cavshield.dynamics import ControlInput, DynamicsParams
 from cavshield.perturb import identity_schedule, make_constant, make_rand
 from cavshield.world import (
-    LANE_MEMO_SIZE,
     Observation,
     OutOfCorridor,
     Path,
@@ -377,6 +376,9 @@ def bent_road():
 
 
 class TestLaneMemo:
+    """RoadMap.lane_of keeps no memo: a road answers as a fresh one does,
+    and a non-finite input raises on every call."""
+
     def test_repeat_matches_fresh_road(self):
         rnd = np.random.default_rng(3)
         road = bent_road()
@@ -388,26 +390,12 @@ class TestLaneMemo:
             for x, y, psi in points:
                 assert road.lane_of(x, y, psi) == bent_road().lane_of(x, y, psi)
 
-    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
-    def test_signed_zeros_share_a_lane(self, first, second):
-        # The memo's key aliases 0.0 and -0.0; either order of the calls
-        # gives what a fresh road gives.  y = 1.75 ties both lanes.
-        road = two_lane_road()
-        for rest in [(0.0, 0.0), (1.75, -0.0), (-0.0, 0.0)]:
-            want = two_lane_road().lane_of(second, *rest)
-            assert two_lane_road().lane_of(first, *rest) == want
-            assert road.lane_of(first, *rest) == want
-            assert road.lane_of(second, *rest) == want
-        for y, psi in [(first, second), (second, first)]:
-            assert road.lane_of(5.0, y, psi) == two_lane_road().lane_of(5.0, y, psi)
-
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf)])
     def test_nonfinite_point_raises_every_call(self, x, y):
         road = two_lane_road()
         for _ in range(3):
             with pytest.raises(ValueError, match="non-finite"):
                 road.lane_of(x, y, 0.0)
-        assert road._lane_memo == {}
 
     @pytest.mark.parametrize("psi", [math.nan, math.inf, -math.inf])
     def test_nonfinite_heading_raises_every_call(self, psi):
@@ -417,13 +405,6 @@ class TestLaneMemo:
         for _ in range(3):
             with pytest.raises(ValueError, match="non-finite heading"):
                 road.lane_of(50.0, 3.0, psi)
-        assert road._lane_memo == {}
-
-    def test_memo_is_bounded(self):
-        road = two_lane_road()
-        for i in range(2 * LANE_MEMO_SIZE + 7):
-            road.lane_of(0.1 * i, 0.5, 0.0)
-            assert 1 <= len(road._lane_memo) <= LANE_MEMO_SIZE
 
 
 class TestObservations:
@@ -536,6 +517,48 @@ class TestObservationGeometry:
         assert fresh.world_position() == pytest.approx(
             (world.vehicles["cav1"].x, world.vehicles["cav1"].y))
         assert fresh.projection(path)[0] > sd[0]
+
+    def test_lane_worked_out_once_from_the_projections(self, monkeypatch):
+        world = small_world()
+        road = world.road
+        looked_up = []
+        projected = []
+        lane_of, project = RoadMap.lane_of, Path.project
+        monkeypatch.setattr(RoadMap, "lane_of", lambda r, *a: (
+            looked_up.append(a) or lane_of(r, *a)))
+        monkeypatch.setattr(Path, "project", lambda p, x, y: (
+            projected.append(p) or project(p, x, y)))
+        joint = build_joint_state(world, 200.0, None)
+        shared = [view.ucv_obs["ucv0"] for view in joint.views.values()]
+        assert len(shared) == 2 and shared[0] is shared[1]
+        for obs in shared * 2:
+            assert obs.lane(road) == "l0"
+        # One lookup for both observers, and it left the projections on
+        # the observation: reading them projects nothing again.
+        assert len(looked_up) == 1 and len(projected) == 2
+        assert shared[0].projection(road.path("l1")) is not None
+        assert len(projected) == 2
+        # A CAV's own lane report needs no lookup.
+        assert joint.views["cav0"].cav_obs["cav1"].lane(road) == "l1"
+        assert len(looked_up) == 1
+        # A copy, another road and the next step's observation look up
+        # afresh.
+        assert shared[0].with_error(0.0, 0.0).lane(road) == "l0"
+        assert shared[0].lane(two_lane_road()) == "l0"
+        assert len(looked_up) == 3
+        world.step({vid: ControlInput(0.0, 0.0) for vid in world.vehicles},
+                   DynamicsParams())
+        del looked_up[:]
+        fresh = build_joint_state(world, 200.0, None).views["cav0"]
+        assert fresh.ucv_obs["ucv0"].lane(road) == "l0"
+        assert len(looked_up) == 1
+
+    def test_lane_with_non_finite_heading_raises_every_call(self):
+        obs = Observation("v", lx=10.0, ly=0.0, vx=1.0, vy=0.0, psi=math.nan,
+                          length=4.5, width=2.0, connected=False)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite heading"):
+                obs.lane(two_lane_road())
 
 
 class TestJointState:
@@ -655,6 +678,30 @@ class TestWorldStep:
             for vid in world.ucv_ids:
                 assert world.observe(vid).lane_detect is None
         assert ("cav0", "l1") in seen and ("cav0", "l0") in seen
+
+    def test_unmoved_cav_keeps_its_lane_without_a_lookup(self, monkeypatch):
+        world = World(two_lane_road(), [
+            vehicle("still", 0.0, 0.0, v=0.0, connected=True),
+            vehicle("moving", 20.0, 3.5, v=5.0, connected=True),
+        ])
+        looked_up = []
+        lane_of = RoadMap.lane_of
+        monkeypatch.setattr(RoadMap, "lane_of", lambda r, *a: (
+            looked_up.append(a) or lane_of(r, *a)))
+        dyn = DynamicsParams()
+        # Braking (and steering) at standstill leaves the pose as it is.
+        controls = {"still": ControlInput(-1.0, 0.3),
+                    "moving": ControlInput(0.0, 0.0)}
+        world.step(controls, dyn)
+        moving = world.vehicles["moving"]
+        assert looked_up == [(moving.x, moving.y, moving.psi)]
+        assert world.lane_assignment == {"still": "l0", "moving": "l1"}
+        # A lookup that finds no lane keeps the last one.
+        monkeypatch.setattr(RoadMap, "lane_of",
+                            lambda r, *a: looked_up.append(a))
+        world.step(controls, dyn)
+        assert len(looked_up) == 2
+        assert world.lane_assignment == {"still": "l0", "moving": "l1"}
 
 
 class TestValidation:
