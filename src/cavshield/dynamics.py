@@ -1,21 +1,18 @@
 """Kinematic bicycle parameters (World.step integrates them with
-kernels.step_bicycle) and the nominal controllers mapping each discrete
-action to a continuous input u = [accel, steer]."""
+kernels.step_bicycle), the discrete action space, and the control laws
+behind a continuous input u = [accel, steer]: each action's nominal
+accel and accel band, the lane-keep and pure-pursuit steer laws (which
+shield.nominal_control applies to each maneuver) and the UCVs'
+speed-holding controller."""
 
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from . import kernels
-from .world import Path
 
 # Proportional gain [1/s] of the UCVs' speed-holding controller.
 SPEED_GAIN = 1.5
-
-
-class NoAdjacentLane(Exception):
-    """Lane-change requested at a road edge; the action is unavailable."""
 
 
 @dataclass(slots=True)
@@ -123,26 +120,6 @@ class ActionSpace:
         return f"THROTTLE[{lo:.2f},{hi:.2f}]"
 
 
-@dataclass
-class LaneContext:
-    """Current lane centerline plus adjacent-lane centerlines (if any)."""
-
-    current: Path
-    left: Optional[Path] = None
-    right: Optional[Path] = None
-
-
-def lane_context(road, lane_id):
-    """LaneContext of a road lane; a side is None at a road edge."""
-    left = road.adjacent(lane_id, "left")
-    right = road.adjacent(lane_id, "right")
-    return LaneContext(
-        current=road.path(lane_id),
-        left=road.path(left) if left is not None else None,
-        right=road.path(right) if right is not None else None,
-    )
-
-
 def lane_keep_steer(state, path, s, d, params):
     """Proportional law on lateral offset and heading error; (s, d) is the
     state's projection onto path."""
@@ -169,31 +146,6 @@ def nominal_accel(action, params, space=None):
         return params.brake_value * params.accel_min
     lo, hi = space.throttle_interval(action)
     return 0.5 * (lo + hi) * params.accel_max
-
-
-def nominal_control(state, action, lane_ctx, params, space=None):
-    """Reference input for a discrete action, clamped to the admissible box:
-    nominal_accel, with pure-pursuit steer toward the target lane for a lane
-    change and lane-keep steer otherwise.
-
-    Raises NoAdjacentLane when a lane change points off the road edge.
-    """
-    if action == ActionSpace.EMERGENCY:
-        return emergency_control(params)
-    if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
-        target = lane_ctx.left if action == ActionSpace.LEFT else lane_ctx.right
-        if target is None:
-            raise NoAdjacentLane(
-                f"no {'left' if action == ActionSpace.LEFT else 'right'} lane"
-            )
-        s, _ = target.project(state.x, state.y)
-        steer = pursuit_steer(state, target, s, params)
-    else:
-        s, d = lane_ctx.current.project(state.x, state.y)
-        steer = lane_keep_steer(state, lane_ctx.current, s, d, params)
-    return params.clamp(
-        ControlInput(nominal_accel(action, params, space), steer)
-    )
 
 
 def action_accel_bounds(action, params, space=None):

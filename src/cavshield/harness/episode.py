@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from ..dynamics import ActionSpace, ControlInput, DynamicsParams, NoAdjacentLane, lane_context, nominal_control, emergency_control, speed_tracking_control
+from ..dynamics import ActionSpace, ControlInput, DynamicsParams, emergency_control, speed_tracking_control
 from ..perturb import identity_schedule
-from ..shield import EgoView, action_table, open_shield, resolve_lipschitz, safety_shield
+from ..shield import EgoView, SafetyOutcome, action_table, nominal_control, resolve_lipschitz, safety_shield
 from ..world import build_joint_state
 from . import scenario as scen
 from .reward import step_reward
@@ -216,22 +216,25 @@ class EpisodeLog:
             return cls.from_jsonl(fh.read())
 
 
-def _shield_outcome(mode, joint, road, shield_cfg, plain_cfg, dyn, space,
-                    table):
-    if mode == SHIELD_OFF:
-        return open_shield(joint, dyn, space)
-    cfg = shield_cfg if mode == SHIELD_ROBUST else plain_cfg
-    return safety_shield(joint, road, cfg, dyn, table)
-
-
-def _nominal_for(view, road, action, dyn, space):
-    """Nominal input when the shield did not supply a filtered one."""
-    ego = EgoView(view.self_obs, road)
-    lane_ctx = lane_context(road, ego.lane)
-    try:
-        return nominal_control(ego, action, lane_ctx, dyn, space)
-    except NoAdjacentLane:
-        return nominal_control(ego, ActionSpace.KEEP, lane_ctx, dyn, space)
+def _shield_outcome(mode, joint, road, shield_cfg, plain_cfg, dyn, table):
+    if mode != SHIELD_OFF:
+        cfg = shield_cfg if mode == SHIELD_ROBUST else plain_cfg
+        return safety_shield(joint, road, cfg, dyn, table)
+    # Shield off: every action passes with its nominal input; a lane
+    # change off the road edge takes KEEP's steer.
+    out = SafetyOutcome()
+    for aid, view in joint.views.items():
+        maneuvers = nominal_control(EgoView(view.self_obs, road), road, dyn)
+        keep = maneuvers[None]
+        controls = {
+            action: ControlInput(accel, (maneuvers[side] or keep)[3])
+            for action, side, accel, _ in table
+        }
+        out.safe_sets[aid] = list(controls)
+        out.verdicts[aid] = {}
+        out.controls[aid] = controls
+        out.emergency[aid] = False
+    return out
 
 
 def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
@@ -278,9 +281,7 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
 
     joint = build_joint_state(world, cfg.world.comm_range, schedule)
     outcome = _shield_outcome(
-        shield_mode, joint, spec.road, shield_cfg, plain_cfg, dyn, space,
-        table,
-    )
+        shield_mode, joint, spec.road, shield_cfg, plain_cfg, dyn, table)
 
     for t in range(spec.episode_len):
         actions = team_policy.select_actions(joint, outcome, act_rng)
@@ -291,12 +292,11 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
                 controls[aid] = ControlInput(0.0, 0.0)
             elif action == ActionSpace.EMERGENCY:
                 controls[aid] = emergency_control(dyn)
-            elif action in outcome.controls.get(aid, {}):
+            elif action in outcome.controls[aid]:
                 controls[aid] = outcome.controls[aid][action]
             else:
-                controls[aid] = _nominal_for(
-                    joint.views[aid], spec.road, action, dyn, space
-                )
+                raise ValueError(f"agent {aid!r} chose action {action!r}, "
+                                 f"not in its safe set {outcome.safe_sets[aid]}")
         for vid, plan in setup.plans.items():
             veh = world.vehicles[vid]
             if vid in world.crashed:
@@ -313,8 +313,7 @@ def run_episode(spec, cfg, team_policy, schedule=None, seed=0,
         next_joint = build_joint_state(world, cfg.world.comm_range, schedule)
         next_outcome = _shield_outcome(
             shield_mode, next_joint, spec.road, shield_cfg, plain_cfg, dyn,
-            space, table,
-        )
+            table)
         rewards = step_reward(
             world, spec.destinations, new_collisions, next_outcome,
             crashed_before, shield_cfg.p_col, shield_cfg.p_sas,

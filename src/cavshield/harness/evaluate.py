@@ -74,13 +74,17 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
              shield_mode=None, save_logs_dir=None, out_dir=None):
     """Run the test protocol for one checkpoint under one perturbation.
 
-    With save_logs_dir, each episode's log is saved there.  out_dir and
+    With save_logs_dir, each episode's log is saved there.  ptb and
+    shield_mode (None: the checkpoint's) are checked first; out_dir and
     save_logs_dir are made once the checkpoint has loaded, before any
     episode runs."""
     from .config import Config, is_count
 
     if not is_count(n_episodes):
         raise ValueError(f"n_episodes must be an int >= 1, not {n_episodes!r}")
+    if ptb not in PTB_KINDS:
+        raise ValueError(f"unknown perturbation kind {ptb!r}")
+    ep.check_shield_mode(shield_mode or ep.SHIELD_ROBUST)
     cfg = cfg or Config()
     header, params = load_checkpoint(checkpoint_path)
     agents, enc_spec = restore_agents(header, params)

@@ -12,11 +12,14 @@ alone.  Once per episode, the caller builds the action table
 (action_table): each action's lane-change side, clamped nominal accel
 and accel band, which depend only on the dynamics and the action space;
 safety_shield takes it on every step.  Once per agent-step,
-agent_safe_set projects the ego onto its lane and each adjacent lane and
-each target onto the lanes it is checked in, builds the barrier rows of
-the current lane and of each adjacent lane, in the solver's row form,
-and decides each action by the projection of its nominal input onto
-those rows and its input box.  The shared geometry comes from the
+nominal_control works out each maneuver (keep the lane, change left or
+right): its lane path, the ego's arc length there and its clamped steer.
+It is the one definition of an action's nominal input; the harness's
+shield-off mode reads it too.  agent_safe_set projects each target onto
+the lanes it is checked in, builds the barrier rows of the current lane
+and of each adjacent lane, in the solver's row form, and decides each
+action by the projection of its nominal input onto those rows and its
+input box.  The shared geometry comes from the
 observations: every observer of a step holds the same Observation of a
 vehicle, which works out its world position once, its projection once
 per lane path and its lane once (from those projections), so no agent's
@@ -43,8 +46,6 @@ import numpy as np
 
 from . import kernels
 from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bounds, emergency_control, lane_keep_steer, nominal_accel, pursuit_steer
-# Not called here: perfbench/spans.py wraps shield.nominal_control.
-from .dynamics import nominal_control
 from .kernels import DEDUP_TOL, FEAS_TOL
 from .world import ALIGN_CONE
 
@@ -638,52 +639,70 @@ def action_table(dyn, space):
     ]
 
 
+def nominal_control(ego, road, dyn):
+    """Each maneuver of an EgoView, keyed by lane-change side: None keeps
+    the ego lane; "left" and "right" change into that adjacent lane and
+    are None at a road edge.
+
+    A maneuver is (lane, its path, the ego's arc length there, steer):
+    the lane-keep steer on the ego lane, the pursuit steer into an
+    adjacent one, each clamped to the steer range as DynamicsParams.clamp
+    does.  The ego's projections are read from its observation.
+    """
+    path = road.path(ego.lane)
+    s, d = ego.project(path)
+    steer = lane_keep_steer(ego, path, s, d, dyn)
+    out = {None: (ego.lane, path, s,
+                  min(max(steer, dyn.steer_min), dyn.steer_max))}
+    for side in ("left", "right"):
+        lane = road.adjacent(ego.lane, side)
+        out[side] = None
+        if lane is not None:
+            path = road.path(lane)
+            s, _ = ego.project(path)
+            steer = pursuit_steer(ego, path, s, dyn)
+            out[side] = (lane, path, s,
+                         min(max(steer, dyn.steer_min), dyn.steer_max))
+    return out
+
+
 def agent_safe_set(view, road, cfg, dyn, table):
     """Verdicts of every action of one agent; table is action_table's.
 
-    Once per agent-step: the ego is projected onto its lane, which yields
-    the current-lane rows (lane and pseudo targets) and the lane-keep
-    steer that KEEP, BRAKE and the throttle actions share, and onto each
-    adjacent lane, which yields that lane's rows and the pursuit steer of
-    the lane change into it.  Each steer is clamped to the steer range as
-    DynamicsParams.clamp does; the table's accel is clamped already.
-    Each same-lane target is projected onto the ego path
-    (classify_targets), and each adjacent-lane target onto its lane; the
-    ego's and the targets' projections are read from their observations,
-    so an observation seen by several agents is projected once per path.
-    Each row set is built once, and each action is then checked against
-    its rows with its own accel band; a lane change off the road edge is
+    Once per agent-step: classify_targets projects each target onto the
+    ego path, which yields the current-lane rows (lane and pseudo
+    targets), and nominal_control yields each maneuver's path, arc length
+    and steer.  KEEP, BRAKE and the throttle actions share the lane-keep
+    maneuver and the current-lane rows; a lane change takes its side's
+    maneuver and the current rows joined with those of the adjacent lane,
+    whose targets are projected onto it.  The ego's and the targets'
+    projections are read from their observations, so an observation seen
+    by several agents is projected once per path.  Each row set is built
+    once, and each action is then checked against its rows with the
+    table's accel and accel band; a lane change off the road edge is
     unavailable.
     """
     ego = EgoView(view.self_obs, road)
-    ego_path, (ego_s, ego_d), by_lane, pseudo = classify_targets(
-        view, road, ego, cfg)
+    _, (ego_s, _), by_lane, pseudo = classify_targets(view, road, ego, cfg)
+    maneuvers = nominal_control(ego, road, dyn)
     current = constraint_rows(
         ego.v,
         lane_barrier_targets(ego, ego_s, by_lane.get(ego.lane, []))
         + pseudo_barrier_targets(ego, ego_s, pseudo),
         cfg, dyn,
     )
-    keep_steer = min(max(lane_keep_steer(ego, ego_path, ego_s, ego_d, dyn),
-                         dyn.steer_min), dyn.steer_max)
 
     verdicts = {}
     controls = {}
     safe = []
     for action, side, accel, bounds in table:
-        if side is None:
-            u0 = ControlInput(accel, keep_steer)
-            rows = current
-        else:
-            lane = road.adjacent(ego.lane, side)
-            if lane is None:
-                verdicts[action] = ActionVerdict(safe=False, unavailable=True)
-                continue
-            path = road.path(lane)
-            lane_s, _ = ego.project(path)
-            steer = pursuit_steer(ego, path, lane_s, dyn)
-            u0 = ControlInput(
-                accel, min(max(steer, dyn.steer_min), dyn.steer_max))
+        maneuver = maneuvers[side]
+        if maneuver is None:
+            verdicts[action] = ActionVerdict(safe=False, unavailable=True)
+            continue
+        lane, path, lane_s, steer = maneuver
+        rows = current
+        if side is not None:
             lane_targets = []
             for obs, _ in by_lane.get(lane, []):
                 sd = obs.projection(path)
@@ -692,7 +711,8 @@ def agent_safe_set(view, road, cfg, dyn, table):
                 ego.v, lane_barrier_targets(ego, lane_s, lane_targets),
                 cfg, dyn,
             ))
-        verdict = check_action_safe(u0, rows, bounds, dyn)
+        verdict = check_action_safe(
+            ControlInput(accel, steer), rows, bounds, dyn)
         verdicts[action] = verdict
         if verdict.safe:
             safe.append(action)
@@ -721,15 +741,4 @@ def safety_shield(joint, road, cfg, dyn, table):
         out.verdicts[aid] = verdicts
         out.controls[aid] = controls
         out.emergency[aid] = emergency
-    return out
-
-
-def open_shield(joint, dyn, space):
-    """Shield-off outcome: every action allowed, nominal inputs pass through."""
-    out = SafetyOutcome()
-    for aid in joint.views:
-        out.safe_sets[aid] = space.actions()
-        out.verdicts[aid] = {}
-        out.controls[aid] = {}
-        out.emergency[aid] = False
     return out

@@ -118,3 +118,5 @@ def test_traced_training_episode_counts_each_layer():
     assert calls["shield.lane_barrier_targets"] >= run["agents"] * states
     assert calls["shield.check_action_safe"] > 0
     assert calls["kernels.solve_qp_2d"] == 0
+    # The shield works out each agent's maneuvers once per state.
+    assert calls["dynamics.nominal_control"] == run["agents"] * states

@@ -1,5 +1,6 @@
-"""Bicycle integration (through World.step) and nominal-controller
-tests."""
+"""Bicycle integration (through World.step) and the nominal inputs the
+shield works out for each action (shield.nominal_control with the action
+table's accel)."""
 
 import math
 from dataclasses import replace
@@ -11,11 +12,9 @@ from cavshield.dynamics import (
     ActionSpace,
     ControlInput,
     DynamicsParams,
-    LaneContext,
-    NoAdjacentLane,
     emergency_control,
-    nominal_control,
 )
+from cavshield.shield import EgoView, action_table, nominal_control
 from cavshield.world import Path, RoadMap, VehicleState, World
 
 
@@ -23,10 +22,27 @@ def vehicle(x=0.0, y=0.0, v=10.0, psi=0.0):
     return VehicleState(id="ego", x=x, y=y, v=v, psi=psi, connected=True)
 
 
-def straight_ctx():
-    current = Path([[-50.0, 0.0], [500.0, 0.0]], lane_id="c")
-    left = Path([[-50.0, 3.5], [500.0, 3.5]], lane_id="l")
-    return LaneContext(current=current, left=left, right=None)
+# A straight lane c with lane l on its left and no lane on its right.
+ROAD = RoadMap(
+    {"c": Path([[-50.0, 0.0], [500.0, 0.0]], lane_id="c"),
+     "l": Path([[-50.0, 3.5], [500.0, 3.5]], lane_id="l")},
+    {"c": {"left": "l"}, "l": {"right": "c"}},
+)
+
+
+def maneuvers(state, params=None):
+    """shield.nominal_control of state alone on ROAD, reporting lane c."""
+    world = World(ROAD, [replace(state)])
+    world.lane_assignment[state.id] = "c"
+    return nominal_control(EgoView(world.observe(state.id), ROAD), ROAD,
+                           params or PARAMS)
+
+
+def nominal_input(state, action, space=None):
+    """The shield's nominal input of action: the action table's accel and
+    the steer of its maneuver."""
+    _, side, accel, _ = action_table(PARAMS, space or ActionSpace())[action]
+    return ControlInput(accel, maneuvers(state)[side][3])
 
 
 PARAMS = DynamicsParams()
@@ -34,9 +50,7 @@ PARAMS = DynamicsParams()
 
 def world_step(state, u, dt):
     """A copy of state after one World.step of dt under input u."""
-    ctx = straight_ctx()
-    road = RoadMap({"c": ctx.current, "l": ctx.left})
-    world = World(road, [replace(state)])
+    world = World(ROAD, [replace(state)])
     world.step({state.id: u}, replace(PARAMS, dt=dt))
     return world.vehicles[state.id]
 
@@ -89,30 +103,27 @@ class TestBicycle:
 
 class TestNominalControl:
     def test_regulation_fixed_point(self):
-        u = nominal_control(vehicle(), ActionSpace.KEEP, straight_ctx(), PARAMS)
+        u = nominal_input(vehicle(), ActionSpace.KEEP)
         assert u.accel == pytest.approx(0.0)
         assert u.steer == pytest.approx(0.0)
 
     def test_brake_is_half_max_deceleration(self):
-        u = nominal_control(vehicle(), ActionSpace.BRAKE, straight_ctx(), PARAMS)
+        u = nominal_input(vehicle(), ActionSpace.BRAKE)
         assert u.accel == pytest.approx(-3.0)  # 0.5 of accel_min=-6
 
     def test_no_adjacent_lane(self):
-        with pytest.raises(NoAdjacentLane):
-            nominal_control(vehicle(), ActionSpace.RIGHT, straight_ctx(), PARAMS)
+        assert maneuvers(vehicle())["right"] is None
 
     def test_throttle_intervals_map_linearly(self):
         space = ActionSpace(k=3)
-        ctx = straight_ctx()
         expected = [(0.5 / 3) * 4.0, (1.5 / 3) * 4.0, (2.5 / 3) * 4.0]
         for j, exp in enumerate(expected):
-            u = nominal_control(vehicle(), 4 + j, ctx, PARAMS, space)
+            u = nominal_input(vehicle(), 4 + j, space)
             assert u.accel == pytest.approx(exp)
 
     def test_outputs_always_inside_admissible_box(self):
         rng = np.random.default_rng(4)
         space = ActionSpace(k=3)
-        ctx = straight_ctx()
         for _ in range(10000):
             state = vehicle(
                 x=rng.uniform(-40, 400), y=rng.uniform(-10, 10),
@@ -121,31 +132,38 @@ class TestNominalControl:
             action = int(rng.integers(0, space.n))
             if action == ActionSpace.RIGHT:
                 action = ActionSpace.KEEP
-            u = nominal_control(state, action, ctx, PARAMS, space)
+            u = nominal_input(state, action, space)
             assert PARAMS.accel_min <= u.accel <= PARAMS.accel_max
             assert PARAMS.steer_min <= u.steer <= PARAMS.steer_max
 
+    def test_steer_clamped_to_a_narrow_steer_range(self):
+        # Under the default range no steer saturates: the pursuit steer
+        # stays within atan(2 * wheelbase / lookahead), about 0.35 rad.
+        narrow = replace(PARAMS, steer_min=-0.05, steer_max=0.05)
+        left = vehicle(y=-1.0, psi=-0.3)
+        right = vehicle(y=5.0, psi=0.3)
+        assert maneuvers(left, narrow)[None][3] == 0.05
+        assert maneuvers(left, narrow)["left"][3] == 0.05
+        assert maneuvers(right, narrow)[None][3] == -0.05
+
     def test_lane_keeping_holds_center_for_200_steps(self):
         state = vehicle(v=10.0)
-        ctx = straight_ctx()
         for _ in range(200):
-            u = nominal_control(state, ActionSpace.KEEP, ctx, PARAMS)
+            u = nominal_input(state, ActionSpace.KEEP)
             state = world_step(state, u, PARAMS.dt)
         assert abs(state.y) < 0.1
 
     def test_lane_keeping_recovers_from_offset(self):
         state = vehicle(v=10.0, y=1.0, psi=0.05)
-        ctx = straight_ctx()
         for _ in range(400):
-            u = nominal_control(state, ActionSpace.KEEP, ctx, PARAMS)
+            u = nominal_input(state, ActionSpace.KEEP)
             state = world_step(state, u, PARAMS.dt)
         assert abs(state.y) < 0.15
 
     def test_lane_change_left_converges_to_target_lane(self):
         state = vehicle(v=10.0)
-        ctx = straight_ctx()
         for _ in range(200):
-            u = nominal_control(state, ActionSpace.LEFT, ctx, PARAMS)
+            u = nominal_input(state, ActionSpace.LEFT)
             state = world_step(state, u, PARAMS.dt)
         assert state.y == pytest.approx(3.5, abs=0.3)
 

@@ -1410,6 +1410,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="not 'Robust'"):
             ev.evaluate(path, n_episodes=1, cfg=cfg, shield_mode="Robust")
 
+    @pytest.mark.parametrize("bad,message", [
+        ({"ptb": "vehicle"}, "unknown perturbation kind 'vehicle'"),
+        ({"shield_mode": "Robust"}, "not 'Robust'"),
+    ], ids=["ptb", "shield_mode"])
+    def test_bad_ptb_or_shield_mode_fails_before_any_directory(
+            self, checkpoint, tmp_path, monkeypatch, bad, message):
+        # Both raised only inside the first episode, after out_dir and
+        # save_logs_dir had been made.
+        path, cfg = checkpoint
+        loads = []
+        monkeypatch.setattr(ev, "load_checkpoint", loads.append)
+        out, logs = tmp_path / "out", tmp_path / "logs"
+        with pytest.raises(ValueError, match=message):
+            ev.evaluate(path, n_episodes=1, cfg=cfg, out_dir=str(out),
+                        save_logs_dir=str(logs), **bad)
+        assert loads == []
+        assert not out.exists() and not logs.exists()
+
     def test_report_shape_and_determinism(self, checkpoint):
         path, cfg = checkpoint
         r1 = ev.evaluate(path, ptb="veh", n_episodes=3, seed=9, cfg=cfg)
@@ -1505,6 +1523,38 @@ class AlwaysEmergencyPolicy:
         from cavshield.dynamics import ActionSpace
 
         return {aid: ActionSpace.EMERGENCY for aid in joint.views}
+
+
+class UnsafePolicy:
+    """Picks, for each agent, its first action outside the safe set (the
+    first safe one when every action is safe); records the first such
+    choice as (agent, action, safe set)."""
+
+    def __init__(self):
+        self.first = None
+
+    def select_actions(self, joint, outcome, rng):
+        actions = {}
+        for aid in sorted(joint.views):
+            safe = outcome.safe_sets[aid]
+            unsafe = [a for a in outcome.verdicts[aid] if a not in safe]
+            actions[aid] = unsafe[0] if unsafe else safe[0]
+            if unsafe and self.first is None:
+                self.first = (aid, unsafe[0], safe)
+        return actions
+
+
+class TestUnsafeAction:
+    def test_action_outside_the_safe_set_is_rejected(self):
+        # It was driven with its unshielded nominal input (3 collisions
+        # per highway test episode for a policy always choosing action 6).
+        spec = scen.build_scenario("highway", mode="test", cfg=CFG)
+        policy = UnsafePolicy()
+        with pytest.raises(ValueError) as err:
+            ep.run_episode(spec, CFG, policy, seed=0, log_verdicts=False)
+        aid, action, safe = policy.first
+        assert str(err.value) == (f"agent {aid!r} chose action {action}, "
+                                  f"not in its safe set {safe}")
 
 
 class TestDegeneratePolicy:

@@ -7,7 +7,8 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from cavshield.dynamics import (
     ActionSpace,
     ControlInput,
     DynamicsParams,
-    NoAdjacentLane,
     action_accel_bounds,
     emergency_control,
-    lane_context,
-    nominal_control,
+    lane_keep_steer,
+    nominal_accel,
+    pursuit_steer,
 )
 from cavshield import kernels
 from cavshield import shield as shield_mod
@@ -771,6 +772,72 @@ class TestSafetyShield:
         assert ActionSpace.LEFT not in outcome.safe_sets["ego"]
 
 
+# The oracle of shield.nominal_control: the per-action nominal controller
+# as it stood before the shield's maneuvers replaced it, with its lane
+# context and its exception for a lane change at the road edge.
+
+
+class NoAdjacentLane(Exception):
+    """Lane-change requested at a road edge; the action is unavailable."""
+
+
+@dataclass
+class LaneContext:
+    """Current lane centerline plus adjacent-lane centerlines (if any)."""
+
+    current: Path
+    left: Optional[Path] = None
+    right: Optional[Path] = None
+
+
+def lane_context(road, lane_id):
+    """LaneContext of a road lane; a side is None at a road edge."""
+    left = road.adjacent(lane_id, "left")
+    right = road.adjacent(lane_id, "right")
+    return LaneContext(
+        current=road.path(lane_id),
+        left=road.path(left) if left is not None else None,
+        right=road.path(right) if right is not None else None,
+    )
+
+
+def nominal_control(state, action, lane_ctx, params, space=None):
+    """Reference input for a discrete action, clamped to the admissible box:
+    nominal_accel, with pure-pursuit steer toward the target lane for a lane
+    change and lane-keep steer otherwise.
+
+    Raises NoAdjacentLane when a lane change points off the road edge.
+    """
+    if action == ActionSpace.EMERGENCY:
+        return emergency_control(params)
+    if action in (ActionSpace.LEFT, ActionSpace.RIGHT):
+        target = lane_ctx.left if action == ActionSpace.LEFT else lane_ctx.right
+        if target is None:
+            raise NoAdjacentLane(
+                f"no {'left' if action == ActionSpace.LEFT else 'right'} lane"
+            )
+        s, _ = target.project(state.x, state.y)
+        steer = pursuit_steer(state, target, s, params)
+    else:
+        s, d = lane_ctx.current.project(state.x, state.y)
+        steer = lane_keep_steer(state, lane_ctx.current, s, d, params)
+    return params.clamp(
+        ControlInput(nominal_accel(action, params, space), steer)
+    )
+
+
+def reference_off_input(view, road, action, dyn, space):
+    """(input, whether it fell back) of action with the shield off, from
+    the oracle: a lane change off the road edge takes KEEP's input."""
+    ego = EgoView(view.self_obs, road)
+    lane_ctx = lane_context(road, ego.lane)
+    try:
+        return nominal_control(ego, action, lane_ctx, dyn, space), False
+    except NoAdjacentLane:
+        return nominal_control(ego, ActionSpace.KEEP, lane_ctx, dyn,
+                               space), True
+
+
 def reference_agent_safe_set(view, road, cfg, dyn, space):
     """agent_safe_set as it was built before the action table and the
     shared projections: nominal_control per action (NoAdjacentLane marks
@@ -866,6 +933,45 @@ class TestAgentSafeSetMatchesReference:
         assert len(checked) == 2 * 4 * 2 * 61 * len(spec.agent_ids)
         if scenario == "highway":
             assert any(checked)  # an edge lane's unavailable side
+
+
+class TestOffModeMatchesReference:
+    @pytest.mark.parametrize("scenario", ["highway", "intersection"])
+    def test_every_control_bit_equal(self, scenario):
+        # The shield-off outcome offers every action with the oracle's
+        # input, and each logged control of an agent that has not crashed
+        # is the oracle's input of its action, edge lane changes included.
+        cfg = Config()
+        space = ActionSpace(cfg.harness.action_k)
+        dyn = cfg.dynamics
+        spec = scen.build_scenario(scenario, mode="test", cfg=cfg)
+        taken = []  # per step: {agent: (oracle input, fell back)}
+
+        class Checked(ep.RandomSafeTeamPolicy):
+            def select_actions(self, joint, outcome, rng):
+                want = {
+                    aid: [reference_off_input(view, spec.road, a, dyn, space)
+                          for a in space.actions()]
+                    for aid, view in joint.views.items()
+                }
+                for aid, inputs in want.items():
+                    assert outcome.safe_sets[aid] == space.actions()
+                    assert [input_bits(outcome.controls[aid][a])
+                            for a in space.actions()] == [
+                        input_bits(u) for u, _ in inputs]
+                actions = super().select_actions(joint, outcome, rng)
+                taken.append({aid: want[aid][a] for aid, a in actions.items()})
+                return actions
+
+        log = ep.run_episode(spec, cfg, Checked(), seed=0, shield_mode="off")
+        fell_back = 0
+        for rec, want in zip(log.steps, taken, strict=True):
+            for aid, (u, fell) in want.items():
+                if aid not in rec["crashed"]:
+                    assert [x.hex() for x in rec["controls"][aid]] == list(
+                        input_bits(u))
+                    fell_back += fell
+        assert fell_back > 0
 
 
 def lane_world(ego_lane, others):
