@@ -77,10 +77,16 @@ def cmd_train(args):
         quick=args.quick,
         config=cfg,
     )
-    result = trainer.train(settings)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     ckpt_path = os.path.join(args.out, "checkpoint.npz")
-    trainer.write_metrics(metrics_path, result.metrics)
+    # Each episode's line is on disk as soon as its record is made, so a
+    # run that fails keeps the episodes before the failure.
+    with open(metrics_path, "w") as fh:
+        def stream(record):
+            fh.write(trainer.metrics_line(record))
+            fh.flush()
+
+        result = trainer.train(settings, on_record=stream)
     trainer.save_checkpoint(ckpt_path, result, settings)
     print(f"trained {len(result.metrics)} episodes on {args.scenario} ({args.algo})")
     print(f"final mean return: {result.metrics[-1]['mean_return']}")

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..marl.trainer import NeuralTeamPolicy, load_checkpoint, restore_agents
+from ..marl.trainer import (NeuralTeamPolicy, check_config, load_checkpoint,
+                            restore_agents)
 from ..marl.encode import Encoder
 from ..perturb import (
     identity_schedule,
@@ -76,8 +77,8 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
 
     With save_logs_dir, each episode's log is saved there.  ptb and
     shield_mode (None: the checkpoint's) are checked first; out_dir and
-    save_logs_dir are made once the checkpoint has loaded, before any
-    episode runs."""
+    save_logs_dir are made once the checkpoint has loaded and matches
+    cfg's action count and hidden sizes, before any episode runs."""
     from .config import Config, is_count
 
     if not is_count(n_episodes):
@@ -86,8 +87,9 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
         raise ValueError(f"unknown perturbation kind {ptb!r}")
     ep.check_shield_mode(shield_mode or ep.SHIELD_ROBUST)
     cfg = cfg or Config()
-    header, params = load_checkpoint(checkpoint_path)
-    agents, enc_spec = restore_agents(header, params)
+    header, params, phi = load_checkpoint(checkpoint_path)
+    check_config(checkpoint_path, header, cfg)
+    agents, enc_spec = restore_agents(header, params, phi)
     for path in (out_dir, save_logs_dir):
         if path is not None:
             os.makedirs(path, exist_ok=True)

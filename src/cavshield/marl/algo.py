@@ -9,9 +9,10 @@ The state regularizer's inner max is solved once per update, as in SA-PPO:
 worst_candidates picks each row's max-KL perturbation candidate under the
 actor as the update starts, one candidate column at a time, and reg_loss /
 reg_loss_grad then take the KL at those fixed candidates in every PPO
-epoch.  The trainer runs neither for an agent whose state_importance
-weights are all 0: the loss is then 0.0 and its gradient changes no
-parameter.
+epoch.  A row whose state_importance weight is 0 adds nothing to the
+loss or its gradient, so the trainer runs both on the weighted rows
+only, with the weights scaled by W / T so that the mean over those W
+rows is the mean over all T.
 """
 
 import bisect
@@ -174,16 +175,16 @@ def reg_loss_grad(actor, obs, sel, weights):
     return loss, grad
 
 
-def state_importance(value_net, q_net, central):
-    """w(s) = max(V(s) - min_a worst-Q(s, a), 0).
+def state_importance(values, q_net, central):
+    """w(s) = max(V(s) - min_a worst-Q(s, a), 0), with V(s) the rows of
+    values, the value critic at central.
 
     The clamp keeps reg_loss a penalty.  The bootstrapped worst-Q critic
     lags the Monte-Carlo value target, so V - min Q is mostly negative in
     training, and minimizing a negative w * KL would raise the divergence
     it is meant to bound."""
-    v = value_net.forward(central)[:, 0]
     q_min = q_net.forward(central).min(axis=1)
-    return np.maximum(v - q_min, 0.0)
+    return np.maximum(np.asarray(values, dtype=float) - q_min, 0.0)
 
 
 def select_action(dist, safe_set, rng):

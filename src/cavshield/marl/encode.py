@@ -144,7 +144,8 @@ class Encoder:
         return np.array(rows, dtype=float), np.array(flags, dtype=bool)
 
 
-def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
+def perturbation_samples(spec, obs, masks, epsilon, n_random, rng,
+                         rows=None):
     """Candidate perturbed states for the inner KL maximization.
 
     obs (T, F) and present-slot masks (T, S) give candidates (T, K, F).
@@ -154,12 +155,19 @@ def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     (absent-slot corners degenerate to copies) so batches stack
     rectangularly.  The uniforms are consumed step, then sample, then
     slot, then (angle, radius): the order of one scalar draw per value.
+
+    With rows (indices into obs), only those rows get candidates, a
+    (len(rows), K, F) block with the bits of the full block's rows.  The
+    uniforms of all T rows are drawn all the same, so every later draw
+    from rng stays where it was.
     """
     obs = np.asarray(obs, dtype=float)
     masks = np.asarray(masks, dtype=bool)
     n_slots = spec.n_slots
+    u = rng.random((len(obs), n_random, n_slots, 2))
+    if rows is not None:
+        obs, masks, u = obs[rows], masks[rows], u[rows]
     n_steps = len(obs)
-    u = perturbation_uniforms(spec, n_steps, n_random, rng)
     if n_slots == 0:
         return np.repeat(obs[:, None, :], max(1, n_random), axis=1)
     ang = 2.0 * math.pi * u[..., 0]
@@ -180,7 +188,7 @@ def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     # In place, so no other array of err's size is alive beside the block
     # (err / scale + base has the bits of base + err / scale).
     base = obs[:, None, cols]
-    moved = err.reshape(n_steps, -1, 2 * n_slots)
+    moved = err.reshape(n_steps, err.shape[1], 2 * n_slots)
     moved /= scale
     moved += base
     np.copyto(moved, base, where=~np.repeat(masks, 2, axis=1)[:, None, :])
@@ -188,10 +196,3 @@ def perturbation_samples(spec, obs, masks, epsilon, n_random, rng):
     out[:, :, cols] = moved
     return out
 
-
-def perturbation_uniforms(spec, n_steps, n_random, rng):
-    """The (n_steps, n_random, n_slots, 2) uniforms that
-    perturbation_samples draws from rng for n_steps rows.  A caller that
-    needs no candidates draws them all the same, so that every later
-    draw from rng stays where it was."""
-    return rng.random((n_steps, n_random, spec.n_slots, 2))

@@ -1,5 +1,5 @@
-"""SR-MAPPO training loop: shield-restricted rollouts, per-agent actor /
-centralized value / centralized worst-Q updates, checkpoints, metrics.
+"""SR-MAPPO training loop: shield-restricted rollouts, per-agent actor and
+centralized worst-Q updates, one team value critic, checkpoints, metrics.
 
 Rollouts sample each agent's softmax policy restricted to its safe set;
 that stochastic policy is the only exploration.  The worst-Q targets are
@@ -12,15 +12,24 @@ rows, flattened) and the log's rewards, with one column per agent in
 the policy's agent order.  train() rejects an unknown algo or shield
 mode before it builds anything.
 
+Every agent gets the same team reward (C8 gates it) and every agent's
+value critic would see the same centralized state, so the team has one
+value net and one Adam, which every AgentRuntime shares (its value and
+opt_value).  Each update fits them once on the team reward; every
+agent's advantage and importance weights read that one critic.  The
+worst-Q critic and the actor stay per agent.
+
 Rewards are scaled by marl.reward_scale inside the optimizer only; every
 logged number stays in raw units.
 
-The state regularizer (SR-MAPPO with kappa_reg != 0) runs for an agent
-only when some of its importance weights are non-zero; otherwise it would
-change no parameter, and the agent's loss_reg is recorded as 0.0.  When
-it runs, its (T, K, F) candidates are drawn and searched once per update,
-one column at a time.  Each metrics record's reg_weighted_rows counts the
-non-zero weights over all agents (None when the regularizer is off).
+The state regularizer (SR-MAPPO with kappa_reg != 0) runs on an agent's
+W rows with a non-zero importance weight only: a row of weight 0 adds
+nothing to its loss or gradient.  Each agent draws the uniforms of all T
+rows all the same, so later agents' candidates stay put; its (W, K, F)
+candidates are searched once per update, one column at a time.  An
+agent with W = 0 runs no search and no regularizer gradient, and counts
+0.0 towards loss_reg.  Each metrics record's reg_weighted_rows counts W
+over all agents (None when the regularizer is off).
 """
 
 import hashlib
@@ -36,15 +45,14 @@ from ..harness import episode as ep
 from ..harness import scenario as scen
 from ..harness.config import Config, is_count
 from . import algo
-from .encode import (Encoder, EncoderSpec, perturbation_samples,
-                     perturbation_uniforms)
+from .encode import Encoder, EncoderSpec, perturbation_samples
 from .nets import MLP, Adam, log_softmax
 
 ALGO_SRMAPPO = "srmappo"
 ALGO_MAPPO = "mappo"
 ALGOS = (ALGO_SRMAPPO, ALGO_MAPPO)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class TrainingDiverged(Exception):
@@ -63,24 +71,23 @@ class UnsupportedCheckpointVersion(CheckpointError):
     """Checkpoint header carries a version this code cannot read."""
 
 
+class ConfigMismatch(CheckpointError):
+    """The config does not match the one the checkpoint was trained under."""
+
+
 @dataclass
 class ParameterSet:
-    """Flat numeric parameters of one agent."""
+    """Flat numeric parameters of one agent: its actor and worst-Q critic.
+    The team's value critic is stored once, apart."""
 
     theta: np.ndarray
-    phi: np.ndarray
     omega: np.ndarray
-
-    def check_finite(self, where):
-        for name in ("theta", "phi", "omega"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise TrainingDiverged(f"non-finite {name} after {where}")
 
 
 @dataclass
 class AgentRuntime:
     actor: MLP
-    value: MLP
+    value: MLP  # the team's; every runtime holds the same net and Adam
     worst_q: MLP
     opt_actor: Adam
     opt_value: Adam
@@ -198,7 +205,8 @@ class NeuralTeamPolicy:
 
 
 def build_agents(spec, cfg, seed):
-    """Fresh actor/value/worst-Q networks for every agent."""
+    """Fresh actor and worst-Q networks for every agent, and one value
+    network and Adam that every runtime shares."""
     enc_spec = EncoderSpec(
         n_cav_slots=cfg.marl.n_cav_slots,
         n_ucv_slots=cfg.marl.n_ucv_slots,
@@ -208,27 +216,36 @@ def build_agents(spec, cfg, seed):
     space = ActionSpace(cfg.harness.action_k)
     agent_ids = spec.agent_ids
     central_dim = enc_spec.dim * len(agent_ids)
+    hidden = list(cfg.marl.hidden)
     agents = {}
-    seeds = np.random.SeedSequence([seed, 0x11]).spawn(len(agent_ids))
+    # The value net draws from a child of its own after the agents' ones,
+    # so each agent's child, and its actor, are what they were.
+    *seeds, value_seed = np.random.SeedSequence([seed, 0x11]).spawn(
+        len(agent_ids) + 1)
+    value = MLP([central_dim] + hidden + [1], np.random.default_rng(value_seed),
+                zero_final=True)
+    opt_value = Adam(value.n_params, lr=cfg.marl.lr_critic)
     for aid, ss in zip(agent_ids, seeds):
         rng = np.random.default_rng(ss)
-        hidden = list(cfg.marl.hidden)
         actor = MLP([enc_spec.dim] + hidden + [space.n], rng, zero_final=True)
-        value = MLP([central_dim] + hidden + [1], rng, zero_final=True)
         worst_q = MLP([central_dim] + hidden + [space.n], rng, zero_final=True)
         agents[aid] = AgentRuntime(
             actor=actor,
             value=value,
             worst_q=worst_q,
             opt_actor=Adam(actor.n_params, lr=cfg.marl.lr),
-            opt_value=Adam(value.n_params, lr=cfg.marl.lr_critic),
+            opt_value=opt_value,
             opt_worst_q=Adam(worst_q.n_params, lr=cfg.marl.lr_critic),
         )
     return agents, encoder
 
 
-def train(settings):
-    """Run the full loop; returns runtimes, metrics and the encoder."""
+def train(settings, on_record=None):
+    """Run the full loop; returns runtimes, metrics and the encoder.
+
+    on_record, if given, is called with each episode's metrics record as
+    soon as it is made, so a caller can keep every record of a run that
+    raises later."""
     if settings.algo not in ALGOS:
         raise ValueError(f"algo must be one of {', '.join(ALGOS)}, "
                          f"not {settings.algo!r}")
@@ -259,8 +276,7 @@ def train(settings):
             rng=np.random.default_rng([settings.seed, 0xAD, e]),
             train_worst_q=settings.algo == ALGO_SRMAPPO,
         )
-        for agent in agents.values():
-            _runtime_params(agent).check_finite(f"episode {e}")
+        _check_finite(agents, f"episode {e}")
         returns = log.returns()
         record = {
             "episode": e,
@@ -271,6 +287,8 @@ def train(settings):
         }
         record.update(losses)
         metrics.append(record)
+        if on_record is not None:
+            on_record(record)
     return TrainResult(agents=agents, metrics=metrics, encoder=encoder, spec=spec)
 
 
@@ -289,12 +307,26 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
                    rng, train_worst_q):
     marl = cfg.marl
     scale = marl.reward_scale
+    value, opt_value = _team_value(agents)
     states = batch.obs.reshape(len(batch.obs), -1)  # centralized, terminal last
     central = states[:-1]
-    terminal = np.zeros(len(central), dtype=bool)
+    n_rows = len(central)
+    terminal = np.zeros(n_rows, dtype=bool)
     terminal[-1] = True
 
-    loss_value = []
+    # The team critic: returns and advantages under the pre-update critic
+    # (bootstrap at T), then the fit.  Every column of the rewards is the
+    # same team reward.
+    v_start = value.forward(states)[:, 0]
+    returns, advantages = algo.compute_returns_advantages(
+        batch.rewards[:, 0] * scale, v_start[:-1], v_start[-1], marl.gamma
+    )
+    lv = None
+    for _ in range(marl.critic_epochs):
+        lv, gv = algo.value_loss_grad(value, central, returns)
+        value.set_flat(opt_value.step(value.get_flat(), gv))
+    v_fitted = value.forward(central)[:, 0] if kappa_reg != 0.0 else None
+
     loss_worst_q = []
     loss_actor = []
     loss_reg = []
@@ -304,25 +336,9 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
         col = batch.agent_ids.index(aid)
         rewards = batch.rewards[:, col] * scale
         obs = batch.obs[:-1, col]
-        masks = batch.masks[:, col]
         actions = batch.actions[:, col]
         logp_old = batch.logp_old[:, col]
         acted = actions >= 0  # emergency-stop steps carry no policy action
-
-        # Returns / advantages with the pre-update critic (bootstrap at T).
-        values = agent.value.forward(central)[:, 0]
-        bootstrap = agent.value.forward(states[-1])[0, 0]
-        returns, advantages = algo.compute_returns_advantages(
-            rewards, values, bootstrap, marl.gamma
-        )
-
-        # Critic updates first, then the policy objective (training order).
-        lv = None
-        for _ in range(marl.critic_epochs):
-            lv, gv = algo.value_loss_grad(agent.value, central, returns)
-            agent.value.set_flat(agent.opt_value.step(agent.value.get_flat(), gv))
-        if lv is not None:
-            loss_value.append(lv)
 
         if train_worst_q and np.any(acted):
             # Targets under the worst-Q critic as the update starts.
@@ -353,24 +369,23 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
         sel = None
         lr_ = 0.0
         if kappa_reg != 0.0:
-            weights = algo.state_importance(agent.value, agent.worst_q, central)
-            n_weighted = int(np.count_nonzero(weights))
-            reg_weighted_rows += n_weighted
-            if n_weighted:
+            weights = algo.state_importance(v_fitted, agent.worst_q, central)
+            rows = np.flatnonzero(weights)
+            reg_weighted_rows += len(rows)
+            # Candidates for the weighted rows only, from every row's
+            # uniforms, so that later agents' candidates stay put.
+            candidates = perturbation_samples(
+                encoder_spec, obs, batch.masks[:, col], cfg.shield.epsilon,
+                marl.n_adv, rng, rows=rows,
+            )
+            if len(rows):
                 # The inner max, once per update under the pre-update actor.
-                # The (T, K, F) candidates are not kept, so that two agents'
-                # blocks are never live at once.
-                sel = algo.worst_candidates(
-                    agent.actor, obs,
-                    perturbation_samples(encoder_spec, obs, masks,
-                                         cfg.shield.epsilon, marl.n_adv, rng),
-                )
-            else:
-                # Every weight is 0, so the regularizer's loss is 0 and its
-                # gradient changes no parameter: skip it, but draw its
-                # uniforms so that later agents' candidates stay put.
-                perturbation_uniforms(encoder_spec, len(obs),
-                                      marl.n_adv, rng)
+                reg_obs = obs[rows]
+                sel = algo.worst_candidates(agent.actor, reg_obs, candidates)
+                # The mean over the W rows, scaled by W / T, is the mean
+                # over all T rows, whose other weights are 0.
+                reg_weights = weights[rows] * (len(rows) / n_rows)
+            del candidates  # so that two agents' blocks are never live at once
 
         for _ in range(marl.ppo_epochs):
             la, ga = algo.rcs_loss_grad(
@@ -379,7 +394,8 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
             )
             total_grad = ga
             if sel is not None:
-                lr_, gr = algo.reg_loss_grad(agent.actor, obs, sel, weights)
+                lr_, gr = algo.reg_loss_grad(agent.actor, reg_obs, sel,
+                                             reg_weights)
                 total_grad = ga - kappa_reg * gr
             # Ascend: Adam minimizes, so feed the negated ascent direction.
             agent.actor.set_flat(
@@ -390,7 +406,7 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
             loss_reg.append(lr_)
 
     return {
-        "loss_value": _mean_or_none(loss_value),
+        "loss_value": lv,
         "loss_worst_q": _mean_or_none(loss_worst_q),
         "loss_actor": _mean_or_none(loss_actor),
         "loss_reg": _mean_or_none(loss_reg),
@@ -402,17 +418,31 @@ def _mean_or_none(xs):
     return float(np.mean(xs)) if xs else None
 
 
-def _runtime_params(agent):
-    return ParameterSet(
-        theta=agent.actor.get_flat(),
-        phi=agent.value.get_flat(),
-        omega=agent.worst_q.get_flat(),
-    )
+def _team_value(agents):
+    """(value net, its Adam): the team critic every runtime holds."""
+    first = next(iter(agents.values()))
+    for aid, agent in agents.items():
+        if agent.value is not first.value or agent.opt_value is not first.opt_value:
+            raise ValueError(f"agent {aid!r} does not share the team's value "
+                             f"critic")
+    return first.value, first.opt_value
+
+
+def _check_finite(agents, where):
+    nets = [("phi", _team_value(agents)[0])]
+    for agent in agents.values():
+        nets += [("theta", agent.actor), ("omega", agent.worst_q)]
+    for name, net in nets:
+        if not np.all(np.isfinite(net.get_flat())):
+            raise TrainingDiverged(f"non-finite {name} after {where}")
 
 
 def save_checkpoint(path, result, settings):
-    """Versioned flat-array checkpoint with a layout header and digest."""
+    """Versioned flat-array checkpoint with a layout header and digest:
+    each agent's actor (AID__theta) and worst-Q critic (AID__omega), and
+    the team's value critic once (phi)."""
     cfg = settings.config
+    value, _ = _team_value(result.agents)
     header = {
         "version": CHECKPOINT_VERSION,
         "scenario": settings.scenario,
@@ -424,16 +454,15 @@ def save_checkpoint(path, result, settings):
         "action_k": cfg.harness.action_k,
         "encoder": asdict(result.encoder.spec),
         "layouts": {},
+        "value_layout": value.sizes,
     }
     header["kappa_wst"], header["kappa_reg"] = _kappas(settings)
-    arrays = {}
+    arrays = {"phi": value.get_flat()}
     for aid, agent in result.agents.items():
         arrays[f"{aid}__theta"] = agent.actor.get_flat()
-        arrays[f"{aid}__phi"] = agent.value.get_flat()
         arrays[f"{aid}__omega"] = agent.worst_q.get_flat()
         header["layouts"][aid] = {
             "actor": agent.actor.sizes,
-            "value": agent.value.sizes,
             "worst_q": agent.worst_q.sizes,
         }
     header_bytes = json.dumps(header, sort_keys=True).encode()
@@ -477,7 +506,7 @@ def _member(path, arrays, name):
 
 
 def load_checkpoint(path):
-    """(header, {agent: ParameterSet}).
+    """(header, {agent: ParameterSet}, the team value critic's phi).
 
     Raises CheckpointError, naming the file, if it cannot be read, is not
     an npz archive or lacks a member; its subclasses ChecksumMismatch if
@@ -500,32 +529,45 @@ def load_checkpoint(path):
     for aid in header["agent_ids"]:
         params[aid] = ParameterSet(
             theta=_member(path, arrays, f"{aid}__theta"),
-            phi=_member(path, arrays, f"{aid}__phi"),
             omega=_member(path, arrays, f"{aid}__omega"),
         )
-    return header, params
+    return header, params, _member(path, arrays, "phi")
 
 
-def restore_agents(header, params):
+def check_config(path, header, cfg):
+    """Raise ConfigMismatch, naming the key, if cfg's action count or
+    hidden sizes differ from those the checkpoint was trained under."""
+    for key, trained, current in (
+        ("harness.action_k", header["action_k"], cfg.harness.action_k),
+        ("marl.hidden", header["hidden"], list(cfg.marl.hidden)),
+    ):
+        if trained != current:
+            raise ConfigMismatch(
+                f"checkpoint {path} was trained with {key} = {trained}; "
+                f"the config has {current}"
+            )
+
+
+def restore_agents(header, params, phi):
     """Rebuild runtimes + encoder from checkpoint contents."""
     enc_spec = EncoderSpec(**header["encoder"])
+    value = MLP.from_flat(header["value_layout"], phi)
+    opt_value = Adam(value.n_params)
     agents = {}
     for aid in header["agent_ids"]:
         layout = header["layouts"][aid]
         actor = MLP.from_flat(layout["actor"], params[aid].theta)
-        value = MLP.from_flat(layout["value"], params[aid].phi)
         worst_q = MLP.from_flat(layout["worst_q"], params[aid].omega)
         agents[aid] = AgentRuntime(
             actor=actor, value=value, worst_q=worst_q,
             opt_actor=Adam(actor.n_params),
-            opt_value=Adam(value.n_params),
+            opt_value=opt_value,
             opt_worst_q=Adam(worst_q.n_params),
         )
     return agents, enc_spec
 
 
-def write_metrics(path, metrics):
-    """Line-delimited JSON; deterministic byte stream for a given run."""
-    with open(path, "w") as fh:
-        for record in metrics:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def metrics_line(record):
+    """One metrics record as a line of JSON; for a given run the lines are
+    a deterministic byte stream."""
+    return json.dumps(record, sort_keys=True) + "\n"

@@ -1,11 +1,13 @@
-"""Shared pytest hooks: one pass/fail line per acceptance criterion."""
+"""Shared pytest hooks: one pass/fail line per acceptance criterion, then
+the per-seed numbers the criterion recorded with record_property."""
 
 _ACCEPTANCE = []
 
 
 def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance" in report.nodeid:
-        _ACCEPTANCE.append((report.nodeid.split("::")[-1], report.passed))
+        _ACCEPTANCE.append((report.nodeid.split("::")[-1], report.passed,
+                            report.user_properties))
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -13,5 +15,7 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.write_line("")
     terminalreporter.write_line("acceptance criteria:")
-    for name, passed in _ACCEPTANCE:
+    for name, passed, properties in _ACCEPTANCE:
         terminalreporter.write_line(f"  {'PASS' if passed else 'FAIL'}  {name}")
+        for key, value in properties:
+            terminalreporter.write_line(f"        {key}: {value}")

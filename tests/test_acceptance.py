@@ -291,9 +291,10 @@ def test_c5_pseudo_car_reduction_equivalence():
     assert time.time() - start < 30.0
 
 
-def test_c6_learning_progress():
+def test_c6_learning_progress(record_property):
     """Plain MAPPO+shield on Highway, quick protocol, 5 seeds: the last
-    20% of episodes out-earn the first 20% in at least 4 of 5 seeds."""
+    20% of episodes out-earn the first 20% in at least 4 of 5 seeds.
+    Each seed's last-minus-first window return goes to the summary."""
     start = time.time()
     wins = 0
     for seed in range(5):
@@ -303,14 +304,18 @@ def test_c6_learning_progress():
         )
         rets = [m["mean_return"] for m in trainer.train(settings).metrics]
         n = max(1, len(rets) // 5)
+        gain = float(np.mean(rets[-n:])) - float(np.mean(rets[:n]))
+        record_property(f"seed {seed}",
+                        f"last-minus-first window return {gain:+.1f}")
         wins += float(np.mean(rets[-n:])) > float(np.mean(rets[:n]))
     assert wins >= 4
     assert time.time() - start < 1800.0
 
 
-def test_c7_robustness_ablation(tmp_path):
+def test_c7_robustness_ablation(tmp_path, record_property):
     """Intersection under PTB^V, quick protocol, 5 seeds: SR-MAPPO's
-    collision-free rate >= plain MAPPO+plain-shield's in >= 4/5 seeds."""
+    collision-free rate >= plain MAPPO+plain-shield's in >= 4/5 seeds.
+    Each seed's two rates go to the summary."""
     start = time.time()
     cfg = Config()
     wins = 0
@@ -329,6 +334,10 @@ def test_c7_robustness_ablation(tmp_path):
                 seed=seed, cfg=cfg,
             )
             rates[algo_name] = report.collision_free_rate
+        record_property(f"seed {seed}",
+                        f"collision-free rate srmappo/robust "
+                        f"{rates['srmappo']:.2f}, mappo/plain "
+                        f"{rates['mappo']:.2f}")
         wins += rates["srmappo"] >= rates["mappo"]
     assert wins >= 4
     assert time.time() - start < 7200.0

@@ -105,7 +105,8 @@ def test_traced_training_episode_counts_each_layer():
     assert calls["marl.trainer.select_actions"] == 20
     # One encoding per step, and one of the terminal state.
     assert calls["marl.encode.encode_joint"] == 21
-    assert calls["marl.algo.value_loss_grad"] == run["critic_epochs"] * 3
+    # One team value critic, fitted once per update.
+    assert calls["marl.algo.value_loss_grad"] == run["critic_epochs"]
     assert calls["marl.algo.rcs_loss_grad"] == run["ppo_epochs"] * run["acted"]
     # The shield's spans: once per state (the initial one too), once per
     # agent there, and every verdict inside check_action_safe, so a shield

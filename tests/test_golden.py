@@ -8,7 +8,8 @@ binding constraint, unavailable) of the same episode are kept in a compact
 per-step form, ``<scenario>.verdicts.json``, and must match exactly too.
 The training lock, ``train-intersection-srmappo.json``, holds the metrics
 records of a two-episode SR-MAPPO run and the sum and L2 norm of each
-agent's final actor, value and worst-Q parameters, compared the same way.
+agent's final actor and worst-Q parameters and of the team's value
+critic, compared the same way.
 Every shield verdict of these runs lies outside check_action_safe's tie
 band, so none of them calls kernels.solve_qp_2d; a test locks that too.
 A change that alters a trajectory or a verdict on purpose regenerates the
@@ -109,16 +110,19 @@ def golden_training():
         episodes=TRAIN_EPISODES, config=Config(),
     )
     result = trainer.train(settings)
-    params = {}
-    for aid, agent in result.agents.items():
-        params[aid] = {}
-        for name, net in (("theta", agent.actor), ("phi", agent.value),
-                          ("omega", agent.worst_q)):
-            flat = net.get_flat()
-            params[aid][name] = {"sum": float(flat.sum()),
-                                 "norm": float(np.linalg.norm(flat))}
+
+    def summary(net):
+        flat = net.get_flat()
+        return {"sum": float(flat.sum()), "norm": float(np.linalg.norm(flat))}
+
+    params = {aid: {"theta": summary(agent.actor),
+                    "omega": summary(agent.worst_q)}
+              for aid, agent in result.agents.items()}
+    # The team's one value critic, which every runtime holds.
+    phi = summary(next(iter(result.agents.values())).value)
     # Through JSON, so tuples and ints compare as they are stored.
-    return json.loads(json.dumps({"metrics": result.metrics, "params": params}))
+    return json.loads(json.dumps({"metrics": result.metrics, "params": params,
+                                  "phi": phi}))
 
 
 def assert_same(got, want, where="log"):

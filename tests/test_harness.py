@@ -763,6 +763,91 @@ class TestCli:
         assert out.out == ""
         assert out.err == f"eval: {message}\n"
 
+    def test_eval_of_a_version_2_checkpoint_fails_cleanly(
+            self, capsys, tmp_path, checkpoint):
+        # Version 2 stored a value critic per agent (AID__phi).
+        from cavshield.harness import cli
+
+        with np.load(checkpoint[0]) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(arrays.pop("header").tobytes())
+        arrays.pop("checksum")
+        phi = arrays.pop("phi")
+        value_layout = header.pop("value_layout")
+        for aid in header["agent_ids"]:
+            arrays[f"{aid}__phi"] = phi
+            header["layouts"][aid]["value"] = value_layout
+        header["version"] = 2
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        digest = trainer._digest(header_bytes, arrays).encode()
+        path = tmp_path / "v2.npz"
+        np.savez(str(path), header=np.frombuffer(header_bytes, dtype=np.uint8),
+                 checksum=np.frombuffer(digest, dtype=np.uint8), **arrays)
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--episodes", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"eval: checkpoint {path} has version 2; this "
+                           f"cavshield reads version 3 only\n")
+
+    def test_eval_under_another_action_count_fails_cleanly(self, capsys,
+                                                           tmp_path):
+        # A 9-action actor evaluated under the default 7-action shield ran
+        # every episode and exited 0.
+        from cavshield.harness import cli
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(Config.from_dict(
+            {"harness": {"action_k": 5, "episode_len": 10}}).to_yaml())
+        assert cli.main(["train", "--scenario", "highway", "--episodes", "1",
+                         "--config", str(cfg_path),
+                         "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "checkpoint.npz"
+        out = tmp_path / "eval"
+        argv = ["eval", "--checkpoint", str(ckpt), "--episodes", "1",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and not out.exists()
+        assert got.err == (f"eval: checkpoint {ckpt} was trained with "
+                           f"harness.action_k = 5; the config has 3\n")
+        assert cli.main(argv + ["--config", str(cfg_path)]) == 0
+
+    def test_train_keeps_the_metrics_before_a_failure(self, tmp_path,
+                                                       monkeypatch):
+        # metrics.jsonl was written only after train() returned, so a run
+        # that raised left nothing.
+        from cavshield.harness import cli
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(Config.from_dict(
+            {"harness": {"episode_len": 10}}).to_yaml())
+
+        def run(name, episodes):
+            out = tmp_path / name
+            cli.main(["train", "--scenario", "highway", "--seed", "3",
+                      "--episodes", str(episodes), "--config", str(cfg_path),
+                      "--out", str(out)])
+            return (out / "metrics.jsonl").read_bytes()
+
+        whole = run("whole", 2)
+        update_agents = trainer._update_agents
+        updates = []
+
+        def failing_update(*args, **kwargs):
+            updates.append(1)
+            if len(updates) == 3:
+                raise trainer.TrainingDiverged("forced at episode 2")
+            return update_agents(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_update_agents", failing_update)
+        with pytest.raises(trainer.TrainingDiverged, match="episode 2"):
+            run("cut", 4)
+        cut = (tmp_path / "cut" / "metrics.jsonl").read_bytes()
+        assert cut == whole and cut.count(b"\n") == 2
+        assert not (tmp_path / "cut" / "checkpoint.npz").exists()
+
     def test_eval_makes_its_directories_once_the_checkpoint_loads(
             self, capsys, tmp_path, checkpoint):
         # A failed eval left DIR and DIR/logs behind, empty.
@@ -1264,11 +1349,11 @@ class TestTrainer:
         assert all(m["loss_reg"] is None for m in result.metrics)
 
     def test_candidate_forward_once_per_agent_per_update(self, monkeypatch):
-        # Each agent-update with a non-zero importance weight draws its
-        # (T, K, F) candidates once and forwards their T * K rows once, in
-        # K actor forwards of T rows (after the forward of its T states);
-        # the others draw and forward none.  The first update's weights
-        # get one non-zero row, so the run has both kinds.
+        # Each agent-update draws once.  One with W non-zero importance
+        # weights builds (W, K, F) candidates and forwards their W * K
+        # rows once, in K actor forwards of W rows (after the forward of
+        # its W states); one with W = 0 forwards none.  The first update's
+        # weights get one non-zero row, so the run has both kinds.
         from cavshield.marl import algo, nets
 
         forwards = []
@@ -1290,16 +1375,16 @@ class TestTrainer:
             searches.append((actor, pert.shape, forwards[start:]))
             return sel
 
-        def counting_samples(*args):
+        def counting_samples(*args, **kwargs):
             drawn.append(1)
-            return perturbation_samples(*args)
+            return perturbation_samples(*args, **kwargs)
 
         def counting_importance(*args):
             w = state_importance(*args)
             if not weighted:
                 w = w.copy()
                 w[0] = 1.0
-            weighted.append(bool(np.any(w)))
+            weighted.append(int(np.count_nonzero(w)))
             return w
 
         monkeypatch.setattr(nets.MLP, "forward", counting_forward)
@@ -1314,40 +1399,53 @@ class TestTrainer:
         K = marl.n_adv + 4 * result.encoder.spec.n_slots
         F = result.encoder.spec.dim
         assert len(weighted) <= len(result.agents) * settings.episodes
-        assert sum(weighted) >= 1
-        assert len(searches) == len(drawn) == sum(weighted)
-        for actor, shape, calls in searches:
-            assert shape == (T, K, F)
-            assert calls == [(actor, (T, F))] * (K + 1)
+        assert len(drawn) == len(weighted)
+        rows = [w for w in weighted if w]
+        assert rows and len(searches) == len(rows)
+        for (actor, shape, calls), W in zip(searches, rows):
+            assert shape == (W, K, F)
+            assert calls == [(actor, (W, F))] * (K + 1)
         assert max(shape[0] for _, shape in forwards) < T * K
-        assert sum(m["reg_weighted_rows"] > 0 for m in result.metrics) >= 1
+        assert sum(m["reg_weighted_rows"] for m in result.metrics) == sum(rows)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         settings = self.quick_settings()
         result = trainer.train(settings)
         path = tmp_path / "ckpt.npz"
         trainer.save_checkpoint(str(path), result, settings)
-        header, params = trainer.load_checkpoint(str(path))
+        header, params, phi = trainer.load_checkpoint(str(path))
         assert header["scenario"] == "highway"
-        agents, enc_spec = trainer.restore_agents(header, params)
+        agents, enc_spec = trainer.restore_agents(header, params, phi)
         for aid in result.agents:
-            assert np.array_equal(
-                agents[aid].actor.get_flat(),
-                result.agents[aid].actor.get_flat(),
-            )
+            for name in ("actor", "value", "worst_q"):
+                assert np.array_equal(
+                    getattr(agents[aid], name).get_flat(),
+                    getattr(result.agents[aid], name).get_flat(),
+                )
+        # One value member, and one value critic that every runtime shares,
+        # before and after the round trip.
+        with np.load(str(path)) as data:
+            assert sorted(data.files) == sorted(
+                ["header", "checksum", "phi"]
+                + [f"{aid}__{k}" for aid in agents for k in ("theta", "omega")])
+        for team in (result.agents, agents):
+            first = next(iter(team.values()))
+            assert all(a.value is first.value and a.opt_value is first.opt_value
+                       for a in team.values())
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         settings = self.quick_settings()
         result = trainer.train(settings)
         path = tmp_path / "ckpt.npz"
         trainer.save_checkpoint(str(path), result, settings)
-        header, params = trainer.load_checkpoint(str(path))
+        header, params, phi = trainer.load_checkpoint(str(path))
         aid = list(result.agents)[0]
         arrays = {
             f"{a}__{k}": getattr(params[a], k)
             for a in params
-            for k in ("theta", "phi", "omega")
+            for k in ("theta", "omega")
         }
+        arrays["phi"] = phi
         arrays[f"{aid}__theta"] = arrays[f"{aid}__theta"] + 1.0
         import json as _json
         with np.load(str(path)) as data:
@@ -1398,6 +1496,14 @@ def checkpoint(tmp_path_factory):
 
 
 class TestEvaluate:
+
+    def test_other_hidden_sizes_rejected(self, checkpoint):
+        path, cfg = checkpoint
+        cfg = Config.from_dict({**cfg.to_dict(), "marl": {"hidden": [32]}})
+        with pytest.raises(trainer.ConfigMismatch,
+                           match=r"marl.hidden = \[64, 64\]; the config has "
+                                 r"\[32\]"):
+            ev.evaluate(path, n_episodes=1, cfg=cfg)
 
     def test_zero_episodes_rejected(self, checkpoint):
         path, cfg = checkpoint

@@ -13,8 +13,7 @@ from cavshield.harness import episode as ep
 from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
 from cavshield.marl import algo, trainer
-from cavshield.marl.encode import (Encoder, EncoderSpec, perturbation_samples,
-                                   perturbation_uniforms)
+from cavshield.marl.encode import Encoder, EncoderSpec, perturbation_samples
 from cavshield.marl.nets import MLP, Adam, log_softmax, softmax
 from cavshield.world import AgentView, JointState, Observation
 
@@ -572,7 +571,8 @@ class TestStateImportance:
         value.biases[-1] = value.biases[-1] - np.median(raw)
         raw = value.forward(central)[:, 0] - worst_q.forward(central).min(axis=1)
         assert np.any(raw > 0) and np.any(raw < 0)
-        w = algo.state_importance(value, worst_q, central)
+        w = algo.state_importance(value.forward(central)[:, 0], worst_q,
+                                  central)
         assert np.all(w >= 0.0)
         assert same_bits(w[raw > 0], raw[raw > 0])
         assert np.all(w[raw <= 0] == 0.0)
@@ -863,10 +863,19 @@ class TestPerturbationSamples:
         assert got.shape == ref.shape == (12, max(1, n_random + 4 * spec.n_slots), spec.dim)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-        # The draw alone consumes exactly what the sampler consumes.
+        # The sampler consumes one uniform block of all rows' values.
         rng_u = np.random.default_rng(12)
-        perturbation_uniforms(spec, len(obs), n_random, rng_u)
+        rng_u.random((len(obs), n_random, spec.n_slots, 2))
         assert rng_u.bit_generator.state == rng.bit_generator.state
+        # With rows, those rows of the full block, bit for bit, from the
+        # same draws.
+        for rows in ([], [0, 3, 11], list(range(12))):
+            rng_rows = np.random.default_rng(12)
+            part = perturbation_samples(spec, obs, masks, epsilon, n_random,
+                                        rng_rows, rows=rows)
+            assert part.shape == (len(rows),) + got.shape[1:]
+            assert np.array_equal(part.view(np.int64), got[rows].view(np.int64))
+            assert rng_rows.bit_generator.state == rng.bit_generator.state
 
 
 def runtime(actor):
@@ -957,208 +966,153 @@ class TestTeamPolicy:
             trainer.NeuralTeamPolicy({}, None, [])
 
 
-def reference_update_agents(agents, batch, encoder_spec, cfg, kappa_wst,
-                            kappa_reg, rng, train_worst_q):
-    """trainer._update_agents as it was before the regularizer could be
-    skipped: the candidate search and the regularizer's gradient run for
-    every acted agent whatever its importance weights.  Kept as the
-    bit-exact reference for the skip."""
-    marl = cfg.marl
-    scale = marl.reward_scale
-    states = batch.obs.reshape(len(batch.obs), -1)
-    central = states[:-1]
-    central_next = states[1:]
-    T = len(central)
-    terminal = np.zeros(T, dtype=bool)
-    terminal[-1] = True
 
-    loss_value = []
-    loss_worst_q = []
-    loss_actor = []
-    loss_reg = []
 
-    for aid, agent in agents.items():
-        col = batch.agent_ids.index(aid)
-        rewards = batch.rewards[:, col] * scale
-        obs = batch.obs[:-1, col]
-        masks = batch.masks[:, col]
-        actions = batch.actions[:, col]
-        logp_old = batch.logp_old[:, col]
-        acted = actions >= 0
+@pytest.fixture(scope="module")
+def rollout():
+    """A 40-step intersection rollout in which every agent acts."""
+    cfg = Config.from_dict({"harness": {"episode_len": 40}})
+    spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
+    agents, encoder = trainer.build_agents(spec, cfg, 5)
+    policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+    log = ep.run_episode(spec, cfg, policy, seed=6, log_verdicts=False)
+    batch = policy.batch(log)
+    assert np.all(np.any(batch.actions >= 0, axis=0))
+    return cfg, agents, batch, encoder.spec
 
-        values = agent.value.forward(central)[:, 0]
-        bootstrap = agent.value.forward(states[-1])[0, 0]
-        returns, advantages = algo.compute_returns_advantages(
-            rewards, values, bootstrap, marl.gamma
-        )
 
-        lv = None
-        for _ in range(marl.critic_epochs):
-            lv, gv = algo.value_loss_grad(agent.value, central, returns)
-            agent.value.set_flat(agent.opt_value.step(agent.value.get_flat(), gv))
-        if lv is not None:
-            loss_value.append(lv)
-
-        if train_worst_q and np.any(acted):
-            targets = algo.worst_q_targets(
-                agent.worst_q, rewards[acted], central_next[acted],
-                terminal[acted], marl.gamma,
-            )
-            lq = None
-            for _ in range(marl.critic_epochs):
-                lq, gq = algo.worst_q_loss_grad(
-                    agent.worst_q, central[acted], actions[acted], targets
-                )
-                agent.worst_q.set_flat(
-                    agent.opt_worst_q.step(agent.worst_q.get_flat(), gq)
-                )
-            if lq is not None:
-                loss_worst_q.append(lq)
-
-        if not np.any(acted):
-            continue
-
-        adv = advantages[acted]
-        if kappa_wst != 0.0:
-            q_all = agent.worst_q.forward(central[acted])
-            q_taken = q_all[np.arange(acted.sum()), actions[acted]]
-            adv = algo.robust_advantage(adv, q_taken, kappa_wst)
-
-        sel = None
-        weights = None
-        if kappa_reg != 0.0:
-            sel = algo.worst_candidates(
-                agent.actor, obs,
-                perturbation_samples(encoder_spec, obs, masks,
-                                     cfg.shield.epsilon, marl.n_adv, rng),
-            )
-            weights = algo.state_importance(agent.value, agent.worst_q, central)
-
-        for _ in range(marl.ppo_epochs):
-            la, ga = algo.rcs_loss_grad(
-                agent.actor, obs[acted], actions[acted], logp_old[acted],
-                adv, marl.clip_eps,
-            )
-            total_grad = ga
-            if kappa_reg != 0.0:
-                lr_, gr = algo.reg_loss_grad(agent.actor, obs, sel, weights)
-                total_grad = ga - kappa_reg * gr
-            agent.actor.set_flat(
-                agent.opt_actor.step(agent.actor.get_flat(), -total_grad)
-            )
-        loss_actor.append(la)
-        if kappa_reg != 0.0:
-            loss_reg.append(lr_)
-
-    return {
-        "loss_value": trainer._mean_or_none(loss_value),
-        "loss_worst_q": trainer._mean_or_none(loss_worst_q),
-        "loss_actor": trainer._mean_or_none(loss_actor),
-        "loss_reg": trainer._mean_or_none(loss_reg),
-    }
+def update(rollout, kappa_wst=None, kappa_reg=None, agents=None):
+    """One update of a copy of the rollout's agents; (agents, losses, rng)."""
+    cfg, start, batch, encoder_spec = rollout
+    agents = copy.deepcopy(start if agents is None else agents)
+    rng = np.random.default_rng([5, 0xAD, 0])
+    losses = trainer._update_agents(
+        agents, batch, encoder_spec, cfg,
+        cfg.marl.kappa_wst if kappa_wst is None else kappa_wst,
+        cfg.marl.kappa_reg if kappa_reg is None else kappa_reg,
+        rng=rng, train_worst_q=True,
+    )
+    return agents, losses, rng
 
 
 class TestRegularizerSkip:
-    """The update skips the regularizer of an agent whose importance
-    weights are all 0, and ends bit for bit where the unskipped update
-    (reference_update_agents) ends."""
+    """The update skips each agent's rows of importance weight 0: it runs
+    the state regularizer on the other rows only, from candidates drawn
+    for every row, and its loss and gradient are those over all T rows."""
 
-    @pytest.fixture(scope="class")
-    def rollout(self):
-        cfg = Config.from_dict({"harness": {"episode_len": 40}})
-        spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
-        agents, encoder = trainer.build_agents(spec, cfg, 5)
-        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
-        log = ep.run_episode(spec, cfg, policy, seed=6, log_verdicts=False)
-        batch = policy.batch(log)
-        assert np.all(np.any(batch.actions >= 0, axis=0))
-        return cfg, agents, batch, encoder.spec
-
-    def run_update(self, monkeypatch, rollout, update, weights_of):
-        """(agents after the update, losses, next uniform, chosen
-        candidates, reg_loss_grad calls) of one update from a copy of the
-        rollout's agents, with state_importance's i-th result replaced by
-        weights_of(i, w)."""
-        cfg, agents, batch, encoder_spec = rollout
-        agents = copy.deepcopy(agents)
+    def run_update(self, monkeypatch, rollout, weights_of):
+        """One update with state_importance's i-th result replaced by
+        weights_of(i, w).  Records each candidate draw (rows, the W-row
+        block, the full T-row block from the same draws), each search
+        (its choice, and the full search's at the weighted rows) and each
+        reg_loss_grad call (its result, and reg_loss_grad over all T rows
+        with weight 0 off the weighted rows)."""
+        cfg, _, batch, _ = rollout
+        T = len(batch.actions)
         state_importance = algo.state_importance
         worst_candidates = algo.worst_candidates
         reg_loss_grad = algo.reg_loss_grad
-        n_importance = []
-        chosen = []
-        reg_calls = []
+        rec = {"weights": [], "draws": [], "searches": [], "reg": []}
 
         def forced_importance(*args):
-            n_importance.append(1)
-            return weights_of(len(n_importance) - 1, state_importance(*args))
+            w = weights_of(len(rec["weights"]), state_importance(*args))
+            rec["weights"].append(w)
+            return w
 
-        def recorded_candidates(*args):
-            sel = worst_candidates(*args)
-            chosen.append(sel.copy())
+        def recorded_samples(spec, obs, masks, epsilon, n_random, rng, rows):
+            full = perturbation_samples(spec, obs, masks, epsilon, n_random,
+                                        copy.deepcopy(rng))
+            got = perturbation_samples(spec, obs, masks, epsilon, n_random,
+                                       rng, rows=rows)
+            rec["draws"].append((obs, list(rows), got, full))
+            return got
+
+        def recorded_candidates(actor, obs, pert):
+            full_obs, rows, _, full = rec["draws"][-1]
+            full_sel = worst_candidates(actor, full_obs, full)
+            sel = worst_candidates(actor, obs, pert)
+            rec["searches"].append((sel.copy(), full_sel))
             return sel
 
-        def counted_reg_loss_grad(*args):
-            reg_calls.append(1)
-            return reg_loss_grad(*args)
+        def recorded_reg_loss_grad(actor, obs, sel, weights):
+            full_obs, rows, _, _ = rec["draws"][-1]
+            full_w = np.zeros(T)
+            full_w[rows] = rec["weights"][-1][rows]
+            full_sel = rec["searches"][-1][1].copy()
+            full_sel[rows] = sel
+            got = reg_loss_grad(actor, obs, sel, weights)
+            rec["reg"].append((got, reg_loss_grad(actor, full_obs, full_sel,
+                                                  full_w)))
+            return got
 
         monkeypatch.setattr(algo, "state_importance", forced_importance)
+        monkeypatch.setattr(trainer, "perturbation_samples", recorded_samples)
         monkeypatch.setattr(algo, "worst_candidates", recorded_candidates)
-        monkeypatch.setattr(algo, "reg_loss_grad", counted_reg_loss_grad)
-        rng = np.random.default_rng([5, 0xAD, 0])
-        losses = update(agents, batch, encoder_spec, cfg, cfg.marl.kappa_wst,
-                        cfg.marl.kappa_reg, rng=rng, train_worst_q=True)
+        monkeypatch.setattr(algo, "reg_loss_grad", recorded_reg_loss_grad)
+        _, losses, rng = update(rollout)
         monkeypatch.undo()
-        return agents, losses, rng.random(), chosen, len(reg_calls)
+        return losses, rng, rec
 
-    def assert_same_update(self, got, want):
-        agents, losses, u, _, _ = got
-        ref_agents, ref_losses, ref_u, _, _ = want
-        for aid, ref in ref_agents.items():
-            agent = agents[aid]
-            for name in ("actor", "value", "worst_q"):
-                assert same_bits(getattr(agent, name).get_flat(),
-                                 getattr(ref, name).get_flat()), (aid, name)
-            for name in ("opt_actor", "opt_value", "opt_worst_q"):
-                opt, ref_opt = getattr(agent, name), getattr(ref, name)
-                assert same_bits(opt.m, ref_opt.m), (aid, name)
-                assert same_bits(opt.v, ref_opt.v), (aid, name)
-                assert opt.t == ref_opt.t
-        for key, value in ref_losses.items():
-            assert losses[key].hex() == value.hex(), key
-        assert u.hex() == ref_u.hex()
-
-    def test_all_zero_weights_skip_bit_for_bit(self, monkeypatch, rollout):
-        def zeros(i, w):
-            return np.zeros_like(w)
-
-        got = self.run_update(monkeypatch, rollout, trainer._update_agents, zeros)
-        want = self.run_update(monkeypatch, rollout, reference_update_agents,
-                               zeros)
-        self.assert_same_update(got, want)
-        _, losses, _, chosen, reg_calls = got
-        assert chosen == [] and reg_calls == 0
+    def test_all_zero_weights_skip_the_search_and_draw_every_row(
+            self, monkeypatch, rollout):
+        cfg, agents, batch, encoder_spec = rollout
+        losses, rng, rec = self.run_update(
+            monkeypatch, rollout, lambda i, w: np.zeros_like(w))
+        assert [rows for _, rows, _, _ in rec["draws"]] == [[]] * len(agents)
+        assert rec["searches"] == [] and rec["reg"] == []
         assert losses["loss_reg"] == 0.0
         assert losses["reg_weighted_rows"] == 0
-        assert want[4] == 3 * rollout[0].marl.ppo_epochs
+        # Every agent drew the uniforms of all T rows, and nothing else.
+        want = np.random.default_rng([5, 0xAD, 0])
+        for _ in agents:
+            want.random((len(batch.actions), cfg.marl.n_adv,
+                         encoder_spec.n_slots, 2))
+        assert rng.random().hex() == want.random().hex()
 
     def test_nonzero_weights_run_the_regularizer(self, monkeypatch, rollout):
+        # On the weighted rows only, with the loss and gradient of all T.
+        cfg, agents, _, _ = rollout
         rows = [3, 17, 30]
 
         def some_rows(i, w):
-            w = w.copy()
+            w = np.zeros_like(w)
             w[rows] = (0.5, 1.0, 2.0)
             return w
 
-        got = self.run_update(monkeypatch, rollout, trainer._update_agents,
-                              some_rows)
-        want = self.run_update(monkeypatch, rollout, reference_update_agents,
-                               some_rows)
-        self.assert_same_update(got, want)
-        _, losses, _, chosen, reg_calls = got
-        assert len(chosen) == 3
-        assert reg_calls == want[4] == 3 * rollout[0].marl.ppo_epochs
+        losses, _, rec = self.run_update(monkeypatch, rollout, some_rows)
+        assert len(rec["draws"]) == len(rec["searches"]) == len(agents)
+        for _, drawn_rows, got, full in rec["draws"]:
+            assert drawn_rows == rows
+            assert same_bits(got, full[rows])
+        for sel, full_sel in rec["searches"]:
+            assert sel.shape[0] == len(rows)
+            assert same_bits(sel, full_sel[rows])
+        assert len(rec["reg"]) == len(agents) * cfg.marl.ppo_epochs
+        for (loss, grad), (full_loss, full_grad) in rec["reg"]:
+            assert loss == pytest.approx(full_loss, rel=1e-12)
+            assert (np.linalg.norm(grad - full_grad)
+                    <= 1e-12 * np.linalg.norm(full_grad))
         assert losses["loss_reg"] > 0.0
-        assert losses["reg_weighted_rows"] >= 3 * len(rows)
+        assert losses["reg_weighted_rows"] == len(agents) * len(rows)
+
+    def test_later_agents_keep_their_candidates(self, monkeypatch, rollout):
+        def weighted(i, w):
+            w = np.zeros_like(w)
+            w[[5, 25]] = 1.0
+            return w
+
+        def first_agent_zero(i, w):
+            return np.zeros_like(w) if i == 0 else weighted(i, w)
+
+        _, _, every = self.run_update(monkeypatch, rollout, weighted)
+        losses, _, later = self.run_update(monkeypatch, rollout,
+                                           first_agent_zero)
+        assert len(every["searches"]) == 3 and len(later["searches"]) == 2
+        for want, got in zip(every["draws"][1:], later["draws"][1:]):
+            assert same_bits(got[2], want[2])
+        for want, got in zip(every["searches"][1:], later["searches"]):
+            assert same_bits(got[0], want[0])
+        assert losses["loss_reg"] > 0.0
 
     def test_ball_radius_is_the_shield_epsilon(self, monkeypatch, rollout):
         _, agents, batch, encoder_spec = rollout
@@ -1166,9 +1120,10 @@ class TestRegularizerSkip:
                                 "shield": {"epsilon": 0.5}})
         radii = []
 
-        def recorded_samples(spec, obs, masks, epsilon, *args):
+        def recorded_samples(spec, obs, masks, epsilon, *args, **kwargs):
             radii.append(epsilon)
-            return perturbation_samples(spec, obs, masks, epsilon, *args)
+            return perturbation_samples(spec, obs, masks, epsilon, *args,
+                                        **kwargs)
 
         monkeypatch.setattr(algo, "state_importance",
                             lambda *args: np.ones(len(batch.obs) - 1))
@@ -1181,36 +1136,82 @@ class TestRegularizerSkip:
     def test_columns_follow_agent_ids(self, rollout):
         # Without the regularizer the update draws nothing, so each agent's
         # update must not depend on where it stands in the agents dict.
-        cfg, agents, batch, encoder_spec = rollout
-        teams = []
-        for order in (batch.agent_ids, batch.agent_ids[::-1]):
-            team = copy.deepcopy({aid: agents[aid] for aid in order})
-            trainer._update_agents(team, batch, encoder_spec, cfg,
-                                   cfg.marl.kappa_wst, 0.0,
-                                   rng=np.random.default_rng(0),
-                                   train_worst_q=True)
-            teams.append(team)
+        _, agents, batch, _ = rollout
+        teams = [update(rollout, kappa_reg=0.0,
+                        agents={aid: agents[aid] for aid in order})[0]
+                 for order in (batch.agent_ids, batch.agent_ids[::-1])]
         for aid in batch.agent_ids:
             for name in ("actor", "value", "worst_q"):
                 assert same_bits(getattr(teams[0][aid], name).get_flat(),
                                  getattr(teams[1][aid], name).get_flat())
 
-    def test_later_agents_keep_their_candidates(self, monkeypatch, rollout):
-        def first_agent_zero(i, w):
-            if i == 0:
-                return np.zeros_like(w)
-            w = w.copy()
-            w[[5, 25]] = 1.0
-            return w
 
-        got = self.run_update(monkeypatch, rollout, trainer._update_agents,
-                              first_agent_zero)
-        want = self.run_update(monkeypatch, rollout, reference_update_agents,
-                               first_agent_zero)
-        self.assert_same_update(got, want)
-        chosen, ref_chosen = got[3], want[3]
-        assert len(chosen) == 2 and len(ref_chosen) == 3
-        for sel, ref in zip(chosen, ref_chosen[1:]):
-            assert same_bits(sel, ref)
-        assert got[4] == 2 * rollout[0].marl.ppo_epochs
-        assert got[1]["loss_reg"] > 0.0
+class TestTeamCritic:
+    """One value critic and one Adam for the team, fitted once per update
+    on the team reward; every agent's advantage reads it."""
+
+    def test_runtimes_share_one_value_critic(self):
+        cfg = Config()
+        spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
+        agents, _ = trainer.build_agents(spec, cfg, 7)
+        runtimes = list(agents.values())
+        assert len(runtimes) == 3
+        for agent in runtimes:
+            assert agent.value is runtimes[0].value
+            assert agent.opt_value is runtimes[0].opt_value
+        # The value net has a seed of its own, so each actor is drawn from
+        # its agent's child as it was when every agent had a value net.
+        children = np.random.SeedSequence([7, 0x11]).spawn(len(runtimes))
+        hidden = list(cfg.marl.hidden)
+        for agent, child in zip(runtimes, children):
+            actor = MLP(agent.actor.sizes[:1] + hidden + agent.actor.sizes[-1:],
+                        np.random.default_rng(child), zero_final=True)
+            assert same_bits(agent.actor.get_flat(), actor.get_flat())
+
+    def test_unshared_value_critic_rejected(self, rollout):
+        cfg, agents, batch, encoder_spec = rollout
+        agents = copy.deepcopy(agents)
+        aid = batch.agent_ids[1]
+        agents[aid].value = copy.deepcopy(agents[aid].value)
+        with pytest.raises(ValueError, match=f"{aid!r} does not share"):
+            trainer._update_agents(agents, batch, encoder_spec, cfg, 0.0, 0.0,
+                                   rng=np.random.default_rng(0),
+                                   train_worst_q=True)
+
+    def test_one_fit_per_update_and_every_advantage_reads_it(
+            self, monkeypatch, rollout):
+        cfg, agents, batch, _ = rollout
+        value = next(iter(agents.values())).value
+        fits = []
+        advantages = {}
+        value_loss_grad = algo.value_loss_grad
+        rcs_loss_grad = algo.rcs_loss_grad
+
+        def counted_value_loss_grad(net, states, targets):
+            loss, grad = value_loss_grad(net, states, targets)
+            fits.append((net, np.array(targets), loss))
+            return loss, grad
+
+        def recorded_rcs_loss_grad(actor, obs, actions, logp_old, adv, clip):
+            advantages.setdefault(id(actor), np.array(adv))
+            return rcs_loss_grad(actor, obs, actions, logp_old, adv, clip)
+
+        monkeypatch.setattr(algo, "value_loss_grad", counted_value_loss_grad)
+        monkeypatch.setattr(algo, "rcs_loss_grad", recorded_rcs_loss_grad)
+        team, losses, _ = update(rollout, kappa_wst=0.0, kappa_reg=0.0)
+        assert len(fits) == cfg.marl.critic_epochs
+        shared = next(iter(team.values())).value
+        assert all(net is shared for net, _, _ in fits)
+        # The returns of the team reward, and each agent's advantage against
+        # the critic as the update starts.
+        states = batch.obs.reshape(len(batch.obs), -1)
+        v = value.forward(states)[:, 0]
+        returns, adv = algo.compute_returns_advantages(
+            batch.rewards[:, 0] * cfg.marl.reward_scale, v[:-1], v[-1],
+            cfg.marl.gamma)
+        assert all(same_bits(targets, returns) for _, targets, _ in fits)
+        assert len(advantages) == len(team)
+        for aid, agent in team.items():
+            acted = batch.actions[:, batch.agent_ids.index(aid)] >= 0
+            assert same_bits(advantages[id(agent.actor)], adv[acted])
+        assert losses["loss_value"] == fits[-1][2]
