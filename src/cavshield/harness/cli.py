@@ -20,22 +20,25 @@ import json
 import os
 import sys
 
-from ..marl import trainer
+from ..marl import algo, trainer
 from . import evaluate as ev
 from .config import Config
 from .episode import SHIELD_MODES, SHIELD_ROBUST, EpisodeLog, verify_roundtrip
 from .scenario import scenario_names
 
 
-def _episode_count(text):
-    """argparse type of --episodes: an int >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an int >= 1, not {text!r}")
-    return n
+def _int_at_least(low):
+    """argparse type of an int >= low (--episodes 1, --seed 0)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an int >= {low}, not {text!r}")
+        return n
+    return parse
 
 
 def _load_config(command, path):
@@ -81,12 +84,18 @@ def cmd_train(args):
     ckpt_path = os.path.join(args.out, "checkpoint.npz")
     # Each episode's line is on disk as soon as its record is made, so a
     # run that fails keeps the episodes before the failure.
+    written = []
     with open(metrics_path, "w") as fh:
         def stream(record):
             fh.write(trainer.metrics_line(record))
             fh.flush()
+            written.append(record)
 
-        result = trainer.train(settings, on_record=stream)
+        try:
+            result = trainer.train(settings, on_record=stream)
+        except (trainer.TrainingDiverged, algo.DegenerateBatch) as exc:
+            print(f"train: episode {len(written)}: {exc}", file=sys.stderr)
+            return 1
     trainer.save_checkpoint(ckpt_path, result, settings)
     print(f"trained {len(result.metrics)} episodes on {args.scenario} ({args.algo})")
     print(f"final mean return: {result.metrics[-1]['mean_return']}")
@@ -200,9 +209,9 @@ def build_parser():
     t.add_argument("--scenario", choices=scenario_names(), required=True)
     t.add_argument("--algo", choices=trainer.ALGOS, default=trainer.ALGO_SRMAPPO)
     t.add_argument("--shield", choices=SHIELD_MODES, default=SHIELD_ROBUST)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_int_at_least(0), default=0)
     t.add_argument("--config", default=None, help="YAML config file")
-    t.add_argument("--episodes", type=_episode_count, default=None)
+    t.add_argument("--episodes", type=_int_at_least(1), default=None)
     t.add_argument("--quick", action="store_true", help="CI-sized episode count")
     t.add_argument("--out", default="runs/train")
     t.set_defaults(func=cmd_train)
@@ -210,8 +219,8 @@ def build_parser():
     e = sub.add_parser("eval", help="evaluate a checkpoint under perturbation")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--ptb", choices=ev.PTB_KINDS, default="none")
-    e.add_argument("--episodes", type=_episode_count, default=50)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--episodes", type=_int_at_least(1), default=50)
+    e.add_argument("--seed", type=_int_at_least(0), default=0)
     e.add_argument("--config", default=None)
     e.add_argument("--shield", choices=SHIELD_MODES, default=None)
     e.add_argument("--out", default=None)

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..marl.trainer import (NeuralTeamPolicy, check_config, load_checkpoint,
-                            restore_agents)
+from ..marl.trainer import (NeuralTeamPolicy, check_config, check_seed,
+                            load_checkpoint)
 from ..marl.encode import Encoder
 from ..perturb import (
     identity_schedule,
@@ -75,7 +75,7 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
              shield_mode=None, save_logs_dir=None, out_dir=None):
     """Run the test protocol for one checkpoint under one perturbation.
 
-    With save_logs_dir, each episode's log is saved there.  ptb and
+    With save_logs_dir, each episode's log is saved there.  seed, ptb and
     shield_mode (None: the checkpoint's) are checked first; out_dir and
     save_logs_dir are made once the checkpoint has loaded and matches
     cfg's action count and hidden sizes, before any episode runs."""
@@ -83,25 +83,25 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
 
     if not is_count(n_episodes):
         raise ValueError(f"n_episodes must be an int >= 1, not {n_episodes!r}")
+    check_seed(seed)
     if ptb not in PTB_KINDS:
         raise ValueError(f"unknown perturbation kind {ptb!r}")
     ep.check_shield_mode(shield_mode or ep.SHIELD_ROBUST)
     cfg = cfg or Config()
-    header, params, phi = load_checkpoint(checkpoint_path)
+    header, actors, enc_spec = load_checkpoint(checkpoint_path)
     check_config(checkpoint_path, header, cfg)
-    agents, enc_spec = restore_agents(header, params, phi)
     for path in (out_dir, save_logs_dir):
         if path is not None:
             os.makedirs(path, exist_ok=True)
     spec = scen.build_scenario(header["scenario"], mode="test", cfg=cfg)
     encoder = Encoder(enc_spec, spec.road.lanes.keys())
-    shield_mode = shield_mode or header.get("shield_mode", ep.SHIELD_ROBUST)
+    shield_mode = shield_mode or header["shield_mode"]
 
     episodes = []
     for i in range(n_episodes):
         sub = int(np.random.SeedSequence([seed, 0xEE, i]).generate_state(1)[0])
         schedule = build_schedule(ptb, sub, cfg, spec)
-        policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+        policy = NeuralTeamPolicy(actors, encoder, spec.agent_ids)
         log = ep.run_episode(
             spec, cfg, policy, schedule=schedule, seed=sub,
             shield_mode=shield_mode, log_verdicts=save_logs_dir is not None,
@@ -166,8 +166,9 @@ def save_report(path, report):
 
 def load_report(path):
     """The EvalReport save_report wrote to path.  A file that is not JSON,
-    lacks a key the report needs, or holds a ptb outside PTB_KINDS or a
-    rate or return that is not a number raises ValueError saying which."""
+    lacks a key the report needs, or holds a scenario that is not a
+    string, a ptb outside PTB_KINDS or a rate or return that is not a
+    number raises ValueError saying which."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -178,6 +179,8 @@ def load_report(path):
     for key in REPORT_KEYS:
         if key not in doc:
             raise ValueError(f"no {key!r}")
+    if not isinstance(doc["scenario"], str):
+        raise ValueError(f"'scenario' is {doc['scenario']!r}, not a string")
     if doc["ptb"] not in PTB_KINDS:
         raise ValueError(f"'ptb' is {doc['ptb']!r}, not one of "
                          f"{', '.join(PTB_KINDS)}")

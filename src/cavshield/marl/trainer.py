@@ -8,9 +8,8 @@ taken under the worst-Q critic as the update starts.
 The update reads one Rollout batch per episode and nothing else: the
 policy's per-step encodings, present-slot flags, actions and old
 log-probs, the terminal encodings (the centralized states are their
-rows, flattened) and the log's rewards, with one column per agent in
-the policy's agent order.  train() rejects an unknown algo or shield
-mode before it builds anything.
+rows, flattened) and the log's team reward.  train() rejects an unknown
+algo, shield mode or seed before it builds anything.
 
 Every agent gets the same team reward (C8 gates it) and every agent's
 value critic would see the same centralized state, so the team has one
@@ -30,12 +29,16 @@ candidates are searched once per update, one column at a time.  An
 agent with W = 0 runs no search and no regularizer gradient, and counts
 0.0 towards loss_reg.  Each metrics record's reg_weighted_rows counts W
 over all agents (None when the regularizer is off).
+
+A checkpoint's header is the run's settings and its whole config; every
+net's shape follows from that config and the agent count (_net_sizes).
+Evaluation restores the actors only.
 """
 
 import hashlib
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,7 +55,7 @@ ALGO_SRMAPPO = "srmappo"
 ALGO_MAPPO = "mappo"
 ALGOS = (ALGO_SRMAPPO, ALGO_MAPPO)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class TrainingDiverged(Exception):
@@ -73,15 +76,6 @@ class UnsupportedCheckpointVersion(CheckpointError):
 
 class ConfigMismatch(CheckpointError):
     """The config does not match the one the checkpoint was trained under."""
-
-
-@dataclass
-class ParameterSet:
-    """Flat numeric parameters of one agent: its actor and worst-Q critic.
-    The team's value critic is stored once, apart."""
-
-    theta: np.ndarray
-    omega: np.ndarray
 
 
 @dataclass
@@ -116,14 +110,15 @@ class TrainResult:
 @dataclass
 class Rollout:
     """One recorded episode of A agents over T steps, as arrays whose
-    columns follow agent_ids (the policy's agent order)."""
+    columns follow agent_ids (the policy's agent order), and its team
+    reward."""
 
     agent_ids: list
     obs: np.ndarray  # (T + 1, A, F) encodings; the last row is terminal
     masks: np.ndarray  # (T, A, S) present-slot flags
     actions: np.ndarray  # (T, A); ActionSpace.EMERGENCY where none acted
     logp_old: np.ndarray  # (T, A) unrestricted log-probs; 0.0 where none acted
-    rewards: np.ndarray  # (T, A) raw rewards from the episode log
+    rewards: np.ndarray  # (T,) raw team reward from the episode log
 
 
 class NeuralTeamPolicy:
@@ -143,12 +138,12 @@ class NeuralTeamPolicy:
     batch(log) hands the episode to the update as one Rollout.
     """
 
-    def __init__(self, agents, encoder, agent_order):
+    def __init__(self, actors, encoder, agent_order):
         self.encoder = encoder
         self.agent_order = list(agent_order)
         if not self.agent_order:
             raise ValueError("a team policy needs at least one agent")
-        actors = [agents[aid].actor for aid in self.agent_order]
+        actors = [actors[aid] for aid in self.agent_order]
         layout = actors[0].sizes
         for aid, net in zip(self.agent_order, actors):
             if net.sizes != layout:
@@ -196,39 +191,47 @@ class NeuralTeamPolicy:
         self.obs.append(self.encoder.encode_joint(joint, self.agent_order)[0])
 
     def batch(self, log):
-        """The recorded episode, with the rewards of its log."""
-        rewards = [[rec["rewards"][aid] for aid in self.agent_order]
-                   for rec in log.steps]
+        """The recorded episode, with the team reward of its log."""
+        first = self.agent_order[0]
+        rewards = [rec["rewards"][first] for rec in log.steps]
         return Rollout(self.agent_order, np.array(self.obs),
                        np.array(self.masks), np.array(self.actions),
                        np.array(self.logp_old), np.array(rewards))
 
 
-def build_agents(spec, cfg, seed):
-    """Fresh actor and worst-Q networks for every agent, and one value
-    network and Adam that every runtime shares."""
+def _net_sizes(cfg, n_agents):
+    """(encoder spec, actor sizes, worst-Q sizes, value sizes) of a team of
+    n_agents under cfg: every net's shape is decided here."""
     enc_spec = EncoderSpec(
         n_cav_slots=cfg.marl.n_cav_slots,
         n_ucv_slots=cfg.marl.n_ucv_slots,
         max_lanes=cfg.marl.max_lanes,
     )
-    encoder = Encoder(enc_spec, spec.road.lanes.keys())
-    space = ActionSpace(cfg.harness.action_k)
-    agent_ids = spec.agent_ids
-    central_dim = enc_spec.dim * len(agent_ids)
     hidden = list(cfg.marl.hidden)
+    n_actions = ActionSpace(cfg.harness.action_k).n
+    central = enc_spec.dim * n_agents
+    return (enc_spec, [enc_spec.dim] + hidden + [n_actions],
+            [central] + hidden + [n_actions], [central] + hidden + [1])
+
+
+def build_agents(spec, cfg, seed):
+    """Fresh actor and worst-Q networks for every agent, and one value
+    network and Adam that every runtime shares."""
+    agent_ids = spec.agent_ids
+    enc_spec, actor_sizes, worst_q_sizes, value_sizes = _net_sizes(
+        cfg, len(agent_ids))
+    encoder = Encoder(enc_spec, spec.road.lanes.keys())
     agents = {}
     # The value net draws from a child of its own after the agents' ones,
     # so each agent's child, and its actor, are what they were.
     *seeds, value_seed = np.random.SeedSequence([seed, 0x11]).spawn(
         len(agent_ids) + 1)
-    value = MLP([central_dim] + hidden + [1], np.random.default_rng(value_seed),
-                zero_final=True)
+    value = MLP(value_sizes, np.random.default_rng(value_seed), zero_final=True)
     opt_value = Adam(value.n_params, lr=cfg.marl.lr_critic)
     for aid, ss in zip(agent_ids, seeds):
         rng = np.random.default_rng(ss)
-        actor = MLP([enc_spec.dim] + hidden + [space.n], rng, zero_final=True)
-        worst_q = MLP([central_dim] + hidden + [space.n], rng, zero_final=True)
+        actor = MLP(actor_sizes, rng, zero_final=True)
+        worst_q = MLP(worst_q_sizes, rng, zero_final=True)
         agents[aid] = AgentRuntime(
             actor=actor,
             value=value,
@@ -250,6 +253,7 @@ def train(settings, on_record=None):
         raise ValueError(f"algo must be one of {', '.join(ALGOS)}, "
                          f"not {settings.algo!r}")
     ep.check_shield_mode(settings.shield_mode)
+    check_seed(settings.seed)
     cfg = settings.config
     spec = scen.build_scenario(settings.scenario, mode="train", cfg=cfg)
     n_episodes = settings.episodes
@@ -262,11 +266,13 @@ def train(settings, on_record=None):
     elif not is_count(n_episodes):
         raise ValueError(f"episodes must be an int >= 1, not {n_episodes!r}")
     agents, encoder = build_agents(spec, cfg, settings.seed)
+    actors = {aid: agent.actor for aid, agent in agents.items()}
     metrics = []
-    kappa_wst, kappa_reg = _kappas(settings)
+    kappa_wst, kappa_reg = ((cfg.marl.kappa_wst, cfg.marl.kappa_reg)
+                            if settings.algo == ALGO_SRMAPPO else (0.0, 0.0))
 
     for e in range(n_episodes):
-        policy = NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+        policy = NeuralTeamPolicy(actors, encoder, spec.agent_ids)
         log = ep.run_episode(
             spec, cfg, policy, schedule=None, seed=_episode_seed(settings.seed, e),
             shield_mode=settings.shield_mode, log_verdicts=False,
@@ -292,11 +298,10 @@ def train(settings, on_record=None):
     return TrainResult(agents=agents, metrics=metrics, encoder=encoder, spec=spec)
 
 
-def _kappas(settings):
-    """(kappa_wst, kappa_reg): the config's under SR-MAPPO, 0.0 under MAPPO."""
-    if settings.algo == ALGO_SRMAPPO:
-        return settings.config.marl.kappa_wst, settings.config.marl.kappa_reg
-    return 0.0, 0.0
+def check_seed(seed):
+    """Raise ValueError unless seed is an int >= 0 (SeedSequence's domain)."""
+    if not is_count(seed, low=0):
+        raise ValueError(f"seed must be an int >= 0, not {seed!r}")
 
 
 def _episode_seed(seed, e):
@@ -306,7 +311,7 @@ def _episode_seed(seed, e):
 def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
                    rng, train_worst_q):
     marl = cfg.marl
-    scale = marl.reward_scale
+    rewards = batch.rewards * marl.reward_scale
     value, opt_value = _team_value(agents)
     states = batch.obs.reshape(len(batch.obs), -1)  # centralized, terminal last
     central = states[:-1]
@@ -315,11 +320,10 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
     terminal[-1] = True
 
     # The team critic: returns and advantages under the pre-update critic
-    # (bootstrap at T), then the fit.  Every column of the rewards is the
-    # same team reward.
+    # (bootstrap at T), then the fit.
     v_start = value.forward(states)[:, 0]
     returns, advantages = algo.compute_returns_advantages(
-        batch.rewards[:, 0] * scale, v_start[:-1], v_start[-1], marl.gamma
+        rewards, v_start[:-1], v_start[-1], marl.gamma
     )
     lv = None
     for _ in range(marl.critic_epochs):
@@ -334,7 +338,6 @@ def _update_agents(agents, batch, encoder_spec, cfg, kappa_wst, kappa_reg,
 
     for aid, agent in agents.items():
         col = batch.agent_ids.index(aid)
-        rewards = batch.rewards[:, col] * scale
         obs = batch.obs[:-1, col]
         actions = batch.actions[:, col]
         logp_old = batch.logp_old[:, col]
@@ -438,11 +441,9 @@ def _check_finite(agents, where):
 
 
 def save_checkpoint(path, result, settings):
-    """Versioned flat-array checkpoint with a layout header and digest:
-    each agent's actor (AID__theta) and worst-Q critic (AID__omega), and
-    the team's value critic once (phi)."""
-    cfg = settings.config
-    value, _ = _team_value(result.agents)
+    """Versioned flat-array checkpoint with a digest: a header of the run's
+    settings and its whole config, each agent's actor (AID__theta) and
+    worst-Q critic (AID__omega), and the team's value critic once (phi)."""
     header = {
         "version": CHECKPOINT_VERSION,
         "scenario": settings.scenario,
@@ -450,21 +451,12 @@ def save_checkpoint(path, result, settings):
         "shield_mode": settings.shield_mode,
         "seed": settings.seed,
         "agent_ids": list(result.spec.agent_ids),
-        "hidden": list(cfg.marl.hidden),
-        "action_k": cfg.harness.action_k,
-        "encoder": asdict(result.encoder.spec),
-        "layouts": {},
-        "value_layout": value.sizes,
+        "config": settings.config.to_dict(),
     }
-    header["kappa_wst"], header["kappa_reg"] = _kappas(settings)
-    arrays = {"phi": value.get_flat()}
+    arrays = {"phi": _team_value(result.agents)[0].get_flat()}
     for aid, agent in result.agents.items():
         arrays[f"{aid}__theta"] = agent.actor.get_flat()
         arrays[f"{aid}__omega"] = agent.worst_q.get_flat()
-        header["layouts"][aid] = {
-            "actor": agent.actor.sizes,
-            "worst_q": agent.worst_q.sizes,
-        }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     digest = _digest(header_bytes, arrays)
     np.savez(
@@ -506,12 +498,15 @@ def _member(path, arrays, name):
 
 
 def load_checkpoint(path):
-    """(header, {agent: ParameterSet}, the team value critic's phi).
+    """(header, {agent: actor}, encoder spec): the actors and the encoder
+    spec of the config the header records.  The worst-Q critics and the
+    value critic are checked, not restored.
 
     Raises CheckpointError, naming the file, if it cannot be read, is not
-    an npz archive or lacks a member; its subclasses ChecksumMismatch if
-    the payload does not match its digest and UnsupportedCheckpointVersion
-    if the header's version is not CHECKPOINT_VERSION.
+    an npz archive, lacks a member or has a config Config rejects; its
+    subclasses ChecksumMismatch if the payload does not match its digest
+    and UnsupportedCheckpointVersion if the header's version is not
+    CHECKPOINT_VERSION.
     """
     arrays = _npz_members(path)
     header_bytes = bytes(_member(path, arrays, "header").tobytes())
@@ -525,46 +520,37 @@ def load_checkpoint(path):
             f"checkpoint {path} has version {version!r}; this cavshield "
             f"reads version {CHECKPOINT_VERSION} only"
         )
-    params = {}
-    for aid in header["agent_ids"]:
-        params[aid] = ParameterSet(
-            theta=_member(path, arrays, f"{aid}__theta"),
-            omega=_member(path, arrays, f"{aid}__omega"),
-        )
-    return header, params, _member(path, arrays, "phi")
+    try:
+        trained = Config.from_dict(header["config"])
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} has a config this "
+                              f"cavshield rejects: {exc.args[0]}") from None
+    agent_ids = header["agent_ids"]
+    enc_spec, actor_sizes, _, _ = _net_sizes(trained, len(agent_ids))
+    actors = {}
+    for aid in agent_ids:
+        actors[aid] = MLP.from_flat(actor_sizes,
+                                    _member(path, arrays, f"{aid}__theta"))
+        _member(path, arrays, f"{aid}__omega")
+    _member(path, arrays, "phi")
+    return header, actors, enc_spec
 
 
 def check_config(path, header, cfg):
     """Raise ConfigMismatch, naming the key, if cfg's action count or
-    hidden sizes differ from those the checkpoint was trained under."""
-    for key, trained, current in (
-        ("harness.action_k", header["action_k"], cfg.harness.action_k),
-        ("marl.hidden", header["hidden"], list(cfg.marl.hidden)),
+    hidden sizes differ from those of the config the checkpoint was
+    trained under."""
+    trained = header["config"]
+    for key, was, current in (
+        ("harness.action_k", trained["harness"]["action_k"],
+         cfg.harness.action_k),
+        ("marl.hidden", trained["marl"]["hidden"], list(cfg.marl.hidden)),
     ):
-        if trained != current:
+        if was != current:
             raise ConfigMismatch(
-                f"checkpoint {path} was trained with {key} = {trained}; "
+                f"checkpoint {path} was trained with {key} = {was}; "
                 f"the config has {current}"
             )
-
-
-def restore_agents(header, params, phi):
-    """Rebuild runtimes + encoder from checkpoint contents."""
-    enc_spec = EncoderSpec(**header["encoder"])
-    value = MLP.from_flat(header["value_layout"], phi)
-    opt_value = Adam(value.n_params)
-    agents = {}
-    for aid in header["agent_ids"]:
-        layout = header["layouts"][aid]
-        actor = MLP.from_flat(layout["actor"], params[aid].theta)
-        worst_q = MLP.from_flat(layout["worst_q"], params[aid].omega)
-        agents[aid] = AgentRuntime(
-            actor=actor, value=value, worst_q=worst_q,
-            opt_actor=Adam(actor.n_params),
-            opt_value=opt_value,
-            opt_worst_q=Adam(worst_q.n_params),
-        )
-    return agents, enc_spec
 
 
 def metrics_line(record):

@@ -1,6 +1,7 @@
 """Harness tests: scenario files, reward assembly, episode determinism,
 log replay, training smoke, checkpoints, evaluation."""
 
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from cavshield.harness import evaluate as ev
 from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
 from cavshield.harness.reward import step_reward
-from cavshield.marl import trainer
+from cavshield.marl import algo, trainer
 from cavshield.perturb import (make_constant, make_ptb_over_time,
                                make_ptb_target_vehicles, make_rand)
 from cavshield.shield import SafetyOutcome
@@ -588,6 +589,23 @@ class TestCli:
         assert exc.value.code == 2
         assert "argument --episodes: must be an int >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--scenario", "highway", "--seed", "-1", "--out", "unused"],
+        ["eval", "--checkpoint", "unused.npz", "--seed", "-3"],
+        ["eval", "--checkpoint", "unused.npz", "--seed", "x"],
+    ])
+    def test_negative_seeds_rejected(self, capsys, argv):
+        # SeedSequence raised "expected non-negative integer" in a
+        # traceback.
+        from cavshield.harness import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --seed: must be an int >= 0" in err
+
     def test_eval_save_logs_needs_out(self, capsys, tmp_path):
         from cavshield.harness import cli
 
@@ -709,7 +727,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", [
         "missing", "not an npz", "checksum", "version", "no checksum member",
-        "no agent member",
+        "no agent member", "unknown config key",
     ])
     def test_eval_of_an_unreadable_checkpoint_fails_cleanly(
             self, capsys, tmp_path, checkpoint, case):
@@ -743,6 +761,10 @@ class TestCli:
         elif case == "no agent member":
             del arrays[f"{aid}__omega"]
             members = sealed(header, arrays)
+        elif case == "unknown config key":
+            # As a later cavshield's config might hold.
+            header["config"]["marl"]["new_key"] = 1
+            members = sealed(header, arrays)
         if case not in ("missing", "not an npz"):
             np.savez(str(path), **members)
         message = {
@@ -756,6 +778,9 @@ class TestCli:
                                   f"'checksum'",
             "no agent member": f"checkpoint {path} has no member "
                                f"'{aid}__omega'",
+            "unknown config key": f"checkpoint {path} has a config this "
+                                  f"cavshield rejects: unknown MarlConfig "
+                                  f"key 'new_key'",
         }[case]
         assert cli.main(["eval", "--checkpoint", str(path),
                          "--episodes", "1"]) == 2
@@ -763,32 +788,38 @@ class TestCli:
         assert out.out == ""
         assert out.err == f"eval: {message}\n"
 
-    def test_eval_of_a_version_2_checkpoint_fails_cleanly(
+    def test_eval_of_a_version_3_checkpoint_fails_cleanly(
             self, capsys, tmp_path, checkpoint):
-        # Version 2 stored a value critic per agent (AID__phi).
+        # Version 3 recorded the nets' shapes in the header (hidden sizes,
+        # action count, encoder spec, layouts, kappas), not the config.
         from cavshield.harness import cli
 
         with np.load(checkpoint[0]) as data:
             arrays = {name: data[name] for name in data.files}
         header = json.loads(arrays.pop("header").tobytes())
         arrays.pop("checksum")
-        phi = arrays.pop("phi")
-        value_layout = header.pop("value_layout")
-        for aid in header["agent_ids"]:
-            arrays[f"{aid}__phi"] = phi
-            header["layouts"][aid]["value"] = value_layout
-        header["version"] = 2
+        cfg = Config.from_dict(header.pop("config"))
+        enc, actor, worst_q, value = trainer._net_sizes(
+            cfg, len(header["agent_ids"]))
+        header.update(
+            version=3, hidden=list(cfg.marl.hidden),
+            action_k=cfg.harness.action_k, encoder=dataclasses.asdict(enc),
+            layouts={aid: {"actor": actor, "worst_q": worst_q}
+                     for aid in header["agent_ids"]},
+            value_layout=value, kappa_wst=cfg.marl.kappa_wst,
+            kappa_reg=cfg.marl.kappa_reg,
+        )
         header_bytes = json.dumps(header, sort_keys=True).encode()
         digest = trainer._digest(header_bytes, arrays).encode()
-        path = tmp_path / "v2.npz"
+        path = tmp_path / "v3.npz"
         np.savez(str(path), header=np.frombuffer(header_bytes, dtype=np.uint8),
                  checksum=np.frombuffer(digest, dtype=np.uint8), **arrays)
         assert cli.main(["eval", "--checkpoint", str(path),
                          "--episodes", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == (f"eval: checkpoint {path} has version 2; this "
-                           f"cavshield reads version 3 only\n")
+        assert out.err == (f"eval: checkpoint {path} has version 3; this "
+                           f"cavshield reads version 4 only\n")
 
     def test_eval_under_another_action_count_fails_cleanly(self, capsys,
                                                            tmp_path):
@@ -814,10 +845,10 @@ class TestCli:
                            f"harness.action_k = 5; the config has 3\n")
         assert cli.main(argv + ["--config", str(cfg_path)]) == 0
 
-    def test_train_keeps_the_metrics_before_a_failure(self, tmp_path,
+    def test_train_keeps_the_metrics_before_a_failure(self, capsys, tmp_path,
                                                        monkeypatch):
         # metrics.jsonl was written only after train() returned, so a run
-        # that raised left nothing.
+        # that raised left nothing; then the failure ended in a traceback.
         from cavshield.harness import cli
 
         cfg_path = tmp_path / "cfg.yaml"
@@ -826,12 +857,14 @@ class TestCli:
 
         def run(name, episodes):
             out = tmp_path / name
-            cli.main(["train", "--scenario", "highway", "--seed", "3",
-                      "--episodes", str(episodes), "--config", str(cfg_path),
-                      "--out", str(out)])
-            return (out / "metrics.jsonl").read_bytes()
+            code = cli.main(["train", "--scenario", "highway", "--seed", "3",
+                             "--episodes", str(episodes), "--config",
+                             str(cfg_path), "--out", str(out)])
+            return code, (out / "metrics.jsonl").read_bytes()
 
-        whole = run("whole", 2)
+        code, whole = run("whole", 2)
+        assert code == 0
+        capsys.readouterr()
         update_agents = trainer._update_agents
         updates = []
 
@@ -842,11 +875,30 @@ class TestCli:
             return update_agents(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "_update_agents", failing_update)
-        with pytest.raises(trainer.TrainingDiverged, match="episode 2"):
-            run("cut", 4)
-        cut = (tmp_path / "cut" / "metrics.jsonl").read_bytes()
+        code, cut = run("cut", 4)
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "train: episode 2: forced at episode 2\n"
         assert cut == whole and cut.count(b"\n") == 2
         assert not (tmp_path / "cut" / "checkpoint.npz").exists()
+
+    def test_train_reports_a_degenerate_batch_in_one_line(
+            self, capsys, tmp_path, monkeypatch):
+        # It ended in a traceback.
+        from cavshield.harness import cli
+
+        def failing_update(*args, **kwargs):
+            raise algo.DegenerateBatch("old policy probability below 1e-12")
+
+        monkeypatch.setattr(trainer, "_update_agents", failing_update)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--scenario", "highway", "--episodes", "3",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "train: episode 0: old policy probability below 1e-12\n")
+        assert (out / "metrics.jsonl").read_bytes() == b""
+        assert not (out / "checkpoint.npz").exists()
 
     def test_eval_makes_its_directories_once_the_checkpoint_loads(
             self, capsys, tmp_path, checkpoint):
@@ -915,12 +967,14 @@ class TestCli:
         ("return not a number", "'mean_episode_return' is None, not a number"),
         ("rate a bool", "'collision_free_rate' is True, not a number"),
         ("unknown ptb", "'ptb' is 'bogus', not one of none, rand, time, veh"),
+        ("scenario not a string", "'scenario' is 5, not a string"),
     ])
     def test_table_of_a_bad_report_fails_cleanly(self, capsys, tmp_path,
                                                 case, message):
         # "missing" and "no ptb" ended in FileNotFoundError and KeyError
-        # tracebacks, a rate or return that is not a number in one from
-        # format_table, and an unknown ptb left the report out of the table.
+        # tracebacks, a rate or return that is not a number or a scenario
+        # that is not a string in one from format_table, and an unknown ptb
+        # left the report out of the table.
         from cavshield.harness import cli
 
         report = ev.EvalReport(
@@ -948,6 +1002,7 @@ class TestCli:
                 "return not a number": ("mean_episode_return", None),
                 "rate a bool": ("collision_free_rate", True),
                 "unknown ptb": ("ptb", "bogus"),
+                "scenario not a string": ("scenario", 5),
             }[case]
             doc[key] = value
             path.write_text(json.dumps(doc))
@@ -1312,6 +1367,20 @@ class TestTrainer:
             with pytest.raises(ValueError, match="episodes must be an int >= 1"):
                 trainer.train(self.quick_settings(episodes=episodes))
 
+    def test_negative_seed_rejected_before_anything_is_built(self,
+                                                             monkeypatch):
+        # SeedSequence raised "expected non-negative integer" once the
+        # scenario and the nets were built.
+        def built(*args, **kwargs):
+            raise AssertionError("train() built a scenario")
+
+        monkeypatch.setattr(scen, "build_scenario", built)
+        for seed in (-1, 1.5, None):
+            with pytest.raises(ValueError,
+                               match=f"seed must be an int >= 0, not "
+                                     f"{re.escape(repr(seed))}"):
+                trainer.train(self.quick_settings(seed=seed))
+
     @pytest.mark.parametrize("key,value,allowed", [
         ("algo", "sr-mappo", "srmappo, mappo"),
         ("algo", "MAPPO", "srmappo, mappo"),
@@ -1354,7 +1423,7 @@ class TestTrainer:
         # rows once, in K actor forwards of W rows (after the forward of
         # its W states); one with W = 0 forwards none.  The first update's
         # weights get one non-zero row, so the run has both kinds.
-        from cavshield.marl import algo, nets
+        from cavshield.marl import nets
 
         forwards = []
         searches = []
@@ -1413,45 +1482,60 @@ class TestTrainer:
         result = trainer.train(settings)
         path = tmp_path / "ckpt.npz"
         trainer.save_checkpoint(str(path), result, settings)
-        header, params, phi = trainer.load_checkpoint(str(path))
+        header, actors, enc_spec = trainer.load_checkpoint(str(path))
         assert header["scenario"] == "highway"
-        agents, enc_spec = trainer.restore_agents(header, params, phi)
-        for aid in result.agents:
-            for name in ("actor", "value", "worst_q"):
-                assert np.array_equal(
-                    getattr(agents[aid], name).get_flat(),
-                    getattr(result.agents[aid], name).get_flat(),
-                )
-        # One value member, and one value critic that every runtime shares,
-        # before and after the round trip.
+        assert enc_spec == result.encoder.spec
+        # The restored actors have the trained ones' bits; nothing else is
+        # restored.
+        assert list(actors) == list(result.agents)
+        for aid, actor in actors.items():
+            trained = result.agents[aid].actor
+            assert actor.sizes == trained.sizes
+            assert actor.get_flat().view(np.int64).tolist() == \
+                trained.get_flat().view(np.int64).tolist()
+        # Every net is in the file: each agent's actor and worst-Q critic,
+        # and the team's value critic once.
         with np.load(str(path)) as data:
             assert sorted(data.files) == sorted(
                 ["header", "checksum", "phi"]
-                + [f"{aid}__{k}" for aid in agents for k in ("theta", "omega")])
-        for team in (result.agents, agents):
-            first = next(iter(team.values()))
-            assert all(a.value is first.value and a.opt_value is first.opt_value
-                       for a in team.values())
+                + [f"{aid}__{k}" for aid in actors for k in ("theta", "omega")])
+            agent = result.agents[header["agent_ids"][0]]
+            assert np.array_equal(data["phi"], agent.value.get_flat())
+            for aid in actors:
+                assert np.array_equal(data[f"{aid}__omega"],
+                                      result.agents[aid].worst_q.get_flat())
+
+    def test_header_is_the_settings_and_the_config(self, tmp_path):
+        cfg = Config.from_dict({"harness": {"episode_len": 10, "action_k": 5},
+                                "marl": {"hidden": [32], "n_cav_slots": 1}})
+        settings = self.quick_settings(config=cfg, algo="mappo", seed=4,
+                                       episodes=1)
+        result = trainer.train(settings)
+        path = tmp_path / "ckpt.npz"
+        trainer.save_checkpoint(str(path), result, settings)
+        header, actors, enc_spec = trainer.load_checkpoint(str(path))
+        assert header == {
+            "version": 4, "scenario": "highway", "algo": "mappo",
+            "shield_mode": "robust", "seed": 4,
+            "agent_ids": list(result.spec.agent_ids),
+            "config": cfg.to_dict(),
+        }
+        assert Config.from_dict(header["config"]) == cfg
+        assert enc_spec.n_cav_slots == 1
+        for aid, actor in actors.items():
+            assert actor.sizes == result.agents[aid].actor.sizes
+            assert actor.sizes[1:] == [32, 9]
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         settings = self.quick_settings()
         result = trainer.train(settings)
         path = tmp_path / "ckpt.npz"
         trainer.save_checkpoint(str(path), result, settings)
-        header, params, phi = trainer.load_checkpoint(str(path))
-        aid = list(result.agents)[0]
-        arrays = {
-            f"{a}__{k}": getattr(params[a], k)
-            for a in params
-            for k in ("theta", "omega")
-        }
-        arrays["phi"] = phi
-        arrays[f"{aid}__theta"] = arrays[f"{aid}__theta"] + 1.0
-        import json as _json
         with np.load(str(path)) as data:
-            header_b = data["header"]
-            checksum = data["checksum"]
-        np.savez(str(path), header=header_b, checksum=checksum, **arrays)
+            arrays = {name: data[name] for name in data.files}
+        aid = list(result.agents)[0]
+        arrays[f"{aid}__theta"] = arrays[f"{aid}__theta"] + 1.0
+        np.savez(str(path), **arrays)
         with pytest.raises(trainer.ChecksumMismatch):
             trainer.load_checkpoint(str(path))
 
@@ -1510,6 +1594,32 @@ class TestEvaluate:
         for n in (0, -1, 2.5):
             with pytest.raises(ValueError, match="n_episodes"):
                 ev.evaluate(path, n_episodes=n, cfg=cfg)
+
+    def test_negative_seed_rejected_before_the_checkpoint_loads(
+            self, checkpoint, monkeypatch):
+        path, cfg = checkpoint
+        loads = []
+        monkeypatch.setattr(ev, "load_checkpoint", loads.append)
+        with pytest.raises(ValueError, match="seed must be an int >= 0, "
+                                             "not -3"):
+            ev.evaluate(path, n_episodes=1, seed=-3, cfg=cfg)
+        assert loads == []
+
+    def test_encoder_spec_comes_from_the_checkpoints_config(self, tmp_path):
+        # Trained with one CAV slot, evaluated under the default config
+        # (two): the actors read the encodings they were trained on.
+        trained = Config.from_dict({"harness": {"episode_len": 10},
+                                    "marl": {"n_cav_slots": 1}})
+        settings = trainer.TrainSettings(
+            scenario="intersection", algo="mappo", seed=2, episodes=1,
+            config=trained)
+        path = tmp_path / "slots.npz"
+        trainer.save_checkpoint(str(path), trainer.train(settings), settings)
+        cfg = Config.from_dict({"harness": {"episode_len": 10}})
+        assert cfg.marl.n_cav_slots == 2
+        assert trainer.load_checkpoint(str(path))[2].n_cav_slots == 1
+        report = ev.evaluate(str(path), n_episodes=1, cfg=cfg)
+        assert report.n_episodes == 1 and len(report.episodes) == 1
 
     def test_unknown_shield_mode_rejected(self, checkpoint):
         path, cfg = checkpoint

@@ -288,7 +288,8 @@ class TestWorstQ:
         for agent in agents.values():
             flat = agent.worst_q.get_flat()
             agent.worst_q.set_flat(flat + 0.1 * rng.normal(size=flat.size))
-        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+        policy = trainer.NeuralTeamPolicy(actors_of(agents), encoder,
+                                          spec.agent_ids)
         log = ep.run_episode(spec, cfg, policy, seed=10, log_verdicts=False)
         batch = policy.batch(log)
         start = {aid: copy.deepcopy(a.worst_q) for aid, a in agents.items()}
@@ -878,9 +879,9 @@ class TestPerturbationSamples:
             assert rng_rows.bit_generator.state == rng.bit_generator.state
 
 
-def runtime(actor):
-    """An AgentRuntime that only has an actor (all the policy reads)."""
-    return trainer.AgentRuntime(actor, None, None, None, None, None)
+def actors_of(agents):
+    """{agent id: actor} of the runtimes (all the policy reads)."""
+    return {aid: agent.actor for aid, agent in agents.items()}
 
 
 class TestTeamPolicy:
@@ -891,21 +892,22 @@ class TestTeamPolicy:
             sizes = [int(rng.integers(3, 50))] + [
                 int(h) for h in rng.integers(2, 70, int(rng.integers(0, 3)))
             ] + [int(rng.integers(2, 12))]
-            agents = {f"cav{i}": runtime(make_net(sizes, seed=1000 * case + i, jitter=0.5))
+            actors = {f"cav{i}": make_net(sizes, seed=1000 * case + i, jitter=0.5)
                       for i in range(n_agents)}
-            policy = trainer.NeuralTeamPolicy(agents, None, list(agents))
+            policy = trainer.NeuralTeamPolicy(actors, None, list(actors))
             x = rng.normal(size=(n_agents, sizes[0])) * 3.0
             team = policy.team_actor.forward(x.reshape(n_agents, 1, -1))
             team_logp = log_softmax(team.reshape(n_agents, -1))
-            for i, agent in enumerate(agents.values()):
-                own = agent.actor.forward(x[i])
+            for i, actor in enumerate(actors.values()):
+                own = actor.forward(x[i])
                 assert same_bits(team[i], own)
                 assert same_bits(team_logp[i], log_softmax(own)[0])
 
     def episode(self, agents, encoder, spec, cfg, seed):
         """A 12-step episode's batch; also returns copies of what each
         step recorded, taken right after that step."""
-        policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+        policy = trainer.NeuralTeamPolicy(actors_of(agents), encoder,
+                                          spec.agent_ids)
         snapshots = []
         select = policy.select_actions
 
@@ -936,14 +938,16 @@ class TestTeamPolicy:
             assert batch.obs.shape == (13, n, F)
             assert batch.masks.shape == (12, n, S)
             assert batch.actions.shape == batch.logp_old.shape == (12, n)
+            assert batch.rewards.shape == (12,)
             assert len(snapshots) == 12
             for t, (obs, mask, actions) in enumerate(snapshots):
                 assert same_bits(batch.obs[t], obs)
                 assert np.array_equal(batch.masks[t], mask)
                 assert batch.actions[t].tolist() == [
                     actions[aid] for aid in spec.agent_ids]
-                assert batch.rewards[t].tolist() == [
-                    log.steps[t]["rewards"][aid] for aid in spec.agent_ids]
+                # One team reward per step: every agent's is the same.
+                assert {log.steps[t]["rewards"][aid]
+                        for aid in spec.agent_ids} == {batch.rewards[t]}
             acted = 0
             for i, aid in enumerate(spec.agent_ids):
                 for obs, action, logp in zip(batch.obs[:-1, i],
@@ -956,10 +960,9 @@ class TestTeamPolicy:
             assert acted >= 30
 
     def test_mismatched_actor_layouts_raise(self):
-        agents = {"cav0": runtime(make_net([6, 8, 7])),
-                  "cav1": runtime(make_net([6, 16, 7]))}
+        actors = {"cav0": make_net([6, 8, 7]), "cav1": make_net([6, 16, 7])}
         with pytest.raises(ValueError, match="'cav1'"):
-            trainer.NeuralTeamPolicy(agents, None, ["cav0", "cav1"])
+            trainer.NeuralTeamPolicy(actors, None, ["cav0", "cav1"])
 
     def test_empty_team_rejected(self):
         with pytest.raises(ValueError, match="at least one agent"):
@@ -974,7 +977,8 @@ def rollout():
     cfg = Config.from_dict({"harness": {"episode_len": 40}})
     spec = scen.build_scenario("intersection", mode="train", cfg=cfg)
     agents, encoder = trainer.build_agents(spec, cfg, 5)
-    policy = trainer.NeuralTeamPolicy(agents, encoder, spec.agent_ids)
+    policy = trainer.NeuralTeamPolicy(actors_of(agents), encoder,
+                                      spec.agent_ids)
     log = ep.run_episode(spec, cfg, policy, seed=6, log_verdicts=False)
     batch = policy.batch(log)
     assert np.all(np.any(batch.actions >= 0, axis=0))
@@ -1207,7 +1211,7 @@ class TestTeamCritic:
         states = batch.obs.reshape(len(batch.obs), -1)
         v = value.forward(states)[:, 0]
         returns, adv = algo.compute_returns_advantages(
-            batch.rewards[:, 0] * cfg.marl.reward_scale, v[:-1], v[-1],
+            batch.rewards * cfg.marl.reward_scale, v[:-1], v[-1],
             cfg.marl.gamma)
         assert all(same_bits(targets, returns) for _, targets, _ in fits)
         assert len(advantages) == len(team)
