@@ -114,10 +114,12 @@ class HarnessConfig:
                 and window[0] < window[1]):
             raise ValueError(f"ptb_window must be a pair [t0, t1] of ints "
                              f"with 0 <= t0 < t1, not {window!r}")
-        # A bare string would iterate into a set of its characters.
-        if isinstance(self.ptb_targets, str):
-            raise ValueError(f"ptb_targets must be a list of vehicle ids, "
-                             f"not the string {self.ptb_targets!r}")
+        # A bare string would iterate into a set of its characters, and an
+        # empty list names no target (None means every UCV).
+        targets = self.ptb_targets
+        if isinstance(targets, str) or targets is not None and not targets:
+            raise ValueError(f"ptb_targets must be null (every UCV) or a "
+                             f"non-empty list of vehicle ids, not {targets!r}")
 
 
 @dataclass

@@ -76,8 +76,9 @@ def _require_keys(where, obj, keys):
             raise ValueError(f"episode log {where} has no {key!r}")
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite(x):  # json reads NaN and Infinity too
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and -math.inf < x < math.inf)
 
 
 def _is_ids(x):
@@ -86,7 +87,7 @@ def _is_ids(x):
 
 def _numbers(n):
     return lambda x: (isinstance(x, list) and len(x) == n
-                      and all(map(_is_number, x)))
+                      and all(map(_is_finite, x)))
 
 
 def _object_of(ok):
@@ -94,20 +95,21 @@ def _object_of(ok):
 
 
 # What replay and verify_roundtrip read from a log's meta and step lines,
-# and, for the values they index or iterate, a check and what the value
-# must be (dt and wheelbase_frac are checked by DynamicsParams).
+# and, for the values they use, a check and what the value must be (dt
+# and wheelbase_frac are checked by DynamicsParams).
 META_KEYS = ("scenario", "seed", "agents", "dt", "wheelbase_frac", "lengths")
-STATES_SHAPE = (_object_of(_numbers(4)), "an object of [x, y, v, psi] lists")
+STATES_SHAPE = (_object_of(_numbers(4)), "an object of finite [x, y, v, psi] lists")
 META_SHAPES = {
     "agents": (_is_ids, "a list of vehicle ids"),
-    "lengths": (_object_of(_is_number), "an object of numbers"),
+    "lengths": (_object_of(lambda x: _is_finite(x) and x > 0),
+                "an object of positive finite numbers"),
 }
 STEP_SHAPES = {
     "states": STATES_SHAPE,
-    "controls": (_object_of(_numbers(2)), "an object of [accel, steer] lists"),
+    "controls": (_object_of(_numbers(2)), "an object of finite [accel, steer] lists"),
     "crashed": (_is_ids, "a list of vehicle ids"),
     "actions": (lambda x: isinstance(x, dict), "an object"),
-    "rewards": (_object_of(_is_number), "an object of numbers"),
+    "rewards": (_object_of(_is_finite), "an object of finite numbers"),
     "collisions": (lambda x: isinstance(x, list), "a list"),
 }
 
@@ -165,7 +167,8 @@ class EpisodeLog:
     def from_jsonl(cls, text):
         """Parse to_jsonl's text; a missing or unreadable line, or a meta
         or step line without a key that replay reads or with a value of a
-        shape it cannot read, raises ValueError naming it."""
+        shape it cannot read (a non-finite number, a length <= 0), raises
+        ValueError naming it."""
         records = []  # (line number, record)
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():

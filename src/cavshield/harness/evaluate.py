@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..marl.trainer import (NeuralTeamPolicy, check_config, check_seed,
-                            load_checkpoint)
+from ..marl.trainer import (ConfigMismatch, NeuralTeamPolicy, check_config,
+                            check_seed, load_checkpoint)
 from ..marl.encode import Encoder
 from ..perturb import (
     identity_schedule,
@@ -59,16 +59,23 @@ def build_schedule(kind, seed, cfg, spec):
         return make_ptb_over_time(seed, cfg.harness.ptb_window,
                                   epsilon_bound=bound)
     if kind == "veh":
-        targets = cfg.harness.ptb_targets
-        if targets is None:
-            targets = spec.ucv_ids
-        known = set(spec.agent_ids) | set(spec.ucv_ids)
-        for vid in targets:
-            if vid not in known:
-                raise ValueError(f"ptb_targets: {vid!r} is not a vehicle of "
-                                 f"scenario {spec.name!r}")
-        return make_ptb_target_vehicles(seed, targets, epsilon_bound=bound)
+        return make_ptb_target_vehicles(seed, ptb_targets(cfg, spec),
+                                        epsilon_bound=bound)
     raise ValueError(f"unknown perturbation kind {kind!r}")
+
+
+def ptb_targets(cfg, spec):
+    """harness.ptb_targets (None: every UCV of spec); an id that is no
+    vehicle of spec raises ConfigMismatch naming the key."""
+    targets = cfg.harness.ptb_targets
+    if targets is None:
+        return spec.ucv_ids
+    known = set(spec.agent_ids) | set(spec.ucv_ids)
+    for vid in targets:
+        if vid not in known:
+            raise ConfigMismatch(f"harness.ptb_targets: {vid!r} is not a "
+                                 f"vehicle of scenario {spec.name!r}")
+    return targets
 
 
 def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
@@ -78,7 +85,8 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     With save_logs_dir, each episode's log is saved there.  seed, ptb and
     shield_mode (None: the checkpoint's) are checked first; out_dir and
     save_logs_dir are made once the checkpoint has loaded and matches
-    cfg's action count and hidden sizes, before any episode runs."""
+    cfg's action count, hidden sizes and (ptb "veh") ptb_targets, before
+    any episode runs."""
     from .config import Config, is_count
 
     if not is_count(n_episodes):
@@ -90,10 +98,12 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     cfg = cfg or Config()
     header, actors, enc_spec = load_checkpoint(checkpoint_path)
     check_config(checkpoint_path, header, cfg)
+    spec = scen.build_scenario(header["scenario"], mode="test", cfg=cfg)
+    if ptb == "veh":
+        ptb_targets(cfg, spec)
     for path in (out_dir, save_logs_dir):
         if path is not None:
             os.makedirs(path, exist_ok=True)
-    spec = scen.build_scenario(header["scenario"], mode="test", cfg=cfg)
     encoder = Encoder(enc_spec, spec.road.lanes.keys())
     shield_mode = shield_mode or header["shield_mode"]
 

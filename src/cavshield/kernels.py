@@ -1,12 +1,11 @@
-"""Kernels: the 2-D projection QP behind every shield verdict, bicycle
-step and rectangle overlap.
+"""Kernels: 2-D projection QP, bicycle step and rectangle overlap.
 
 The bicycle step and the overlap test are per-step inner loops (called
-agents x steps during rollouts).  ``solve_qp_2d`` defines each verdict of
-the shield: ``shield.check_action_safe`` reproduces its result bit for bit
-from the accel ends of the shield's rows and calls it only for a verdict
-within its tie band.  It also backs ``qp.solve`` (acceptance check C1,
-``cavshield qp-debug``).
+agents x steps during rollouts).  ``solve_qp_2d`` backs ``qp.solve``
+(acceptance check C1, ``cavshield qp-debug``).  The shield does not call
+it: every barrier row bounds the acceleration alone, so
+``shield.check_action_safe`` projects onto the accel interval the rows
+leave, in closed form.
 
 Callers call the kernels through the module (``kernels.solve_qp_2d``), not by
 imported name, so a tracer that replaces the module attributes

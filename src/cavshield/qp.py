@@ -1,9 +1,9 @@
 """Array front end of the 2-D projection QP kernels.solve_qp_2d, for
-acceptance check C1 and `cavshield qp-debug` (the safety shield calls the
-kernel directly).
+acceptance check C1 and `cavshield qp-debug` (the safety shield projects
+onto its accel interval in closed form instead).
 
 minimize 1/2 ||u - u0||^2  subject to  a.u >= b (per row) and box bounds.
-Infeasible is a normal outcome (the shield reads it as "action unsafe").
+Infeasible is a normal outcome.
 """
 
 import json

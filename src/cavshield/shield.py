@@ -17,17 +17,16 @@ right): its lane path, the ego's arc length there and its clamped steer.
 It is the one definition of an action's nominal input; the harness's
 shield-off mode reads it too.  agent_safe_set projects each target onto
 the lanes it is checked in, builds the barrier rows of the current lane
-and of each adjacent lane, in the solver's row form, and decides each
-action by the projection of its nominal input onto those rows and its
-input box.  The shared geometry comes from the
-observations: every observer of a step holds the same Observation of a
-vehicle, which works out its world position once, its projection once
-per lane path and its lane once (from those projections), so no agent's
-pass repeats another's.  Each row set is one
+and of each adjacent lane, and decides each action by the projection of
+its nominal input onto those rows and its input box.  The shared
+geometry comes from the observations: every observer of a step holds the
+same Observation of a vehicle, which works out its world position once,
+its projection once per lane path and its lane once (from those
+projections), so no agent's pass repeats another's.  Each row set is one
 interval of acceleration (BarrierRows keeps its ends, built in the same
-pass as its rows), so check_action_safe decides from the ends, with the
-result of the projection QP kernels.solve_qp_2d bit for bit, and calls
-that QP only within a tie band where rounding could separate the two.
+pass as its rows), so the paper's CBF-QP of an action is a projection
+onto a box, the interval times the steer range, and check_action_safe
+computes it in closed form.
 A verdict's binding row label is found only when it is read (episode
 logs read it; training and unlogged evaluation do not).
 Crossing traffic is folded in by transforming each crossing vehicle into
@@ -54,10 +53,6 @@ REAR = "rear"
 
 # Distinct audits calibrate_lipschitz_sum keeps (one per config in use).
 LIPSCHITZ_MEMO_SIZE = 16
-
-# Half-width of check_action_safe's tie band, relative to the magnitudes
-# it compares (1 + |u0 accel| + |each binding end|).
-TIE_BAND = 1e-6
 
 
 @dataclass
@@ -229,41 +224,37 @@ def lead_constraint_terms(v, v_r, gap, cfg, dyn):
 class BarrierRows:
     """Barrier constraints coef * alpha >= b on the ego acceleration alpha.
 
-    rows keeps them in the form kernels.solve_qp_2d takes, (coef, 0.0, b):
-    steer enters no row, so together they admit one interval of alpha.
-    Its ends are kept as solve_qp_2d normalizes each row, by
-    n = sqrt(coef * coef): lower holds b / n of each row with coef > 0
-    (alpha >= end), upper that of each row with coef < 0 (-alpha >= end),
-    each tightest (largest) first.  blocked marks a row without direction
-    (n < DEDUP_TOL) whose b exceeds FEAS_TOL: no input meets it.  labels
-    holds the label of each row; rows built from barrier targets
-    (constraint_rows) format them from the targets on first read.
-    Equality compares rows and labels, which determine the rest.
+    rows holds them as (coef, b) pairs.  Steer enters no row, so together
+    they admit one interval of alpha, from low to high: low is the largest
+    end b / coef of a row with coef > 0 (alpha >= end; -inf for none), and
+    high the least end of a row with coef < 0 (alpha <= end; inf for
+    none).  blocked marks a row without direction (|coef| < DEDUP_TOL)
+    whose b exceeds FEAS_TOL: no input meets it.  labels holds the label
+    of each row; rows built from barrier targets (constraint_rows) format
+    them from the targets on first read.  Equality compares rows and
+    labels, which determine the rest.
     """
 
-    __slots__ = ("rows", "lower", "upper", "blocked", "_labels", "_targets",
+    __slots__ = ("rows", "low", "high", "blocked", "_labels", "_targets",
                  "_parts")
 
     def __init__(self, rows, labels, targets=None):
-        """rows: (coef, 0.0, b) triples, coef and b finite; labels: one
-        label per row, or None with the barrier targets that give them.
-        The rows are checked and their ends found in one pass."""
-        lower, upper, blocked = [], [], False
-        for coef, _, b in rows:
+        """rows: (coef, b) pairs, coef and b finite; labels: one label per
+        row, or None with the barrier targets that give them.  The rows
+        are checked and their ends found in one pass."""
+        low, high, blocked = -math.inf, math.inf, False
+        for coef, b in rows:
             if not (math.isfinite(coef) and math.isfinite(b)):
                 raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
-            n = math.sqrt(coef * coef)
-            if n < DEDUP_TOL:
+            if abs(coef) < DEDUP_TOL:
                 blocked = blocked or b > FEAS_TOL
-            elif n < math.inf:
-                (lower if coef > 0.0 else upper).append(b / n)
-            # else coef * coef overflowed, and solve_qp_2d's row is
-            # 0 . u >= 0, which every input meets.
-        lower.sort(reverse=True)
-        upper.sort(reverse=True)
+            elif coef > 0.0:
+                low = max(low, b / coef)
+            else:
+                high = min(high, b / coef)
         self.rows = tuple(rows)
-        self.lower = tuple(lower)
-        self.upper = tuple(upper)
+        self.low = low
+        self.high = high
         self.blocked = blocked
         self._labels = None if labels is None else tuple(labels)
         self._targets = targets
@@ -273,7 +264,7 @@ class BarrierRows:
     def of(cls, labeled):
         """Rows from (coef, b, label) triples; coef and b must be finite."""
         labeled = list(labeled)
-        return cls([(coef, 0.0, b) for coef, b, _ in labeled],
+        return cls([(coef, b) for coef, b, _ in labeled],
                    [label for _, _, label in labeled])
 
     @property
@@ -291,8 +282,8 @@ class BarrierRows:
         """The rows of both sets, self's first."""
         out = BarrierRows.__new__(BarrierRows)
         out.rows = self.rows + other.rows
-        out.lower = tuple(sorted(self.lower + other.lower, reverse=True))
-        out.upper = tuple(sorted(self.upper + other.upper, reverse=True))
+        out.low = max(self.low, other.low)
+        out.high = min(self.high, other.high)
         out.blocked = self.blocked or other.blocked
         out._labels = out._targets = None
         out._parts = (self, other)
@@ -320,7 +311,7 @@ def constraint_rows(ego_v, targets, cfg, dyn):
             coef, const = follow_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
         else:
             coef, const = lead_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
-        rows.append((coef, 0.0, buf - const))
+        rows.append((coef, buf - const))
     return BarrierRows(rows, None, targets)
 
 
@@ -418,42 +409,17 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     """Verdict of one action: Safe with the filtered input, or Unsafe.
 
     The input box is the action's own accel band accel_bounds (see
-    dynamics.action_accel_bounds) times the steer range; the action is
-    safe when some input in the box satisfies every row of rows (a
-    BarrierRows), and its filtered input is the projection of u0 onto
-    that set, bit for bit as kernels.solve_qp_2d computes it on rows.rows
-    (u0 itself when it is kept).  The binding row is the one with least
-    slack at the filtered input (at u0 when unsafe); the first such row
-    wins a tie.  The verdict finds it, and formats the rows' labels, only
-    when its binding is read.
-
-    Steer enters no row, so the check reads the rows' accel ends.  Each
-    end, box edges included, is a unit row s * alpha >= end of the QP
-    (s = 1 below, -1 above); the tightest end of each side binds.  The
-    action is unsafe when the set is blocked or the binding ends leave no
-    accel interval; u0 is kept when it passes the QP's own tests against
-    the box and the steer range and lies off every barrier end; otherwise
-    it lands on the one end it violates, in the QP's arithmetic for that
-    row: t = end - s * u0.accel, accel u0.accel + t * s, steer
-    u0.steer + t * 0.0.  A decision needs every value it separates (u0,
-    the two sides, the next end of a side, the steer bounds) more than
-    the tie band apart; the QP decides anything within it.
-
-    Why the band covers rounding.  Outside it, every value the QP tests or
-    compares differs from its rival by at least TIE_BAND * S, S = 1 +
-    |u0.accel| + |both binding ends|, while rounding moves each by a few
-    units of 2**-53 * S, and the QP's own slacks, FEAS_TOL and DEDUP_TOL,
-    lie far inside 1e-6.  So no input meets two ends that are further
-    apart; a row the QP drops as a duplicate meets u0 or the landing
-    point as the row it duplicates does; the landing point passes every
-    other row; and every other candidate of the QP (another end, its
-    vertex with a steer bound, a steer row's projection, which keeps
-    u0.accel) is infeasible or farther by at least the band in accel or
-    steer, which outweighs the rounding of the squared distances (band**2
-    = 1e-12 * S**2 against about 2**-50 * S**2).  The one absolute test,
-    the landing point against its own row within FEAS_TOL, fails only for
-    S above about 3e7; it is made as the QP makes it, and such an input is
-    left to the QP.
+    dynamics.action_accel_bounds) times the steer range, which must hold
+    u0's steer.  Steer enters no row of rows (a BarrierRows), so the rows
+    and the box leave one accel interval [low, high]: the tightest barrier
+    end and box edge of each side.  The CBF condition holds for some input
+    of the box unless the rows are blocked or low > high; then the action
+    is unsafe.  Otherwise the filtered input is the projection of u0 onto
+    [low, high] x steer range: u0 itself when its accel lies in
+    [low, high], else u0 moved in accel to the end it violates.  The
+    binding row is the one with least slack at the filtered accel (at u0's
+    when unsafe); the first such row wins a tie.  The verdict finds it, and
+    formats the rows' labels, only when its binding is read.
     """
     x, y = u0.accel, u0.steer
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -461,67 +427,27 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     lo, hi = accel_bounds
     lo1, hi1 = dyn.steer_min, dyn.steer_max
     if not (lo <= hi and lo1 <= hi1):  # also NaN
-        raise ValueError(f"empty input box {accel_bounds!r} x "
-                         f"{(lo1, hi1)!r}")
-    if rows.blocked:
+        raise ValueError(f"empty input box {accel_bounds!r} x {(lo1, hi1)!r}")
+    if not lo1 <= y <= hi1:
+        raise ValueError(f"nominal steer {y!r} is outside {(lo1, hi1)!r}")
+    low = max(lo, rows.low)
+    high = min(hi, rows.high)
+    if rows.blocked or low > high:
         return ActionVerdict.judged(False, None, rows, x)
-    # The tightest barrier end of each side (-inf for none), and the
-    # tightest and next tightest end of each side with the box edge (-inf
-    # for no next end).  On a tie the box edge counts as the tighter, as
-    # max(edge, end) picks it.
-    lower, upper = rows.lower, rows.upper
-    if lower:
-        barrier_low = lower[0]
-        if barrier_low > lo:
-            low = barrier_low
-            low_next = lo
-            if len(lower) > 1 and lower[1] > lo:
-                low_next = lower[1]
-        else:
-            low, low_next = lo, barrier_low
-    else:
-        barrier_low = low_next = -math.inf
-        low = lo
-    if upper:
-        barrier_high = upper[0]
-        if barrier_high > -hi:
-            high = barrier_high
-            high_next = -hi
-            if len(upper) > 1 and upper[1] > -hi:
-                high_next = upper[1]
-        else:
-            high, high_next = -hi, barrier_high
-    else:
-        barrier_high = high_next = -math.inf
-        high = -hi
-    band = TIE_BAND * (1.0 + abs(x) + abs(low) + abs(high))
-    gap = low + high  # the least admissible accel minus the greatest
-    if gap > band:
-        return ActionVerdict.judged(False, None, rows, x)
-    if (x - barrier_low > band and -x - barrier_high > band
-            and x - lo >= -FEAS_TOL and -x + hi >= -FEAS_TOL
-            and y - lo1 >= -FEAS_TOL and -y + hi1 >= -FEAS_TOL):
+    if low <= x <= high:
         return ActionVerdict.judged(True, u0, rows, x)
-    if -gap > band and y - lo1 > band and hi1 - y > band:
-        for s, end, runner_up in ((1.0, low, low_next),
-                                  (-1.0, high, high_next)):
-            t = end - s * x
-            if t > band and end - runner_up > band:
-                ux = x + t * s
-                if s * ux - end >= -FEAS_TOL:
-                    return ActionVerdict.judged(
-                        True, type(u0)(accel=ux, steer=y + t * 0.0), rows, ux)
-    status, ux, uy, _ = kernels.solve_qp_2d(x, y, rows.rows, lo, hi, lo1, hi1)
-    if status != kernels.QP_FEASIBLE:
-        return ActionVerdict.judged(False, None, rows, x)
-    return ActionVerdict.judged(True, type(u0)(accel=ux, steer=uy), rows, ux)
+    # Land as kernels.solve_qp_2d projects onto one row, u0 + t * n with
+    # t > 0: the same accel rounding, and +0.0 for a -0.0 steer, so the
+    # filtered input equals the QP's bit for bit.
+    ux = x + (low - x) if x < low else x - (x - high)
+    return ActionVerdict.judged(True, ControlInput(ux, y + 0.0), rows, ux)
 
 
 def _binding(rows, alpha):
     """Label of the row with least slack coef * alpha - b, the first on a
     tie (as min() picks it)."""
     label = None
-    for (coef, _, b), row_label in zip(rows.rows, rows.labels):
+    for (coef, b), row_label in zip(rows.rows, rows.labels):
         slack = coef * alpha - b
         if label is None or slack < least:
             least = slack

@@ -111,8 +111,7 @@ def test_traced_training_episode_counts_each_layer():
     # The shield's spans: once per state (the initial one too), once per
     # agent there, and every verdict inside check_action_safe, so a shield
     # that bypasses these names zeroes perfbench's layer table.  The check
-    # calls solve_qp_2d only for a verdict within its tie band, and no
-    # verdict of this run lies within it.
+    # projects onto its accel interval in closed form, without the QP.
     states = run["steps"] + 1
     assert calls["shield.safety_shield"] == states
     assert calls["shield.classify_targets"] == run["agents"] * states

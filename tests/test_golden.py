@@ -10,8 +10,6 @@ The training lock, ``train-intersection-srmappo.json``, holds the metrics
 records of a two-episode SR-MAPPO run and the sum and L2 norm of each
 agent's final actor and worst-Q parameters and of the team's value
 critic, compared the same way.
-Every shield verdict of these runs lies outside check_action_safe's tie
-band, so none of them calls kernels.solve_qp_2d; a test locks that too.
 A change that alters a trajectory or a verdict on purpose regenerates the
 files with
 
@@ -28,7 +26,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from cavshield import kernels, shield
 from cavshield.harness import episode as ep
 from cavshield.harness import scenario as scen
 from cavshield.harness.config import Config
@@ -203,24 +200,6 @@ def test_training_matches_golden():
     assert len(want["metrics"]) == TRAIN_EPISODES
     assert all(m["loss_reg"] is not None for m in want["metrics"])
     assert_same(got, want, "training")
-
-
-def test_golden_runs_decide_every_action_without_the_qp(monkeypatch):
-    calls = {"check": 0, "qp": 0}
-    check, solve = shield.check_action_safe, kernels.solve_qp_2d
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(shield, "check_action_safe", counted("check", check))
-    monkeypatch.setattr(kernels, "solve_qp_2d", counted("qp", solve))
-    for name in SCENARIOS:
-        _golden_jsonl.__wrapped__(name)
-    golden_training()
-    assert calls["check"] > 0 and calls["qp"] == 0, calls
 
 
 def test_assert_same_is_exact_on_discrete_fields():

@@ -461,6 +461,19 @@ class TestScenarioValidation:
             scen.load_scenario(text, "case", mode=mode)
 
 
+def first_entry(number):
+    """A log value edit: the first vehicle's number, or the first number
+    of its list, set to number."""
+    def edit(values):
+        vid = next(iter(values))
+        if isinstance(values[vid], list):
+            values[vid][0] = number
+        else:
+            values[vid] = number
+        return values
+    return edit
+
+
 class TestCli:
     def test_scenario_choices_are_the_shipped_files(self, capsys):
         from cavshield.harness import cli
@@ -694,13 +707,28 @@ class TestCli:
 
     @pytest.mark.parametrize("line,key,value,message", [
         (4, "terminal_states", [],
-         "line 5: 'terminal_states' is not an object of [x, y, v, psi] lists"),
+         "line 5: 'terminal_states' is not an object of finite "
+         "[x, y, v, psi] lists"),
         (1, "states", [],
-         "line 2: 'states' is not an object of [x, y, v, psi] lists"),
+         "line 2: 'states' is not an object of finite [x, y, v, psi] lists"),
         (0, "dt", "x", "line 1 (meta): dt must be a finite number"),
         (2, "controls", {}, "line 3: 'controls' has no 'cav0'"),
         (2, "crashed", 5, "line 3: 'crashed' is not a list of vehicle ids"),
-    ], ids=["terminal_states", "states", "dt", "controls", "crashed"])
+        # Replay passed these three as "roundtrip: OK" (max() drops a
+        # NaN deviation), and the zero length ended in ZeroDivisionError.
+        (2, "states", first_entry(math.nan),
+         "line 3: 'states' is not an object of finite [x, y, v, psi] lists"),
+        (2, "controls", first_entry(math.nan),
+         "line 3: 'controls' is not an object of finite [accel, steer] "
+         "lists"),
+        (0, "lengths", first_entry(0),
+         "line 1 (meta): 'lengths' is not an object of positive finite "
+         "numbers"),
+        (0, "lengths", first_entry(-4.5),
+         "line 1 (meta): 'lengths' is not an object of positive finite "
+         "numbers"),
+    ], ids=["terminal_states", "states", "dt", "controls", "crashed",
+            "nan state", "nan control", "zero length", "negative length"])
     def test_replay_of_a_log_with_misshapen_values_fails_cleanly(
             self, capsys, tmp_path, short_log_lines, line, key, value,
             message):
@@ -711,7 +739,8 @@ class TestCli:
         lines = list(short_log_lines)
         assert len(lines) == 5  # meta, 3 steps, terminal_states
         rec = json.loads(lines[line])
-        (rec["meta"] if line == 0 else rec)[key] = value
+        target = rec["meta"] if line == 0 else rec
+        target[key] = value(target[key]) if callable(value) else value
         lines[line] = json.dumps(rec)
         text = "\n".join(lines) + "\n"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -914,6 +943,29 @@ class TestCli:
         assert cli.main(argv + ["--checkpoint", checkpoint[0]]) == 0
         assert (out / "report.json").is_file()
         assert (out / "logs" / "episode_000.jsonl").is_file()
+
+    @pytest.mark.parametrize("targets,message", [
+        (["nosuch"], "eval: harness.ptb_targets: 'nosuch' is not a vehicle "
+                     "of scenario 'intersection'"),
+        ([], "cfg.yaml: ptb_targets must be null (every UCV) or a non-empty "
+             "list of vehicle ids"),
+    ], ids=["unknown", "empty"])
+    def test_eval_veh_with_bad_ptb_targets_fails_before_making_out(
+            self, capsys, tmp_path, checkpoint, targets, message):
+        # Both ended in a traceback from the first episode, after making
+        # DIR.
+        from cavshield.harness import cli
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"harness": {"episode_len": 50, "ptb_targets": targets}}))
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", checkpoint[0], "--ptb", "veh",
+                         "--episodes", "1", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and not out.exists()
+        assert got.err.count("\n") == 1 and message in got.err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--scenario", "highway", "--episodes", "1"],
@@ -1718,14 +1770,14 @@ class TestEvaluate:
         # characters), would leave PTB^V nothing to perturb.
         spec = scen.build_scenario("intersection", mode="test", cfg=CFG)
         unknown = Config.from_dict({"harness": {"ptb_targets": ["ucv1", "nope"]}})
-        with pytest.raises(ValueError, match="'nope'"):
+        with pytest.raises(trainer.ConfigMismatch,
+                           match="harness.ptb_targets: 'nope'"):
             ev.build_schedule("veh", 0, unknown, spec)
         with pytest.raises(ValueError, match="'ucv0'"):
             Config.from_dict({"harness": {"ptb_targets": "ucv0"}})
         # Only None means every UCV; an empty list names no target.
-        empty = Config.from_dict({"harness": {"ptb_targets": []}})
-        with pytest.raises(ValueError, match="non-empty"):
-            ev.build_schedule("veh", 0, empty, spec)
+        with pytest.raises(ValueError, match="non-empty list"):
+            Config.from_dict({"harness": {"ptb_targets": []}})
         # Any vehicle of the scenario is a target, CAVs included.
         cav = spec.agent_ids[0]
         own = Config.from_dict({"harness": {"ptb_targets": [cav]}})

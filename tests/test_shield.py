@@ -305,7 +305,7 @@ class TestCheckActionSafe:
             )
             alphas = np.linspace(lo, hi, 2001)
             ok = np.ones_like(alphas, dtype=bool)
-            for a, _, b in rows.rows:
+            for a, b in rows.rows:
                 ok &= a * alphas >= b - 1e-9
             assert verdict.safe == bool(ok.any())
 
@@ -317,6 +317,11 @@ def min_slack_row(rows, u):
         return None
     return min(rows, key=lambda r: r[0][0] * u[0] + r[0][1] * u[1] - r[1])[2]
 
+
+# Relative half-width of the band around the values the interval decision
+# compares within which the QP's tolerances and rounding may decide
+# otherwise (see TestAccelProjectionMatchesQp).
+TIE_BAND = 1e-6
 
 # Offsets of a row's edge: none, inside and outside DEDUP_TOL and FEAS_TOL.
 SHIFTS = [0.0, 0.5 * DEDUP_TOL, -0.5 * DEDUP_TOL, 2 * DEDUP_TOL,
@@ -379,52 +384,119 @@ def projection_case(rnd):
     return (u0x, u0y), rows, (lo0, hi0), (lo1, hi1)
 
 
+def interval_ends(rows, lo0, hi0):
+    """(low, next low, high, next high): the tightest and next tightest
+    accel end of each side of the (coef, b) rows and the box [lo0, hi0]
+    (-inf and inf for no next end); rows without direction give none."""
+    lows = sorted([lo0] + [b / c for c, b in rows if c >= DEDUP_TOL],
+                  reverse=True) + [-math.inf]
+    highs = sorted([hi0] + [b / c for c, b in rows if c <= -DEDUP_TOL]) + [
+        math.inf]
+    return lows[0], lows[1], highs[0], highs[1]
+
+
 class TestAccelProjectionMatchesQp:
     """check_action_safe against kernels.solve_qp_2d called on the same
-    rows, bit for bit: the safe flag, the filtered input, and the binding
-    label of the least-slack row."""
+    rows, with the steer in range (the shield never passes another).
 
-    N_CASES = 30000
+    The interval decision is the QP's without its tolerances.  (a) It
+    calls nothing safe that the QP calls unsafe.  (b) When every pair of
+    values it compares (u0's accel, low, high, and each of low and high
+    with the next end of its side) lies more than TIE_BAND * S apart, S =
+    1 + |u0 accel| + |low| + |high|, the two agree bit for bit: safe
+    flag, filtered input and the binding label of the least-slack row.
+    (c) Within that band the QP meets each end only to within FEAS_TOL,
+    may skip a row within DEDUP_TOL of an earlier one, and rounds values
+    of size S a few times: so a case only the QP calls safe has its two
+    ends at most twice that apart (the QP keeps a point missing both), and
+    a case both call safe lands at most once that apart in accel, with
+    an equal steer.  At 1e9 the QP's absolute FEAS_TOL test fails on its
+    own landing points (rounding there exceeds it), so the scales stop at
+    1e6.
+    """
 
-    def test_bit_identical_to_solve_qp_2d(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_agrees_with_solve_qp_2d(self, scale):
+        n_cases = 30000 if scale == 1.0 else 2000
         rnd = random.Random(20261018)
-        seen = {"safe": 0, "unsafe": 0, "moved": 0, "blocked": 0,
-                "signed_zero_steer": 0, "corner": 0}
-        for case in range(self.N_CASES):
+        seen = Counter()
+        for case in range(n_cases):
             (u0x, u0y), rows, (lo0, hi0), (lo1, hi1) = projection_case(rnd)
+            u0x, u0y = u0x * scale, u0y * scale
+            rows = [(c, b * scale) for c, b in rows]
+            lo0, hi0, lo1, hi1 = lo0 * scale, hi0 * scale, lo1 * scale, hi1 * scale
             labeled = [(c, b, f"r{i}") for i, (c, b) in enumerate(rows)]
-            rows2d = [((c, 0.0), b, label) for c, b, label in labeled]
+            dyn = replace(DYN, steer_min=lo1, steer_max=hi1)
+            u0 = ControlInput(u0x, u0y)
+            if not lo1 <= u0y <= hi1:
+                with pytest.raises(ValueError, match="nominal steer"):
+                    check_action_safe(u0, BarrierRows.of(labeled), (lo0, hi0),
+                                      dyn)
+                continue
             status, ux, uy, _ = kernels.solve_qp_2d(
                 u0x, u0y, [(c, 0.0, b) for c, b in rows], lo0, hi0, lo1, hi1
             )
-            dyn = replace(DYN, steer_min=lo1, steer_max=hi1)
-            rows1d = BarrierRows.of(labeled)
-            verdict = check_action_safe(
-                ControlInput(u0x, u0y), rows1d, (lo0, hi0), dyn
-            )
+            qp_safe = status == kernels.QP_FEASIBLE
+            verdict = check_action_safe(u0, BarrierRows.of(labeled),
+                                        (lo0, hi0), dyn)
             where = (f"case {case}: u0={u0x!r},{u0y!r} rows={rows!r} "
                      f"box={(lo0, hi0, lo1, hi1)!r}")
-            assert verdict.safe == (status == kernels.QP_FEASIBLE), where
+            assert qp_safe or not verdict.safe, where  # (a)
+            low, low_next, high, high_next = interval_ends(rows, lo0, hi0)
+            size = 1.0 + abs(u0x) + abs(low) + abs(high)
+            compared = ((u0x, low), (u0x, high), (low, high),
+                        (low, low_next), (high, high_next))
+            if any(abs(p - q) <= TIE_BAND * size for p, q in compared):
+                seen["in_band"] += 1  # (c)
+                slack = FEAS_TOL + DEDUP_TOL + 8 * sys.float_info.epsilon * size
+                if not verdict.safe and qp_safe:
+                    seen["qp_only_safe"] += 1
+                    assert low - high <= 2 * slack, where
+                elif verdict.safe:
+                    assert abs(verdict.u.accel - ux) <= slack, where
+                    assert verdict.u.steer == uy, where
+                continue
+            assert verdict.safe == qp_safe, where  # (b)
             if verdict.safe:
                 assert verdict.u.accel.hex() == ux.hex(), where
                 assert verdict.u.steer.hex() == uy.hex(), where
                 u = (ux, uy)
             else:
                 u = (u0x, u0y)
+            rows2d = [((c, 0.0), b, label) for c, b, label in labeled]
             assert verdict.binding == min_slack_row(rows2d, u), where
-            seen["safe" if verdict.safe else "unsafe"] += 1
-            seen["blocked"] += any(abs(c) < DEDUP_TOL and b > FEAS_TOL
-                                   for c, b in rows)
-            if verdict.safe and (ux, uy) != (u0x, u0y):
+            if not verdict.safe:
+                seen["unsafe"] += 1
+                seen["blocked"] += any(abs(c) < DEDUP_TOL and b > FEAS_TOL
+                                       for c, b in rows)
+            elif verdict.u is u0:
+                seen["kept"] += 1
+            else:
                 seen["moved"] += 1
                 seen["signed_zero_steer"] += uy.hex() != u0y.hex()
-                seen["corner"] += uy != u0y
         # The sample reaches every branch it is meant to cover.
-        assert min(seen.values()) > 50, seen
+        keys = ("in_band", "unsafe", "blocked", "kept", "moved",
+                "signed_zero_steer")
+        assert min(seen[key] for key in keys) > 0.01 * n_cases, seen
+        assert seen["qp_only_safe"] > 0, seen
+
+    def test_row_with_huge_coefficient_bounds_the_accel(self):
+        # Its end is b / |coef| as any row's; sqrt(coef * coef), the QP's
+        # row norm, would overflow.
+        rows = BarrierRows.of([(1e200, 0.25e200, "lead"),
+                               (-1e200, -0.5e200, "rear")])
+        assert (rows.low, rows.high) == (0.25, 0.5)
+        for u0x, want, binding in ((0.0, 0.25, "lead"), (0.4, 0.4, "rear"),
+                                   (0.75, 0.5, "rear")):
+            verdict = check_action_safe(ControlInput(u0x, 0.1), rows,
+                                        (-1.0, 1.0), DYN)
+            assert verdict.safe and verdict.u.accel == want
+            assert verdict.binding == binding
 
     def test_steer_passes_through_as_the_qp_returns_it(self):
-        # The projection lands at u0y + t * 0.0: a -0.0 steer comes back
-        # as +0.0 when the accel moves up, and stays -0.0 when u0 is kept.
+        # The projection lands at u0y + 0.0, as the QP's does: a -0.0
+        # steer comes back as +0.0 when the accel moves, and stays -0.0
+        # when u0 is kept.
         rows = BarrierRows.of([(1.0, 0.5, "lead")])
         moved = check_action_safe(ControlInput(0.0, -0.0), rows, (-1.0, 1.0),
                                   DYN)
@@ -451,7 +523,7 @@ class TestAccelProjectionMatchesQp:
         a = BarrierRows.of([(1.0, 0.5, "a0"), (2.0, 1.0, "a1"),
                             (-1.0, 1.0, "a2")])
         b = BarrierRows.of([(2.0, 1.0, "b0")])
-        assert a.rows == ((1.0, 0.0, 0.5), (2.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
+        assert a.rows == ((1.0, 0.5), (2.0, 1.0), (-1.0, 1.0))
         assert a.labels == ("a0", "a1", "a2")
         assert a.join(b) == BarrierRows(a.rows + b.rows, a.labels + b.labels)
         # Slacks at alpha = 0 are -0.5, -1, -1 (and -1 for b0): the first
@@ -478,129 +550,11 @@ class TestAccelProjectionMatchesQp:
             with pytest.raises(ValueError, match="empty input box"):
                 check_action_safe(ControlInput(0.0, 0.0), BarrierRows.of([]),
                                   bounds, dyn)
-
-
-# The unpatched QP, the reference of the tie-band tests.
-SOLVE_QP_2D = kernels.solve_qp_2d
-
-
-@pytest.fixture
-def qp_calls(monkeypatch):
-    """The arguments of every solve_qp_2d call the shield makes."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return SOLVE_QP_2D(*args)
-
-    monkeypatch.setattr(kernels, "solve_qp_2d", counted)
-    return calls
-
-
-def assert_as_qp(u0x, u0y, rows, box, steer):
-    """check_action_safe on (coef, b) rows equals solve_qp_2d on the same
-    rows bit for bit (the safe flag, the filtered input, and the
-    least-slack binding row); returns the verdict."""
-    labeled = [(c, b, f"r{i}") for i, (c, b) in enumerate(rows)]
-    status, ux, uy, _ = SOLVE_QP_2D(
-        u0x, u0y, [(c, 0.0, b) for c, b in rows], *box, *steer)
-    verdict = check_action_safe(
-        ControlInput(u0x, u0y), BarrierRows.of(labeled), box,
-        replace(DYN, steer_min=steer[0], steer_max=steer[1]))
-    where = f"u0={u0x!r},{u0y!r} rows={rows!r} box={box!r} steer={steer!r}"
-    assert verdict.safe == (status == kernels.QP_FEASIBLE), where
-    if verdict.safe:
-        assert verdict.u.accel.hex() == ux.hex(), where
-        assert verdict.u.steer.hex() == uy.hex(), where
-        u = (ux, uy)
-    else:
-        u = (u0x, u0y)
-    assert verdict.binding == min_slack_row(
-        [((c, 0.0), b, label) for c, b, label in labeled], u), where
-    return verdict
-
-
-def band_edge(delegated, outside, inside):
-    """Adjacent floats (a, b) between outside and inside, a decided by
-    check_action_safe itself and b left to the QP, where delegated(v)
-    says whether the check at v called the QP."""
-    assert not delegated(outside) and delegated(inside)
-    a, b = outside, inside
-    while math.nextafter(a, b) != b:
-        mid = a + 0.5 * (b - a)
-        if mid in (a, b):
-            mid = math.nextafter(a, b)
-        if delegated(mid):
-            b = mid
-        else:
-            a = mid
-    return a, b
-
-
-class TestTieBand:
-    """check_action_safe decides outside its tie band without the QP and
-    still equals it bit for bit: at magnitudes of 1e3 to 1e9, where the
-    band is far wider than FEAS_TOL and, at 1e9, the landing point's
-    rounding comes near FEAS_TOL; and on both sides of the band's edge,
-    for u0 and for a steer bound."""
-
-    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
-    def test_scaled_cases_match_the_qp(self, qp_calls, scale):
-        rnd = random.Random(20261020)
-        seen = {"delegated": 0, "kept": 0, "moved": 0, "unsafe": 0}
-        for _ in range(2000):
-            (u0x, u0y), rows, (lo0, hi0), (lo1, hi1) = projection_case(rnd)
-            n_calls = len(qp_calls)
-            verdict = assert_as_qp(
-                u0x * scale, u0y * scale, [(c, b * scale) for c, b in rows],
-                (lo0 * scale, hi0 * scale), (lo1 * scale, hi1 * scale))
-            if len(qp_calls) > n_calls:
-                seen["delegated"] += 1
-            elif not verdict.safe:
-                seen["unsafe"] += 1
-            elif verdict.u.accel == u0x * scale:
-                seen["kept"] += 1
-            else:
-                seen["moved"] += 1
-        assert min(seen.values()) > 50, seen
-
-    def test_row_whose_norm_overflows(self, qp_calls):
-        # coef * coef overflows to inf, so the QP normalizes the row to
-        # 0 . u >= 0, which every input meets: it is no accel end.
-        for u0x in (-0.5, 0.0, 0.5):
-            verdict = assert_as_qp(u0x, 0.1, [(1e200, 1e200), (-1e200, 5e199)],
-                                   (-1.0, 1.0), (-0.5, 0.5))
-            assert verdict.safe and verdict.u.accel == u0x
-        assert not qp_calls
-
-    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
-    def test_band_edges_match_the_qp(self, qp_calls, scale):
-        # Accel admissible in [0.25, 0.75] * scale by two barriers, box
-        # [-1, 1] * scale; steer range [-0.5, 0.5] * scale.
-        rows = [(2.0, 0.5 * scale), (-1.0, -0.75 * scale)]
-        box = (-scale, scale)
-        steer = (-0.5 * scale, 0.5 * scale)
-        low = 0.25 * scale
-
-        def delegated_at(u0x, u0y):
-            n_calls = len(qp_calls)
-            assert_as_qp(u0x, u0y, rows, box, steer)
-            return len(qp_calls) > n_calls
-
-        edges = [
-            # u0 below the lower end: landing on it, or within the band.
-            (lambda x: delegated_at(x, 0.1 * scale), -0.5 * scale, low),
-            # u0 above it: kept, or within the band.
-            (lambda x: delegated_at(x, 0.1 * scale), 0.5 * scale, low),
-            # Landing with the steer near its lower bound.
-            (lambda y: delegated_at(-0.5 * scale, y), 0.0, steer[0]),
-        ]
-        for delegated, outside, inside in edges:
-            a, b = band_edge(delegated, outside, inside)
-            for _ in range(4):
-                a = math.nextafter(a, outside)
-                b = math.nextafter(b, inside)
-                assert not delegated(a) and delegated(b)
+        # The shield passes each maneuver's clamped steer (nominal_control).
+        for steer in (DYN.steer_max + 0.1, math.nextafter(DYN.steer_min, -1.0)):
+            with pytest.raises(ValueError, match="nominal steer .* is outside"):
+                check_action_safe(ControlInput(0.0, steer), BarrierRows.of([]),
+                                  (-1.0, 1.0), DYN)
 
 
 def follower_leader_world(gap, v_ego, v_lead):
@@ -753,7 +707,7 @@ class TestSafetyShield:
             lo, hi = action_accel_bounds(action, DYN, space)
             alphas = np.linspace(lo, hi, 1001)
             ok = np.ones_like(alphas, dtype=bool)
-            for a, _, b in rows.rows:
+            for a, b in rows.rows:
                 ok &= a * alphas >= b - 1e-9
             expected = bool(ok.any()) and action != ActionSpace.LEFT
             got = action in outcome.safe_sets["ego"]
@@ -1175,6 +1129,6 @@ class TestDeferredBinding:
         assert joined._labels is None and lane._labels is None
         assert joined == rows
         assert lane._labels == ("front:lane:a",)  # formatted once, kept
-        assert joined.lower == rows.lower and joined.upper == rows.upper
+        assert joined.low == rows.low and joined.high == rows.high
         mixed = lane.join(BarrierRows.of([(1.0, 0.0, "x")]))
         assert mixed.labels == ("front:lane:a", "x")
