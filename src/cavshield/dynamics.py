@@ -15,6 +15,17 @@ from . import kernels
 SPEED_GAIN = 1.5
 
 
+def is_finite_real(value):
+    """True for a real number, not a bool, that converts to a finite float
+    (YAML and JSON also read NaN, infinities and ints beyond a float)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(slots=True)
 class ControlInput:
     accel: float  # m/s^2
@@ -46,9 +57,7 @@ class DynamicsParams:
     def __post_init__(self):
         # Each action's input box is non-empty only under these bounds.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real)
-                    and not isinstance(value, bool) and math.isfinite(value)):
+            if not is_finite_real(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number")
         for key, ok, rule in (
             ("dt", self.dt > 0, "> 0"),

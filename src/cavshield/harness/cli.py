@@ -5,17 +5,17 @@
                      [--episodes N] [--quick] --out DIR
     cavshield eval   --checkpoint FILE --ptb {none|rand|time|veh}
                      --episodes N [--seed N] [--out DIR [--save-logs]]
-                     [--scatter FILE]
     cavshield replay --log FILE
     cavshield table  REPORT.json [REPORT.json ...] [--csv FILE]
-    cavshield qp-debug (--problem FILE | --demo)
     cavshield --version
 
 NAME is a scenario shipped under cavshield/harness/data (`train -h` lists
-them).
+them).  `eval --out DIR` writes DIR/report.json and DIR/metrics.jsonl, one
+line per episode with its episode, seed, return and collisions.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -132,17 +132,9 @@ def cmd_eval(args):
         ev.save_report(os.path.join(args.out, "report.json"), report)
         with open(os.path.join(args.out, "metrics.jsonl"), "w") as fh:
             for i, (seed, ret, cols) in enumerate(report.episodes):
-                fh.write(
-                    json.dumps(
-                        {"episode": i, "seed": seed, "return": ret,
-                         "collisions": cols},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    if args.scatter:
-        with open(args.scatter, "w") as fh:
-            fh.write(ev.scatter_csv(report))
+                fh.write(trainer.metrics_line(
+                    {"episode": i, "seed": seed, "return": ret,
+                     "collisions": cols}))
     return 0
 
 
@@ -172,31 +164,17 @@ def cmd_table(args):
         except (OSError, ValueError) as exc:
             print(f"table: {path}: {exc}", file=sys.stderr)
             return 2
-    print(ev.format_table(reports))
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(ev.table_csv(reports))
-    return 0
-
-
-def cmd_qp_debug(args):
-    from .. import qp
-
-    if args.demo:
-        problem = qp.QpProblem(
-            u0=(2.0, 0.0),
-            constraints=[((-1.0, 0.0), -1.0)],
-            bounds=((-6.0, 4.0), (-0.5, 0.5)),
-        )
-    else:
-        try:
-            with open(args.problem) as fh:
-                problem = qp.load_problem(fh.read())
-            problem.validate()
-        except (OSError, ValueError) as exc:
-            print(f"qp-debug: {args.problem}: {_reason(exc)}", file=sys.stderr)
-            return 2
-    print(qp.dump_problem(problem))
+    # Opened before the table prints, so a path that cannot be written
+    # fails with no output.
+    try:
+        csv = open(args.csv, "w") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"table: {args.csv}: {_reason(exc)}", file=sys.stderr)
+        return 2
+    with csv:
+        print(ev.format_table(reports))
+        if args.csv:
+            csv.write(ev.table_csv(reports))
     return 0
 
 
@@ -226,7 +204,6 @@ def build_parser():
     e.add_argument("--out", default=None)
     e.add_argument("--save-logs", action="store_true",
                    help="write each episode log to DIR/logs (needs --out)")
-    e.add_argument("--scatter", default=None, help="per-episode CSV export")
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("replay", help="verify and summarize an episode log")
@@ -238,11 +215,6 @@ def build_parser():
     tb.add_argument("--csv", default=None)
     tb.set_defaults(func=cmd_table)
 
-    q = sub.add_parser("qp-debug", help="dump a QP problem and its solution")
-    source = q.add_mutually_exclusive_group(required=True)
-    source.add_argument("--problem", default=None, help="JSON problem file")
-    source.add_argument("--demo", action="store_true")
-    q.set_defaults(func=cmd_qp_debug)
     return p
 
 

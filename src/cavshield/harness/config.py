@@ -21,13 +21,12 @@ and evaluation records every perturbation error beyond it.
 """
 
 import dataclasses
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import yaml
 
-from ..dynamics import DynamicsParams
+from ..dynamics import DynamicsParams, is_finite_real
 from ..shield import ShieldConfig
 
 
@@ -40,6 +39,11 @@ def is_count(value, low=1):
 @dataclass
 class WorldConfig:
     comm_range: float = 200.0
+
+    def __post_init__(self):
+        # A negative or NaN range hides every other vehicle from each agent.
+        if not (is_finite_real(self.comm_range) and self.comm_range >= 0):
+            raise ValueError("comm_range must be a finite number >= 0")
 
 
 @dataclass
@@ -63,7 +67,8 @@ class MarlConfig:
     def __post_init__(self):
         # Lower bounds below which training crashes or silently skips work.
         for key, low in (("n_adv", 0), ("ppo_epochs", 1),
-                         ("critic_epochs", 0)):
+                         ("critic_epochs", 0), ("n_cav_slots", 0),
+                         ("n_ucv_slots", 0), ("max_lanes", 1)):
             if not is_count(getattr(self, key), low):
                 raise ValueError(f"{key} must be an int >= {low}")
         # An empty list gives linear nets.
@@ -75,9 +80,7 @@ class MarlConfig:
         # TrainingDiverged after a whole episode.
         for key in ("lr", "lr_critic", "clip_eps", "gamma", "kappa_wst",
                     "kappa_reg", "reward_scale"):
-            value = getattr(self, key)
-            if not (isinstance(value, numbers.Real)
-                    and not isinstance(value, bool) and math.isfinite(value)):
+            if not is_finite_real(getattr(self, key)):
                 raise ValueError(f"{key} must be a finite number")
         for key, ok, rule in (
             ("lr", self.lr > 0, "> 0"),
@@ -105,7 +108,9 @@ class HarnessConfig:
     def __post_init__(self):
         # A 0-step episode leaves the PPO update nothing to stack; a run of
         # no episodes would write an untrained checkpoint or no report.
-        for key in ("episode_len", "train_episodes", "quick_train_episodes"):
+        # action_k < 1 leaves no throttle action.
+        for key in ("episode_len", "train_episodes", "quick_train_episodes",
+                    "action_k"):
             if not is_count(getattr(self, key)):
                 raise ValueError(f"{key} must be an int >= 1")
         window = self.ptb_window

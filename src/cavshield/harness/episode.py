@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from ..dynamics import ActionSpace, ControlInput, DynamicsParams, emergency_control, speed_tracking_control
+from ..dynamics import ActionSpace, ControlInput, DynamicsParams, emergency_control, is_finite_real, speed_tracking_control
 from ..perturb import identity_schedule
 from ..shield import EgoView, SafetyOutcome, action_table, nominal_control, resolve_lipschitz, safety_shield
 from ..world import build_joint_state
@@ -76,18 +76,13 @@ def _require_keys(where, obj, keys):
             raise ValueError(f"episode log {where} has no {key!r}")
 
 
-def _is_finite(x):  # json reads NaN and Infinity too
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and -math.inf < x < math.inf)
-
-
 def _is_ids(x):
     return isinstance(x, list) and all(isinstance(v, str) for v in x)
 
 
 def _numbers(n):
     return lambda x: (isinstance(x, list) and len(x) == n
-                      and all(map(_is_finite, x)))
+                      and all(map(is_finite_real, x)))
 
 
 def _object_of(ok):
@@ -101,7 +96,7 @@ META_KEYS = ("scenario", "seed", "agents", "dt", "wheelbase_frac", "lengths")
 STATES_SHAPE = (_object_of(_numbers(4)), "an object of finite [x, y, v, psi] lists")
 META_SHAPES = {
     "agents": (_is_ids, "a list of vehicle ids"),
-    "lengths": (_object_of(lambda x: _is_finite(x) and x > 0),
+    "lengths": (_object_of(lambda x: is_finite_real(x) and x > 0),
                 "an object of positive finite numbers"),
 }
 STEP_SHAPES = {
@@ -109,7 +104,7 @@ STEP_SHAPES = {
     "controls": (_object_of(_numbers(2)), "an object of finite [accel, steer] lists"),
     "crashed": (_is_ids, "a list of vehicle ids"),
     "actions": (lambda x: isinstance(x, dict), "an object"),
-    "rewards": (_object_of(_is_finite), "an object of finite numbers"),
+    "rewards": (_object_of(is_finite_real), "an object of finite numbers"),
     "collisions": (lambda x: isinstance(x, list), "a list"),
 }
 

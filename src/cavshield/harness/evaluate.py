@@ -85,8 +85,8 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     With save_logs_dir, each episode's log is saved there.  seed, ptb and
     shield_mode (None: the checkpoint's) are checked first; out_dir and
     save_logs_dir are made once the checkpoint has loaded and matches
-    cfg's action count, hidden sizes and (ptb "veh") ptb_targets, before
-    any episode runs."""
+    cfg's action count, hidden sizes and (ptb "veh") ptb_targets and its
+    scenario's agent ids, before any episode runs."""
     from .config import Config, is_count
 
     if not is_count(n_episodes):
@@ -99,6 +99,10 @@ def evaluate(checkpoint_path, ptb="none", n_episodes=50, seed=0, cfg=None,
     header, actors, enc_spec = load_checkpoint(checkpoint_path)
     check_config(checkpoint_path, header, cfg)
     spec = scen.build_scenario(header["scenario"], mode="test", cfg=cfg)
+    if set(header["agent_ids"]) != set(spec.agent_ids):
+        raise ConfigMismatch(f"checkpoint {checkpoint_path} has agent_ids "
+                             f"{header['agent_ids']!r}; scenario "
+                             f"{spec.name!r} has {list(spec.agent_ids)!r}")
     if ptb == "veh":
         ptb_targets(cfg, spec)
     for path in (out_dir, save_logs_dir):
@@ -158,14 +162,6 @@ def table_csv(reports):
             f"{r.scenario},{r.ptb},{r.collision_free_rate},"
             f"{r.mean_episode_return},{r.n_episodes}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def scatter_csv(report):
-    """Per-episode scatter data (return-plot export)."""
-    lines = ["episode,seed,return,collisions"]
-    for i, (s, r, c) in enumerate(report.episodes):
-        lines.append(f"{i},{s},{r},{c}")
     return "\n".join(lines) + "\n"
 
 

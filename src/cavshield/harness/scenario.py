@@ -37,12 +37,12 @@ twice in one mapping. Both modes are checked whichever one is built.
 import dataclasses
 import functools
 import importlib.resources
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import yaml
 
+from ..dynamics import is_finite_real
 from ..world import Path, RoadMap, VehicleState, World
 from .config import Config
 
@@ -306,8 +306,7 @@ def _check_band(value, where, key, types=(int, float)):
     """value must be a (lo, hi) pair of finite `types` numbers, lo <= hi."""
     ok = (
         isinstance(value, tuple) and len(value) == 2
-        and all(isinstance(x, types) and not isinstance(x, bool)
-                and math.isfinite(x) for x in value)
+        and all(isinstance(x, types) and is_finite_real(x) for x in value)
         and value[0] <= value[1]
     )
     if not ok:

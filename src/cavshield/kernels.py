@@ -2,8 +2,8 @@
 
 The bicycle step and the overlap test are per-step inner loops (called
 agents x steps during rollouts).  ``solve_qp_2d`` backs ``qp.solve``
-(acceptance check C1, ``cavshield qp-debug``).  The shield does not call
-it: every barrier row bounds the acceleration alone, so
+for acceptance check C1 alone.  The shield does not call it: every
+barrier row bounds the acceleration alone, so
 ``shield.check_action_safe`` projects onto the accel interval the rows
 leave, in closed form.
 

@@ -503,7 +503,8 @@ def load_checkpoint(path):
     value critic are checked, not restored.
 
     Raises CheckpointError, naming the file, if it cannot be read, is not
-    an npz archive, lacks a member or has a config Config rejects; its
+    an npz archive, lacks a member, has a config Config rejects or a
+    scenario or shield mode this cavshield does not have; its
     subclasses ChecksumMismatch if the payload does not match its digest
     and UnsupportedCheckpointVersion if the header's version is not
     CHECKPOINT_VERSION.
@@ -520,6 +521,12 @@ def load_checkpoint(path):
             f"checkpoint {path} has version {version!r}; this cavshield "
             f"reads version {CHECKPOINT_VERSION} only"
         )
+    for key, known in (("scenario", scen.scenario_names()),
+                       ("shield_mode", ep.SHIELD_MODES)):
+        if header.get(key) not in known:
+            raise CheckpointError(f"checkpoint {path} has {key} "
+                                  f"{header.get(key)!r}, not one of "
+                                  f"{', '.join(known)}")
     try:
         trained = Config.from_dict(header["config"])
     except (KeyError, ValueError) as exc:

@@ -1,12 +1,12 @@
 """Array front end of the 2-D projection QP kernels.solve_qp_2d, for
-acceptance check C1 and `cavshield qp-debug` (the safety shield projects
-onto its accel interval in closed form instead).
+acceptance check C1; perfbench/spans.py wraps solve and
+QpProblem.validate.  The safety shield builds no QP: it projects onto
+its accel interval in closed form.
 
 minimize 1/2 ||u - u0||^2  subject to  a.u >= b (per row) and box bounds.
 Infeasible is a normal outcome.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -67,53 +67,3 @@ def solve(problem):
     if status == kernels.QP_FEASIBLE:
         return QpResult(True, np.array([ux, uy]), obj)
     return QpResult(False, None, None)
-
-
-def dump_problem(problem, result=None):
-    """Structured-text dump of a problem (and solution) for triage."""
-    doc = {
-        "u0": [float(problem.u0[0]), float(problem.u0[1])],
-        "constraints": [
-            {"a": [float(a[0]), float(a[1])], "b": float(b), "sense": ">="}
-            for a, b in problem.constraints
-        ],
-        "bounds": [[float(lo), float(hi)] for lo, hi in problem.bounds],
-    }
-    if result is None:
-        result = solve(problem)
-    if result.feasible:
-        doc["solution"] = {
-            "status": "feasible",
-            "u": [float(result.u[0]), float(result.u[1])],
-            "objective": float(result.objective),
-        }
-    else:
-        doc["solution"] = {"status": "infeasible"}
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def load_problem(text):
-    """Parse a problem from the dump_problem JSON layout.
-
-    Text that is not JSON, or a document without the layout's keys,
-    raises ValueError.
-    """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("problem is not a JSON object")
-    for key in ("u0", "constraints", "bounds"):
-        if key not in doc:
-            raise ValueError(f"problem has no {key!r}")
-    try:
-        return QpProblem(
-            u0=tuple(doc["u0"]),
-            constraints=[(tuple(c["a"]), c["b"]) for c in doc["constraints"]],
-            bounds=tuple((lo, hi) for lo, hi in doc["bounds"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("problem does not have the dump_problem layout: "
-                         "u0 [x, y], constraints [{a: [x, y], b}], "
-                         "bounds [[lo, hi], [lo, hi]]") from None

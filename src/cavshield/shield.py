@@ -37,14 +37,13 @@ a penalty.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bounds, emergency_control, lane_keep_steer, nominal_accel, pursuit_steer
+from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bounds, emergency_control, is_finite_real, lane_keep_steer, nominal_accel, pursuit_steer
 from .kernels import DEDUP_TOL, FEAS_TOL
 from .world import ALIGN_CONE
 
@@ -77,8 +76,7 @@ class ShieldConfig:
             value = getattr(self, f.name)
             if f.name == "lipschitz_sum" and value is None:
                 continue
-            if not (isinstance(value, numbers.Real)
-                    and not isinstance(value, bool) and math.isfinite(value)):
+            if not is_finite_real(value):
                 raise ValueError(f"{f.name} must be a finite number")
         for name in ("c1", "c2", "c3", "gamma_cbf", "epsilon", "lipschitz_sum",
                      "horizon", "v_max"):

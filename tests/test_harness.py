@@ -234,6 +234,33 @@ class TestConfig:
     def test_marl_regularizer_accepted(self):
         assert Config.from_dict({"marl": {"n_adv": 0}}).marl.n_adv == 0
 
+    # Each of these used to load, then end in a traceback or (action_k
+    # true, comm_range -1 or NaN) run silently; a huge int overflowed.
+    @pytest.mark.parametrize("section,key,value", [
+        ("harness", "action_k", 0), ("harness", "action_k", 2.5),
+        ("harness", "action_k", True),
+        ("world", "comm_range", "abc"), ("world", "comm_range", -1),
+        ("world", "comm_range", math.nan), ("world", "comm_range", math.inf),
+        pytest.param("world", "comm_range", 10**400,
+                     id="world-comm_range-huge"),
+        ("marl", "n_cav_slots", -1), ("marl", "n_cav_slots", 1.5),
+        ("marl", "n_ucv_slots", -1), ("marl", "n_ucv_slots", 1.5),
+        ("marl", "max_lanes", 0), ("marl", "max_lanes", True),
+        pytest.param("dynamics", "dt", 10**400, id="dynamics-dt-huge"),
+        pytest.param("shield", "epsilon", -10**400, id="shield-epsilon-huge"),
+    ])
+    def test_sizes_and_ranges_rejected(self, section, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            Config.from_dict({section: {key: value}})
+
+    def test_size_and_range_edges_accepted(self):
+        cfg = Config.from_dict({
+            "harness": {"action_k": 1}, "world": {"comm_range": 0},
+            "marl": {"n_cav_slots": 0, "n_ucv_slots": 0, "max_lanes": 1}})
+        assert (cfg.harness.action_k, cfg.world.comm_range) == (1, 0)
+        assert (cfg.marl.n_cav_slots, cfg.marl.n_ucv_slots,
+                cfg.marl.max_lanes) == (0, 0, 1)
+
 
 class TestScenario:
     @pytest.mark.parametrize("name", scen.scenario_names())
@@ -486,19 +513,23 @@ class TestCli:
         for name in scen.scenario_names():
             assert repr(name) in err
 
-    def test_qp_debug_needs_a_problem_source(self, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["qp-debug", "--demo"], "invalid choice: 'qp-debug'"),
+        (["eval", "--checkpoint", "unused.npz", "--scatter", "s.csv"],
+         "unrecognized arguments: --scatter s.csv"),
+    ], ids=["qp-debug", "eval-scatter"])
+    def test_qp_debug_and_eval_scatter_are_refused(self, capsys, argv,
+                                                   message):
+        # Both were removed: qp-debug solved a problem the shield never
+        # builds, and --scatter wrote the rows of DIR/metrics.jsonl.
         from cavshield.harness import cli
 
         with pytest.raises(SystemExit) as exc:
-            cli.main(["qp-debug"])
+            cli.main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage: cavshield qp-debug" in err
-        assert "one of the arguments --problem --demo is required" in err
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["qp-debug", "--demo", "--problem", "unused.json"])
-        assert exc.value.code == 2
-        assert cli.main(["qp-debug", "--demo"]) == 0
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("usage: cavshield") and message in got.err
 
     @pytest.mark.parametrize("case,message", [
         ("missing", "No such file or directory"),
@@ -534,43 +565,6 @@ class TestCli:
         assert message in got.err and got.err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("case,message", [
-        ("missing", "No such file or directory"),
-        ("not JSON", "not JSON: Expecting value: line 1 column 1 (char 0)"),
-        ("not an object", "problem is not a JSON object"),
-        ("no constraints", "problem has no 'constraints'"),
-        ("misshapen row", "problem does not have the dump_problem layout"),
-        ("NaN bound", "bound lo nan exceeds hi 1.0"),
-    ])
-    def test_qp_debug_of_a_bad_problem_fails_cleanly(self, capsys, tmp_path,
-                                                    case, message):
-        from cavshield.harness import cli
-
-        good = {"u0": [2.0, 0.0], "constraints": [{"a": [-1.0, 0.0], "b": -1.0}],
-                "bounds": [[-6.0, 4.0], [-0.5, 0.5]]}
-        path = tmp_path / "problem.json"
-        text = {
-            "missing": None,
-            "not JSON": "",
-            "not an object": "[]",
-            "no constraints": json.dumps(
-                {k: v for k, v in good.items() if k != "constraints"}),
-            "misshapen row": json.dumps({**good, "constraints": [[1.0, 0.5]]}),
-            "NaN bound": json.dumps({**good, "bounds": [[math.nan, 1.0],
-                                                        [0.0, 1.0]]}),
-        }[case]
-        if text is not None:
-            path.write_text(text)
-        assert cli.main(["qp-debug", "--problem", str(path)]) == 2
-        got = capsys.readouterr()
-        assert got.out == ""
-        assert got.err.startswith(f"qp-debug: {path}: ")
-        assert message in got.err and got.err.count("\n") == 1
-        path.write_text(json.dumps(good))
-        assert cli.main(["qp-debug", "--problem", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["solution"]["status"] == (
-            "feasible")
-
     def test_closed_pipe_exits_quietly(self):
         # The reader is gone before the command writes, as when `| head`
         # has already exited: exit code 1 and no traceback.
@@ -578,8 +572,7 @@ class TestCli:
         os.close(read_end)
         try:
             out = subprocess.run(
-                [sys.executable, "-m", "cavshield.harness.cli", "qp-debug",
-                 "--demo"],
+                [sys.executable, "-m", "cavshield.harness.cli", "--version"],
                 stdout=write_end, stderr=subprocess.PIPE, text=True,
                 timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
             )
@@ -721,6 +714,9 @@ class TestCli:
         (2, "controls", first_entry(math.nan),
          "line 3: 'controls' is not an object of finite [accel, steer] "
          "lists"),
+        # An int beyond a float ended in OverflowError from replay.
+        (2, "states", first_entry(10**400),
+         "line 3: 'states' is not an object of finite [x, y, v, psi] lists"),
         (0, "lengths", first_entry(0),
          "line 1 (meta): 'lengths' is not an object of positive finite "
          "numbers"),
@@ -728,7 +724,8 @@ class TestCli:
          "line 1 (meta): 'lengths' is not an object of positive finite "
          "numbers"),
     ], ids=["terminal_states", "states", "dt", "controls", "crashed",
-            "nan state", "nan control", "zero length", "negative length"])
+            "nan state", "nan control", "huge state", "zero length",
+            "negative length"])
     def test_replay_of_a_log_with_misshapen_values_fails_cleanly(
             self, capsys, tmp_path, short_log_lines, line, key, value,
             message):
@@ -756,12 +753,14 @@ class TestCli:
 
     @pytest.mark.parametrize("case", [
         "missing", "not an npz", "checksum", "version", "no checksum member",
-        "no agent member", "unknown config key",
+        "no agent member", "unknown config key", "unknown scenario",
+        "scenario not a string", "unknown shield mode", "other agents",
     ])
     def test_eval_of_an_unreadable_checkpoint_fails_cleanly(
             self, capsys, tmp_path, checkpoint, case):
         # Each of these ended in a traceback (FileNotFoundError, numpy's
-        # "pickled (object) data" ValueError, ChecksumMismatch, ...).
+        # "pickled (object) data" ValueError, ChecksumMismatch, ...); other
+        # agents' KeyError came after DIR was made.
         from cavshield.harness import cli
 
         with np.load(checkpoint[0]) as data:
@@ -794,6 +793,17 @@ class TestCli:
             # As a later cavshield's config might hold.
             header["config"]["marl"]["new_key"] = 1
             members = sealed(header, arrays)
+        elif case in ("unknown scenario", "scenario not a string",
+                      "unknown shield mode"):
+            key, value = {"unknown scenario": ("scenario", "nope"),
+                          "scenario not a string": ("scenario", 5),
+                          "unknown shield mode": ("shield_mode", "bogus")}[case]
+            members = sealed({**header, key: value}, arrays)
+        elif case == "other agents":
+            members = sealed(
+                {**header, "agent_ids": ["x" + a for a in header["agent_ids"]]},
+                {("x" + name if "__" in name else name): value
+                 for name, value in arrays.items()})
         if case not in ("missing", "not an npz"):
             np.savez(str(path), **members)
         message = {
@@ -810,11 +820,23 @@ class TestCli:
             "unknown config key": f"checkpoint {path} has a config this "
                                   f"cavshield rejects: unknown MarlConfig "
                                   f"key 'new_key'",
+            "unknown scenario": f"checkpoint {path} has scenario 'nope', not "
+                                f"one of {', '.join(scen.scenario_names())}",
+            "scenario not a string": f"checkpoint {path} has scenario 5, not "
+                                     f"one of "
+                                     f"{', '.join(scen.scenario_names())}",
+            "unknown shield mode": f"checkpoint {path} has shield_mode "
+                                   f"'bogus', not one of robust, plain, off",
+            "other agents": f"checkpoint {path} has agent_ids "
+                            f"{['x' + a for a in header['agent_ids']]!r}; "
+                            f"scenario 'intersection' has "
+                            f"{header['agent_ids']!r}",
         }[case]
-        assert cli.main(["eval", "--checkpoint", str(path),
-                         "--episodes", "1"]) == 2
+        run = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(path), "--episodes", "1",
+                         "--out", str(run)]) == 2
         out = capsys.readouterr()
-        assert out.out == ""
+        assert out.out == "" and not run.exists()
         assert out.err == f"eval: {message}\n"
 
     def test_eval_of_a_version_3_checkpoint_fails_cleanly(
@@ -1065,6 +1087,28 @@ class TestCli:
         assert message in out.err and out.err.count("\n") == 1
         assert cli.main(["table", str(good)]) == 0
         assert "highway" in capsys.readouterr().out
+
+    def test_table_csv_that_cannot_be_written_fails_cleanly(self, capsys,
+                                                            tmp_path):
+        # A FileNotFoundError traceback, after the table had printed.
+        from cavshield.harness import cli
+
+        report = ev.EvalReport(
+            scenario="highway", ptb="veh", n_episodes=1,
+            collision_free_rate=1.0, mean_episode_return=-3.0,
+            episodes=[(5, -3.0, 0)],
+        )
+        path = tmp_path / "report.json"
+        ev.save_report(str(path), report)
+        csv = tmp_path / "missing" / "table.csv"
+        assert cli.main(["table", str(path), "--csv", str(csv)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"table: {csv}: No such file or directory\n"
+        csv = tmp_path / "table.csv"
+        assert cli.main(["table", str(path), "--csv", str(csv)]) == 0
+        assert "highway" in capsys.readouterr().out
+        assert csv.read_text() == ev.table_csv([report])
 
 
 def reward_world(n_agents=3):
@@ -1727,12 +1771,19 @@ class TestEvaluate:
         back = ev.load_report(str(rpath))
         assert back.to_dict() == reports[0].to_dict()
 
-    def test_scatter_export(self, checkpoint):
-        path, cfg = checkpoint
-        r = ev.evaluate(path, ptb="rand", n_episodes=2, seed=0, cfg=cfg)
-        csv = ev.scatter_csv(r)
-        assert csv.startswith("episode,seed,return,collisions")
-        assert csv.count("\n") == 3
+    def test_eval_metrics_lines_are_the_report_episodes(self, capsys,
+                                                         tmp_path, checkpoint):
+        # DIR/metrics.jsonl holds each episode's row, as train's lines do.
+        from cavshield.harness import cli
+
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", checkpoint[0], "--ptb",
+                         "rand", "--episodes", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert (out / "metrics.jsonl").read_text() == "".join(
+            trainer.metrics_line({"episode": i, **row})
+            for i, row in enumerate(report["episodes"]))
 
     def test_collision_penalty_magnitude_never_changes_rate(self, checkpoint):
         # P^Col only moves returns; the collision-free rate is an event
