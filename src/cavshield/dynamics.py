@@ -146,9 +146,8 @@ def pursuit_steer(state, target_path, s, params):
     return math.atan(wheelbase * curvature)
 
 
-def nominal_accel(action, params, space=None):
+def nominal_accel(action, params, space):
     """Reference acceleration of a discrete action, before clamping."""
-    space = space or ActionSpace()
     if action in (ActionSpace.KEEP, ActionSpace.LEFT, ActionSpace.RIGHT):
         return 0.0
     if action == ActionSpace.BRAKE:
@@ -157,7 +156,7 @@ def nominal_accel(action, params, space=None):
     return 0.5 * (lo + hi) * params.accel_max
 
 
-def action_accel_bounds(action, params, space=None):
+def action_accel_bounds(action, params, space):
     """Acceleration range an action's actuator may command.
 
     The shield's per-action check searches this band, so an action is
@@ -166,7 +165,6 @@ def action_accel_bounds(action, params, space=None):
     BRAKE owns [brake_value * accel_min, 0], and the speed-hold actions
     (keep lane, lane changes) a +/- hold_band regulation window.
     """
-    space = space or ActionSpace()
     if action in (ActionSpace.KEEP, ActionSpace.LEFT, ActionSpace.RIGHT):
         return (-params.hold_band, params.hold_band)
     if action == ActionSpace.BRAKE:

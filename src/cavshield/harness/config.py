@@ -119,10 +119,13 @@ class HarnessConfig:
                 and window[0] < window[1]):
             raise ValueError(f"ptb_window must be a pair [t0, t1] of ints "
                              f"with 0 <= t0 < t1, not {window!r}")
-        # A bare string would iterate into a set of its characters, and an
-        # empty list names no target (None means every UCV).
+        # A bare string would iterate into a set of its characters, an
+        # empty list names no target (None means every UCV), and an id
+        # that is not a string names no vehicle.
         targets = self.ptb_targets
-        if isinstance(targets, str) or targets is not None and not targets:
+        if targets is not None and not (
+                isinstance(targets, (list, tuple)) and targets
+                and all(isinstance(vid, str) for vid in targets)):
             raise ValueError(f"ptb_targets must be null (every UCV) or a "
                              f"non-empty list of vehicle ids, not {targets!r}")
 

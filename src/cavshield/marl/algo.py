@@ -17,14 +17,13 @@ rows is the mean over all T.
 
 import bisect
 import itertools
+import math
 
 import numpy as np
 
 from .nets import log_softmax, softmax
 
 LOG_PROB_FLOOR = np.log(1e-12)
-# Generator.choice's tolerance on the sum of p.
-_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class DegenerateBatch(Exception):
@@ -187,89 +186,30 @@ def state_importance(values, q_net, central):
     return np.maximum(np.asarray(values, dtype=float) - q_min, 0.0)
 
 
-def select_action(dist, safe_set, rng):
-    """Sample dist restricted to the safe set (renormalized over it;
-    uniform if its mass is not positive).
-
-    dist is a sequence of the n action probabilities and safe_set a list
-    of distinct action indices in 0..n-1.  The restricted draw runs on
-    Python floats and reproduces, bit for bit in the action and the
-    generator state, what numpy does when the restricted distribution is
-    built as an array and passed to Generator.choice(n, p=...): the safe
-    mass is summed in numpy's order (_numpy_sum), the CDF is the
-    sequential cumulative sum divided by its last entry, and the action
-    is where one rng.random() falls in it.  Keeping numpy's roundings
-    keeps every trajectory and checkpoint as it was; per agent-step this
-    costs a few microseconds, where the numpy calls on seven numbers cost
-    tens.  As with choice, a NaN, infinite or negative restricted
-    probability raises ValueError.
-    """
-    safe_set = list(safe_set)
+def safe_softmax_cdf(logps, safe_set):
+    """(actions, cdf): the safe actions in ascending order and the CDF of
+    the softmax of their log-probs logps[a].  safe_set must be a list of
+    distinct action indices of logps with finite log-probs.  The weights
+    are exp(logps[a] - max), the largest 1.0; the CDF is their running
+    sum divided by its last entry, so it ends at exactly 1.0."""
     if not safe_set:
         raise EmptySafeSet("shield must substitute Emergency_stop")
-    if isinstance(dist, np.ndarray):
-        dist = dist.tolist()
     actions = sorted(set(safe_set))
     if (len(actions) != len(safe_set) or actions[0] < 0
-            or actions[-1] >= len(dist)):
+            or actions[-1] >= len(logps)):
         raise ValueError(f"safe set {safe_set} is not distinct actions "
-                         f"in 0..{len(dist) - 1}")
-    total = _numpy_sum([dist[a] for a in safe_set])
-    if total <= 0:
-        p = [1.0 / len(safe_set)] * len(actions)
-    else:
-        p = [dist[a] / total for a in actions]
-    _check_probabilities(p)
-    cdf = list(itertools.accumulate(p))
-    last = cdf[-1]
-    cdf = [c / last for c in cdf]
+                         f"in 0..{len(logps) - 1}")
+    safe_logps = [logps[a] for a in actions]
+    if not all(map(math.isfinite, safe_logps)):
+        raise ValueError(f"safe log-probs {safe_logps} are not all finite")
+    top = max(safe_logps)
+    cdf = list(itertools.accumulate(math.exp(x - top) for x in safe_logps))
+    return actions, [c / cdf[-1] for c in cdf]
+
+
+def select_action(logps, safe_set, rng):
+    """Sample the policy restricted to the safe set: the action where one
+    rng.random() falls in safe_softmax_cdf, by bisect_right.  Every call
+    draws once, a one-action safe set included."""
+    actions, cdf = safe_softmax_cdf(logps, safe_set)
     return actions[bisect.bisect_right(cdf, rng.random())]
-
-
-def _numpy_sum(xs):
-    """sum(xs) with the roundings of numpy's float64 add.reduce on a
-    contiguous array: sequential from -0.0 below 8 terms, eight
-    interleaved accumulators up to 128, halves (cut at a multiple of 8)
-    above."""
-    n = len(xs)
-    if n < 8:
-        total = -0.0
-        for x in xs:
-            total += x
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _numpy_sum(xs[:half]) + _numpy_sum(xs[half:])
-    acc = xs[:8]
-    end = n - n % 8
-    for i in range(8, end, 8):
-        for j in range(8):
-            acc[j] += xs[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
-        (acc[4] + acc[5]) + (acc[6] + acc[7])
-    )
-    for x in xs[end:]:
-        total += x
-    return total
-
-
-def _check_probabilities(p):
-    """The checks Generator.choice makes on p: no NaN, none negative, and
-    a Kahan sum within sqrt(eps) of 1.  numpy's sum also runs over the
-    zeros off the safe set, which can move it by a rounding; over
-    distinct safe actions it is 1 to within a few roundings unless the
-    safe mass overflowed, so the verdict is the same."""
-    total = p[0]
-    comp = 0.0
-    for x in p[1:]:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if total != total:  # a NaN anywhere in p ends up in the sum
-        raise ValueError("probabilities contain NaN")
-    if min(p) < 0.0:
-        raise ValueError("probabilities are not non-negative")
-    if abs(total - 1.0) > _CHOICE_ATOL:
-        raise ValueError("probabilities do not sum to 1")

@@ -1,8 +1,9 @@
 """SR-MAPPO training loop: shield-restricted rollouts, per-agent actor and
 centralized worst-Q updates, one team value critic, checkpoints, metrics.
 
-Rollouts sample each agent's softmax policy restricted to its safe set;
-that stochastic policy is the only exploration.  The worst-Q targets are
+Rollouts sample the softmax of each agent's safe actions' log-probs
+(algo.select_action) and record the unrestricted log-prob; that
+stochastic policy is the only exploration.  The worst-Q targets are
 taken under the worst-Q critic as the update starts.
 
 The update reads one Rollout batch per episode and nothing else: the
@@ -127,11 +128,11 @@ class NeuralTeamPolicy:
     Each step is one pass for the whole team: the agents' encodings form
     one block, one forward of the stacked actors (MLP.from_arrays) gives
     every agent's logits with the bits of its own actor's forward, and one
-    log-softmax covers all rows.  The actors are stacked once, when the
-    policy is built, so it acts with the weights they have then: no
-    actor's weights may change while the policy is in use.  train() and
-    evaluate() build one policy per episode and update only between
-    episodes.  All actors must share one layout.
+    log-softmax covers all rows, whose safe entries each agent samples.
+    The actors are stacked once, when the policy is built, so it acts with
+    the weights they have then: no actor's weights may change while the
+    policy is in use.  train() and evaluate() build one policy per episode
+    and update only between episodes.  All actors must share one layout.
 
     Each step records the encoding and present-slot blocks, the actions
     and their old log-probs, and observe_terminal the terminal encodings;
@@ -166,9 +167,7 @@ class NeuralTeamPolicy:
         block, mask_block = self.encoder.encode_joint(joint, self.agent_order)
         n = len(self.agent_order)
         logits = self.team_actor.forward(block.reshape(n, 1, -1))
-        logp_all = log_softmax(logits.reshape(n, -1))
-        dists = np.exp(logp_all).tolist()
-        logps = logp_all.tolist()
+        logps = log_softmax(logits.reshape(n, -1)).tolist()
         actions = []
         logp_old = []
         for i, aid in enumerate(self.agent_order):
@@ -177,7 +176,7 @@ class NeuralTeamPolicy:
                 action = ActionSpace.EMERGENCY
                 logp = 0.0
             else:
-                action = algo.select_action(dists[i], safe, rng)
+                action = algo.select_action(logps[i], safe, rng)
                 logp = logps[i][action]
             actions.append(action)
             logp_old.append(logp)
@@ -503,18 +502,25 @@ def load_checkpoint(path):
     value critic are checked, not restored.
 
     Raises CheckpointError, naming the file, if it cannot be read, is not
-    an npz archive, lacks a member, has a config Config rejects or a
-    scenario or shield mode this cavshield does not have; its
-    subclasses ChecksumMismatch if the payload does not match its digest
-    and UnsupportedCheckpointVersion if the header's version is not
-    CHECKPOINT_VERSION.
+    an npz archive, lacks a member, has a header that is not a JSON object,
+    no config or one Config rejects, a scenario or shield mode this
+    cavshield does not have, or agent_ids that are not a non-empty list
+    of distinct strings; its subclasses ChecksumMismatch if the payload
+    does not match its digest and UnsupportedCheckpointVersion if the
+    header's version is not CHECKPOINT_VERSION.
     """
     arrays = _npz_members(path)
     header_bytes = bytes(_member(path, arrays, "header").tobytes())
     recorded = _member(path, arrays, "checksum").tobytes()
     if _digest(header_bytes, arrays).encode() != recorded:
         raise ChecksumMismatch(f"corrupt checkpoint {path}")
-    header = json.loads(header_bytes.decode())
+    try:
+        header = json.loads(header_bytes.decode())
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} has a header that is "
+                              f"not a JSON object")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
         raise UnsupportedCheckpointVersion(
@@ -527,12 +533,20 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint {path} has {key} "
                                   f"{header.get(key)!r}, not one of "
                                   f"{', '.join(known)}")
+    if "config" not in header:
+        raise CheckpointError(f"checkpoint {path} has no config")
     try:
         trained = Config.from_dict(header["config"])
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} has a config this "
                               f"cavshield rejects: {exc.args[0]}") from None
-    agent_ids = header["agent_ids"]
+    agent_ids = header.get("agent_ids")
+    if not (isinstance(agent_ids, list) and agent_ids
+            and all(isinstance(aid, str) for aid in agent_ids)
+            and len(set(agent_ids)) == len(agent_ids)):
+        raise CheckpointError(f"checkpoint {path} has agent_ids "
+                              f"{agent_ids!r}, not a non-empty list of "
+                              f"distinct strings")
     enc_spec, actor_sizes, _, _ = _net_sizes(trained, len(agent_ids))
     actors = {}
     for aid in agent_ids:
@@ -547,11 +561,10 @@ def check_config(path, header, cfg):
     """Raise ConfigMismatch, naming the key, if cfg's action count or
     hidden sizes differ from those of the config the checkpoint was
     trained under."""
-    trained = header["config"]
+    trained = Config.from_dict(header["config"])
     for key, was, current in (
-        ("harness.action_k", trained["harness"]["action_k"],
-         cfg.harness.action_k),
-        ("marl.hidden", trained["marl"]["hidden"], list(cfg.marl.hidden)),
+        ("harness.action_k", trained.harness.action_k, cfg.harness.action_k),
+        ("marl.hidden", list(trained.marl.hidden), list(cfg.marl.hidden)),
     ):
         if was != current:
             raise ConfigMismatch(

@@ -436,7 +436,7 @@ class World:
         return new
 
 
-def build_joint_state(world, comm_range=200.0, schedule=None):
+def build_joint_state(world, comm_range, schedule):
     """Assemble every agent's s_i.
 
     Self-observations are always exact; other vehicles' observations get

@@ -38,14 +38,15 @@ def maneuvers(state, params=None):
                            params or PARAMS)
 
 
-def nominal_input(state, action, space=None):
+def nominal_input(state, action, space):
     """The shield's nominal input of action: the action table's accel and
     the steer of its maneuver."""
-    _, side, accel, _ = action_table(PARAMS, space or ActionSpace())[action]
+    _, side, accel, _ = action_table(PARAMS, space)[action]
     return ControlInput(accel, maneuvers(state)[side][3])
 
 
 PARAMS = DynamicsParams()
+SPACE = ActionSpace()
 
 
 def world_step(state, u, dt):
@@ -103,12 +104,12 @@ class TestBicycle:
 
 class TestNominalControl:
     def test_regulation_fixed_point(self):
-        u = nominal_input(vehicle(), ActionSpace.KEEP)
+        u = nominal_input(vehicle(), ActionSpace.KEEP, SPACE)
         assert u.accel == pytest.approx(0.0)
         assert u.steer == pytest.approx(0.0)
 
     def test_brake_is_half_max_deceleration(self):
-        u = nominal_input(vehicle(), ActionSpace.BRAKE)
+        u = nominal_input(vehicle(), ActionSpace.BRAKE, SPACE)
         assert u.accel == pytest.approx(-3.0)  # 0.5 of accel_min=-6
 
     def test_no_adjacent_lane(self):
@@ -149,21 +150,21 @@ class TestNominalControl:
     def test_lane_keeping_holds_center_for_200_steps(self):
         state = vehicle(v=10.0)
         for _ in range(200):
-            u = nominal_input(state, ActionSpace.KEEP)
+            u = nominal_input(state, ActionSpace.KEEP, SPACE)
             state = world_step(state, u, PARAMS.dt)
         assert abs(state.y) < 0.1
 
     def test_lane_keeping_recovers_from_offset(self):
         state = vehicle(v=10.0, y=1.0, psi=0.05)
         for _ in range(400):
-            u = nominal_input(state, ActionSpace.KEEP)
+            u = nominal_input(state, ActionSpace.KEEP, SPACE)
             state = world_step(state, u, PARAMS.dt)
         assert abs(state.y) < 0.15
 
     def test_lane_change_left_converges_to_target_lane(self):
         state = vehicle(v=10.0)
         for _ in range(200):
-            u = nominal_input(state, ActionSpace.LEFT)
+            u = nominal_input(state, ActionSpace.LEFT, SPACE)
             state = world_step(state, u, PARAMS.dt)
         assert state.y == pytest.approx(3.5, abs=0.3)
 

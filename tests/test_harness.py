@@ -755,27 +755,20 @@ class TestCli:
         "missing", "not an npz", "checksum", "version", "no checksum member",
         "no agent member", "unknown config key", "unknown scenario",
         "scenario not a string", "unknown shield mode", "other agents",
+        "header a list", "header not JSON", "no config", "no agent_ids",
+        "agent_ids a string", "repeated agent_ids",
     ])
     def test_eval_of_an_unreadable_checkpoint_fails_cleanly(
             self, capsys, tmp_path, checkpoint, case):
         # Each of these ended in a traceback (FileNotFoundError, numpy's
         # "pickled (object) data" ValueError, ChecksumMismatch, ...); other
-        # agents' KeyError came after DIR was made.
+        # agents' KeyError came after DIR was made.  A header that is a
+        # list, or has no agent_ids, ended in AttributeError or KeyError,
+        # and agent_ids as one string was iterated by character.
         from cavshield.harness import cli
 
-        with np.load(checkpoint[0]) as data:
-            arrays = {name: data[name] for name in data.files}
-        header = json.loads(arrays.pop("header").tobytes())
-        arrays.pop("checksum")
+        header, arrays = checkpoint_parts(checkpoint[0])
         aid = header["agent_ids"][0]
-
-        def sealed(header, payload):
-            header_bytes = json.dumps(header, sort_keys=True).encode()
-            digest = trainer._digest(header_bytes, payload).encode()
-            return {"header": np.frombuffer(header_bytes, dtype=np.uint8),
-                    "checksum": np.frombuffer(digest, dtype=np.uint8),
-                    **payload}
-
         path = tmp_path / "ckpt.npz"
         members = sealed(header, arrays)
         if case == "not an npz":
@@ -804,6 +797,20 @@ class TestCli:
                 {**header, "agent_ids": ["x" + a for a in header["agent_ids"]]},
                 {("x" + name if "__" in name else name): value
                  for name, value in arrays.items()})
+        elif case == "header a list":
+            members = sealed([header], arrays)
+        elif case == "header not JSON":
+            text = b"{not json"
+            digest = trainer._digest(text, arrays).encode()
+            members.update(header=np.frombuffer(text, dtype=np.uint8),
+                           checksum=np.frombuffer(digest, dtype=np.uint8))
+        elif case in ("no config", "no agent_ids"):
+            key = case.removeprefix("no ")
+            members = sealed({k: v for k, v in header.items() if k != key},
+                             arrays)
+        elif case in ("agent_ids a string", "repeated agent_ids"):
+            ids = aid if case == "agent_ids a string" else [aid, aid]
+            members = sealed({**header, "agent_ids": ids}, arrays)
         if case not in ("missing", "not an npz"):
             np.savez(str(path), **members)
         message = {
@@ -831,6 +838,19 @@ class TestCli:
                             f"{['x' + a for a in header['agent_ids']]!r}; "
                             f"scenario 'intersection' has "
                             f"{header['agent_ids']!r}",
+            "header a list": f"checkpoint {path} has a header that is not "
+                             f"a JSON object",
+            "header not JSON": f"checkpoint {path} has a header that is "
+                               f"not a JSON object",
+            "no config": f"checkpoint {path} has no config",
+            "no agent_ids": f"checkpoint {path} has agent_ids None, not a "
+                            f"non-empty list of distinct strings",
+            "agent_ids a string": f"checkpoint {path} has agent_ids "
+                                  f"{aid!r}, not a non-empty list of "
+                                  f"distinct strings",
+            "repeated agent_ids": f"checkpoint {path} has agent_ids "
+                                  f"{[aid, aid]!r}, not a non-empty list "
+                                  f"of distinct strings",
         }[case]
         run = tmp_path / "eval"
         assert cli.main(["eval", "--checkpoint", str(path), "--episodes", "1",
@@ -845,10 +865,7 @@ class TestCli:
         # action count, encoder spec, layouts, kappas), not the config.
         from cavshield.harness import cli
 
-        with np.load(checkpoint[0]) as data:
-            arrays = {name: data[name] for name in data.files}
-        header = json.loads(arrays.pop("header").tobytes())
-        arrays.pop("checksum")
+        header, arrays = checkpoint_parts(checkpoint[0])
         cfg = Config.from_dict(header.pop("config"))
         enc, actor, worst_q, value = trainer._net_sizes(
             cfg, len(header["agent_ids"]))
@@ -860,11 +877,8 @@ class TestCli:
             value_layout=value, kappa_wst=cfg.marl.kappa_wst,
             kappa_reg=cfg.marl.kappa_reg,
         )
-        header_bytes = json.dumps(header, sort_keys=True).encode()
-        digest = trainer._digest(header_bytes, arrays).encode()
         path = tmp_path / "v3.npz"
-        np.savez(str(path), header=np.frombuffer(header_bytes, dtype=np.uint8),
-                 checksum=np.frombuffer(digest, dtype=np.uint8), **arrays)
+        np.savez(str(path), **sealed(header, arrays))
         assert cli.main(["eval", "--checkpoint", str(path),
                          "--episodes", "1"]) == 2
         out = capsys.readouterr()
@@ -1675,7 +1689,35 @@ def checkpoint(tmp_path_factory):
     return str(path), cfg
 
 
+def checkpoint_parts(path):
+    """(header, payload members) of a saved checkpoint."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(arrays.pop("header").tobytes())
+    arrays.pop("checksum")
+    return header, arrays
+
+
+def sealed(header, payload):
+    """The members of a checkpoint of header and payload, with its digest."""
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    digest = trainer._digest(header_bytes, payload).encode()
+    return {"header": np.frombuffer(header_bytes, dtype=np.uint8),
+            "checksum": np.frombuffer(digest, dtype=np.uint8), **payload}
+
+
 class TestEvaluate:
+
+    def test_checkpoint_config_may_leave_out_default_sections(
+            self, tmp_path, checkpoint):
+        # The config check read the header's harness and marl sections
+        # as stored, so a config of defaults only ended in a KeyError.
+        header, arrays = checkpoint_parts(checkpoint[0])
+        header["config"] = {}
+        path = tmp_path / "ckpt.npz"
+        np.savez(str(path), **sealed(header, arrays))
+        report = ev.evaluate(str(path), n_episodes=1, cfg=checkpoint[1])
+        assert report.n_episodes == 1
 
     def test_other_hidden_sizes_rejected(self, checkpoint):
         path, cfg = checkpoint
@@ -1826,6 +1868,11 @@ class TestEvaluate:
             ev.build_schedule("veh", 0, unknown, spec)
         with pytest.raises(ValueError, match="'ucv0'"):
             Config.from_dict({"harness": {"ptb_targets": "ucv0"}})
+        # An id that is not a string loaded, and PTB^V then ended in
+        # TypeError: unhashable type: 'list'.
+        for bad in ([["ucv0"]], ["ucv0", 1], {"ucv0": 1}):
+            with pytest.raises(ValueError, match="non-empty list"):
+                Config.from_dict({"harness": {"ptb_targets": bad}})
         # Only None means every UCV; an empty list names no target.
         with pytest.raises(ValueError, match="non-empty list"):
             Config.from_dict({"harness": {"ptb_targets": []}})

@@ -582,105 +582,111 @@ class TestStateImportance:
 class TestSelectAction:
     def test_singleton(self):
         rng = np.random.default_rng(0)
-        dist = np.full(7, 1.0 / 7.0)
+        twin = np.random.default_rng(0)
+        logps = np.log(np.full(7, 1.0 / 7.0))
         for _ in range(20):
-            assert algo.select_action(dist, [3], rng) == 3
+            assert algo.select_action(logps, [3], rng) == 3
+            twin.random()  # a one-action safe set still draws once
+        assert rng.random() == twin.random()
 
     def test_empty_raises(self):
         with pytest.raises(algo.EmptySafeSet):
-            algo.select_action(np.full(7, 1.0 / 7.0), [],
+            algo.select_action(np.log(np.full(7, 1.0 / 7.0)), [],
                                np.random.default_rng(0))
 
     def test_matches_restricted_dist(self):
         rng = np.random.default_rng(2)
         dist = np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
-        safe = list(range(7))
+        safe = [0, 2, 3, 5]
+        want = np.zeros(7)
+        want[safe] = dist[safe] / dist[safe].sum()
         n = 10000
         counts = np.zeros(7)
         for _ in range(n):
-            counts[algo.select_action(dist, safe, rng)] += 1
-        assert np.all(np.abs(counts / n - dist) < 0.02)
+            counts[algo.select_action(np.log(dist), safe, rng)] += 1
+        assert np.all(np.abs(counts / n - want) < 0.02)
 
-    def test_matches_restrict_then_choice_reference(self):
-        """100k seeded cases: the same action and generator state as the
-        numpy reference, over action_k 1..8, every safe-set size, and
-        peaked, flat and random distributions."""
-        n_cases = 100_000
+    def test_matches_masked_softmax_reference(self):
+        """5k seeded cases over action_k 1..8, every safe-set size, and
+        peaked, flat and random policies, some with safe log-probs near
+        -1000 (a safe mass that underflows as a probability): the CDF is
+        the masked softmax's to 1e-12, and every draw farther than that
+        from an edge picks the reference's action with one draw."""
+        n_cases = 5_000
         gen = np.random.default_rng(20261018)
         k = gen.integers(1, 9, n_cases)
         size = gen.integers(0, 1 << 30, n_cases)  # safe-set size, mod n
         kind = np.arange(n_cases) % 4
         scale = np.choose(kind, [30.0, 0.0, 1.0, 3.0])  # 30: peaked, 0: flat
         logits = gen.normal(size=(n_cases, 12)) * scale[:, None]
-        logits[np.arange(12) >= (4 + k)[:, None]] = -np.inf
-        dists = np.exp(log_softmax(logits))
         order = np.argsort(gen.random((n_cases, 12)), axis=1)
         r_ref = np.random.default_rng(7)
         r_new = np.random.default_rng(7)
         sizes = set()
-        zero_mass = 0
+        near_edge = 0
+        underflow = 0
         for i in range(n_cases):
             n = 4 + int(k[i])
             m = 1 + int(size[i]) % n
             safe = sorted(int(a) for a in order[i][order[i] < n][:m])
-            dist = dists[i, :n]
-            if kind[i] == 3 and i % 8 == 3:
-                dist = dist.copy()
-                dist[safe] = 0.0  # no mass on the safe set: uniform
-            zero_mass += float(dist[safe].sum()) == 0.0
+            row = logits[i, :n].copy()
+            if kind[i] == 3 and i % 8 == 3 and m < n:
+                row[safe] -= 1000.0
+            logps = log_softmax(row)
+            underflow += float(np.exp(logps[safe]).sum()) == 0.0
             sizes.add(m)
-            want = reference_select_action(dist, safe, r_ref)
-            given = dist if i % 5 == 0 else dist.tolist()
-            got = algo.select_action(given, safe, r_new)
-            assert got == want, (i, list(dist), safe)
-            assert r_new.random() == r_ref.random(), i
+            masked = np.full(n, -np.inf)
+            masked[safe] = logps[safe]
+            ref_cdf = np.cumsum(softmax(masked))[safe]
+            actions, cdf = algo.safe_softmax_cdf(logps.tolist(), safe)
+            assert actions == safe
+            assert np.max(np.abs(np.array(cdf) - ref_cdf)) <= 1e-12, i
+            u = r_ref.random()
+            if np.min(np.abs(ref_cdf - u)) <= 1e-12:
+                near_edge += 1
+                r_new.random()
+                continue
+            want = safe[int(np.searchsorted(ref_cdf, u, side="right"))]
+            assert algo.select_action(logps.tolist(), safe, r_new) == want, i
+        assert r_new.random() == r_ref.random()
         assert sizes == set(range(1, 13))
-        assert zero_mass >= 2000
+        assert near_edge < 10
+        assert underflow >= 100
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1e308])
-    def test_invalid_probability_raises_like_choice(self, bad):
-        # 1e308 twice: the safe mass overflows and p is all zeros.
-        dist = [bad, bad, 0.5, 0.1, 0.1, 0.05, 0.05] if bad == 1e308 else \
-            [0.2, bad, 0.5, 0.1, 0.1, 0.05, 0.05]
-        for fn in (reference_select_action, algo.select_action):
-            with pytest.raises(ValueError), np.errstate(all="ignore"):
-                fn(dist, [0, 1, 2], np.random.default_rng(0))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_prob_raises(self, bad):
+        logps = np.log([0.2, 0.1, 0.4, 0.1, 0.1, 0.05, 0.05]).tolist()
+        logps[1] = bad
+        with pytest.raises(ValueError, match="not all finite"):
+            algo.select_action(logps, [0, 1, 2], np.random.default_rng(0))
+        # Only the safe actions' log-probs are read.
+        assert algo.select_action(logps, [0, 2], np.random.default_rng(0)) \
+            in (0, 2)
 
     def test_draws_at_cdf_edges_match_numpy_inverse_cdf(self):
-        """Draws on and just below every CDF entry land where choice's
-        searchsorted(side="right") puts them, including CDFs whose last
-        running sum is not exactly 1."""
+        """Draws on and just below every entry of the sampler's own CDF
+        land where numpy's searchsorted(side="right") puts them, which is
+        where bisect_right does; every CDF ends at exactly 1.0."""
         gen = np.random.default_rng(9)
-        unnormalized = 0
         for _ in range(300):
             n = 4 + int(gen.integers(1, 9))
-            dist = gen.dirichlet(np.ones(n))
+            logps = log_softmax(gen.normal(size=n) * 3.0)
             safe = sorted(gen.choice(n, int(gen.integers(1, n + 1)),
                                      replace=False).tolist())
-            restricted = np.zeros(n)
-            restricted[safe] = dist[safe] / dist[safe].sum()
-            cdf = restricted.cumsum()
-            unnormalized += cdf[-1] < 1.0
-            cdf /= cdf[-1]
+            actions, cdf = algo.safe_softmax_cdf(logps, safe)
+            assert cdf[-1] == 1.0
+            cdf = np.array(cdf)
             draws = cdf.tolist() + np.nextafter(cdf, -1.0).tolist()
             for u in draws + [0.0, np.nextafter(1.0, 0.0)]:
                 if 0.0 <= u < 1.0:
-                    want = int(cdf.searchsorted(u, side="right"))
-                    assert algo.select_action(dist, safe, FixedDraw(u)) == want
-        assert unnormalized >= 20
+                    want = actions[int(cdf.searchsorted(u, side="right"))]
+                    assert algo.select_action(logps, safe, FixedDraw(u)) == want
 
     def test_safe_set_must_be_distinct_actions(self):
-        dist = [1.0 / 7.0] * 7
+        logps = np.log(np.full(7, 1.0 / 7.0))
         for safe in ([2, 2], [0, 7], [-1, 3]):
             with pytest.raises(ValueError, match="distinct actions"):
-                algo.select_action(dist, safe, np.random.default_rng(0))
-
-    def test_numpy_sum_order(self):
-        rng = np.random.default_rng(11)
-        for n in list(range(1, 40)) + [127, 128, 129, 200, 257, 300]:
-            for _ in range(20):
-                xs = rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
-                assert algo._numpy_sum(xs.tolist()) == float(xs.sum()), n
+                algo.select_action(logps, safe, np.random.default_rng(0))
 
 
 class FixedDraw:
@@ -691,21 +697,6 @@ class FixedDraw:
 
     def random(self):
         return self.u
-
-
-def reference_select_action(dist, safe_set, rng):
-    """algo.select_action as it was before the scalar sampler: restrict
-    dist to the safe set, then Generator.choice.  Kept as the bit-exact
-    reference."""
-    safe_set = list(safe_set)
-    dist = np.asarray(dist, dtype=float)
-    restricted = np.zeros_like(dist)
-    total = dist[safe_set].sum()
-    if total <= 0:
-        restricted[safe_set] = 1.0 / len(safe_set)
-    else:
-        restricted[safe_set] = dist[safe_set] / total
-    return int(rng.choice(len(restricted), p=restricted))
 
 
 def obs_for(vid, lx, connected=False, vx=10.0, lane=None):

@@ -230,7 +230,7 @@ class TestCheckActionSafe:
         u0 = ControlInput(0.0, 0.0)
         verdict = check_action_safe(
             u0, constraint_rows(10.0, front_targets(62.0, 10.0), CFG0, DYN),
-            action_accel_bounds(ActionSpace.KEEP, DYN), DYN,
+            action_accel_bounds(ActionSpace.KEEP, DYN, ActionSpace()), DYN,
         )
         assert verdict.safe
         assert verdict.u.accel == pytest.approx(0.0)
@@ -755,7 +755,7 @@ def lane_context(road, lane_id):
     )
 
 
-def nominal_control(state, action, lane_ctx, params, space=None):
+def nominal_control(state, action, lane_ctx, params, space):
     """Reference input for a discrete action, clamped to the admissible box:
     nominal_accel, with pure-pursuit steer toward the target lane for a lane
     change and lane-keep steer otherwise.
