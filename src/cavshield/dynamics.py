@@ -32,7 +32,7 @@ class ControlInput:
     steer: float  # rad
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicsParams:
     """Integration and controller constants (see the harness config file)."""
 

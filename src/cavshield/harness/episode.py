@@ -371,7 +371,7 @@ def _verdict_snapshot(outcome):
     return {
         aid: [
             ("S" if v.safe else "UN" if v.unavailable else "U")
-            + ("" if v.binding is None else " " + v.binding)
+            + ("" if (binding := v.binding) is None else " " + binding)
             for v in verdicts.values()
         ]
         for aid, verdicts in outcome.verdicts.items()
@@ -400,8 +400,9 @@ def verify_roundtrip(log):
             if i + 1 < len(log.steps)
             else log.terminal_states
         )
+        crashed = set(rec["crashed"])
         for vid, state in rec["states"].items():
-            if vid in set(rec["crashed"]):
+            if vid in crashed:
                 pred = state
             else:
                 accel, steer = rec["controls"][vid]

@@ -502,7 +502,8 @@ def load_checkpoint(path):
     value critic are checked, not restored.
 
     Raises CheckpointError, naming the file, if it cannot be read, is not
-    an npz archive, lacks a member, has a header that is not a JSON object,
+    an npz archive, lacks a member or has one whose shape is not that of
+    its net's flat parameters, has a header that is not a JSON object,
     no config or one Config rejects, a scenario or shield mode this
     cavshield does not have, or agent_ids that are not a non-empty list
     of distinct strings; its subclasses ChecksumMismatch if the payload
@@ -547,13 +548,22 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} has agent_ids "
                               f"{agent_ids!r}, not a non-empty list of "
                               f"distinct strings")
-    enc_spec, actor_sizes, _, _ = _net_sizes(trained, len(agent_ids))
-    actors = {}
+    enc_spec, actor_sizes, worst_q_sizes, value_sizes = _net_sizes(
+        trained, len(agent_ids))
+    sizes = {}
     for aid in agent_ids:
-        actors[aid] = MLP.from_flat(actor_sizes,
-                                    _member(path, arrays, f"{aid}__theta"))
-        _member(path, arrays, f"{aid}__omega")
-    _member(path, arrays, "phi")
+        sizes[f"{aid}__theta"] = actor_sizes
+        sizes[f"{aid}__omega"] = worst_q_sizes
+    sizes["phi"] = value_sizes
+    flat = {}
+    for name, net in sizes.items():
+        flat[name] = vec = _member(path, arrays, name)
+        n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(net, net[1:]))
+        if vec.shape != (n,):
+            raise CheckpointError(f"checkpoint {path} has member {name!r} of "
+                                  f"shape {vec.shape}, not ({n},)")
+    actors = {aid: MLP.from_flat(actor_sizes, flat[f"{aid}__theta"])
+              for aid in agent_ids}
     return header, actors, enc_spec
 
 

@@ -24,26 +24,30 @@ same Observation of a vehicle, which works out its world position once,
 its projection once per lane path and its lane once (from those
 projections), so no agent's pass repeats another's.  Each row set is one
 interval of acceleration (BarrierRows keeps its ends, built in the same
-pass as its rows), so the paper's CBF-QP of an action is a projection
-onto a box, the interval times the steer range, and check_action_safe
-computes it in closed form.
-A verdict's binding row label is found only when it is read (episode
+pass as its rows, and the barrier target of each row), so the paper's
+CBF-QP of an action is a projection onto a box, the interval times the
+steer range, and check_action_safe computes it in closed form.  A
+verdict keeps its rows and the accel it was decided at; its binding row
+label is worked out from them on each read and never stored (episode
 logs read it; training and unlogged evaluation do not).
 Crossing traffic is folded in by transforming each crossing vehicle into
-a pseudo car on the ego path.  An empty safe set falls back to
-Emergency_stop (full braking, zero steer) and is fed back to the MARL as
-a penalty.
+a pseudo car on the ego path; lane traffic and pseudo cars then go
+through one front/rear split (lane_barrier_targets).  An empty safe set
+falls back to Emergency_stop (full braking, zero steer) and is fed back
+to the MARL as a penalty.  ShieldConfig, like DynamicsParams, is frozen:
+dataclasses.replace derives another, and the Lipschitz audit is memoized
+on the two.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .dynamics import ActionSpace, ControlInput, DynamicsParams, action_accel_bounds, emergency_control, is_finite_real, lane_keep_steer, nominal_accel, pursuit_steer
+from .dynamics import ActionSpace, ControlInput, action_accel_bounds, emergency_control, is_finite_real, lane_keep_steer, nominal_accel, pursuit_steer
 from .kernels import DEDUP_TOL, FEAS_TOL
 from .world import ALIGN_CONE
 
@@ -54,7 +58,7 @@ REAR = "rear"
 LIPSCHITZ_MEMO_SIZE = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShieldConfig:
     c1: float = 1.0  # reaction-delay coefficient [s]
     c2: float = 1.0  # braking-differential weight
@@ -85,15 +89,13 @@ class ShieldConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(slots=True)
-class PseudoCar:
+class PseudoCar(NamedTuple):
     """A crossing vehicle mapped onto the ego path as a virtual same-lane
     vehicle: s = conflict arc-length minus the target's remaining distance,
     v = its speed component toward the conflict point."""
 
     s: float
     v: float
-    source_id: str
 
 
 @dataclass(slots=True)
@@ -109,56 +111,24 @@ class BarrierTarget:
         return f"{self.role}:{self.kind}:{self.source_id}"
 
 
+@dataclass(slots=True)
 class ActionVerdict:
     """Verdict of one action: safe, the filtered ControlInput u when safe,
-    the binding row's label and whether the action is unavailable.
+    the BarrierRows it was decided on and the accel alpha it was decided
+    at (None for an unavailable action), and whether the action is
+    unavailable."""
 
-    check_action_safe leaves the binding to be found on first read of
-    binding (from its rows and the accel it is judged at), because only
-    logged runs read it.  Equality and repr are those of a dataclass with
-    the four fields (safe, u, binding, unavailable), and so read binding.
-    """
-
-    __slots__ = ("safe", "u", "unavailable", "_binding", "_rows", "_alpha")
-
-    def __init__(self, safe, u=None, binding=None, unavailable=False):
-        self.safe = safe
-        self.u = u
-        self.unavailable = unavailable
-        self._binding = binding
-        self._rows = None
-        self._alpha = None
-
-    @classmethod
-    def judged(cls, safe, u, rows, alpha):
-        """A verdict whose binding is _binding(rows, alpha), found on read."""
-        verdict = cls(safe, u)
-        verdict._rows = rows
-        verdict._alpha = alpha
-        return verdict
+    safe: bool
+    u: Optional[ControlInput] = None
+    rows: Optional["BarrierRows"] = None
+    alpha: Optional[float] = None
+    unavailable: bool = False
 
     @property
     def binding(self):
-        rows = self._rows
-        if rows is not None:
-            self._binding = _binding(rows, self._alpha)
-            self._rows = None
-        return self._binding
-
-    def _key(self):
-        return (self.safe, self.u, self.binding, self.unavailable)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"ActionVerdict(safe={self.safe!r}, u={self.u!r}, "
-                f"binding={self.binding!r}, "
-                f"unavailable={self.unavailable!r})")
+        """Label of the binding row, worked out on each read (only logged
+        runs read it); None without rows."""
+        return None if self.rows is None else _binding(self.rows, self.alpha)
 
 
 @dataclass
@@ -219,29 +189,31 @@ def lead_constraint_terms(v, v_r, gap, cfg, dyn):
     return coef, const
 
 
+@dataclass(slots=True)
 class BarrierRows:
     """Barrier constraints coef * alpha >= b on the ego acceleration alpha.
 
-    rows holds them as (coef, b) pairs.  Steer enters no row, so together
+    rows holds them as (coef, b) pairs, and targets the barrier target of
+    each row (its label names the row).  Steer enters no row, so together
     they admit one interval of alpha, from low to high: low is the largest
     end b / coef of a row with coef > 0 (alpha >= end; -inf for none), and
     high the least end of a row with coef < 0 (alpha <= end; inf for
     none).  blocked marks a row without direction (|coef| < DEDUP_TOL)
-    whose b exceeds FEAS_TOL: no input meets it.  labels holds the label
-    of each row; rows built from barrier targets (constraint_rows) format
-    them from the targets on first read.  Equality compares rows and
-    labels, which determine the rest.
+    whose b exceeds FEAS_TOL: no input meets it.  The rows are checked
+    (coef and b finite) and their ends found in one pass.
     """
 
-    __slots__ = ("rows", "low", "high", "blocked", "_labels", "_targets",
-                 "_parts")
+    rows: tuple
+    targets: tuple
+    low: float = field(init=False)
+    high: float = field(init=False)
+    blocked: bool = field(init=False)
 
-    def __init__(self, rows, labels, targets=None):
-        """rows: (coef, b) pairs, coef and b finite; labels: one label per
-        row, or None with the barrier targets that give them.  The rows
-        are checked and their ends found in one pass."""
+    def __post_init__(self):
+        self.rows = tuple(self.rows)
+        self.targets = tuple(self.targets)
         low, high, blocked = -math.inf, math.inf, False
-        for coef, b in rows:
+        for coef, b in self.rows:
             if not (math.isfinite(coef) and math.isfinite(b)):
                 raise ValueError(f"barrier row ({coef!r}, {b!r}) is not finite")
             if abs(coef) < DEDUP_TOL:
@@ -250,59 +222,19 @@ class BarrierRows:
                 low = max(low, b / coef)
             else:
                 high = min(high, b / coef)
-        self.rows = tuple(rows)
         self.low = low
         self.high = high
         self.blocked = blocked
-        self._labels = None if labels is None else tuple(labels)
-        self._targets = targets
-        self._parts = None
-
-    @classmethod
-    def of(cls, labeled):
-        """Rows from (coef, b, label) triples; coef and b must be finite."""
-        labeled = list(labeled)
-        return cls([(coef, b) for coef, b, _ in labeled],
-                   [label for _, _, label in labeled])
-
-    @property
-    def labels(self):
-        if self._labels is None:
-            if self._parts is not None:  # a join: each part formats once
-                first, second = self._parts
-                self._labels = first.labels + second.labels
-            else:
-                self._labels = tuple(t.label for t in self._targets)
-            self._targets = self._parts = None
-        return self._labels
 
     def join(self, other):
-        """The rows of both sets, self's first."""
-        out = BarrierRows.__new__(BarrierRows)
-        out.rows = self.rows + other.rows
-        out.low = max(self.low, other.low)
-        out.high = min(self.high, other.high)
-        out.blocked = self.blocked or other.blocked
-        out._labels = out._targets = None
-        out._parts = (self, other)
-        return out
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows and self.labels == other.labels
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BarrierRows(rows={self.rows!r}, labels={self.labels!r})"
+        """The rows and targets of both sets, self's first."""
+        return BarrierRows(self.rows + other.rows,
+                           self.targets + other.targets)
 
 
 def constraint_rows(ego_v, targets, cfg, dyn):
-    """BarrierRows encoding coef*alpha >= A - const per barrier target;
-    the labels are formatted from the targets when first read."""
+    """BarrierRows encoding coef*alpha >= A - const per barrier target."""
     buf = robust_buffer(cfg)
-    targets = tuple(targets)
     rows = []
     for t in targets:
         if t.role == FRONT:
@@ -310,33 +242,20 @@ def constraint_rows(ego_v, targets, cfg, dyn):
         else:
             coef, const = lead_constraint_terms(ego_v, t.speed, t.gap, cfg, dyn)
         rows.append((coef, buf - const))
-    return BarrierRows(rows, None, targets)
+    return BarrierRows(rows, targets)
 
 
+@functools.lru_cache(maxsize=LIPSCHITZ_MEMO_SIZE)
 def calibrate_lipschitz_sum(cfg, dyn, n_samples=10000, seed=0, safety_factor=1.5):
     """Empirical audit of the constraint left side's sensitivity to the
     perturbable observation pair (gap, target speed).
 
     Samples random states and finite perturbations, takes the worst
     |delta(left side)| / ||delta||, and pads it by safety_factor.  The
-    audit is memoized on every ShieldConfig and DynamicsParams field and
-    the arguments (values of different types kept apart), so each episode
-    of a run reuses the same float instead of sampling again.
+    configs are frozen, so the audit is memoized on its arguments (equal
+    configs share an entry), and each episode of a run reuses the same
+    float instead of sampling again.
     """
-    return _lipschitz_audit(
-        n_samples, seed, safety_factor, *_field_values(cfg), *_field_values(dyn)
-    )
-
-
-def _field_values(obj):
-    return tuple(getattr(obj, f.name) for f in fields(obj))
-
-
-@functools.lru_cache(maxsize=LIPSCHITZ_MEMO_SIZE, typed=True)
-def _lipschitz_audit(n_samples, seed, safety_factor, *values):
-    n_cfg = len(fields(ShieldConfig))
-    cfg = ShieldConfig(*values[:n_cfg])
-    dyn = DynamicsParams(*values[n_cfg:])
     rng = np.random.default_rng(seed)
     n = n_samples
     v = rng.uniform(0.0, cfg.v_max, n)
@@ -400,7 +319,7 @@ def pseudo_car_transform(ego_path, ego_s, target_pos, target_psi, target_speed,
     inside = abs(d_t) <= cfg.conflict_radius
     if not inside and closing <= 0.0:
         return None
-    return PseudoCar(s=s_c - d_t, v=closing, source_id=None)
+    return PseudoCar(s_c - d_t, closing)
 
 
 def check_action_safe(u0, rows, accel_bounds, dyn):
@@ -416,8 +335,8 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     [low, high] x steer range: u0 itself when its accel lies in
     [low, high], else u0 moved in accel to the end it violates.  The
     binding row is the one with least slack at the filtered accel (at u0's
-    when unsafe); the first such row wins a tie.  The verdict finds it, and
-    formats the rows' labels, only when its binding is read.
+    when unsafe); the first such row wins a tie.  The verdict works it out
+    only when its binding is read.
     """
     x, y = u0.accel, u0.steer
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -431,26 +350,23 @@ def check_action_safe(u0, rows, accel_bounds, dyn):
     low = max(lo, rows.low)
     high = min(hi, rows.high)
     if rows.blocked or low > high:
-        return ActionVerdict.judged(False, None, rows, x)
+        return ActionVerdict(False, None, rows, x)
     if low <= x <= high:
-        return ActionVerdict.judged(True, u0, rows, x)
+        return ActionVerdict(True, u0, rows, x)
     # Land as kernels.solve_qp_2d projects onto one row, u0 + t * n with
     # t > 0: the same accel rounding, and +0.0 for a -0.0 steer, so the
     # filtered input equals the QP's bit for bit.
     ux = x + (low - x) if x < low else x - (x - high)
-    return ActionVerdict.judged(True, ControlInput(ux, y + 0.0), rows, ux)
+    return ActionVerdict(True, ControlInput(ux, y + 0.0), rows, ux)
 
 
 def _binding(rows, alpha):
     """Label of the row with least slack coef * alpha - b, the first on a
-    tie (as min() picks it)."""
-    label = None
-    for (coef, b), row_label in zip(rows.rows, rows.labels):
-        slack = coef * alpha - b
-        if label is None or slack < least:
-            least = slack
-            label = row_label
-    return label
+    tie (as min() picks it); only that row's label is formatted."""
+    slacks = [coef * alpha - b for coef, b in rows.rows]
+    if not slacks:
+        return None
+    return rows.targets[slacks.index(min(slacks))].label
 
 
 class EgoView:
@@ -479,9 +395,10 @@ class EgoView:
 def classify_targets(view, road, ego, cfg):
     """Split observed vehicles into per-lane traffic and pseudo cars.
 
-    Returns (ego path, the ego's (s, d) on it, {lane: [(obs, s)]}, pseudo
-    cars), where s is the target's arc length on the ego path (None
-    outside the corridor).  An aligned target is filed under its
+    Returns (ego path, the ego's (s, d) on it, {lane: [(obs, s, v)]},
+    pseudo cars [(obs, s, v)]): s is a lane target's arc length on the ego
+    path (None outside the corridor) and v its speed, or a pseudo car's s
+    and v (PseudoCar).  An aligned target is filed under its
     Observation.lane (its own lane report, else the lane of its perturbed
     position); misaligned targets go through the pseudo-car transform
     against the ego path.  Positions, projections and lanes come from the
@@ -502,48 +419,37 @@ def classify_targets(view, road, ego, cfg):
             lane = obs.lane(road)
             if lane is None:
                 continue
-            by_lane.setdefault(lane, []).append((obs, s_proj))
+            by_lane.setdefault(lane, []).append((obs, s_proj, obs.vx))
         else:
             pc = pseudo_car_transform(
                 ego_path, ego_s, obs.world_position(), obs.psi, obs.vx, cfg,
                 back_margin=back_margin,
             )
             if pc is not None:
-                pc.source_id = obs.target_id
-                pseudo.append((pc, obs))
+                pseudo.append((obs, pc.s, pc.v))
     return ego_path, (ego_s, ego_d), by_lane, pseudo
 
 
-def lane_barrier_targets(ego, ego_s, lane_targets):
-    """Front/rear barrier targets for one lane, bumper-to-bumper gaps.
+def lane_barrier_targets(ego, ego_s, targets, kind="lane"):
+    """Front/rear barrier targets along one path, bumper-to-bumper gaps.
 
-    ego_s is the ego's arc length on the lane and lane_targets holds
-    (obs, s) pairs, s the target's arc length there (None: skipped).
+    ego_s is the ego's arc length on the path and targets holds
+    (obs, s, v) triples: s the target's arc length there (None: skipped)
+    and v its speed along it.  A target at or ahead of ego_s is FRONT.
+    kind is "lane" for traffic on the path and "pseudo" for pseudo cars;
+    the barrier targets take their ids from the observations.
     """
     out = []
-    for obs, s_j in lane_targets:
+    for obs, s_j, v in targets:
         if s_j is None:
             continue
         half = 0.5 * (obs.length + ego.length)
         if s_j >= ego_s:
-            out.append(BarrierTarget(FRONT, (s_j - ego_s) - half, obs.vx,
-                                     obs.target_id, "lane"))
+            out.append(BarrierTarget(FRONT, (s_j - ego_s) - half, v,
+                                     obs.target_id, kind))
         else:
-            out.append(BarrierTarget(REAR, (ego_s - s_j) - half, obs.vx,
-                                     obs.target_id, "lane"))
-    return out
-
-
-def pseudo_barrier_targets(ego, ego_s, pseudo):
-    out = []
-    for pc, obs in pseudo:
-        half = 0.5 * (obs.length + ego.length)
-        if pc.s >= ego_s:
-            out.append(BarrierTarget(FRONT, (pc.s - ego_s) - half, pc.v,
-                                     pc.source_id, "pseudo"))
-        else:
-            out.append(BarrierTarget(REAR, (ego_s - pc.s) - half, pc.v,
-                                     pc.source_id, "pseudo"))
+            out.append(BarrierTarget(REAR, (ego_s - s_j) - half, v,
+                                     obs.target_id, kind))
     return out
 
 
@@ -612,7 +518,7 @@ def agent_safe_set(view, road, cfg, dyn, table):
     current = constraint_rows(
         ego.v,
         lane_barrier_targets(ego, ego_s, by_lane.get(ego.lane, []))
-        + pseudo_barrier_targets(ego, ego_s, pseudo),
+        + lane_barrier_targets(ego, ego_s, pseudo, "pseudo"),
         cfg, dyn,
     )
 
@@ -628,9 +534,9 @@ def agent_safe_set(view, road, cfg, dyn, table):
         rows = current
         if side is not None:
             lane_targets = []
-            for obs, _ in by_lane.get(lane, []):
+            for obs, _, v in by_lane.get(lane, []):
                 sd = obs.projection(path)
-                lane_targets.append((obs, None if sd is None else sd[0]))
+                lane_targets.append((obs, None if sd is None else sd[0], v))
             rows = current.join(constraint_rows(
                 ego.v, lane_barrier_targets(ego, lane_s, lane_targets),
                 cfg, dyn,

@@ -756,7 +756,8 @@ class TestCli:
         "no agent member", "unknown config key", "unknown scenario",
         "scenario not a string", "unknown shield mode", "other agents",
         "header a list", "header not JSON", "no config", "no agent_ids",
-        "agent_ids a string", "repeated agent_ids",
+        "agent_ids a string", "repeated agent_ids", "actor short",
+        "value short",
     ])
     def test_eval_of_an_unreadable_checkpoint_fails_cleanly(
             self, capsys, tmp_path, checkpoint, case):
@@ -764,11 +765,14 @@ class TestCli:
         # "pickled (object) data" ValueError, ChecksumMismatch, ...); other
         # agents' KeyError came after DIR was made.  A header that is a
         # list, or has no agent_ids, ended in AttributeError or KeyError,
-        # and agent_ids as one string was iterated by character.
+        # and agent_ids as one string was iterated by character.  An actor
+        # vector 5 entries short ended in set_flat's ValueError, and a
+        # value critic 3 entries short was evaluated without a word.
         from cavshield.harness import cli
 
         header, arrays = checkpoint_parts(checkpoint[0])
         aid = header["agent_ids"][0]
+        lengths = {name: len(value) for name, value in arrays.items()}
         path = tmp_path / "ckpt.npz"
         members = sealed(header, arrays)
         if case == "not an npz":
@@ -811,6 +815,11 @@ class TestCli:
         elif case in ("agent_ids a string", "repeated agent_ids"):
             ids = aid if case == "agent_ids a string" else [aid, aid]
             members = sealed({**header, "agent_ids": ids}, arrays)
+        elif case in ("actor short", "value short"):
+            name, cut = ((f"{aid}__theta", 5) if case == "actor short"
+                         else ("phi", 3))
+            arrays[name] = arrays[name][:-cut]
+            members = sealed(header, arrays)
         if case not in ("missing", "not an npz"):
             np.savez(str(path), **members)
         message = {
@@ -851,6 +860,11 @@ class TestCli:
             "repeated agent_ids": f"checkpoint {path} has agent_ids "
                                   f"{[aid, aid]!r}, not a non-empty list "
                                   f"of distinct strings",
+            "actor short": f"checkpoint {path} has member '{aid}__theta' of "
+                           f"shape ({lengths[aid + '__theta'] - 5},), not "
+                           f"({lengths[aid + '__theta']},)",
+            "value short": f"checkpoint {path} has member 'phi' of shape "
+                           f"({lengths['phi'] - 3},), not ({lengths['phi']},)",
         }[case]
         run = tmp_path / "eval"
         assert cli.main(["eval", "--checkpoint", str(path), "--episodes", "1",

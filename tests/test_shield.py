@@ -7,8 +7,9 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from cavshield.shield import (
     BarrierRows,
     BarrierTarget,
     EgoView,
+    PseudoCar,
     ShieldConfig,
     action_table,
     agent_safe_set,
@@ -48,7 +50,6 @@ from cavshield.shield import (
     constraint_rows,
     follow_constraint_terms,
     lane_barrier_targets,
-    pseudo_barrier_targets,
     pseudo_car_transform,
     resolve_lipschitz,
     robust_buffer,
@@ -65,6 +66,20 @@ CFG0 = ShieldConfig(c1=1.0, c2=1.0, c3=2.0, gamma_cbf=1.0, epsilon=0.0,
 
 def ego(v=10.0, x=0.0, y=0.0, psi=0.0):
     return VehicleState(id="ego", x=x, y=y, v=v, psi=psi, connected=True)
+
+
+class Named(NamedTuple):
+    """A stand-in barrier target: all a row needs of its target is the
+    label that names the row."""
+
+    label: str
+
+
+def labeled_rows(labeled):
+    """BarrierRows from (coef, b, label) triples."""
+    labeled = list(labeled)
+    return BarrierRows([(coef, b) for coef, b, _ in labeled],
+                       [Named(label) for _, _, label in labeled])
 
 
 class TestSafetyDistances:
@@ -154,9 +169,7 @@ class TestRobustBuffer:
         assert cfg.lipschitz_sum > 0
 
     def test_audit_runs_once_per_config(self):
-        from cavshield import shield
-
-        audit = shield._lipschitz_audit
+        audit = calibrate_lipschitz_sum
         audit.cache_clear()
         first = resolve_lipschitz(ShieldConfig(epsilon=2.0), DYN)
         again = resolve_lipschitz(ShieldConfig(epsilon=2.0), DynamicsParams())
@@ -164,15 +177,37 @@ class TestRobustBuffer:
         assert audit.cache_info().hits == 1
         assert first.lipschitz_sum.hex() == again.lipschitz_sum.hex()
         # The memo returns what a fresh audit computes.
-        fresh = audit.__wrapped__(
-            10000, 0, 1.5, *shield._field_values(ShieldConfig(epsilon=2.0)),
-            *shield._field_values(DYN),
-        )
+        fresh = audit.__wrapped__(ShieldConfig(epsilon=2.0), DYN)
         assert fresh.hex() == first.lipschitz_sum.hex()
 
         other = resolve_lipschitz(ShieldConfig(epsilon=1.0), DYN)
         assert audit.cache_info().misses == 2
         assert other.lipschitz_sum != first.lipschitz_sum
+
+    def test_int_and_float_configs_share_one_audit(self):
+        # YAML reads "epsilon: 2" as an int.  Equal configs give the same
+        # audit float, so the memo keys on equality, not on value types.
+        ints = (ShieldConfig(c1=1, c2=1, c3=2, gamma_cbf=1, epsilon=2,
+                             horizon=60, v_max=15, p_col=-200, p_sas=-10),
+                DynamicsParams(accel_min=-6, accel_max=4, lookahead=15,
+                               hold_band=1))
+        floats = (ShieldConfig(epsilon=2.0), DYN)
+        assert ints == floats
+        want = calibrate_lipschitz_sum.__wrapped__(*floats)
+        assert calibrate_lipschitz_sum.__wrapped__(*ints).hex() == want.hex()
+        calibrate_lipschitz_sum.cache_clear()
+        for cfg, dyn in (ints, floats):
+            assert resolve_lipschitz(cfg, dyn).lipschitz_sum.hex() == want.hex()
+        info = calibrate_lipschitz_sum.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_configs_are_immutable(self):
+        cfg = ShieldConfig(epsilon=2.0)
+        with pytest.raises(AttributeError):
+            cfg.epsilon = 1.0
+        with pytest.raises(AttributeError):
+            DYN.dt = 0.1
+        assert replace(cfg, epsilon=1.0).epsilon == 1.0 and cfg.epsilon == 2.0
 
 
 def straight_path():
@@ -219,6 +254,20 @@ class TestPseudoCar:
             straight_path(), 0.0, (35.0, 5.0), 0.0, 10.0, CFG0
         )
         assert pc is None
+
+    def test_lane_target_and_pseudo_car_at_ego_s_both_file_as_front(self):
+        # One split serves both kinds: s >= ego_s is FRONT, gaps are
+        # bumper to bumper, and the id is the observation's.
+        me = SimpleNamespace(length=4.0)
+        obs = SimpleNamespace(length=5.0, target_id="t")
+        lane = lane_barrier_targets(me, 30.0, [(obs, 30.0, 8.0)])
+        pseudo = lane_barrier_targets(me, 30.0, [(obs, *PseudoCar(30.0, 8.0))],
+                                      "pseudo")
+        assert lane == [BarrierTarget(FRONT, -4.5, 8.0, "t", "lane")]
+        assert pseudo == [BarrierTarget(FRONT, -4.5, 8.0, "t", "pseudo")]
+        behind = lane_barrier_targets(me, 30.0, [(obs, 29.0, 8.0)], "pseudo")
+        assert behind == [BarrierTarget(REAR, -3.5, 8.0, "t", "pseudo")]
+        assert lane_barrier_targets(me, 30.0, [(obs, None, 8.0)]) == []
 
 
 def front_targets(gap, v_f):
@@ -430,14 +479,14 @@ class TestAccelProjectionMatchesQp:
             u0 = ControlInput(u0x, u0y)
             if not lo1 <= u0y <= hi1:
                 with pytest.raises(ValueError, match="nominal steer"):
-                    check_action_safe(u0, BarrierRows.of(labeled), (lo0, hi0),
+                    check_action_safe(u0, labeled_rows(labeled), (lo0, hi0),
                                       dyn)
                 continue
             status, ux, uy, _ = kernels.solve_qp_2d(
                 u0x, u0y, [(c, 0.0, b) for c, b in rows], lo0, hi0, lo1, hi1
             )
             qp_safe = status == kernels.QP_FEASIBLE
-            verdict = check_action_safe(u0, BarrierRows.of(labeled),
+            verdict = check_action_safe(u0, labeled_rows(labeled),
                                         (lo0, hi0), dyn)
             where = (f"case {case}: u0={u0x!r},{u0y!r} rows={rows!r} "
                      f"box={(lo0, hi0, lo1, hi1)!r}")
@@ -483,7 +532,7 @@ class TestAccelProjectionMatchesQp:
     def test_row_with_huge_coefficient_bounds_the_accel(self):
         # Its end is b / |coef| as any row's; sqrt(coef * coef), the QP's
         # row norm, would overflow.
-        rows = BarrierRows.of([(1e200, 0.25e200, "lead"),
+        rows = labeled_rows([(1e200, 0.25e200, "lead"),
                                (-1e200, -0.5e200, "rear")])
         assert (rows.low, rows.high) == (0.25, 0.5)
         for u0x, want, binding in ((0.0, 0.25, "lead"), (0.4, 0.4, "rear"),
@@ -497,7 +546,7 @@ class TestAccelProjectionMatchesQp:
         # The projection lands at u0y + 0.0, as the QP's does: a -0.0
         # steer comes back as +0.0 when the accel moves, and stays -0.0
         # when u0 is kept.
-        rows = BarrierRows.of([(1.0, 0.5, "lead")])
+        rows = labeled_rows([(1.0, 0.5, "lead")])
         moved = check_action_safe(ControlInput(0.0, -0.0), rows, (-1.0, 1.0),
                                   DYN)
         assert moved.safe and moved.u.accel == 0.5
@@ -511,49 +560,50 @@ class TestAccelProjectionMatchesQp:
         # b > FEAS_TOL, and binding at the nominal input then.
         for coef in (0.0, 5e-13):
             u0 = ControlInput(0.0, 0.0)
-            assert check_action_safe(
-                u0, BarrierRows.of([(coef, 2 * FEAS_TOL, "z")]), (-1.0, 1.0), DYN
-            ) == ActionVerdict(safe=False, binding="z")
+            rows = labeled_rows([(coef, 2 * FEAS_TOL, "z")])
+            blocked = check_action_safe(u0, rows, (-1.0, 1.0), DYN)
+            assert blocked == ActionVerdict(False, None, rows, 0.0)
+            assert blocked.binding == "z"
             ok = check_action_safe(
-                u0, BarrierRows.of([(coef, FEAS_TOL, "z")]), (-1.0, 1.0), DYN
+                u0, labeled_rows([(coef, FEAS_TOL, "z")]), (-1.0, 1.0), DYN
             )
             assert ok.safe and ok.binding == "z"
 
     def test_rows_and_labels_stay_aligned(self):
-        a = BarrierRows.of([(1.0, 0.5, "a0"), (2.0, 1.0, "a1"),
+        a = labeled_rows([(1.0, 0.5, "a0"), (2.0, 1.0, "a1"),
                             (-1.0, 1.0, "a2")])
-        b = BarrierRows.of([(2.0, 1.0, "b0")])
+        b = labeled_rows([(2.0, 1.0, "b0")])
         assert a.rows == ((1.0, 0.5), (2.0, 1.0), (-1.0, 1.0))
-        assert a.labels == ("a0", "a1", "a2")
-        assert a.join(b) == BarrierRows(a.rows + b.rows, a.labels + b.labels)
+        assert a.targets == (Named("a0"), Named("a1"), Named("a2"))
+        assert a.join(b) == BarrierRows(a.rows + b.rows, a.targets + b.targets)
         # Slacks at alpha = 0 are -0.5, -1, -1 (and -1 for b0): the first
         # least-slack row binds, within a set and across a join.
         assert shield_mod._binding(a, 0.0) == "a1"
         assert shield_mod._binding(a.join(b), 0.0) == "a1"
         assert shield_mod._binding(b.join(a), 0.0) == "b0"
         assert shield_mod._binding(a, 1.0) == "a2"
-        assert shield_mod._binding(BarrierRows.of([]), 0.0) is None
+        assert shield_mod._binding(labeled_rows([]), 0.0) is None
 
     def test_invalid_input_rejected(self):
         # The checks QpProblem.validate made on every per-action QP.
         with pytest.raises(ValueError, match="not finite"):
-            BarrierRows.of([(math.nan, 0.0, "x")])
+            labeled_rows([(math.nan, 0.0, "x")])
         with pytest.raises(ValueError, match="not finite"):
-            check_action_safe(ControlInput(math.inf, 0.0), BarrierRows.of([]),
+            check_action_safe(ControlInput(math.inf, 0.0), labeled_rows([]),
                               (-1.0, 1.0), DYN)
         # DynamicsParams rejects steer_min > steer_max, so build that box
         # past its checks; check_action_safe must still refuse it.
         bad_steer = copy.copy(DYN)
-        bad_steer.steer_min = 0.6
+        object.__setattr__(bad_steer, "steer_min", 0.6)
         for bounds, dyn in (((1.0, -1.0), DYN), ((math.nan, 1.0), DYN),
                             ((-1.0, 1.0), bad_steer)):
             with pytest.raises(ValueError, match="empty input box"):
-                check_action_safe(ControlInput(0.0, 0.0), BarrierRows.of([]),
+                check_action_safe(ControlInput(0.0, 0.0), labeled_rows([]),
                                   bounds, dyn)
         # The shield passes each maneuver's clamped steer (nominal_control).
         for steer in (DYN.steer_max + 0.1, math.nextafter(DYN.steer_min, -1.0)):
             with pytest.raises(ValueError, match="nominal steer .* is outside"):
-                check_action_safe(ControlInput(0.0, steer), BarrierRows.of([]),
+                check_action_safe(ControlInput(0.0, steer), labeled_rows([]),
                                   (-1.0, 1.0), DYN)
 
 
@@ -805,18 +855,19 @@ def reference_agent_safe_set(view, road, cfg, dyn, space):
         path = road.path(lane)
         ego_s, _ = path.project(ego.x, ego.y)
         fresh = []
-        for obs, _ in by_lane.get(lane, []):
+        for obs, _, _ in by_lane.get(lane, []):
             try:
                 s_j, _ = path.project(*obs.world_position())
             except OutOfCorridor:
                 s_j = None
-            fresh.append((obs, s_j))
+            fresh.append((obs, s_j, obs.vx))
         return lane_barrier_targets(ego, ego_s, fresh)
 
     ego_s, _ = ego_path.project(ego.x, ego.y)
     current = constraint_rows(
         ego.v,
-        lane_targets(ego.lane) + pseudo_barrier_targets(ego, ego_s, pseudo),
+        lane_targets(ego.lane) + lane_barrier_targets(ego, ego_s, pseudo,
+                                                      "pseudo"),
         cfg, dyn,
     )
     verdicts, controls, safe = {}, {}, []
@@ -1097,38 +1148,57 @@ class TestDeferredBinding:
             else:
                 assert calls == []
 
-    def test_verdict_equality_and_repr_read_the_binding(self):
-        rows = BarrierRows.of([(1.0, 0.5, "lead"), (-1.0, -2.0, "rear")])
-        u0 = ControlInput(0.0, 0.0)
-        verdict = check_action_safe(u0, rows, (-1.0, 1.0), DYN)
-        eager = ActionVerdict(safe=True, u=ControlInput(0.5, 0.0),
-                              binding="lead")
-        assert verdict == eager
-        assert repr(verdict) == repr(eager) == (
-            "ActionVerdict(safe=True, u=ControlInput(accel=0.5, steer=0.0), "
-            "binding='lead', unavailable=False)")
-        assert verdict != ActionVerdict(safe=True, u=ControlInput(0.5, 0.0),
-                                        binding="rear")
+    def test_binding_is_worked_out_on_each_read(self, monkeypatch):
+        # A verdict is a plain record of what it was judged from; its
+        # binding is never stored.
+        assert [f.name for f in fields(ActionVerdict)] == [
+            "safe", "u", "rows", "alpha", "unavailable"]
+        rows = labeled_rows([(1.0, 0.5, "lead"), (-1.0, -2.0, "rear")])
+        verdict = check_action_safe(ControlInput(0.0, 0.0), rows,
+                                    (-1.0, 1.0), DYN)
+        assert verdict == ActionVerdict(True, ControlInput(0.5, 0.0), rows,
+                                        0.5)
+        calls = []
+        binding = shield_mod._binding
+        monkeypatch.setattr(shield_mod, "_binding",
+                            lambda *a: calls.append(a) or binding(*a))
+        assert verdict.binding == "lead" and verdict.binding == "lead"
+        assert calls == [(rows, 0.5), (rows, 0.5)]
         assert ActionVerdict(safe=False, unavailable=True).binding is None
+
+    def test_binding_formats_only_the_label_it_picks(self):
+        read = []
+
+        class Target:
+            def __init__(self, name):
+                self.name = name
+
+            @property
+            def label(self):
+                read.append(self.name)
+                return self.name
+
+        rows = BarrierRows([(1.0, 0.5), (1.0, 2.0), (-1.0, -2.0)],
+                           [Target("a"), Target("b"), Target("c")])
+        assert shield_mod._binding(rows, 0.0) == "b" and read == ["b"]
 
     def test_kept_input_is_returned_as_is(self):
         u0 = ControlInput(0.25, 0.1)
-        verdict = check_action_safe(u0, BarrierRows.of([(1.0, -1.0, "a")]),
+        verdict = check_action_safe(u0, labeled_rows([(1.0, -1.0, "a")]),
                                     (-1.0, 1.0), DYN)
         assert verdict.safe and verdict.u is u0
 
-    def test_target_rows_format_their_labels_on_read(self):
+    def test_rows_keep_their_targets_and_join_keeps_both_in_order(self):
         targets = [BarrierTarget(FRONT, 20.0, 9.0, "a"),
                    BarrierTarget(REAR, 15.0, 11.0, "b", "pseudo")]
         rows = constraint_rows(10.0, targets, CFG0, DYN)
-        assert rows._labels is None
-        assert rows.labels == ("front:lane:a", "rear:pseudo:b")
-        assert rows == BarrierRows(rows.rows, rows.labels)
+        assert rows.targets == tuple(targets)
+        assert [t.label for t in rows.targets] == ["front:lane:a",
+                                                   "rear:pseudo:b"]
         lane = constraint_rows(10.0, targets[:1], CFG0, DYN)
-        joined = lane.join(constraint_rows(10.0, targets[1:], CFG0, DYN))
-        assert joined._labels is None and lane._labels is None
-        assert joined == rows
-        assert lane._labels == ("front:lane:a",)  # formatted once, kept
-        assert joined.low == rows.low and joined.high == rows.high
-        mixed = lane.join(BarrierRows.of([(1.0, 0.0, "x")]))
-        assert mixed.labels == ("front:lane:a", "x")
+        pseudo = constraint_rows(10.0, targets[1:], CFG0, DYN)
+        assert lane.join(pseudo) == rows
+        assert pseudo.join(lane).targets == (targets[1], targets[0])
+        assert pseudo.join(lane).rows == pseudo.rows + lane.rows
+        mixed = lane.join(labeled_rows([(1.0, 0.0, "x")]))
+        assert [t.label for t in mixed.targets] == ["front:lane:a", "x"]
